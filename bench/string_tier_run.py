@@ -1,10 +1,10 @@
-"""Non-broadcast (string/join) verify tier exercised END-TO-END (verdict r4
-item #2): the 10^12-row scale story rests on ``attach_signatures``' hash-
-partitioned join tier and the string pairing path, but every bench and pin
-runs the broadcast fast path. This script runs the SAME 600k-row flagship
-twice — default config (broadcast fast path) and ``broadcast_limit=0``
-(every lookup/attach forced onto the join tier) — asserts the cluster
-outputs are IDENTICAL row-for-row, and records both throughputs.
+"""Non-broadcast (join) verify tier exercised END-TO-END: the 10^12-row
+scale story rests on the hash-join signature resolve of
+``verify.resolve_and_verify_pairs``, but every bench and pin runs the
+broadcast gather. This script runs the SAME 600k-row flagship twice —
+default config (broadcast gather) and ``broadcast_limit=0`` (every
+lookup/resolve forced onto the join tier) — asserts the cluster outputs
+are IDENTICAL row-for-row, and records both throughputs.
 
 Usage:  RAY_GRAFT_CPUS=32 python bench/string_tier_run.py
 Writes: prints ONE JSON line (redirect into BENCH/string_tier_600k.json).
@@ -57,9 +57,9 @@ def main() -> None:
     preds = {}
     for name, cfg in (
         ("broadcast", base_cfg),
-        # broadcast_limit=0: DeferredSignatureIndex ineligible -> the string
-        # pairing path + attach_signatures' two hash-partitioned joins +
-        # verify_edges — the exact plan the 10^12-row tier would run
+        # broadcast_limit=0: DeferredSignatureIndex ineligible -> the same
+        # slim pairs resolved by two hash joins on the id hash, then the
+        # same verify — the exact plan the 10^12-row tier would run
         ("join_tier", dataclasses.replace(base_cfg, broadcast_limit=0)),
     ):
         run_dir = f"/tmp/dedup_ray_stringrun_{name}"

@@ -1,6 +1,6 @@
 """Per-stage wall profile of the text engine at one CPU width — the FUSED
-slim-pair fast path, i.e. the plan `text_dedup_clusters` actually executes
-(`text_edge_dag`'s grams+broadcast branch), with the slim-pair chain broken
+slim-pair path, i.e. the plan `text_dedup_clusters` actually executes
+(`image_dedup.verified_edges` in the broadcast tier), with the slim-pair chain broken
 into its sub-barriers. Each stage is materialized with a wall timer in plan
 order, in a fresh Ray session at ``RAY_GRAFT_CPUS``.
 
@@ -71,7 +71,7 @@ def main() -> None:
     sigs = stage("signatures", lambda: text_signatures(
         caps, cfg, id_col="image_id", text_col="caption").materialize())
     deferred = verify.DeferredSignatureIndex(sigs, cfg)
-    assert deferred.eligible, "corpus exceeds broadcast tier: fused path off"
+    assert deferred.eligible, "corpus exceeds the broadcast tier"
     buckets = stage("buckets", lambda: sigs.map_batches(
         lsh.ExplodeBands(cfg, families=("minhash", "exact")),
         batch_format="pyarrow", batch_size=cfg.text_batch_size).union(

@@ -77,29 +77,19 @@ class DedupConfig:
 
     # --- substring pass (T11) ---
     substring_min_len: int = 40   # Lmin: min shared-substring chars to link
-    winnow_window: int = 16       # winnowing window for cross-partition rendezvous
-    substring_rendezvous: str = "grams"
-    # 'grams' (default): every distinct L-gram hash is a bucket key — bucket
-    #   co-membership PROVES the >= Lmin shared substring, so edges are
-    #   trusted with no verification join and hot-bucket star links are true
-    #   by construction. ~(len-L+1) keys/doc.
-    # 'winnow': Schleimer-style minimizers over k-grams (k = Lmin - w + 1),
-    #   ~(2·len/w) keys/doc — sparser, but a shared minimizer proves only a
-    #   k-char overlap: candidates need an exact L-gram verification join,
-    #   and pairs sharing ~Lmin chars whose minimizer is globally popular
-    #   (hot bucket -> salted apart) can lose their direct edge.
     use_suffix_array: bool = False
-    # The per-partition suffix-array pass is OFF by default: either
-    # rendezvous mode already covers >= Lmin within AND across partitions,
-    # and the O(n log^2 n) SA build was ~27% of the edge-stage wall time at
-    # 60k rows. Turn on to cross-check the rendezvous path.
+    # The per-partition suffix-array pass is OFF by default: the L-gram
+    # rendezvous (every distinct L-gram hash is a bucket key, so bucket
+    # co-membership proves the >= Lmin shared substring) already covers
+    # >= Lmin within AND across partitions, and the O(n log^2 n) SA build
+    # was ~27% of the edge-stage wall time at 60k rows. Turn on to
+    # cross-check the rendezvous path; its edges join after verification.
     sa_batch_size: int = 4096     # docs per suffix-array batch: the SA build
                                   # is O(n log^2 n) serial per batch — size to
                                   # ~0.5MB of TEXT per batch (long documents
-                                  # want 1024, short captions 4096). Smaller
-                                  # batches shift cross-batch pairs onto the
-                                  # winnowing rendezvous, whose candidates are
-                                  # exactly verified but cost a join pass.
+                                  # want 1024, short captions 4096). The pass
+                                  # is blind across batches; the L-gram
+                                  # rendezvous covers those pairs.
 
     # --- video near-dup (frame-sampled pHash; pipelines/video_dedup.py) ---
     video_every_k: int = 1          # decode every k-th stored frame. k=1 is

@@ -6,10 +6,11 @@ Stage DAG (each boundary is a checkpoint, see state/checkpoint.py):
   input parquet (image_id, bytes, w, h, fmt, caption, phash)
     | map_batches(ComputeSignatures actor pool)      [decode once; bytes die]
   signatures (image_id, ck1, ck2, cap_hash, phash, phash_ok, simhash, minhash)
-    | exact_edges (ck groupby)  +  candidate_edges (LSH bands + salting)
-  edges (src, dst, kind)
-    | attach signatures (2 hash joins) -> verify (Hamming/Jaccard)
-  verified_edges
+    | verified_edges: one bucket stream (MinHash / pHash / SimHash bands,
+    |   exact content key, caption L-grams) -> tag + salt -> slim id-hash
+    |   pairs -> pair dedupe -> resolve signatures (broadcast gather, or
+    |   hash joins above the broadcast tier) + verify (Hamming/Jaccard)
+  verified_edges (src, dst, kind)
     | connected_components (hash-min rounds, labels_r{k} checkpoints)
   labels (node, label)
     | finalize: left-join all ids -> clusters (image_id, cluster_id)
@@ -56,112 +57,49 @@ def compute_signatures(input_ds: ray.data.Dataset, cfg: DedupConfig) -> ray.data
     )
 
 
-def build_edges(
+PIXEL_FAMILIES = ("minhash", "phash", "simhash", "exact")
+
+
+def verified_edges(
     signatures: ray.data.Dataset,
     cfg: DedupConfig,
-    input_ds: ray.data.Dataset | None = None,
+    captions: ray.data.Dataset | None = None,
     substr_buckets: ray.data.Dataset | None = None,
+    families: tuple[str, ...] = PIXEL_FAMILIES,
+    has_pixels: bool = True,
 ) -> ray.data.Dataset:
-    """Exact + LSH-candidate + suffix-array/winnowing substring edges.
+    """The verified-edge stage of the image AND text pipelines:
+    candidate pairs -> pair dedupe -> resolve + verify, emitting
+    (src, dst, kind).
 
     One bucket stream carries every candidate family (MinHash bands, pHash /
-    SimHash multi-index bands, the exact content-key family, winnowing /
-    L-gram fingerprints) so bucket stats, hot detection and salting run
-    exactly once. The stream is passed to ``edges_from_buckets`` as a
-    single materialized Dataset (measured: recomputing the explode/gram
-    maps into each consumer's exchange re-plans the upstream into the sort
-    and stalls under backpressure — 29s vs 10.7s for the tag+pair leg at 8
-    CPUs / 150k rows — so one materialize of the wide stream beats two
-    fused recomputes); the TAGGING map, by contrast, fuses lazily into the
-    pairing exchange inside ``edges_from_buckets``, which drops the
-    separate tagged-stream materialization."""
-    extra = []
-    needs_verify = input_ds is not None and cfg.substring_rendezvous == "winnow"
-    if input_ds is not None and cfg.use_suffix_array:
-        from deduplication_ray.stages.substring import suffix_array_edges
+    SimHash multi-index bands, the exact content-key family, the L-gram
+    substring family of ``captions``) so bucket stats, hot detection and
+    salting run exactly once. Pairs exchange as 18-byte (id-hash, id-hash,
+    prio, sc) rows; the signature resolve is a broadcast gather against the
+    signature index inside the broadcast tier and a hash-join resolve above
+    it (``verify.resolve_and_verify_pairs``). ``substr_buckets`` replaces
+    the substring family built from ``captions`` when it was prefetched
+    (already materialized: the union reuses its blocks). With
+    ``cfg.use_suffix_array`` the suffix-array edges, trusted 'substr' by
+    construction, join after the verify."""
+    from deduplication_ray.stages.substring import (substring_buckets,
+                                                    suffix_array_edges)
 
-        extra.append(suffix_array_edges(input_ds, cfg))
-
-    def bucket_src() -> ray.data.Dataset:
-        b = signatures.map_batches(
-            lsh.ExplodeBands(cfg, families=("minhash", "phash", "simhash",
-                                            "exact")),
-            batch_format="pyarrow", batch_size=cfg.text_batch_size,
-        )
-        if substr_buckets is not None:  # prefetched, blocks reused as-is
-            return b.union(substr_buckets)
-        if input_ds is not None:
-            from deduplication_ray.stages.substring import substring_buckets as _sb
-
-            b = b.union(_sb(input_ds, cfg))
-        return b
-
-    edges = lsh.edges_from_buckets(bucket_src(), cfg)
-    for e in extra:
-        edges = edges.union(e)
-    deduped = lsh.dedupe_edges(edges, num_parts=2 * cfg.num_partitions,
-                               keep_sc=needs_verify)
-    if needs_verify:
-        from deduplication_ray.stages.substring import split_and_verify_substring
-
-        # winnow mode only: a shared minimizer proves a k-char overlap, so
-        # candidates get the exact L-gram verification join. Materialize the
-        # deduped edge set before the candidate/rest split: Ray Data has no
-        # common-subexpression reuse, so two lazy consumers of the same
-        # Dataset would re-execute the whole edge DAG twice. The edge set is
-        # lean (~1.4 rows per input row) — object-store residency is cheap.
-        # 'grams' mode needs none of this: bucket co-membership proves the
-        # >= Lmin substring, edges arrive already trusted.
-        deduped = split_and_verify_substring(deduped.materialize(), input_ds, cfg)
-    return deduped
-
-
-def verify_candidates(
-    edges: ray.data.Dataset, signatures: ray.data.Dataset, cfg: DedupConfig
-) -> ray.data.Dataset:
-    attached = verify.attach_signatures(edges, signatures, cfg)
-    return verify.verify_edges(attached, cfg, has_pixels=True)
-
-
-def fast_verified_edges(
-    signatures: ray.data.Dataset,
-    cfg: DedupConfig,
-    input_ds: ray.data.Dataset | None,
-    sig_ref,
-    substr_buckets: ray.data.Dataset | None = None,
-) -> ray.data.Dataset:
-    """Fused verified-edge fast path ('grams' mode, broadcast tier): the
-    pairing kernel exchanges 18-byte (id-hash, id-hash, prio, sc) rows
-    instead of id strings, the pair dedupe runs over those slim rows, and
-    ONE gather against the broadcast signature index resolves the strings
-    AND applies the verify_edges signal checks — replacing the separate
-    exact-edges stage, the two attach joins and the verify pass of the
-    string path. Semantics match ``verify_candidates(build_edges(...))``:
-    same bucket families (exact content-key included), same trusted kinds,
-    same Jaccard/Hamming OR-checks."""
-
-    def bucket_src() -> ray.data.Dataset:
-        b = signatures.map_batches(
-            lsh.ExplodeBands(cfg, families=("minhash", "phash", "simhash",
-                                            "exact")),
-            batch_format="pyarrow", batch_size=cfg.text_batch_size,
-        )
-        if substr_buckets is not None:
-            # prefetched (already-materialized) gram buckets: the union
-            # reuses their blocks, no recompute
-            return b.union(substr_buckets)
-        if input_ds is not None:
-            from deduplication_ray.stages.substring import substring_buckets as _sb
-
-            b = b.union(_sb(input_ds, cfg))
-        return b
-
-    pairs = lsh.slim_pairs_from_buckets(bucket_src(), cfg)
-    deduped = lsh.dedupe_slim_pairs(pairs, cfg)
-    if isinstance(sig_ref, verify.DeferredSignatureIndex):
-        sig_ref = sig_ref.get()  # index build overlapped the pairing chain
-    ve = verify.resolve_and_verify_pairs(deduped, sig_ref, cfg,
-                                         has_pixels=True)
+    sig_idx = verify.DeferredSignatureIndex(signatures, cfg)
+    buckets = signatures.map_batches(
+        lsh.ExplodeBands(cfg, families=families),
+        batch_format="pyarrow", batch_size=cfg.text_batch_size,
+    )
+    if substr_buckets is None and captions is not None:
+        substr_buckets = substring_buckets(captions, cfg)
+    if substr_buckets is not None:
+        buckets = buckets.union(substr_buckets)
+    pairs = lsh.dedupe_slim_pairs(lsh.slim_pairs_from_buckets(buckets, cfg), cfg)
+    ve = verify.resolve_and_verify_pairs(pairs, sig_idx, cfg,
+                                         has_pixels=has_pixels)
+    if cfg.use_suffix_array and captions is not None:
+        ve = ve.union(suffix_array_edges(captions, cfg))
     return ve.map_batches(lambda t: t.select(["src", "dst", "kind"]),
                           batch_format="pyarrow")
 
@@ -270,12 +208,10 @@ def run_pipeline(
     # largest map stages otherwise run back-to-back with a barrier between
     # them, and the multi-core legs idle through each other's straggler
     # tails. A 1-core run is unaffected (work serializes either way); at 4+
-    # cores the overlap fills the barrier gaps. Fast path only — the string
-    # path unions the lazy stream as before.
+    # cores the overlap fills the barrier gaps.
     _substr_prefetch: dict = {}
     _substr_thread = None
-    if (cfg.substring_rendezvous == "grams" and not cfg.use_suffix_array
-            and not run.is_complete("verified_edges")):
+    if not run.is_complete("verified_edges"):
         import threading
 
         from deduplication_ray.stages.substring import substring_buckets
@@ -324,22 +260,13 @@ def run_pipeline(
     # checkpoint write), which drops one full materialize+write+re-read
     # barrier from every run
     def make_vedges() -> ray.data.Dataset:
-        deferred_idx = None
-        if cfg.substring_rendezvous == "grams" and not cfg.use_suffix_array:
-            deferred_idx = verify.DeferredSignatureIndex(sigs, cfg)
         pre_sb = None
         if _substr_thread is not None:
             _substr_thread.join()
             if "err" in _substr_prefetch:
                 raise _substr_prefetch["err"]
             pre_sb = _substr_prefetch.get("ds")
-        if deferred_idx is not None and deferred_idx.eligible:
-            ve = fast_verified_edges(sigs, cfg, read_captions(), deferred_idx,
-                                     substr_buckets=pre_sb)
-        else:
-            ve = verify_candidates(
-                build_edges(sigs, cfg, read_captions(),
-                            substr_buckets=pre_sb), sigs, cfg)
+        ve = verified_edges(sigs, cfg, read_captions(), substr_buckets=pre_sb)
         # opt-in extra pixel-identity channels: their pairs are already
         # verified by construction (min relative-orientation / valid-window
         # Hamming), so they join AFTER the pHash/SimHash verify — which

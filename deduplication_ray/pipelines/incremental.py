@@ -58,7 +58,8 @@ from deduplication_ray.state.checkpoint import CheckpointedRun
 def _bucket_stream(sigs: ray.data.Dataset, captions: ray.data.Dataset,
                    cfg: DedupConfig) -> ray.data.Dataset:
     """Every candidate family's (band, bucket, salt, image_id, ph, sh) rows
-    for one corpus side — the same stream ``build_edges`` unions."""
+    for one corpus side — the same stream the full run's
+    ``image_dedup.verified_edges`` pairs."""
     from deduplication_ray.stages.substring import substring_buckets
 
     b = sigs.map_batches(lsh.ExplodeBands(cfg), batch_format="pyarrow",
@@ -227,18 +228,14 @@ def _check_sig_config(run_dirs, cfg: DedupConfig, what: str) -> None:
                 "the same DedupConfig")
 
 
-def _check_gram_rendezvous(cfg: DedupConfig, what: str) -> None:
-    """The delta-bounded edge plans reproduce the full run's edges ONLY for
-    the default exact L-gram rendezvous: winnow candidates need the
-    split_and_verify_substring pass and the opt-in suffix-array family is a
-    whole extra edge source — running anyway would SILENTLY drop clusters
-    the full run finds."""
-    if cfg.substring_rendezvous != "grams" or cfg.use_suffix_array:
+def _check_no_suffix_array(cfg: DedupConfig, what: str) -> None:
+    """The delta-bounded edge plans reproduce the full run's edges ONLY
+    without the opt-in suffix-array family, a whole extra edge source —
+    running anyway would SILENTLY drop clusters the full run finds."""
+    if cfg.use_suffix_array:
         raise ValueError(
-            f"{what} supports the default exact-gram substring rendezvous "
-            f"only (got rendezvous={cfg.substring_rendezvous!r}, "
-            f"use_suffix_array={cfg.use_suffix_array}); run the full "
-            "pipeline for these configs")
+            f"{what} does not support use_suffix_array=True; run the full "
+            "pipeline for this config")
 
 
 def _collect_ids(sigs: ray.data.Dataset):
@@ -378,7 +375,7 @@ def ingest_delta(
     from deduplication_ray.stages.tuning import apply_context_tuning
 
     cfg = cfg or DedupConfig()
-    _check_gram_rendezvous(cfg, "incremental ingest")
+    _check_no_suffix_array(cfg, "incremental ingest")
     apply_context_tuning()
     run = CheckpointedRun(out_run_dir, cfg)
 
@@ -521,7 +518,7 @@ def merge_runs(
     from deduplication_ray.stages.tuning import apply_context_tuning
 
     cfg = cfg or DedupConfig()
-    _check_gram_rendezvous(cfg, "merge_runs")
+    _check_no_suffix_array(cfg, "merge_runs")
     apply_context_tuning()
     run = CheckpointedRun(out_run_dir, cfg)
 

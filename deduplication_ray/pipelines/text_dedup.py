@@ -2,9 +2,9 @@
 
 Same engine as image_dedup minus the pixel path — used for the ``documents``
 testdata table and as ``__ray_entry__.entry()``'s flagship run. Exercises:
-CaptionSignatures actor pool -> exact caption dedup + MinHash-LSH candidates
-+ suffix-array/winnowing substring edges -> Jaccard verification ->
-distributed union-find -> clusters.
+CaptionSignatures -> one bucket stream (exact caption key + MinHash-LSH
+bands + substring L-grams) -> slim pairs -> Jaccard verification ->
+union-find -> clusters.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import pyarrow as pa
 import ray.data
 
 from deduplication_ray.config import DedupConfig
-from deduplication_ray.stages import lsh, verify
 from deduplication_ray.stages.signatures import CaptionSignatures
 from deduplication_ray.state import unionfind
 
@@ -38,59 +37,21 @@ def text_signatures(
     )
 
 
+TEXT_FAMILIES = ("minhash", "exact")
+
 
 def text_edge_dag(caps: "ray.data.Dataset", sigs: "ray.data.Dataset",
                   cfg: DedupConfig) -> "ray.data.Dataset":
     """The text candidate/verify DAG over a CANONICAL (image_id, caption)
-    table: MinHash band buckets + substring-gram buckets + cap_hash exact
-    stars (+ optional suffix-array edges), deduped, winnow-verified when
-    configured, signature-attached and Jaccard-verified. ONE implementation
-    shared by the lazy ``text_dedup_clusters`` and the checkpointed
-    ``run_text_pipeline`` so the two plans cannot drift."""
-    from deduplication_ray.stages.substring import (
-        substring_buckets, suffix_array_edges)
+    table: the image pipeline's ``verified_edges`` over MinHash band
+    buckets + the exact caption family (cap_hash) + substring L-gram
+    buckets, Jaccard-verified. ONE implementation shared by the lazy
+    ``text_dedup_clusters`` and the checkpointed ``run_text_pipeline`` so
+    the two plans cannot drift."""
+    from deduplication_ray.pipelines.image_dedup import verified_edges
 
-    # Fused slim-pair fast path (the image flagship's r4 treatment, ported):
-    # 'grams' mode + broadcast-tier signatures -> the pairing kernel
-    # exchanges 18-byte id-hash rows, the exact caption family rides the
-    # SAME bucket stream (cap_hash exact bands), and ONE gather against the
-    # broadcast signature index resolves strings + applies the Jaccard
-    # verify — replacing the string pairing, the separate exact_edges stage,
-    # the two attach joins and the verify pass (their four materialize
-    # barriers were the text engine's scaling drag: stragglers idle 32 CPUs
-    # at every barrier). Semantics match the string path below: same bucket
-    # families, same trusted kinds, same jaccard_tau check.
-    if cfg.substring_rendezvous == "grams" and not cfg.use_suffix_array:
-        deferred = verify.DeferredSignatureIndex(sigs, cfg)
-        if deferred.eligible:
-            buckets = sigs.map_batches(
-                lsh.ExplodeBands(cfg, families=("minhash", "exact")),
-                batch_format="pyarrow", batch_size=cfg.text_batch_size,
-            ).union(substring_buckets(caps, cfg))
-            pairs = lsh.dedupe_slim_pairs(
-                lsh.slim_pairs_from_buckets(buckets, cfg), cfg)
-            ve = verify.resolve_and_verify_pairs(pairs, deferred.get(), cfg,
-                                                 has_pixels=False)
-            return ve.map_batches(
-                lambda t: t.select(["src", "dst", "kind"]),
-                batch_format="pyarrow")
-
-    buckets = sigs.map_batches(lsh.ExplodeBands(cfg), batch_format="pyarrow",
-                               batch_size=cfg.text_batch_size)
-    buckets = buckets.union(substring_buckets(caps, cfg))
-    needs_verify = cfg.substring_rendezvous == "winnow"
-    edges = lsh.edges_from_buckets(buckets, cfg).union(
-        lsh.exact_edges(sigs, cfg, key=("cap_hash",)))
-    if cfg.use_suffix_array:
-        edges = edges.union(suffix_array_edges(caps, cfg))
-    edges = lsh.dedupe_edges(edges, keep_sc=needs_verify).materialize()
-    if needs_verify:
-        from deduplication_ray.stages.substring import (
-            split_and_verify_substring)
-
-        edges = split_and_verify_substring(edges, caps, cfg).materialize()
-    attached = verify.attach_signatures(edges, sigs, cfg, cols=["minhash"])
-    return verify.verify_edges(attached, cfg, has_pixels=False)
+    return verified_edges(sigs, cfg, caps, families=TEXT_FAMILIES,
+                          has_pixels=False)
 
 
 def text_dedup_clusters(
@@ -110,14 +71,10 @@ def text_dedup_clusters(
     if with_substring:
         vedges = text_edge_dag(caps, sigs, cfg).materialize()
     else:
-        edges = lsh.dedupe_edges(
-            lsh.edges_from_buckets(
-                sigs.map_batches(lsh.ExplodeBands(cfg),
-                                 batch_format="pyarrow",
-                                 batch_size=cfg.text_batch_size), cfg)
-            .union(lsh.exact_edges(sigs, cfg, key=("cap_hash",)))).materialize()
-        attached = verify.attach_signatures(edges, sigs, cfg, cols=["minhash"])
-        vedges = verify.verify_edges(attached, cfg, has_pixels=False).materialize()
+        from deduplication_ray.pipelines.image_dedup import verified_edges
+
+        vedges = verified_edges(sigs, cfg, families=TEXT_FAMILIES,
+                                has_pixels=False).materialize()
 
     labels = unionfind.connected_components(vedges, cfg)
 

@@ -30,6 +30,26 @@ import ray.data
 from deduplication_ray.config import DedupConfig
 
 
+# bytes guard: broadcast payloads are SHARED plasma blocks (every task maps
+# the same buffers read-only — no per-task copy), so the guard only needs to
+# keep one lookup within a worker heap's mmap budget; the row guard
+# (cfg.broadcast_limit) is what keeps 10^12-row tables off the broadcast
+# tier. 512MB silently pushed the 600k-row signature attach onto the
+# aggregator-actor join (measured cliff); 2GB keeps every sub-limit lookup
+# on the gather path.
+MAX_BROADCAST_BYTES = 2 * 1024 * 1024 * 1024
+
+
+def broadcast_ok(ds: ray.data.Dataset, cfg: DedupConfig,
+                 rows: int | None = None) -> bool:
+    """The one broadcast-tier predicate: a MATERIALIZED table broadcasts
+    iff its rows <= ``cfg.broadcast_limit`` and its bytes <= 2 GiB.
+    ``rows`` skips the count when the caller already knows it."""
+    n = ds.count() if rows is None else rows
+    return (n <= cfg.broadcast_limit
+            and (ds.size_bytes() or 0) <= MAX_BROADCAST_BYTES)
+
+
 def _key_hashes(t: pa.Table, on: list[str]) -> np.ndarray:
     """One u64 hash per row over the join key columns (order-sensitive mix).
     Purely an index accelerator — matches are always confirmed against the
@@ -177,23 +197,13 @@ def lookup_join(
     ``how``: 'inner' or 'left'. Output columns: ds columns + lookup's
     non-key columns (caller guarantees no name collisions).
     """
-    # bytes guard: broadcast payloads are SHARED plasma blocks (every task
-    # maps the same buffers read-only — no per-task copy), so the guard only
-    # needs to keep one lookup within a worker heap's mmap budget; the row
-    # guard (cfg.broadcast_limit) is what keeps 10^12-row tables off this
-    # path. 512MB silently pushed the 600k-row signature attach onto the
-    # aggregator-actor join (measured cliff); 2GB keeps every sub-limit
-    # lookup on the gather path.
-    MAX_BROADCAST_BYTES = 2 * 1024 * 1024 * 1024
     small_refs: list | None = None
     if isinstance(lookup, pd.DataFrame):
         small = pa.Table.from_pandas(lookup, preserve_index=False)
-        n = len(lookup)
     else:
         lookup = lookup.materialize()
         n = lookup_rows if lookup_rows is not None else lookup.count()
-        nbytes = lookup.size_bytes() or 0
-        if n <= cfg.broadcast_limit and nbytes <= MAX_BROADCAST_BYTES:
+        if broadcast_ok(lookup, cfg, rows=n):
             if n > 0:
                 # broadcast BY REFERENCE: keep the lookup's blocks in the
                 # object store and ship the ref list; only the 8-byte/row

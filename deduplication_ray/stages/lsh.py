@@ -8,27 +8,27 @@ meet in a bucket instead of scanning a shared index.
 Skew story (T8): one stock phrase shared by a large row population drives one
 bucket super-linear. Defusal is two-phase:
 
-1. ``bucket_stats``: count rows per (band, bucket) — a partial-aggregated
-   groupby-count, cheap because combiners run inside map_batches blocks.
-   Buckets over ``cfg.bucket_cap`` form the (tiny) hot set, broadcast via
-   ``ray.put`` — never re-shipped per batch.
-2. ``explode_bands`` re-keys hot-bucket rows to ``mix(bucket, salt)`` with
-   ``salt = hash(image_id) % n_salts`` so no reducer group exceeds ~cap rows,
-   and each row ALSO claims an ambassador flag; per salted sub-bucket the
-   min-id row is linked star-wise, and sub-bucket minima rendezvous in one
-   tiny ``(band, bucket, AMBASSADOR)`` group that re-connects the salts.
-   Connectivity of a true-duplicate bucket is preserved; no task ever
-   all-pairs a hot bucket.
+1. ``multi_bucket_index``: count rows per (band, bucket) — per-block partial
+   counts merged by a hash-partitioned reduce. Only multi-member buckets
+   survive, as sorted per-partition blocks that stay in the object store.
+2. ``_KeyTaggerIdx`` probes that index per batch: rows of singleton buckets
+   are DROPPED, and rows of hot buckets (count > ``cfg.bucket_cap``) get
+   ``salt = hash(image_id) % ceil(count / cap)``. Per salted sub-bucket the
+   min-id row is linked star-wise, and the sub-bucket minima are all-paired
+   per (band, bucket), which re-connects the salts. Connectivity of a
+   true-duplicate bucket is preserved; no task ever all-pairs a hot bucket.
 
-Edge emission (T9): per group, all-pairs when |group| small, else star+chain
-from the sorted-min anchor (deterministic; parallel-safe analog of
-first-occurrence ids, ``compressor.c:109-113``).
+Edge emission (T9): ``_pair_tagged_table_slim`` all-pairs cold buckets and
+stars + ambassadors hot ones, emitting pairs as 64-bit id hashes. The star
+anchor is the min id hash (deterministic; parallel-safe analog of
+first-occurrence ids, ``compressor.c:109-113``). ``edges_from_buckets`` maps
+the hashes back to id strings; the image and text pipelines instead resolve
+them against the signature table (``verify.resolve_and_verify_pairs``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray
@@ -38,14 +38,12 @@ from ray.data.aggregate import Count
 from deduplication_ray.config import DedupConfig
 from deduplication_ray.functions import hashing as H
 
-AMBASSADOR_SALT = -1  # rendezvous sub-bucket linking salted shards
-
 # band-id namespaces: one bucket stream carries every candidate family
 BAND_MINHASH = 0      # 0 .. bands-1
 BAND_PHASH = 1000     # 1000..1003: 4 x 16-bit multi-index bands (pigeonhole:
 BAND_SIMHASH = 2000   # any Hamming distance <= 3 collides in >= 1 band)
-BAND_SUBSTR = 3000    # winnowing fingerprint rendezvous (stages/substring.py):
-                      # proves a k-char overlap only -> kind 'substr_cand'
+BAND_SUBSTR = 3000    # 3000..3999: candidate-only namespace -> kind
+                      # 'substr_cand'; the caller must verify these pairs
 BAND_GRAM_SAMPLE = 3500  # consistent gram sampling (containment candidates):
                       # bucket key = a shingle-gram hash below a global
                       # threshold p*2^64, so two docs sharing m grams miss
@@ -67,20 +65,6 @@ BAND_EXACT = 5000     # exact-duplicate family: bucket key = hash(content
                       # stars + ambassadors above — same components either
                       # way, and hash-min union-find elects the same min-id
                       # representative)
-
-
-def kind_of_band(band: int) -> str:
-    if band >= BAND_EXACT:
-        return "exact"
-    if band >= BAND_SUBSTR_EXACT:
-        return "substr"
-    if band >= BAND_SUBSTR:
-        return "substr_cand"
-    if band >= BAND_SIMHASH:
-        return "simhash"
-    if band >= BAND_PHASH:
-        return "phash"
-    return "minhash"
 
 
 def _hash16_bands(values_u64: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
@@ -107,7 +91,7 @@ class ExplodeBands:
     MinHash LSH bands (caption near-dup), pHash multi-index bands and SimHash
     multi-index bands (pixel near-dup) when those columns are present.
     salt starts at 0; hot-bucket salting is a separate tagging pass
-    (``SplitHot`` inside ``candidate_edges``) so signatures are read once.
+    (``_KeyTaggerIdx``) so signatures are read once.
     """
 
     def __init__(self, cfg: DedupConfig,
@@ -232,117 +216,6 @@ def _pixel_pair_keep(band: np.ndarray, ph_a, ph_b, sh_a, sh_b, cfg: DedupConfig)
     return keep
 
 
-def _kind_column(band_arr: pa.ChunkedArray | pa.Array) -> pa.Array:
-    """Vectorized band-id namespace -> kind string."""
-    import pyarrow.compute as pc
-
-    b = band_arr.combine_chunks() if isinstance(band_arr, pa.ChunkedArray) else band_arr
-    return pc.if_else(
-        pc.greater_equal(b, BAND_EXACT),
-        pa.scalar("exact"),
-        pc.if_else(
-            pc.greater_equal(b, BAND_SUBSTR_EXACT),
-            pa.scalar("substr"),
-        pc.if_else(
-            pc.greater_equal(b, BAND_SUBSTR),
-            pa.scalar("substr_cand"),
-            pc.if_else(
-                pc.greater_equal(b, BAND_SIMHASH),
-                pa.scalar("simhash"),
-                pc.if_else(pc.greater_equal(b, BAND_PHASH),
-                           pa.scalar("phash"), pa.scalar("minhash")),
-            ),
-        ),
-        ),
-    )
-
-
-def multi_bucket_map(stats: ray.data.Dataset) -> dict[tuple[int, int], int]:
-    """{(band, bucket): n} for buckets with >= 2 members (small callers/tests)."""
-    keys, bands, bks, counts = multi_bucket_arrays(stats)
-    return {(int(b), int(k)): int(n) for b, k, n in zip(bands, bks, counts)}
-
-
-def multi_bucket_arrays(stats: ray.data.Dataset):
-    """Vectorized driver-side collection of multi-member buckets from a
-    full stats Dataset: (sorted composite u64 keys, band, bucket, count).
-    Singleton buckets — the overwhelming majority — never leave the cluster;
-    only duplicate *candidates* reach the driver."""
-    import pyarrow.compute as pc
-
-    multi = stats.map_batches(
-        lambda t: t.filter(pc.greater_equal(t["n"], 2)), batch_format="pyarrow"
-    )
-    bands_l, bks_l, ns_l = [], [], []
-    for b in multi.iter_batches(batch_format="pyarrow"):
-        bands_l.append(b["band"].to_numpy())
-        bks_l.append(b["bucket"].to_numpy())
-        ns_l.append(b["n"].to_numpy())
-    if not bands_l:
-        e = np.empty(0, dtype=np.int64)
-        return np.empty(0, dtype=np.uint64), e, e, e
-    bands = np.concatenate(bands_l)
-    bks = np.concatenate(bks_l)
-    ns = np.concatenate(ns_l).astype(np.int64)
-    comp = H.hash_u64_pair(bands.view(np.uint64), bks.view(np.uint64))
-    order = np.argsort(comp)
-    return comp[order], bands[order], bks[order], ns[order]
-
-
-def multi_bucket_arrays_fast(buckets: ray.data.Dataset, cfg: DedupConfig):
-    """(sorted composite u64 keys, counts) of multi-member buckets.
-
-    Plan: per-block partial counting (np.unique inside map_batches — each
-    distinct key crosses the wire once per block, pre-counted) -> distributed
-    hash-partitioned merge (``hash_grouped_reduce``: sort + reduceat once per
-    partition; Ray's own aggregate costs ~10us per distinct group, 26s at
-    2.8M groups) -> ``n >= 2`` filter INSIDE the merge. The driver only ever
-    collects the multi-member keys — bounded by the true duplicate-candidate
-    bucket count, a minuscule fraction of the bucket stream.
-    """
-    from deduplication_ray.stages.groupred import hash_grouped_reduce
-
-    def partial(t: pa.Table) -> pa.Table:
-        comp = H.hash_u64_pair(
-            t["band"].to_numpy().view(np.uint64), t["bucket"].to_numpy().view(np.uint64)
-        )
-        uniq, cnt = np.unique(comp, return_counts=True)
-        return pa.table({
-            "comp": pa.array(H.bitcast_u64_to_i64(uniq), pa.int64()),
-            "n": pa.array(cnt.astype(np.int64)),
-        })
-
-    def merge(t: pa.Table) -> pa.Table:
-        comp = t["comp"].to_numpy().view(np.uint64)
-        ns = t["n"].to_numpy()
-        order = np.argsort(comp, kind="stable")
-        comp, ns = comp[order], ns[order]
-        starts = np.nonzero(np.concatenate([[True], comp[1:] != comp[:-1]]))[0]
-        totals = np.add.reduceat(ns, starts)
-        keep = totals >= 2
-        return pa.table({
-            "comp": pa.array(H.bitcast_u64_to_i64(comp[starts][keep]), pa.int64()),
-            "n": pa.array(totals[keep].astype(np.int64)),
-        })
-
-    partials = buckets.map_batches(partial, batch_format="pyarrow",
-                                   batch_size=None, zero_copy_batch=True)
-    multi = hash_grouped_reduce(
-        partials, lambda t: t["comp"].to_numpy().view(np.uint64), merge,
-        cfg.num_partitions * 2,
-    )
-    comps_l, ns_l = [], []
-    for b in multi.iter_batches(batch_format="pyarrow", batch_size=None):
-        comps_l.append(b["comp"].to_numpy())
-        ns_l.append(b["n"].to_numpy())
-    if not comps_l:
-        return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-    comp = np.concatenate(comps_l).view(np.uint64)
-    ns = np.concatenate(ns_l).astype(np.int64)
-    order = np.argsort(comp, kind="stable")
-    return comp[order], ns[order]
-
-
 @ray.remote(num_cpus=0.25)
 def _block_multi_sum(tbl: pa.Table) -> int:
     """Total multi-bucket member rows in one index block — the only thing
@@ -354,11 +227,14 @@ def multi_bucket_index(buckets: ray.data.Dataset, cfg: DedupConfig):
     """DISTRIBUTED multi-bucket index: the (composite key, count) table of
     multi-member buckets stays in the object store as hash-partitioned,
     per-partition-SORTED blocks; the driver reads only (partition id, row
-    sum) per block. Replaces ``multi_bucket_arrays_fast``'s driver-side
-    collect + argsort + re-put — an O(|multi buckets|) driver-serial
-    section (240MB / ~2s at 600k rows) that grew linearly with corpus
-    size. Returns (ray handle for _KeyTaggerIdx, total multi-bucket rows)
-    or (None, 0) when there are no multi buckets."""
+    sum) per block, so no O(|multi buckets|) driver-serial collect +
+    argsort + re-put (240MB / ~2s at 600k rows) grows with the corpus.
+    Partial counts are per block (``np.unique`` inside map_batches — each
+    distinct key crosses the wire once per block, pre-counted) and merged
+    by ``hash_grouped_reduce`` (sort + reduceat once per partition; Ray's
+    own aggregate costs ~10us per distinct group). Returns (ray handle for
+    _KeyTaggerIdx, total multi-bucket rows) or (None, 0) when there are no
+    multi buckets."""
     from deduplication_ray.stages.groupred import hash_grouped_reduce
 
     n_parts = 2 * cfg.num_partitions
@@ -406,10 +282,16 @@ def multi_bucket_index(buckets: ray.data.Dataset, cfg: DedupConfig):
 
 
 class _KeyTaggerIdx:
-    """_KeyTagger against the DISTRIBUTED multi-bucket index: per task,
-    ray.get the index blocks (plasma-local, zero-copy) and probe each batch
-    partition-wise — comp %% n_parts routes to that partition's sorted key
-    array. Same drop/salt semantics as _KeyTagger."""
+    """Vectorized (band, bucket) membership + salt assignment against the
+    DISTRIBUTED multi-bucket index: per task, ray.get the index blocks
+    (plasma-local, zero-copy) and probe each batch partition-wise — comp %%
+    n_parts routes to that partition's sorted key array. Rows in no multi
+    bucket are DROPPED; rows in hot buckets (count > cap) get salt =
+    hash(image_id) %% ceil(count/cap); cold multi rows get salt = -1.
+    Gram-sample rows (BAND_GRAM_SAMPLE) in buckets above ``gram_drop_df``
+    members are dropped outright — stopword shingles carry no containment
+    signal and star-linking them would emit bucket-size spurious
+    candidates."""
 
     def __init__(self, ref, cap: int, gram_drop_df: int):
         self._ref = ref
@@ -490,56 +372,6 @@ class _KeyTaggerIdx:
             t.column_names.index("salt"), "salt", pa.array(salt, pa.int64()))
 
 
-class _KeyTagger:
-    """Vectorized (band, bucket) membership + salt assignment from broadcast
-    (sorted composite keys, counts) arrays (ray.get once per actor,
-    searchsorted per batch). Rows in no multi bucket are DROPPED; rows in hot
-    buckets (count > cap) get salt = hash(image_id) %% ceil(count/cap); cold
-    multi rows get salt = -1. Gram-sample rows (BAND_GRAM_SAMPLE) in buckets
-    above ``gram_drop_df`` members are dropped outright — stopword shingles
-    carry no containment signal and star-linking them would emit bucket-size
-    spurious candidates."""
-
-    def __init__(self, multi_ref, cap: int, gram_drop_df: int = 1024):
-        self._ref = multi_ref
-        self._cap = cap
-        self._gram_drop_df = gram_drop_df
-        self.keys = None
-        self.n_salts = None
-        self.counts = None
-
-    def _ensure(self):
-        if self.keys is None:
-            keys, counts = ray.get(self._ref)
-            self.keys = keys
-            self.counts = counts
-            self.n_salts = np.where(counts > self._cap, -(-counts // self._cap), 0)
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        self._ensure()
-        band = t["band"].to_numpy()
-        bucket = t["bucket"].to_numpy()
-        comp = H.hash_u64_pair(band.view(np.uint64), bucket.view(np.uint64))
-        if len(self.keys) == 0:
-            return t.slice(0, 0)
-        pos = np.clip(np.searchsorted(self.keys, comp), 0, len(self.keys) - 1)
-        keep = self.keys[pos] == comp
-        keep &= ~((band == BAND_GRAM_SAMPLE)
-                  & (self.counts[pos] > self._gram_drop_df))
-        if not np.any(keep):
-            return t.slice(0, 0)
-        t = t.filter(pa.array(keep))
-        n_salts = self.n_salts[pos[keep]]
-        salt = np.full(t.num_rows, -1, dtype=np.int64)
-        hot = n_salts > 0
-        if hot.any():
-            idh = H.hash_bytes_array(t["image_id"].combine_chunks().filter(pa.array(hot)))
-            salt[hot] = (idh % n_salts[hot].astype(np.uint64)).astype(np.int64)
-        return t.set_column(
-            t.column_names.index("salt"), "salt", pa.array(salt, pa.int64())
-        )
-
-
 def candidate_edges(
     signatures: ray.data.Dataset, cfg: DedupConfig
 ) -> ray.data.Dataset:
@@ -551,94 +383,138 @@ def candidate_edges(
 
 
 def edges_from_buckets(
-    buckets, cfg: DedupConfig
+    buckets: ray.data.Dataset, cfg: DedupConfig
 ) -> ray.data.Dataset:
-    """(band, bucket, salt, image_id) rows -> deduplicated edges (src<dst, kind).
+    """(band, bucket, salt, image_id) rows -> string edges (src < dst, kind,
+    sc), NOT yet deduped across families (callers union edge families
+    first, then ``dedupe_edges`` once).
 
-    Plan: bucket counts (partial-agg groupby, the one unavoidable shuffle over
-    the full bucket stream) -> multi-member bucket map broadcast -> one
-    tagging pass DROPS singleton-bucket rows (the vast majority) and salts
-    hot buckets so no group exceeds ~cap rows. What survives is tiny: the
-    vectorized pairing kernel (cold all-pairs, hot sub-bucket stars +
-    ambassador re-link) runs driver-local when small, else sharded by
-    bucket hash across the cluster. Zero per-group map_groups calls over
-    singleton buckets; the only full-stream shuffle is the stats groupby.
+    Same tag + slim pairing as ``slim_pairs_from_buckets``; the pair id
+    hashes then map back to strings by ``lookup_join`` against the distinct
+    (idh, image_id) rows of the tagged stream, which also fails loudly on a
+    64-bit id-hash collision (``distinct_id_hashes``). An id may repeat
+    across bucket rows (video frames do); it never pairs with itself."""
+    import pyarrow.compute as pc
 
-    ``buckets`` may be a Dataset (materialized once, read by both the stats
-    and the tagging pass — right when the upstream is expensive to
-    recompute, e.g. decoded video frames) or a ZERO-ARG CALLABLE returning
-    the bucket Dataset: then the stream is consumed FUSED twice — once into
-    the stats partial-count, once into the tag+pair chain — and the full
-    bucket stream never touches the object store (its explode/gram maps
-    recompute instead; cheap when upstream is a materialized signature
-    table + a pruned parquet read). The fused form removes two
-    full-stream materializations and one repartition from every run.
-    """
+    from deduplication_ray.stages.join import lookup_join
+
+    tagged, pairs = _tag_and_pair(buckets, cfg)
+    if tagged is None:
+        return _empty_edge_ds()
+    if isinstance(tagged, pa.Table):  # local tier: the id map is tiny too
+        ids = ray.data.from_arrow(distinct_id_hashes(id_hash_rows(tagged)))
+    else:
+        ids = id_hash_table(tagged, cfg).materialize()
+    a_side = ids.rename_columns({"idh": "ah", "image_id": "a"})
+    b_side = ids.rename_columns({"idh": "bh", "image_id": "b"})
+    # materialized between the two lookups: above the broadcast tier both
+    # are hash joins, and two hash joins live in one plan stalled for
+    # minutes at num_partitions=8 where either alone takes seconds
+    e = lookup_join(pairs, a_side, on=["ah"], cfg=cfg).materialize()
+    e = lookup_join(e, b_side, on=["bh"], cfg=cfg)
+    kindset = pa.array(KIND_PRIORITY)
+
+    def finish(t: pa.Table) -> pa.Table:
+        a, b = t["a"], t["b"]
+        lt = pc.less(a, b)
+        return pa.table({
+            "src": pc.if_else(lt, a, b), "dst": pc.if_else(lt, b, a),
+            "kind": pc.take(kindset, t["prio"].cast(pa.int32())),
+            "sc": t["sc"].cast(pa.int8())})
+
+    return e.map_batches(finish, batch_format="pyarrow")
+
+
+def id_hash_rows(t: pa.Table, cols: tuple[str, ...] = ()) -> pa.Table:
+    """``cols`` of ``t`` + its ``image_id`` (as string) + the 64-bit id
+    hash ``idh`` that the pair kernel identifies rows by."""
+    ids = t["image_id"].combine_chunks().cast(pa.string())
+    return t.select(list(cols)).append_column("image_id", ids).append_column(
+        "idh", pa.array(H.bitcast_u64_to_i64(H.hash_bytes_array(ids)),
+                        pa.int64()))
+
+
+def id_hash_table(ds: ray.data.Dataset, cfg: DedupConfig,
+                  cols: tuple[str, ...] = ()) -> ray.data.Dataset:
+    """Distributed ``distinct_id_hashes`` of ``id_hash_rows(ds, cols)``:
+    one row per id hash, hash-partitioned; raises on a collision."""
+    from deduplication_ray.stages.groupred import hash_grouped_reduce
+
+    return hash_grouped_reduce(
+        ds.map_batches(lambda t: id_hash_rows(t, cols), batch_format="pyarrow"),
+        lambda t: t["idh"].to_numpy().view(np.uint64),
+        distinct_id_hashes, cfg.num_partitions)
+
+
+def distinct_id_hashes(t: pa.Table) -> pa.Table:
+    """Rows keyed by a 64-bit image-id hash ``idh`` -> one row per hash,
+    sorted by hash. The same id repeating is fine; two DISTINCT ids sharing
+    a hash raise, because every pair kernel downstream identifies rows by
+    that hash alone and would silently merge or drop them."""
+    if t.num_rows == 0:
+        return t
+    h = t["idh"].to_numpy()
+    order = np.argsort(h, kind="stable")
+    t = t.take(pa.array(order))
+    same = h[order][1:] == h[order][:-1]
+    raise_on_id_collision(t["image_id"], same)
+    return t.filter(pa.array(np.concatenate([[True], ~same])))
+
+
+def raise_on_id_collision(sorted_ids, same: np.ndarray) -> None:
+    """``sorted_ids`` in id-hash order; ``same[i]`` is True when rows i and
+    i+1 share a hash. Raises if any such neighbours are distinct ids (any
+    hash group holding two distinct ids has a differing neighbour pair)."""
+    import pyarrow.compute as pc
+
+    if not same.any():
+        return
+    n = len(sorted_ids)
+    m = pa.array(same)
+    lo = sorted_ids.slice(0, n - 1).filter(m)
+    hi = sorted_ids.slice(1, n - 1).filter(m)
+    bad = pc.invert(pc.equal(lo, hi))
+    if pc.any(bad).as_py():
+        i = pc.index(bad, True).as_py()
+        raise RuntimeError(
+            f"64-bit image_id hash collision: {lo[i].as_py()!r} and "
+            f"{hi[i].as_py()!r} share one hash")
+
+
+def _tag_and_pair(buckets: ray.data.Dataset, cfg: DedupConfig):
+    """stats -> tag -> slim pairing kernel. Returns (tagged, pairs): the
+    tagged rows (a driver-local pa.Table below ``cfg.local_pairs_limit``,
+    else a materialized Dataset) and the materialized (ah, bh, prio, sc)
+    pairs — or (None, None) when no bucket has two members.
+
+    Size dispatch: a small tagged set (dup candidates only) pairs faster in
+    one driver-local numpy pass than through distributed barriers; above
+    the limit the SAME kernel runs sharded by bucket hash. The dispatch
+    reads the multi-bucket row total the index already summed, so no extra
+    count() execution."""
     from deduplication_ray.stages.tuning import apply_context_tuning, ensure_blocks
 
     apply_context_tuning()
-    if callable(buckets):
-        src = buckets
-    else:
-        mat = ensure_blocks(buckets, cfg.num_partitions).materialize()
-        src = lambda: mat  # noqa: E731
-    keys, counts = multi_bucket_arrays_fast(src(), cfg)
-    if len(keys) == 0:
-        return _empty_edge_ds()
-
-    multi_ref = ray.put((keys, counts))
-    tagged = src().map_batches(
-        _KeyTagger(multi_ref, cfg.bucket_cap, cfg.gram_sample_drop_df),
+    buckets = ensure_blocks(buckets, cfg.num_partitions).materialize()
+    idx_ref, total_multi = multi_bucket_index(buckets, cfg)
+    if idx_ref is None:
+        return None, None
+    tagged = buckets.map_batches(
+        _KeyTaggerIdx(idx_ref, cfg.bucket_cap, cfg.gram_sample_drop_df),
         batch_format="pyarrow",
     )
-    # materialize before the pairing exchange: a sort-based all-to-all over
-    # a LAZY producer re-plans the producer into the exchange and measures
-    # ~1.5x slower end-to-end at low parallelism (16.2s vs 2.7+8.0s at 8
-    # CPUs / 150k rows) — the tagged stream is 1/3 the bucket stream, so
-    # its residency is the cheapest of the three candidates
-    if int(counts.sum()) > cfg.local_pairs_limit:
-        tagged = tagged.materialize()
-
-    # size dispatch: a small tagged set (dup candidates only) pairs faster in
-    # one driver-local numpy pass than through distributed barriers; above
-    # the limit, the SAME kernel runs sharded by bucket hash across the
-    # cluster (no driver serial section — the scale path). The dispatch
-    # reads sum(multi-bucket counts) — an upper bound on the tagged row
-    # count already in driver memory, so no extra count() execution.
-    # NOT deduped here: callers union edge families first, then dedupe once
-    if int(counts.sum()) <= cfg.local_pairs_limit:
-        return _edges_from_tagged_local(tagged, cfg)
-    # materialized: every caller feeds this into dedupe_edges' hash-grouped
-    # shuffle, and chaining the pairing groupby().map_groups lazily into
-    # that second shuffle measured ~13 s of pure overhead at 60k docs /
-    # 36M bucket rows (28.8 s vs 2.1 s for the dedupe leg) — the edge set
-    # is lean (~1-2 rows per input row), object-store residency is cheap
-    return _edges_from_tagged_partitioned(tagged, cfg).materialize()
-
-
-def _edges_from_tagged_local(tagged: ray.data.Dataset, cfg: DedupConfig) -> ray.data.Dataset:
-    """Driver-local pairing for SMALL tagged sets (below
-    ``cfg.local_pairs_limit``): one numpy pass beats distributed-barrier
-    latency when the candidate set is tiny. Large sets go through
-    ``_edges_from_tagged_partitioned`` — same kernel, sharded by bucket."""
-    tbls = [t for t in tagged.iter_batches(batch_format="pyarrow")
-            if t.num_rows]
-    if not tbls:
-        return _empty_edge_ds()
-    tbl = pa.concat_tables(tbls, promote_options="default")
-    return ray.data.from_arrow(_pair_tagged_table(tbl, cfg))
-
-
-def _edges_from_tagged_partitioned(
-    tagged: ray.data.Dataset, cfg: DedupConfig
-) -> ray.data.Dataset:
-    """Distributed pairing: hash-partition tagged rows by their (band,
-    bucket) composite so every bucket (and its salted sub-buckets +
-    ambassadors) lands wholly in one partition, then run the vectorized
-    numpy pairing kernel once per partition via groupby().map_groups —
-    P vectorized calls total, no driver-side serial section. This is the
-    scale path: work per partition is bounded by |tagged|/P with per-bucket
-    fanout capped by the salting contract (~cap^2)."""
+    if total_multi <= cfg.local_pairs_limit:
+        tbls = [t for t in tagged.iter_batches(batch_format="pyarrow")
+                if t.num_rows]
+        if not tbls:
+            return None, None
+        tbl = pa.concat_tables(tbls, promote_options="default")
+        return tbl, ray.data.from_arrow(_pair_tagged_table_slim(tbl, cfg))
+    # Materialize the tagged stream before the pairing exchange: letting
+    # the tagging map fuse into the sort-based groupby re-plans it INTO the
+    # exchange, which under backpressure measured +22s on the 8-CPU leg and
+    # +3s at 32 CPUs (600k rows).
+    tagged = tagged.materialize()
     n_parts = max(cfg.num_partitions * 4, 8)
 
     def add_part(t: pa.Table) -> pa.Table:
@@ -650,164 +526,36 @@ def _edges_from_tagged_partitioned(
             "part", pa.array((comp % np.uint64(n_parts)).astype(np.int64)))
 
     def pair_part(t: pa.Table) -> pa.Table:
-        return _pair_tagged_table(t, cfg)
+        return _pair_tagged_table_slim(t, cfg)
 
-    return tagged.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("part").map_groups(pair_part, batch_format="pyarrow")
-
-
-def _pair_tagged_table(tbl: pa.Table, cfg: DedupConfig) -> pa.Table:
-    """Vectorized pairing kernel over tagged multi-bucket rows — identical
-    semantics to the reference DAG: cold-bucket all-pairs (with
-    emission-time pixel Hamming filtering), hot sub-bucket stars +
-    ambassador all-pairs re-linking the salt shards. Pure numpy. No pandas
-    merge: at 16-bit pixel-band saturation the raw pair product is
-    O(n^2/65k) (~90M at 150k rows); generating pair INDEX arrays per
-    bucket-size class and filtering immediately keeps memory at a few
-    pair-chunks instead of a materialized 90M-row join product."""
-    if tbl.num_rows == 0:
-        return pa.table({"src": pa.array([], pa.string()),
-                         "dst": pa.array([], pa.string()),
-                         "kind": pa.array([], pa.string()),
-                         "sc": pa.array([], pa.int8())})
-    band = tbl["band"].to_numpy()
-    bucket = tbl["bucket"].to_numpy()
-    salt = tbl["salt"].to_numpy()
-    ids = tbl["image_id"].to_pandas().to_numpy()
-    has_px = "ph" in tbl.column_names
-    ph = tbl["ph"].to_numpy() if has_px else np.zeros(len(band), np.int64)
-    sh = tbl["sh"].to_numpy() if has_px else np.zeros(len(band), np.int64)
-
-    out_src, out_dst, out_band = [], [], []
-
-    def pair_groups(sel: np.ndarray, group_key: np.ndarray, mode: str) -> None:
-        """Vectorized per-group pairing over rows[sel], grouped by the sorted
-        composite group_key. mode='allpairs' emits i<j pairs (hamming-
-        filtered for pixel bands); mode='star' links each row to its group's
-        min-id row."""
-        if not sel.any():
-            return
-        idx = np.nonzero(sel)[0]
-        order = np.argsort(group_key[idx], kind="stable")
-        idx = idx[order]
-        gk = group_key[idx]
-        starts = np.nonzero(np.concatenate([[True], gk[1:] != gk[:-1]]))[0]
-        sizes = np.diff(np.concatenate([starts, [len(idx)]]))
-        if mode == "star":
-            # per group: min-id row linked to every other row
-            import pandas as pd_
-
-            grp = np.repeat(np.arange(len(starts)), sizes)
-            s = pd_.Series(ids[idx])
-            gmin = s.groupby(grp).transform("min").to_numpy()
-            mask = ids[idx] != gmin
-            out_src.append(gmin[mask])
-            out_dst.append(ids[idx][mask])
-            out_band.append(band[idx][mask])
-            return
-        # all-pairs, batched by bucket SIZE class so triu templates vectorize
-        for s_val in np.unique(sizes):
-            if s_val < 2:
-                continue
-            gsel = sizes == s_val
-            gstarts = starts[gsel]
-            iu, ju = np.triu_indices(int(s_val), k=1)
-            a = (gstarts[:, None] + iu[None, :]).ravel()
-            b = (gstarts[:, None] + ju[None, :]).ravel()
-            ra, rb = idx[a], idx[b]
-            keep = np.ones(len(ra), dtype=bool)
-            if has_px:
-                keep = _pixel_pair_keep(band[ra], ph[ra], ph[rb], sh[ra], sh[rb], cfg)
-            lo = np.where(ids[ra][keep] < ids[rb][keep], ids[ra][keep], ids[rb][keep])
-            hi = np.where(ids[ra][keep] < ids[rb][keep], ids[rb][keep], ids[ra][keep])
-            out_src.append(lo)
-            out_dst.append(hi)
-            out_band.append(band[ra][keep])
-
-    comp = H.hash_u64_pair(band.view(np.uint64), bucket.view(np.uint64))
-    with np.errstate(over="ignore"):
-        comp_salt = H.hash_u64_pair(comp, salt.view(np.uint64))
-
-    cold = salt == -1
-    pair_groups(cold, comp, "allpairs")
-
-    hot = salt >= 0
-    if hot.any():
-        pair_groups(hot, comp_salt, "star")  # per salted sub-bucket
-        # ambassadors: per sub-bucket min, all-pairs per (band,bucket)
-        import pandas as pd_
-
-        hidx = np.nonzero(hot)[0]
-        dfm = pd_.DataFrame({"k": comp_salt[hidx], "comp": comp[hidx],
-                             "id": ids[hidx], "row": hidx})
-        mins = dfm.loc[dfm.groupby("k")["id"].idxmin()]
-        midx = mins["row"].to_numpy()
-        sel = np.zeros(len(band), dtype=bool)
-        sel[midx] = True
-        pair_groups(sel, comp, "allpairs")
-
-    if not out_src:
-        return pa.table({"src": pa.array([], pa.string()),
-                         "dst": pa.array([], pa.string()),
-                         "kind": pa.array([], pa.string()),
-                         "sc": pa.array([], pa.int8())})
-    src = np.concatenate(out_src)
-    dst = np.concatenate(out_dst)
-    bands = np.concatenate(out_band).astype(np.int64)
-
-    # local (src,dst) dedupe before anything distributed sees the edges: a
-    # true pair collides in MANY bands (up to 40+), so the raw pair stream is
-    # ~20-40x the distinct edge set — sort by (pair hash, kind priority) and
-    # keep one instance per pair. Substring-rendezvous instances rank LAST
-    # (they prove only a k-char overlap) but set the per-pair 'sc' flag, so
-    # a pair that is BOTH an LSH candidate and a substring candidate keeps
-    # its signature kind for Hamming/Jaccard verification AND still gets the
-    # exact L-gram substring check — either check passing keeps the edge.
-    # (Collapsing to a single kind used to silently drop the substring
-    # check for such pairs: an embedded 40-char substring in a long caption
-    # has low Jaccard, so the pair died in verify despite being a true dup.)
-    is_sc = ((bands >= BAND_SUBSTR) & (bands < BAND_SUBSTR_EXACT)).astype(np.int8)
-    prio_of_band = np.select(
-        [bands >= BAND_EXACT, bands >= BAND_SUBSTR_EXACT, bands >= BAND_SUBSTR,
-         bands >= BAND_SIMHASH, bands >= BAND_PHASH],
-        [KIND_PRIORITY.index("exact"), KIND_PRIORITY.index("substr"),
-         KIND_PRIORITY.index("substr_cand"),
-         KIND_PRIORITY.index("simhash"), KIND_PRIORITY.index("phash")],
-        default=KIND_PRIORITY.index("minhash"),
-    )
-    hs = H.hash_bytes_array(pa.array(src, pa.string()))
-    hd_ = H.hash_bytes_array(pa.array(dst, pa.string()))
-    # 128-bit pair key (two independent 64-bit mixes), matching dedupe_edges:
-    # a single 64-bit key has ~0.2 expected collisions at the 90M-pair scale
-    # this path sees, and a collision silently drops a distinct edge
-    pair_h = H.hash_u64_pair(hs, hd_)
-    pair_h2 = H.hash_u64_pair(hd_ ^ H._MIX2, hs)
-    order = np.lexsort((prio_of_band, pair_h2, pair_h))
-    h1s, h2s = pair_h[order], pair_h2[order]
-    first = np.concatenate(
-        [[True], (h1s[1:] != h1s[:-1]) | (h2s[1:] != h2s[:-1])])
-    keep = order[first]
-    sc = np.maximum.reduceat(is_sc[order], np.flatnonzero(first))
-    kind = _kind_column(pa.array(bands[keep]))
-    return pa.table({"src": pa.array(src[keep], pa.string()),
-                     "dst": pa.array(dst[keep], pa.string()),
-                     "kind": kind,
-                     "sc": pa.array(sc, pa.int8())})
+    # every bucket (and its salted sub-buckets + ambassadors) lands wholly
+    # in one partition; materialized because every caller feeds the pairs
+    # into a second hash-grouped shuffle (the pair dedupe), and chaining the
+    # two lazily measured ~13 s of pure overhead at 60k docs
+    return tagged, tagged.map_batches(add_part, batch_format="pyarrow") \
+        .groupby("part").map_groups(pair_part, batch_format="pyarrow") \
+        .materialize()
 
 
 def _pair_tagged_table_slim(tbl: pa.Table, cfg: DedupConfig) -> pa.Table:
-    """SLIM variant of ``_pair_tagged_table`` for the fused verified-edge
-    path: pairs leave the kernel as 64-bit image-id HASHES
+    """The pairing kernel over tagged multi-bucket rows: cold-bucket
+    all-pairs (with emission-time pixel Hamming filtering), hot sub-bucket
+    stars + ambassador all-pairs re-linking the salt shards. Pure numpy;
+    pair INDEX arrays are generated per bucket-size class and filtered at
+    once, so a saturated 16-bit pixel band (~90M raw pairs at 150k rows)
+    never materializes as a join product.
+
+    Pairs leave the kernel as 64-bit image-id HASHES
     ``(ah, bh, prio:int8, sc:int8)`` — 18 bytes/row instead of ~75 with the
     id strings — so the global pair-dedupe exchange moves 4x fewer bytes
-    and the kernel never gathers object-dtype string arrays (the 90M-pair
-    string min/max was the kernel's hottest loop). Strings come back after
-    the dedupe via one broadcast gather against the signature index
-    (``verify.resolve_and_verify_pairs``). Hash-collision budget: ids are
-    hashed with the engine's standard 64-bit mix; an id collision requires
-    two distinct image_ids in the SAME broadcast tier (<= cfg.broadcast_
-    limit = 1M rows -> E[collisions] ~ 1e12/2^65 < 1e-7); above the tier
-    the caller falls back to the string path."""
+    and the kernel never gathers object-dtype string arrays. A true pair
+    collides in many bands, so pairs are deduped here first: the best
+    (min) prio per pair, with ``sc`` OR-ed over the candidate-only
+    namespace. Strings come back after the global dedupe
+    (``verify.resolve_and_verify_pairs`` against the signature table, or
+    ``edges_from_buckets``). Hash-collision budget: E[collisions] ~
+    n^2/2^65 (< 1e-7 at 1M ids); every resolve raises on one rather than
+    merging two ids (``raise_on_id_collision``)."""
     empty = pa.table({"ah": pa.array([], pa.int64()),
                       "bh": pa.array([], pa.int64()),
                       "prio": pa.array([], pa.int8()),
@@ -889,9 +637,8 @@ def _pair_tagged_table_slim(tbl: pa.Table, cfg: DedupConfig) -> pa.Table:
     a = np.concatenate(out_a)
     b = np.concatenate(out_b)
     bands = np.concatenate(out_band).astype(np.int64)
-    # self-pairs from id-hash ties are impossible (same id never pairs with
-    # itself: all-pairs groups have distinct rows and star masks id==anchor),
-    # but two DISTINCT ids colliding to one hash would make a==b — drop them
+    # a == b: one id on several rows of a bucket (video frames) — never an
+    # edge. Two DISTINCT ids on one hash are caught by the resolves.
     nz = a != b
     a, b, bands = a[nz], b[nz], bands[nz]
     is_sc = ((bands >= BAND_SUBSTR) & (bands < BAND_SUBSTR_EXACT)).astype(np.int8)
@@ -919,53 +666,15 @@ def _pair_tagged_table_slim(tbl: pa.Table, cfg: DedupConfig) -> pa.Table:
 def slim_pairs_from_buckets(
     buckets: ray.data.Dataset, cfg: DedupConfig
 ) -> ray.data.Dataset:
-    """The fused verified-edge fast path's pairing stage: stats -> broadcast
-    tag -> SLIM pairing kernel, identical bucket semantics to
-    ``edges_from_buckets`` but pairs exchange as (ah, bh, prio, sc) id-hash
-    rows. Caller must follow with ``dedupe_slim_pairs`` + the resolve/verify
-    gather (``verify.resolve_and_verify_pairs``)."""
-    from deduplication_ray.stages.tuning import apply_context_tuning, ensure_blocks
-
-    apply_context_tuning()
-    buckets = ensure_blocks(buckets, cfg.num_partitions).materialize()
-    idx_ref, total_multi = multi_bucket_index(buckets, cfg)
-    empty = ray.data.from_arrow(_pair_tagged_table_slim(
-        pa.table({"band": pa.array([], pa.int64())}).slice(0, 0), cfg))
-    if idx_ref is None:
-        return empty
-    tagged = buckets.map_batches(
-        _KeyTaggerIdx(idx_ref, cfg.bucket_cap, cfg.gram_sample_drop_df),
-        batch_format="pyarrow",
-    )
-    if total_multi <= cfg.local_pairs_limit:
-        tbls = [t for t in tagged.iter_batches(batch_format="pyarrow")
-                if t.num_rows]
-        if not tbls:
-            return empty
+    """The verified-edge pairing stage: stats -> tag -> SLIM pairing kernel,
+    pairs exchanged as (ah, bh, prio, sc) id-hash rows. Caller must follow
+    with ``dedupe_slim_pairs`` + the resolve/verify step
+    (``verify.resolve_and_verify_pairs``)."""
+    _, pairs = _tag_and_pair(buckets, cfg)
+    if pairs is None:
         return ray.data.from_arrow(_pair_tagged_table_slim(
-            pa.concat_tables(tbls, promote_options="default"), cfg))
-    # Materialize the tagged stream before the pairing exchange even though
-    # it has one consumer: letting the tagging map fuse into the sort-based
-    # groupby re-plans it INTO the exchange, which under backpressure
-    # measured +22s on the 8-CPU leg and +3s at 32 CPUs (600k rows) — same
-    # stall ``edges_from_buckets`` documents for its two-consumer stream.
-    tagged = tagged.materialize()
-    n_parts = max(cfg.num_partitions * 4, 8)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        comp = H.hash_u64_pair(
-            t["band"].to_numpy().view(np.uint64),
-            t["bucket"].to_numpy().view(np.uint64),
-        )
-        return t.append_column(
-            "part", pa.array((comp % np.uint64(n_parts)).astype(np.int64)))
-
-    def pair_part(t: pa.Table) -> pa.Table:
-        return _pair_tagged_table_slim(t, cfg)
-
-    return tagged.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("part").map_groups(pair_part, batch_format="pyarrow") \
-        .materialize()
+            pa.table({"band": pa.array([], pa.int64())}), cfg))
+    return pairs
 
 
 def dedupe_slim_pairs(pairs: ray.data.Dataset, cfg: DedupConfig) -> ray.data.Dataset:
@@ -1013,15 +722,14 @@ def _empty_edge_ds() -> ray.data.Dataset:
 
 # trust order for duplicate (src,dst) edges found by several detectors:
 # trusted-by-construction kinds first, so verification never downgrades a
-# pair that an exact detector already proved. 'substr_cand' (winnowing
-# minimizer rendezvous, proves only a k-char overlap) ranks LAST so any
-# other detection of the same pair wins; pure candidates get an exact
-# L-gram verification pass before they can become 'substr'.
+# pair that an exact detector already proved. 'substr_cand' (the
+# candidate-only namespace, e.g. gram sampling) ranks LAST so any other
+# detection of the same pair wins.
 KIND_PRIORITY = ["exact", "substr", "phash", "simhash", "minhash", "substr_cand"]
 
 
 def dedupe_edges(
-    edges: ray.data.Dataset, num_parts: int = 64, keep_sc: bool = False
+    edges: ray.data.Dataset, num_parts: int = 64
 ) -> ray.data.Dataset:
     """Collapse duplicate (src, dst) across bands — keep the most-trusted
     kind per KIND_PRIORITY. Hash-partitioned on a 128-bit NUMERIC pair key
@@ -1029,25 +737,15 @@ def dedupe_edges(
     silently drops edges on collision), reduced by ONE vectorized
     lexsort-unique per partition (``hash_grouped_reduce`` — Ray's aggregate
     pays per-distinct-group costs that dominate at group-per-row keys).
-
-    The per-pair substring-candidate flag (``sc`` column where present, or
-    kind == 'substr_cand') is OR-reduced across a pair's instances so
-    collapsing to the most-trusted kind never loses the fact that the pair
-    also earned an exact substring check — callers that route substring
-    verification pass ``keep_sc=True`` to receive the flag."""
+    Emits (src, dst, kind)."""
     import pyarrow.compute as pc
 
     from deduplication_ray.stages.groupred import hash_grouped_reduce
 
     kindset = pa.array(KIND_PRIORITY)
-    sc_prio = KIND_PRIORITY.index("substr_cand")
 
     def to_prio(t: pa.Table) -> pa.Table:
         prio = pc.index_in(t["kind"], value_set=kindset).cast(pa.int64())
-        prio_np = prio.to_numpy()
-        sc = (t["sc"].to_numpy().astype(np.int8)
-              if "sc" in t.column_names else np.zeros(t.num_rows, np.int8))
-        sc = np.maximum(sc, (prio_np == sc_prio).astype(np.int8))
         hs = H.hash_bytes_array(t["src"].combine_chunks().cast(pa.string()))
         hd = H.hash_bytes_array(t["dst"].combine_chunks().cast(pa.string()))
         h1 = H.hash_u64_pair(hs, hd)
@@ -1056,26 +754,19 @@ def dedupe_edges(
             "h1": pa.array(H.bitcast_u64_to_i64(h1), pa.int64()),
             "h2": pa.array(H.bitcast_u64_to_i64(h2), pa.int64()),
             "src": t["src"], "dst": t["dst"], "prio": prio,
-            "sc": pa.array(sc, pa.int8()),
         })
 
     def red(t: pa.Table) -> pa.Table:
         h1 = t["h1"].to_numpy()
         h2 = t["h2"].to_numpy()
         prio = t["prio"].to_numpy()
-        sc = t["sc"].to_numpy()
         order = np.lexsort((prio, h2, h1))
         h1s, h2s = h1[order], h2[order]
         first = np.concatenate(
             [[True], (h1s[1:] != h1s[:-1]) | (h2s[1:] != h2s[:-1])])
-        keep = order[first]
-        out = t.take(pa.array(keep))
+        out = t.take(pa.array(order[first]))
         kind = pc.take(kindset, out["prio"].combine_chunks().cast(pa.int32()))
-        cols = {"src": out["src"], "dst": out["dst"], "kind": kind}
-        if keep_sc:
-            sc_red = np.maximum.reduceat(sc[order], np.flatnonzero(first))
-            cols["sc"] = pa.array(sc_red, pa.int8())
-        return pa.table(cols)
+        return pa.table({"src": out["src"], "dst": out["dst"], "kind": kind})
 
     keyed = edges.map_batches(to_prio, batch_format="pyarrow", batch_size=None)
     return hash_grouped_reduce(

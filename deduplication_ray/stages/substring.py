@@ -1,5 +1,5 @@
-"""Exact shared-substring detection: per-partition suffix array + winnowing
-boundary merge (T11).
+"""Exact shared-substring detection: L-gram rendezvous + optional
+per-partition suffix array (T11).
 
 Catches pairs whose normalized captions share a verbatim substring of at
 least ``cfg.substring_min_len`` chars (the FIXTURES 'caption A embedded in
@@ -8,16 +8,13 @@ substring of a long caption yields low Jaccard.
 
 Two passes:
 
-1. **Winnowing rendezvous** (the default, complete on its own): every
-   caption emits the minimizer hashes of its k-gram rolling hashes
-   (k = Lmin - winnow_window + 1) over windows of ``cfg.winnow_window``
-   grams. Standard winnowing guarantee: two strings sharing a substring of
-   length >= k + w - 1 = Lmin share a minimizer — within AND across
-   partitions, no partition alignment needed. The fingerprints feed the
-   SAME bucket->edge machinery as LSH bands (band namespace 3000), so
-   hot-substring skew is salted identically. A shared minimizer proves only
-   a k-char overlap, so candidates are verified by exact L-gram
-   intersection (``verify_substring_candidates``) before they count.
+1. **L-gram rendezvous** (``GramFingerprints``, complete on its own): every
+   distinct L-gram rolling hash of a caption is a bucket key (band
+   namespace 4000). Sharing a substring of >= L chars is equivalent to
+   sharing an L-gram, so bucket co-membership proves the link within AND
+   across partitions. The keys feed the SAME bucket->edge machinery as LSH
+   bands, so hot-substring skew is salted identically, and the edges are
+   trusted 'substr' with no verification join.
 
 2. **Per-partition suffix array** (``SuffixArrayEdges``; opt-in via
    ``cfg.use_suffix_array`` — redundant given pass 1's guarantee):
@@ -37,7 +34,6 @@ analog is block-identity via memcmp (``/root/reference/src/dictionary.c:53``)
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray.data
@@ -46,8 +42,6 @@ from deduplication_ray.config import DedupConfig
 from deduplication_ray.functions import hashing as H
 from deduplication_ray.stages import lsh
 from deduplication_ray.stages.signatures import normalize_captions
-
-BAND_SUBSTR = lsh.BAND_SUBSTR
 
 
 def suffix_array(s: np.ndarray) -> np.ndarray:
@@ -120,7 +114,7 @@ class SuffixArrayEdges:
     """map_batches stage: one partition's captions -> substr edges.
 
     Batch size should be large (whole-block) — the pass is exact *within* the
-    batch; cross-batch pairs are covered by the winnowing rendezvous.
+    batch; cross-batch pairs are covered by the L-gram rendezvous.
     """
 
     def __init__(self, cfg: DedupConfig, id_col: str = "image_id", text_col: str = "caption"):
@@ -194,92 +188,6 @@ def _empty_edges() -> pa.Table:
     )
 
 
-class WinnowFingerprints:
-    """map_batches stage: captions -> (band=3000, bucket=minimizer, salt=0, id).
-
-    Winnowing (Schleimer et al., public algorithm): per document, hash every
-    Lmin-gram; slide a w-gram window; keep each window's min hash. Guarantee:
-    any shared substring of length >= Lmin + w - 1 yields a shared minimizer.
-    """
-
-    def __init__(self, cfg: DedupConfig, id_col: str = "image_id", text_col: str = "caption"):
-        self.cfg = cfg
-        self.id_col = id_col
-        self.text_col = text_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        cfg = self.cfg
-        L, w = cfg.substring_min_len, cfg.winnow_window
-        # gram length k = L - w + 1 so the winnowing guarantee (shared
-        # substring >= k + w - 1 yields a shared minimizer) covers EXACTLY
-        # >= L — with k = L the guarantee was only >= L + w - 1, silently
-        # missing shared substrings of L..L+w-2 chars spanning partitions.
-        # A shared k-gram minimizer proves only a k-char overlap, so these
-        # edges are emitted as kind='substr_cand' and verified exactly
-        # (L-gram intersection) in verify_substring_candidates.
-        k = max(L - w + 1, 1)
-        cap = normalize_captions(batch[self.text_col])
-        ids = batch[self.id_col].cast(pa.string()).to_pandas().to_numpy()
-        grams, offs = H.shingle_window_hashes(cap, k)
-        n_docs = len(offs) - 1
-        counts = offs[1:] - offs[:-1]
-
-        # sliding-window min over each doc's gram hashes, vectorized via a
-        # strided (m-w+1, w) view per flat array with per-doc masking
-        out_fp: list[np.ndarray] = []
-        out_doc: list[np.ndarray] = []
-        # windows fully inside one doc: start s in [offs[i], offs[i+1]-w]
-        win_counts = np.maximum(counts - w + 1, 0)
-        # docs shorter than w grams: single minimizer over all its grams
-        short = (counts < w) & (counts > 0)
-        if len(grams):
-            sw = np.lib.stride_tricks.sliding_window_view(grams, min(w, len(grams)))
-            if sw.shape[1] == w:
-                mins_all = sw.min(axis=1)
-                long_docs = np.nonzero(win_counts > 0)[0]
-                if len(long_docs):
-                    reps = win_counts[long_docs]
-                    src = np.repeat(offs[long_docs], reps) + H._ranges(reps)
-                    out_fp.append(mins_all[src])
-                    out_doc.append(np.repeat(long_docs, reps))
-        sd = np.nonzero(short)[0]
-        if len(sd):
-            # per-doc min over that doc's own gram range: reduceat over the
-            # starts of ALL non-empty docs (consecutive starts delimit each
-            # doc), then select the short ones. reduceat over offs[sd] alone
-            # would span every doc between two short ones.
-            nonempty = counts > 0
-            per_doc_min = np.minimum.reduceat(grams, offs[:-1][nonempty])
-            dm = np.zeros(n_docs, dtype=grams.dtype)
-            dm[nonempty] = per_doc_min
-            out_fp.append(dm[sd])
-            out_doc.append(sd)
-
-        if not out_fp:
-            return pa.table({"band": pa.array([], pa.int64()),
-                             "bucket": pa.array([], pa.int64()),
-                             "salt": pa.array([], pa.int64()),
-                             "image_id": pa.array([], pa.string()),
-                             "ph": pa.array([], pa.int64()),
-                             "sh": pa.array([], pa.int64())})
-        fp = np.concatenate(out_fp)
-        doc = np.concatenate(out_doc)
-        # dedupe (doc, fp)
-        key = H.hash_u64_pair(fp, doc.astype(np.uint64))
-        _, first = np.unique(key, return_index=True)
-        fp, doc = fp[first], doc[first]
-        return pa.table(
-            {
-                "band": pa.array(np.full(len(fp), BAND_SUBSTR, np.int64)),
-                "bucket": pa.array(H.bitcast_u64_to_i64(fp), pa.int64()),
-                "salt": pa.array(np.zeros(len(fp), np.int64)),
-                "image_id": pa.array(ids[doc], pa.string()),
-                "ph": pa.array(np.zeros(len(fp), np.int64)),
-                "sh": pa.array(np.zeros(len(fp), np.int64)),
-            }
-        )
-
-
 def suffix_array_edges(
     input_ds: ray.data.Dataset,
     cfg: DedupConfig,
@@ -311,12 +219,11 @@ class GramFingerprints:
     bucket co-membership PROVES the link: edges from these buckets are
     trusted 'substr' with no verification join, and hot-bucket star/
     ambassador links are true by construction (every member shares the
-    bucket's gram — transitive). This closes the winnowing mode's hot-bucket
-    gap, where docs sharing only a popular k-char minimizer (k < L) were
-    salted apart and boundary pairs sharing exactly ~L chars lost their
-    direct edge. Cost: ~(len-L+1) keys/doc instead of ~2·len/w — linear in
-    text size, and the keys are u64s feeding the same partial-agg stats
-    shuffle. u64 collision odds are the engine's standard (~n_grams^2/2^64).
+    bucket's gram — transitive). Unlike a sparser minimizer key set, no
+    pair sharing exactly ~L chars can be salted apart from its direct edge.
+    Cost: ~(len-L+1) keys/doc — linear in text size, and the keys are u64s
+    feeding the same partial-agg stats shuffle. u64 collision odds are the
+    engine's standard (~n_grams^2/2^64).
     """
 
     def __init__(self, cfg: DedupConfig, id_col: str = "image_id", text_col: str = "caption"):
@@ -353,128 +260,15 @@ def substring_buckets(
     id_col: str = "image_id",
     text_col: str = "caption",
 ) -> ray.data.Dataset:
-    """Substring-rendezvous bucket rows for the main LSH bucket stream —
-    UNIONED in so stats/salting/edge emission run ONCE for every candidate
-    family. Mode per ``cfg.substring_rendezvous``: 'grams' (default, exact
-    trusted edges) or 'winnow' (sparser keys, candidates need the exact
-    L-gram verification join)."""
+    """Substring-rendezvous bucket rows (``GramFingerprints``) for the main
+    LSH bucket stream — UNIONED in so stats/salting/edge emission run ONCE
+    for every candidate family; the edges are trusted 'substr'."""
     lean = input_ds.select_columns([id_col, text_col])
-    fp_cls = (GramFingerprints if cfg.substring_rendezvous == "grams"
-              else WinnowFingerprints)
     return lean.map_batches(
-        fp_cls(cfg, id_col, text_col),
+        GramFingerprints(cfg, id_col, text_col),
         batch_format="pyarrow",
         batch_size=cfg.text_batch_size,
     )
-
-
-def winnow_buckets(
-    input_ds: ray.data.Dataset,
-    cfg: DedupConfig,
-    id_col: str = "image_id",
-    text_col: str = "caption",
-) -> ray.data.Dataset:
-    """Winnowing fingerprints as (band=3000, bucket, salt, image_id) rows."""
-    lean = input_ds.select_columns([id_col, text_col])
-    return lean.map_batches(
-        WinnowFingerprints(cfg, id_col, text_col),
-        batch_format="pyarrow",
-        batch_size=cfg.text_batch_size,
-    )
-
-
-def verify_substring_candidates(
-    cand_edges: ray.data.Dataset,
-    captions_ds: ray.data.Dataset,
-    cfg: DedupConfig,
-    id_col: str = "image_id",
-    text_col: str = "caption",
-) -> ray.data.Dataset:
-    """'substr_cand' edges -> exactly-verified (kind='substr') edges.
-
-    Sharing a substring of >= L chars is EQUIVALENT to sharing at least one
-    L-gram, so the check attaches both captions (size-dispatched joins) and
-    intersects the pairs' L-gram rolling-hash sets — one global vectorized
-    np.intersect1d over (pair_idx, gram) composite keys per batch, no
-    per-pair Python loop. u64 hash equality stands in for string equality
-    (same collision standard as the rest of the engine)."""
-    from deduplication_ray.stages.join import lookup_join
-
-    L = cfg.substring_min_len
-    lean = captions_ds.select_columns([id_col, text_col])
-
-    def proj(key: str, cap: str):
-        # map_batches(pyarrow) also coerces pandas-block datasets to Arrow
-        return lambda t: pa.table({key: t[id_col].cast(pa.string()),
-                                   cap: t[text_col]})
-
-    src_side = lean.map_batches(proj("src", "cap_src"), batch_format="pyarrow")
-    dst_side = lean.map_batches(proj("dst", "cap_dst"), batch_format="pyarrow")
-    e = lookup_join(cand_edges, src_side, on=["src"], cfg=cfg)
-    e = lookup_join(e, dst_side, on=["dst"], cfg=cfg)
-
-    def check(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if n == 0:
-            return _empty_edges()
-        gs, offs_s = H.shingle_window_hashes(normalize_captions(t["cap_src"]), L)
-        gd, offs_d = H.shingle_window_hashes(normalize_captions(t["cap_dst"]), L)
-        cnt_s = (offs_s[1:] - offs_s[:-1]).astype(np.int64)
-        cnt_d = (offs_d[1:] - offs_d[:-1]).astype(np.int64)
-        idx = np.arange(n, dtype=np.uint64)
-        ka = H.hash_u64_pair(np.repeat(idx, cnt_s), gs)
-        kb = H.hash_u64_pair(np.repeat(idx, cnt_d), gd)
-        common = np.intersect1d(ka, kb)
-        hit_pairs = np.unique(np.repeat(idx, cnt_s)[np.isin(ka, common)])
-        hit = np.zeros(n, dtype=bool)
-        hit[hit_pairs.astype(np.int64)] = True
-        # a pair that was ALSO an LSH candidate (kind != substr_cand) is not
-        # dropped on substring failure — it keeps its signature kind and
-        # falls through to the Hamming/Jaccard verification stage, so either
-        # check passing keeps the edge
-        kind_np = np.asarray(t["kind"].to_pylist())
-        keep = hit | (kind_np != "substr_cand")
-        kind_out = np.where(hit, "substr", kind_np)[keep]
-        out = t.select(["src", "dst"]).filter(pa.array(keep))
-        return pa.table({
-            "src": out["src"], "dst": out["dst"],
-            "kind": pa.array(kind_out, pa.string()),
-            "sc": pa.array(np.zeros(out.num_rows, np.int8)),
-        })
-
-    return e.map_batches(check, batch_format="pyarrow")
-
-
-def split_and_verify_substring(
-    edges: ray.data.Dataset,
-    captions_ds: ray.data.Dataset,
-    cfg: DedupConfig,
-    id_col: str = "image_id",
-    text_col: str = "caption",
-) -> ray.data.Dataset:
-    """Route substring candidates through exact L-gram verification.
-
-    A candidate is any non-trusted edge whose per-pair ``sc`` flag is set
-    (the pair shared a winnow minimizer in SOME band instance — the kept
-    kind may be a signature kind after cross-band dedupe) or whose kind is
-    'substr_cand'. Verified hits become trusted 'substr'; misses that also
-    hold a signature kind fall through to Hamming/Jaccard verification."""
-    import pyarrow.compute as pc
-
-    def cand_mask(t: pa.Table):
-        m = pc.equal(t["kind"], "substr_cand")
-        if "sc" in t.column_names:
-            m = pc.or_(m, pc.equal(t["sc"], 1))
-        trusted = pc.is_in(t["kind"],
-                           value_set=pa.array(["exact", "cap_exact", "substr"]))
-        return pc.and_(m, pc.invert(trusted))
-
-    cand = edges.map_batches(
-        lambda t: t.filter(cand_mask(t)), batch_format="pyarrow")
-    rest = edges.map_batches(
-        lambda t: t.filter(pc.invert(cand_mask(t))), batch_format="pyarrow")
-    ver = verify_substring_candidates(cand, captions_ds, cfg, id_col, text_col)
-    return rest.union(ver)
 
 
 def substring_edges(
@@ -483,10 +277,11 @@ def substring_edges(
     id_col: str = "image_id",
     text_col: str = "caption",
 ) -> ray.data.Dataset:
-    """Standalone T11 (per-partition suffix array + winnow rendezvous).
-    The pipelines instead union ``winnow_buckets`` into the main bucket
-    stream; this composition exists for direct use/tests."""
+    """Standalone T11: per-partition suffix-array edges + the L-gram
+    rendezvous edges, deduped (src, dst, kind='substr'). The pipelines
+    instead union ``substring_buckets`` into the main bucket stream; this
+    composition exists for direct use/tests."""
     sa = suffix_array_edges(input_ds, cfg, id_col, text_col)
-    win = lsh.edges_from_buckets(winnow_buckets(input_ds, cfg, id_col, text_col), cfg)
-    deduped = lsh.dedupe_edges(sa.union(win), keep_sc=True)
-    return split_and_verify_substring(deduped, input_ds, cfg, id_col, text_col)
+    grams = lsh.edges_from_buckets(
+        substring_buckets(input_ds, cfg, id_col, text_col), cfg)
+    return lsh.dedupe_edges(sa.union(grams))

@@ -1,8 +1,8 @@
 """Candidate-edge verification: Hamming-ball + MinHash-Jaccard checks (T10).
 
 Candidates from LSH banding are *hypotheses*; this stage attaches both
-endpoints' signatures (two hash-partitioned joins — signatures are the lean
-~1KB/row table, never pixels) and keeps an edge iff any signal passes:
+endpoints' signatures (the lean ~1KB/row table, never pixels) and keeps an
+edge iff any signal passes (``_accept_mask``):
 
 * estimated Jaccard(minhash_src, minhash_dst) >= cfg.jaccard_tau
 * popcount(phash_src ^ phash_dst)   <= cfg.phash_hamming_t   (corroborated:
@@ -11,7 +11,9 @@ endpoints' signatures (two hash-partitioned joins — signatures are the lean
   the phash distance must also be <= cfg.pixel_corr_t)
 * exact edges (kind == 'exact' / 'cap_exact' / 'substr') pass by construction
 
-The per-batch check is pure vectorized numpy over Arrow columns.
+Signatures attach by a broadcast gather up to the broadcast tier
+(``join.broadcast_ok``) and by hash joins above it. The per-batch check is
+pure vectorized numpy over Arrow columns.
 """
 
 from __future__ import annotations
@@ -28,12 +30,52 @@ from deduplication_ray.functions import hashing as H
 _TRUSTED_KINDS = ("exact", "cap_exact", "substr")
 
 
+def _accept_mask(cfg: DedupConfig, trusted: np.ndarray, has_pixels: bool,
+                 col) -> np.ndarray:
+    """The one verify predicate. ``col(name, side, rows)`` returns endpoint
+    ``side``'s ('src'/'dst') signature column ``name`` for the row indices
+    ``rows`` (None = every row). Checks run CHEAPEST first: the 8-byte
+    Hamming checks decide most pairs, so the num_perm*8-byte MinHash gather
+    + unpack (~2 KB/pair at P=128) runs only over the rows still undecided
+    — measured 3.4s -> sub-second on a 600k-row / 825k-pair resolve."""
+    keep = np.array(trusted, dtype=bool)
+    if has_pixels:
+        d = {c: H.hamming_distance_u64(
+                H.bitcast_i64_to_u64(_np(col(c, "src", None))),
+                H.bitcast_i64_to_u64(_np(col(c, "dst", None))))
+             for c in ("phash", "simhash")}
+        # corroborated accept (see config.pixel_corr_t): an in-ball hit on
+        # one pixel hash needs the other within the loose corr bound —
+        # kills single-channel chance collisions without any recall cost
+        keep |= (d["phash"] <= cfg.phash_hamming_t) & (d["simhash"] <= cfg.pixel_corr_t)
+        keep |= (d["simhash"] <= cfg.simhash_hamming_t) & (d["phash"] <= cfg.pixel_corr_t)
+    und = np.flatnonzero(~keep)
+    if len(und):
+        ms = H.unpack_u64_rows(col("minhash", "src", und), cfg.num_perm)
+        md = H.unpack_u64_rows(col("minhash", "dst", und), cfg.num_perm)
+        keep[und] |= (ms == md).mean(axis=1) >= cfg.jaccard_tau
+    return keep
+
+
+def _np(a) -> np.ndarray:
+    if isinstance(a, pa.ChunkedArray):
+        a = a.combine_chunks()
+    return a.to_numpy(zero_copy_only=False)
+
+
+def _attached_col(t: pa.Table):
+    """``_accept_mask`` column accessor over ``{name}_{side}`` columns."""
+    def col(name: str, side: str, rows):
+        c = t[f"{name}_{side}"]
+        return c if rows is None else c.take(pa.array(rows))
+    return col
+
+
 class _AttachBoth:
     """ONE broadcast gather that attaches signature columns to BOTH edge
     endpoints: probe src and dst against the same presorted id-hash index
-    (built once on the driver from distributed per-block hashes), take the
-    matched signature rows, confirm id equality exactly. Replaces two
-    chained lookup_joins — one execution, one broadcast, one index."""
+    (``signature_index``), take the matched signature rows, confirm id
+    equality exactly. One execution, one broadcast, one index."""
 
     def __init__(self, ref, cols: list[str]):
         self.ref = ref
@@ -61,14 +103,9 @@ class _AttachBoth:
         gathered: dict[str, pa.ChunkedArray] = {}
         for side in ("src", "dst"):
             ph = _key_hashes(t, [side])
-            if len(sorted_h):
-                pos = np.minimum(np.searchsorted(sorted_h, ph),
-                                 len(sorted_h) - 1)
-                cand = order[pos]
-                matched = sorted_h[pos] == ph
-            else:
-                cand = np.zeros(len(ph), np.int64)
-                matched = np.zeros(len(ph), bool)
+            pos = np.minimum(np.searchsorted(sorted_h, ph), len(sorted_h) - 1)
+            cand = order[pos]
+            matched = sorted_h[pos] == ph
             if matched.any():
                 idx = pa.array(cand, pa.int64())
                 eq = pc.fill_null(
@@ -91,33 +128,30 @@ def attach_signatures(
 ) -> ray.data.Dataset:
     """edges(src,dst,kind) + signatures -> edges with _src/_dst signature cols.
 
-    Size-dispatched (R17's gather generalized): below ``cfg.broadcast_limit``
-    the signature table broadcasts BY BLOCK REFS and one ``_AttachBoth``
-    gather attaches both endpoints in a single map execution; above it — the
-    10^12-row path, where no table broadcasts — two hash-partitioned
-    ``Dataset.join`` exchanges on the edge endpoints.
+    Size-dispatched (R17's gather generalized): in the broadcast tier the
+    signature table broadcasts BY BLOCK REFS and one ``_AttachBoth`` gather
+    attaches both endpoints in a single map execution; above it — the
+    10^12-row path, where no table broadcasts — two hash-partitioned joins
+    on the edge endpoints, the first materialized before the second starts.
     """
-    from deduplication_ray.stages.join import _block_key_hashes, lookup_join
+    from deduplication_ray.stages.join import lookup_join
 
     cols = cols or ["phash", "simhash", "minhash"]
     sig = signatures.select_columns(["image_id", *cols]).materialize()
     n_sig = sig.count()
-    if (n_sig == 0 or n_sig > cfg.broadcast_limit
-            or (sig.size_bytes() or 0) > 2 * 1024 * 1024 * 1024):
-        src_side = sig.rename_columns(
-            {c: f"{c}_src" for c in cols}).rename_columns({"image_id": "src"})
-        dst_side = sig.rename_columns(
-            {c: f"{c}_dst" for c in cols}).rename_columns({"image_id": "dst"})
-        e = lookup_join(edges, src_side, on=["src"], cfg=cfg, lookup_rows=n_sig)
-        e = lookup_join(e, dst_side, on=["dst"], cfg=cfg, lookup_rows=n_sig)
-        return e
-
-    refs = list(sig.to_arrow_refs())
-    hs = ray.get([_block_key_hashes.remote(r, ["image_id"]) for r in refs])
-    kh = np.concatenate(hs) if hs else np.zeros(0, np.uint64)
-    order = np.argsort(kh, kind="stable")
-    ref = ray.put((refs, kh[order], order.astype(np.int64)))
-    return edges.map_batches(_AttachBoth(ref, cols), batch_format="pyarrow")
+    ref = signature_index(sig, cfg) if n_sig else None
+    if ref is not None:
+        return edges.map_batches(_AttachBoth(ref, cols), batch_format="pyarrow")
+    src_side = sig.rename_columns(
+        {c: f"{c}_src" for c in cols}).rename_columns({"image_id": "src"})
+    dst_side = sig.rename_columns(
+        {c: f"{c}_dst" for c in cols}).rename_columns({"image_id": "dst"})
+    # two hash joins live in one lazy plan stalled for minutes at
+    # num_partitions=8 where either alone takes seconds: the first join
+    # finishes before the second starts
+    e = lookup_join(edges, src_side, on=["src"], cfg=cfg,
+                    lookup_rows=n_sig).materialize()
+    return lookup_join(e, dst_side, on=["dst"], cfg=cfg, lookup_rows=n_sig)
 
 
 class DeferredSignatureIndex:
@@ -125,25 +159,25 @@ class DeferredSignatureIndex:
     needed only by the final resolve/verify gather, so its build (a count,
     a per-block hash task round, a driver argsort) overlaps the pairing
     chain instead of serializing before it. ``get()`` joins and re-raises.
-    ``eligible`` is decided synchronously (metadata-only count/size) so the
-    caller can branch fast-path/string-path without waiting."""
+    ``eligible`` (the broadcast tier) is decided synchronously from
+    metadata; above the tier ``resolve_and_verify_pairs`` resolves against
+    ``signatures`` by hash joins instead."""
 
     def __init__(self, signatures: ray.data.Dataset, cfg: DedupConfig):
         import threading
 
+        from deduplication_ray.stages.join import broadcast_ok
+
         self._box: dict = {}
-        sig = signatures.materialize()  # no-op on checkpointed input
-        n = sig.count()
-        self.eligible = not (
-            n == 0 or n > cfg.broadcast_limit
-            or (sig.size_bytes() or 0) > 2 * 1024 * 1024 * 1024)
+        self.signatures = signatures.materialize()  # no-op on checkpoints
+        self.eligible = broadcast_ok(self.signatures, cfg)
         if not self.eligible:
             self._th = None
             return
 
         def _build() -> None:
             try:
-                self._box["ref"] = signature_index(sig, cfg)
+                self._box["ref"] = signature_index(self.signatures, cfg)
             except BaseException as exc:
                 self._box["err"] = exc
 
@@ -163,12 +197,11 @@ def signature_index(
     signatures: ray.data.Dataset, cfg: DedupConfig,
     cols: list[str] | None = None,
 ):
-    """Broadcast signature index for the fused verified-edge fast path:
-    (block refs, sorted image_id hashes, permutation) in the object store,
-    built with the driver touching only 8 bytes/row. Returns the ray.put
-    handle, or None when the table exceeds the broadcast tier (row or byte
-    guard) — callers then fall back to the string/shuffle path, which is
-    the 10^12-row plan.
+    """Broadcast signature index: (block refs, sorted image_id hashes,
+    permutation) in the object store, built with the driver touching only
+    8 bytes/row. Returns the ray.put handle, or None when the table exceeds
+    the broadcast tier (``join.broadcast_ok``). Raises if two distinct ids
+    share a hash: every gather against this index resolves by hash.
 
     No projection pass: the caller's signature table is already materialized
     (checkpoint output) and its non-index columns are ~33 bytes/row next to
@@ -176,26 +209,57 @@ def signature_index(
     full extra execution (measured 0.8-2.0s at 600k rows) to save ~3% of
     broadcast bytes. ``cols`` is kept for signature parity; extra columns
     ride along harmlessly."""
-    from deduplication_ray.stages.join import _block_key_hashes
+    from deduplication_ray.stages.join import (_block_key_hashes,
+                                               _resolve_small, broadcast_ok)
+    from deduplication_ray.stages.lsh import raise_on_id_collision
 
     sig = signatures.materialize()  # no-op on checkpointed/materialized input
-    n_sig = sig.count()
-    if (n_sig == 0 or n_sig > cfg.broadcast_limit
-            or (sig.size_bytes() or 0) > 2 * 1024 * 1024 * 1024):
+    if not broadcast_ok(sig, cfg):
         return None
     refs = list(sig.to_arrow_refs())
     hs = ray.get([_block_key_hashes.remote(r, ["image_id"]) for r in refs])
     kh = np.concatenate(hs) if hs else np.zeros(0, np.uint64)
     order = np.argsort(kh, kind="stable")
-    return ray.put((refs, kh[order], order.astype(np.int64)))
+    sorted_h = kh[order]
+    same = sorted_h[1:] == sorted_h[:-1]
+    if same.any():  # rare: fetch the ids only when hashes repeat
+        raise_on_id_collision(
+            _resolve_small(refs)["image_id"].take(pa.array(order)), same)
+    return ray.put((refs, sorted_h, order.astype(np.int64)))
+
+
+def _verified_slim(t: pa.Table, cfg: DedupConfig, has_pixels: bool,
+                   do_verify: bool, col) -> pa.Table:
+    """Slim pairs (ah, bh, prio, sc) -> verified (src, dst, kind, sc).
+    ``col`` is the ``_accept_mask`` accessor; it also serves the endpoint
+    ``image_id`` strings, fetched for accepted rows only."""
+    from deduplication_ray.stages.lsh import KIND_PRIORITY
+
+    prio = t["prio"].to_numpy()
+    keep = np.ones(t.num_rows, dtype=bool)
+    if do_verify:
+        trusted = np.isin(prio, [KIND_PRIORITY.index("exact"),
+                                 KIND_PRIORITY.index("substr")])
+        keep = _accept_mask(cfg, trusted, has_pixels, col)
+    kept = np.flatnonzero(keep)
+    return pa.table({
+        "src": col("image_id", "src", kept),
+        "dst": col("image_id", "dst", kept),
+        "kind": pc.take(pa.array(KIND_PRIORITY),
+                        pa.array(prio[kept].astype(np.int32))),
+        "sc": t["sc"].take(pa.array(kept)).cast(pa.int8()),
+    })
+
+
+_EMPTY_VERIFIED = pa.schema([("src", pa.string()), ("dst", pa.string()),
+                             ("kind", pa.string()), ("sc", pa.int8())])
 
 
 class _ResolveVerify:
     """One fused map over deduped SLIM pairs (ah, bh, prio, sc): gather the
     id strings and signature columns for both endpoints from the broadcast
-    signature index, apply the verify_edges signal checks, and emit
-    verified (src, dst, kind, sc). Replaces the attach (two joins) + verify
-    stages of the string path with a single per-batch gather."""
+    signature index, apply ``_accept_mask``, and emit verified
+    (src, dst, kind, sc)."""
 
     def __init__(self, ref, cfg: DedupConfig, has_pixels: bool,
                  do_verify: bool = True):
@@ -207,95 +271,73 @@ class _ResolveVerify:
 
     def __call__(self, t: pa.Table) -> pa.Table:
         from deduplication_ray.stages.join import _resolve_small
-        from deduplication_ray.stages.lsh import KIND_PRIORITY
 
         if self._state is None:
             small, sorted_h, order = ray.get(self.ref)
             self._state = (_resolve_small(small), sorted_h, order)
         small, sorted_h, order = self._state
-        empty = pa.table({"src": pa.array([], pa.string()),
-                          "dst": pa.array([], pa.string()),
-                          "kind": pa.array([], pa.string()),
-                          "sc": pa.array([], pa.int8())})
         if t.num_rows == 0 or small.num_rows == 0:
-            return empty
-        cfg = self.cfg
+            return _EMPTY_VERIFIED.empty_table()
         rows = {}
-        ok = np.ones(t.num_rows, dtype=bool)
-        for side in ("ah", "bh"):
+        for side, name in (("ah", "src"), ("bh", "dst")):
             h = t[side].to_numpy().view(np.uint64)
             pos = np.minimum(np.searchsorted(sorted_h, h), len(sorted_h) - 1)
-            matched = sorted_h[pos] == h
-            ok &= matched
-            rows[side] = order[pos]
-        if not ok.all():
-            # every pair hash came from a signature row, so a miss can only
-            # be a stale index — fail loudly rather than silently drop
-            raise RuntimeError(
-                f"resolve_and_verify: {int((~ok).sum())} pair endpoints "
-                "missing from the signature index")
-        ia = pa.array(rows["ah"], pa.int64())
-        ib = pa.array(rows["bh"], pa.int64())
-        prio = t["prio"].to_numpy()
-        sc = t["sc"].to_numpy()
-        keep = np.ones(t.num_rows, dtype=bool)
-        if self.do_verify:
-            # checks ordered CHEAPEST first; the 8-bytes-per-pair Hamming
-            # checks decide most pairs, so the num_perm*8-bytes-per-side
-            # MinHash gather+unpack (the bandwidth-heavy check: ~2 KB/pair
-            # at P=128) runs only over rows every cheap check left
-            # undecided — measured 3.4s -> sub-second on the 600k-row /
-            # 825k-pair stage at 32 CPUs
-            trusted_prio = np.array(
-                [KIND_PRIORITY.index("exact"), KIND_PRIORITY.index("substr")],
-                dtype=prio.dtype)
-            keep = np.isin(prio, trusted_prio)
-            if self.has_pixels and "phash" in small.column_names:
-                hds = {}
-                for col in ("phash", "simhash"):
-                    ca = small[col].take(ia).combine_chunks() \
-                        .to_numpy(zero_copy_only=False)
-                    cb = small[col].take(ib).combine_chunks() \
-                        .to_numpy(zero_copy_only=False)
-                    hds[col] = H.hamming_distance_u64(
-                        H.bitcast_i64_to_u64(ca), H.bitcast_i64_to_u64(cb))
-                # corroborated accept: an in-ball hit on one pixel hash must
-                # sit within pixel_corr_t on the other (see config.py — the
-                # chance-edge / transitive-merge fix; recall-free by measure)
-                corr = cfg.pixel_corr_t
-                keep |= ((hds["phash"] <= cfg.phash_hamming_t)
-                         & (hds["simhash"] <= corr))
-                keep |= ((hds["simhash"] <= cfg.simhash_hamming_t)
-                         & (hds["phash"] <= corr))
-            # substring candidates survive unverified — the exact L-gram
-            # join downstream is their verdict (winnow mode only)
-            keep |= (sc > 0) | (prio == KIND_PRIORITY.index("substr_cand"))
-            if "minhash" in small.column_names and not keep.all():
-                und = np.flatnonzero(~keep)
-                ms = H.unpack_u64_rows(
-                    small["minhash"].take(ia.take(pa.array(und))),
-                    cfg.num_perm)
-                md = H.unpack_u64_rows(
-                    small["minhash"].take(ib.take(pa.array(und))),
-                    cfg.num_perm)
-                keep[und] |= (ms == md).mean(axis=1) >= cfg.jaccard_tau
-        k = pa.array(keep)
-        kindset = pa.array(KIND_PRIORITY)
-        kind = pa.compute.take(
-            kindset, pa.array(prio[keep].astype(np.int32)))
-        return pa.table({
-            "src": small["image_id"].take(ia.filter(k)),
-            "dst": small["image_id"].take(ib.filter(k)),
-            "kind": kind,
-            "sc": pa.array(sc[keep], pa.int8()),
-        })
+            if not (sorted_h[pos] == h).all():
+                # every pair hash came from a signature row, so a miss can
+                # only be a stale index — fail loudly rather than drop
+                raise RuntimeError(
+                    f"resolve_and_verify: {int((sorted_h[pos] != h).sum())} "
+                    "pair endpoints missing from the signature index")
+            rows[name] = pa.array(order[pos], pa.int64())
+
+        def col(c: str, side: str, sel):
+            idx = rows[side] if sel is None else rows[side].take(pa.array(sel))
+            return small[c].take(idx)
+
+        has_px = self.has_pixels and "phash" in small.column_names
+        return _verified_slim(t, self.cfg, has_px, self.do_verify, col)
+
+
+def _resolve_by_join(pairs: ray.data.Dataset, sig: ray.data.Dataset,
+                     cfg: DedupConfig, has_pixels: bool,
+                     do_verify: bool) -> ray.data.Dataset:
+    """Above the broadcast tier: resolve both endpoints by hash joins on
+    the id hash against the signature table (one row per id hash, with the
+    collision check), then apply the same ``_accept_mask``."""
+    from deduplication_ray.stages.join import lookup_join
+    from deduplication_ray.stages.lsh import id_hash_table
+
+    cols = ("phash", "simhash", "minhash") if has_pixels else ("minhash",)
+    side = id_hash_table(sig, cfg, cols).materialize()
+
+    def renamed(key: str, name: str) -> ray.data.Dataset:
+        return side.rename_columns(
+            {"idh": key, **{c: f"{c}_{name}" for c in ["image_id", *cols]}})
+
+    # the first hash join finishes before the second starts (see
+    # ``attach_signatures``)
+    e = lookup_join(pairs, renamed("ah", "src"), on=["ah"], cfg=cfg).materialize()
+    e = lookup_join(e, renamed("bh", "dst"), on=["bh"], cfg=cfg)
+    return e.map_batches(
+        lambda t: _verified_slim(t, cfg, has_pixels, do_verify,
+                                 _attached_col(t)),
+        batch_format="pyarrow")
 
 
 def resolve_and_verify_pairs(
     slim_pairs: ray.data.Dataset, sig_ref, cfg: DedupConfig,
     has_pixels: bool = True, do_verify: bool = True,
 ) -> ray.data.Dataset:
-    """Deduped slim pairs -> verified (src, dst, kind, sc) edges (lazy)."""
+    """Deduped slim pairs -> verified (src, dst, kind, sc) edges (lazy).
+
+    ``sig_ref`` is a ``signature_index`` handle (broadcast gather) or a
+    ``DeferredSignatureIndex``, which picks the broadcast gather inside the
+    tier and the hash-join resolve above it."""
+    if isinstance(sig_ref, DeferredSignatureIndex):
+        if not sig_ref.eligible:
+            return _resolve_by_join(slim_pairs, sig_ref.signatures, cfg,
+                                    has_pixels, do_verify)
+        sig_ref = sig_ref.get()  # index build overlapped the pairing chain
     return slim_pairs.map_batches(
         _ResolveVerify(sig_ref, cfg, has_pixels, do_verify),
         batch_format="pyarrow", batch_size=65536)
@@ -307,34 +349,12 @@ def verify_edges(
     """Filter attached edges to verified ones; emits (src, dst, kind)."""
 
     def check(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if n == 0:
+        if t.num_rows == 0:
             return t.select(["src", "dst", "kind"])
         trusted = pc.fill_null(
-            pc.is_in(t["kind"], value_set=pa.array(_TRUSTED_KINDS)), False
-        )
-        keep = trusted.combine_chunks().to_numpy(zero_copy_only=False).astype(bool)
-
-        ms = H.unpack_u64_rows(t["minhash_src"], cfg.num_perm)
-        md = H.unpack_u64_rows(t["minhash_dst"], cfg.num_perm)
-        jacc = (ms == md).mean(axis=1)
-        keep |= jacc >= cfg.jaccard_tau
-
-        if has_pixels:
-            ph = H.hamming_distance_u64(
-                H.bitcast_i64_to_u64(t["phash_src"].to_numpy()),
-                H.bitcast_i64_to_u64(t["phash_dst"].to_numpy()),
-            )
-            sh = H.hamming_distance_u64(
-                H.bitcast_i64_to_u64(t["simhash_src"].to_numpy()),
-                H.bitcast_i64_to_u64(t["simhash_dst"].to_numpy()),
-            )
-            # corroborated accept (see config.pixel_corr_t): an in-ball hit
-            # on one pixel hash needs the other within the loose corr bound —
-            # kills single-channel chance collisions without any recall cost
-            keep |= (ph <= cfg.phash_hamming_t) & (sh <= cfg.pixel_corr_t)
-            keep |= (sh <= cfg.simhash_hamming_t) & (ph <= cfg.pixel_corr_t)
-
+            pc.is_in(t["kind"], value_set=pa.array(_TRUSTED_KINDS)), False)
+        keep = _accept_mask(cfg, _np(trusted).astype(bool), has_pixels,
+                            _attached_col(t))
         return t.select(["src", "dst", "kind"]).filter(pa.array(keep))
 
     return edges_with_sigs.map_batches(check, batch_format="pyarrow")

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 import shutil
+import signal
 import sys
 
 import pytest
@@ -58,6 +60,23 @@ def tiny_run(ray_session, tiny_fixture):
     cfg = DedupConfig(num_partitions=4, sig_concurrency=2)
     metrics = image_dedup.run_pipeline(f"{tiny_fixture}/data", run_dir, cfg)
     return run_dir, cfg, metrics
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Fail the enclosed block with TimeoutError after ``seconds`` (SIGALRM;
+    main thread only) — a stalled Ray plan fails the test instead of
+    hanging the session."""
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"exceeded {seconds}s")
+
+    old = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def fuzz_blocks(rng, t):

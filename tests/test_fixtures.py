@@ -55,10 +55,9 @@ def test_permutation_metamorphic_clusters(ray_session, tiny_fixture, tmp_path):
 
     from deduplication_ray.config import DedupConfig
     from deduplication_ray.pipelines.image_dedup import (
-        build_edges,
         compute_signatures,
         finalize_clusters,
-        verify_candidates,
+        verified_edges,
     )
     from deduplication_ray.state import unionfind
 
@@ -69,8 +68,7 @@ def test_permutation_metamorphic_clusters(ray_session, tiny_fixture, tmp_path):
     def clusters_of(df: pd.DataFrame) -> pd.Series:
         ds = ray.data.from_arrow(pa.Table.from_pandas(df, preserve_index=False)).repartition(4)
         sigs = compute_signatures(ds, cfg).materialize()
-        edges = build_edges(sigs, cfg, ds).materialize()
-        ve = verify_candidates(edges, sigs, cfg).materialize()
+        ve = verified_edges(sigs, cfg, ds).materialize()
         labels = unionfind.connected_components(ve, cfg)
         out = finalize_clusters(ds.select_columns(["image_id"]), labels, cfg).to_pandas()
         return out.sort_values("image_id").set_index("image_id")["cluster_id"]

@@ -212,6 +212,91 @@ def test_partitioned_pairing_matches_local(tiny_run, ray_session):
     assert key(e_local) == key(e_part)
 
 
+def test_image_join_tier_matches_broadcast(tiny_fixture, ray_session,
+                                           tmp_path):
+    """Image run_pipeline at num_partitions=8: the hash-join signature
+    resolve (broadcast_limit=0) must finish and give clusters identical to
+    the broadcast gather."""
+    import dataclasses
+
+    from deduplication_ray.config import DedupConfig
+    from deduplication_ray.pipelines import image_dedup
+    from tests.conftest import deadline
+
+    cfg = DedupConfig(num_partitions=8, sig_concurrency=2)
+    out = {}
+    with deadline(300):
+        for name, c in (("bcast", cfg),
+                        ("join", dataclasses.replace(cfg, broadcast_limit=0))):
+            image_dedup.run_pipeline(f"{tiny_fixture}/data",
+                                     str(tmp_path / name), c)
+            out[name] = load_parquet_dir(str(tmp_path / name / "clusters")) \
+                .sort_values("image_id").reset_index(drop=True)
+    assert out["bcast"]["cluster_id"].nunique() < len(out["bcast"])
+    pd.testing.assert_frame_equal(out["bcast"], out["join"])
+
+
+def test_attach_signatures_join_tier_finishes(tiny_run, ray_session):
+    """attach_signatures' hash-join tier at num_partitions=8 (two chained
+    hash joins in one lazy plan stalled there) must finish and verify the
+    same edges as the broadcast gather."""
+    import dataclasses
+
+    from deduplication_ray.sources import storage
+    from deduplication_ray.stages import verify
+    from tests.conftest import deadline
+
+    run_dir, cfg, _ = tiny_run
+    sigs = storage.read_table(f"{run_dir}/signatures")
+    edges = storage.read_table(f"{run_dir}/verified_edges")
+    cfg = dataclasses.replace(cfg, num_partitions=8)
+
+    def verified(c):
+        att = verify.attach_signatures(edges, sigs, c)
+        df = verify.verify_edges(att, c).to_pandas()
+        return set(zip(df["src"], df["dst"], df["kind"]))
+
+    with deadline(180):
+        join = verified(dataclasses.replace(cfg, broadcast_limit=0))
+    bcast = verified(cfg)
+    assert len(bcast) > 0
+    assert join == bcast
+
+
+def test_id_hash_collision_fails_loudly(ray_session, monkeypatch):
+    """Pairs travel as 64-bit id hashes: two DISTINCT ids sharing a hash
+    must raise in the id resolve, while one id repeated across bucket rows
+    (video frames) is fine and never pairs with itself."""
+    import pyarrow as pa
+    import ray.data
+
+    from deduplication_ray.config import DedupConfig
+    from deduplication_ray.functions import hashing as H
+    from deduplication_ray.stages import lsh
+
+    def weak_hash(arr, seed=0):  # byte sum: anagrams collide
+        return np.array([sum(x.encode()) for x in arr.to_pylist()],
+                        np.uint64)
+
+    monkeypatch.setattr(H, "hash_bytes_array", weak_hash)
+    cfg = DedupConfig(num_partitions=2)
+
+    def buckets(ids):
+        n = len(ids)
+        return ray.data.from_arrow(pa.table({
+            "band": pa.array([0] * n, pa.int64()),
+            "bucket": pa.array([1] * n, pa.int64()),
+            "salt": pa.array([0] * n, pa.int64()),
+            "image_id": pa.array(ids, pa.string()),
+            "ph": pa.array([0] * n, pa.int64()),
+            "sh": pa.array([0] * n, pa.int64())}))
+
+    e = lsh.edges_from_buckets(buckets(["v1", "v1", "v2"]), cfg).to_pandas()
+    assert set(zip(e["src"], e["dst"])) == {("v1", "v2")}
+    with pytest.raises(RuntimeError, match="collision"):
+        lsh.edges_from_buckets(buckets(["ab", "ba", "zz"]), cfg).materialize()
+
+
 def test_local_unionfind_matches_distributed(tiny_run, ray_session):
     """The local vectorized union-find must produce byte-identical labels to
     the distributed hash-min rounds on the same verified edge set."""

@@ -1,14 +1,10 @@
-"""Unit tests: suffix array, LCP runs, winnowing fingerprints (no Ray)."""
+"""Unit tests: suffix array, LCP runs, L-gram rendezvous edges."""
 
 import numpy as np
 import pyarrow as pa
 
 from deduplication_ray.config import DedupConfig
-from deduplication_ray.stages.substring import (
-    SuffixArrayEdges,
-    WinnowFingerprints,
-    suffix_array,
-)
+from deduplication_ray.stages.substring import SuffixArrayEdges, suffix_array
 
 
 def test_suffix_array_banana():
@@ -25,7 +21,7 @@ def test_suffix_array_repetitive():
 
 
 def _cfg():
-    return DedupConfig(substring_min_len=10, winnow_window=4)
+    return DedupConfig(substring_min_len=10)
 
 
 def test_sa_edges_detect_embedded_caption():
@@ -45,46 +41,15 @@ def test_sa_edges_no_cross_doc_span():
         "image_id": ["A", "B", "C", "D"],
         "caption": ["xxxxxyyyyy", "yyyyyzzzzz", "aaabbbccc", "dddeeefff"],
     })
-    edges = SuffixArrayEdges(DedupConfig(substring_min_len=8, winnow_window=4))(t).to_pandas()
+    edges = SuffixArrayEdges(DedupConfig(substring_min_len=8))(t).to_pandas()
     assert len(edges) == 0
 
 
-def test_winnow_shared_substring_shares_fingerprint():
-    cfg = _cfg()
-    shared = "a long shared middle segment here"  # 33 chars >= Lmin + w - 1 = 13
-    t = pa.table({
-        "image_id": ["A", "B", "C"],
-        "caption": ["start " + shared + " endA", "other " + shared + " endB",
-                     "nothing in common with the rest zzz"],
-    })
-    fps = WinnowFingerprints(cfg)(t).to_pandas()
-    fa = set(fps[fps.image_id == "A"].bucket)
-    fb = set(fps[fps.image_id == "B"].bucket)
-    fc = set(fps[fps.image_id == "C"].bucket)
-    assert fa & fb
-    assert not (fa & fc) and not (fb & fc)
-
-
-def test_winnow_short_doc_min_is_own(monkeypatch):
-    """Regression: short-doc minimizer must come from the doc's own grams
-    (reduceat had spanned neighbouring docs)."""
-    cfg = DedupConfig(substring_min_len=5, winnow_window=50)  # every doc 'short'
-    t = pa.table({
-        "image_id": ["A", "B"],
-        "caption": ["abcdefgh", "zzzzzzzz"],
-    })
-    fps = WinnowFingerprints(cfg)(t).to_pandas()
-    assert len(fps[fps.image_id == "A"]) == 1
-    assert len(fps[fps.image_id == "B"]) == 1
-    assert set(fps[fps.image_id == "A"].bucket) != set(fps[fps.image_id == "B"].bucket)
-
-
 def test_cross_batch_substring_at_lmin_window_gap(ray_session):
-    """Regression (round-1 advisory): a shared substring in the
-    [Lmin, Lmin+w-2] length gap, with the two docs in DIFFERENT suffix-array
-    batches, must still link. With Lmin-char winnow grams the guarantee only
-    covered >= Lmin + w - 1; k = Lmin - w + 1 grams + exact L-gram
-    verification covers >= Lmin."""
+    """Regression: a shared substring just above Lmin, with the two docs in
+    DIFFERENT suffix-array batches, must still link — through the L-gram
+    rendezvous, which proves the >= Lmin overlap with no verification join
+    (a sparser minimizer key set once missed lengths just above Lmin)."""
     import pandas as pd
 
     import ray.data
@@ -92,9 +57,9 @@ def test_cross_batch_substring_at_lmin_window_gap(ray_session):
     from deduplication_ray.config import DedupConfig
     from deduplication_ray.stages.substring import substring_edges
 
-    cfg = DedupConfig(num_partitions=2, text_batch_size=4)
+    cfg = DedupConfig(num_partitions=2, text_batch_size=4, sa_batch_size=4)
     s = "shared secret segment of exactly fortyfive"  # 42 normalized chars
-    assert cfg.substring_min_len <= len(s) < cfg.substring_min_len + cfg.winnow_window - 1
+    assert cfg.substring_min_len <= len(s)
     fillers = [f"completely unrelated filler text number {i} padding words xyz{i}"
                for i in range(6)]
     rows = pd.DataFrame({

@@ -116,26 +116,29 @@ def test_text_dedup_partition_determinism(ray_session):
     assert (a["cluster_id"].to_numpy() == b["cluster_id"].to_numpy()).all()
 
 
-def test_text_fast_path_matches_string_path(ray_session, tmp_path):
-    """The fused slim-pair fast path (grams mode, broadcast tier — the
-    default at bench/test sizes) must yield clusters IDENTICAL to the
-    string path (forced via broadcast_limit=0, the 10^12-row join tier):
-    one semantics, two physical plans."""
+def test_text_join_tier_matches_broadcast(ray_session, tmp_path):
+    """The signature resolve has two physical plans — the broadcast gather
+    (the default at bench/test sizes) and the hash-join resolve above the
+    broadcast tier (forced via broadcast_limit=0). At num_partitions=8,
+    where two chained hash joins once stalled, both must finish and yield
+    IDENTICAL clusters: one semantics, two physical plans."""
     import dataclasses
 
     from deduplication_ray.config import DedupConfig
     from deduplication_ray.pipelines.text_dedup import text_dedup_clusters
     from deduplication_ray.sources import fixtures, storage
+    from tests.conftest import deadline
 
     fix = str(tmp_path / "txtfix")
     fixtures.generate_text(fix, 3000, seed=17)
     ds = storage.read_table(f"{fix}/data", columns=["doc_id", "text"])
-    cfg = DedupConfig(num_partitions=4, sa_batch_size=1024)
-    fast = text_dedup_clusters(ds, cfg).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    slow = text_dedup_clusters(
-        ds, dataclasses.replace(cfg, broadcast_limit=0)).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
+    cfg = DedupConfig(num_partitions=8, sa_batch_size=1024)
+    with deadline(300):
+        fast = text_dedup_clusters(ds, cfg).to_pandas() \
+            .sort_values("doc_id").reset_index(drop=True)
+        slow = text_dedup_clusters(
+            ds, dataclasses.replace(cfg, broadcast_limit=0)).to_pandas() \
+            .sort_values("doc_id").reset_index(drop=True)
     assert fast.equals(slow)
     # and both recover the planted truth exactly at this size
     from deduplication_ray.pipelines.evaluate import pair_metrics
@@ -144,6 +147,27 @@ def test_text_fast_path_matches_string_path(ray_session, tmp_path):
         .rename(columns={"doc_id": "image_id"})
     m = pair_metrics(fast.rename(columns={"doc_id": "image_id"}), truth)
     assert m["recall"] >= 0.99 and m["precision"] >= 0.99, m
+
+
+def test_suffix_array_cross_check_matches_rendezvous(ray_session, tmp_path):
+    """``use_suffix_array`` only cross-checks the L-gram rendezvous: its
+    trusted 'substr' edges, unioned after verification, must not change
+    the clusters."""
+    import dataclasses
+
+    from deduplication_ray.config import DedupConfig
+    from deduplication_ray.pipelines.text_dedup import text_dedup_clusters
+    from deduplication_ray.sources import fixtures, storage
+
+    fix = str(tmp_path / "txtfix")
+    fixtures.generate_text(fix, 800, seed=5)
+    ds = storage.read_table(f"{fix}/data", columns=["doc_id", "text"])
+    cfg = DedupConfig(num_partitions=4, sa_batch_size=256)
+    out = [text_dedup_clusters(ds, c).to_pandas()
+           .sort_values("doc_id").reset_index(drop=True)
+           for c in (cfg, dataclasses.replace(cfg, use_suffix_array=True))]
+    assert out[0]["cluster_id"].nunique() < len(out[0])
+    assert out[0].equals(out[1])
 
 
 def test_text_dedup_all_unique_corpus(ray_session, tmp_path):
