@@ -1,13 +1,18 @@
-"""Non-broadcast (join) verify tier exercised END-TO-END: the 10^12-row
-scale story rests on the hash-join signature resolve of
-``verify.resolve_and_verify_pairs``, but every bench and pin runs the
-broadcast gather. This script runs the SAME 600k-row flagship twice —
-default config (broadcast gather) and ``broadcast_limit=0`` (every
-lookup/resolve forced onto the join tier) — asserts the cluster outputs
-are IDENTICAL row-for-row, and records both throughputs.
+"""Broadcast vs hash-join resolve tier, exercised END-TO-END on the
+flagship. Every engine turns bucket rows into edges one way: slim id-hash
+pairs -> pair dedupe -> ``verify.resolve_and_verify_pairs``, which resolves
+both pair endpoints against the signature table by a broadcast gather
+inside the broadcast tier (``join.broadcast_ok``) and by two hash joins on
+the id hash above it. Benches and pins run the broadcast gather; the
+10^12-row story rests on the join tier. This script runs the SAME planted
+flagship twice — default config (broadcast gather) and
+``broadcast_limit=0`` (every lookup and the resolve forced onto the join
+tier) — asserts the cluster outputs are IDENTICAL row-for-row, and records
+both legs' wall times and throughputs.
 
-Usage:  RAY_GRAFT_CPUS=32 python bench/string_tier_run.py
-Writes: prints ONE JSON line (redirect into BENCH/string_tier_600k.json).
+Usage:  STRING_TIER_ROWS=60000 RAY_GRAFT_CPUS=4 python bench/string_tier_run.py
+        (rows default to 600000, CPUs to 32)
+Writes: prints ONE JSON line (redirect into BENCH/join_tier_<rows>.json).
 """
 
 from __future__ import annotations

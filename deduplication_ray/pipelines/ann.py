@@ -442,27 +442,16 @@ def explode_emb_bands(t: pa.Table) -> pa.Table:
     })
 
 
-def verify_embedding_edges(edges: ray.data.Dataset, sigs: ray.data.Dataset,
-                           cfg: DedupConfig,
-                           cos_min: float) -> ray.data.Dataset:
-    """Candidate (src, dst) kept iff EXACT cosine >= cos_min (vectors
-    attached from the signature table; one batched dot product). Output
-    (src, dst, kind) — ids as they appear in the signature table."""
-    from deduplication_ray.stages import verify as _v
+def embedding_accept(cos_min: float):
+    """The embedding ``accept`` (``verify.resolve_and_verify_pairs``): keep
+    a candidate pair iff its EXACT cosine >= cos_min (normalized vectors
+    resolved from the signature table; one batched dot product)."""
+    def accept(t: pa.Table, col) -> np.ndarray:
+        va = _unpack_f32(col("vec", "src", None))
+        vb = _unpack_f32(col("vec", "dst", None))
+        return (va * vb).sum(axis=1) >= cos_min
 
-    def check(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"src": pa.array([], pa.string()),
-                             "dst": pa.array([], pa.string()),
-                             "kind": pa.array([], pa.string())})
-        va = _unpack_f32(t["vec_src"])
-        vb = _unpack_f32(t["vec_dst"])
-        cos = (va * vb).sum(axis=1)
-        return t.select(["src", "dst", "kind"]).filter(
-            pa.array(cos >= cos_min))
-
-    attached = _v.attach_signatures(edges, sigs, cfg, cols=["vec"])
-    return attached.map_batches(check, batch_format="pyarrow")
+    return accept
 
 
 EXACT_PAIRS_LIMIT = 200_000  # vectors; above this the LSH path takes over
@@ -486,7 +475,7 @@ def embedding_dup_pairs(
     salting), with candidates verified by exact cosine via a signature join
     carrying the normalized vector as a binary blob.
     """
-    from deduplication_ray.stages import lsh  # shared machinery
+    from deduplication_ray.stages import verify  # shared machinery
 
     # generous early-filter radius: cos >= 0.98 pairs can sit at simhash
     # Hamming ~8-12; exact cosine check below is the real gate
@@ -500,14 +489,14 @@ def embedding_dup_pairs(
         batch_format="pyarrow", batch_size=4096, concurrency=(1, 4)
     ).materialize()
 
-    buckets = sigs.map_batches(explode_emb_bands, batch_format="pyarrow")
-    edges = lsh.dedupe_edges(lsh.edges_from_buckets(buckets, cfg))
-    verified = verify_embedding_edges(edges, sigs, cfg, cos_min)
+    verified = verify.pair_and_verify(
+        sigs.map_batches(explode_emb_bands, batch_format="pyarrow"),
+        verify.DeferredSignatureIndex(sigs, cfg), cfg,
+        accept=embedding_accept(cos_min))
 
     def to_int_pairs(t: pa.Table) -> pa.Table:
-        # integer (src,dst) with src < dst NUMERICALLY — the edge machinery
-        # ordered the string ids lexicographically, which differs for
-        # variable-width numerals, and the SQL oracle compares on ints
+        # integer (src,dst) with src < dst NUMERICALLY — the resolve emits
+        # the pair in id-hash order, and the SQL oracle compares on ints
         a = t["src"].cast(pa.int64()).to_numpy()
         b = t["dst"].cast(pa.int64()).to_numpy()
         return pa.table({"src": np.minimum(a, b), "dst": np.maximum(a, b)})

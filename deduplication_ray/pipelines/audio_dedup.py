@@ -18,8 +18,9 @@ Same bucketed engine as image/video dedup, specialized to WAV/PCM clips
   (stages/lsh.py) in the pass-through band namespace — no Hamming gate at
   emission (same bucket already implies equal shingle) — with hot buckets
   (silence, test tones) salted + ambassador re-linked as usual.
-* Verification is TEMPORALLY-ALIGNED Hamming-tolerant matching over the
-  per-window fine sub-fingerprint lists (``aligned_match_score``): the best
+* Verification (``audio_accept``) is TEMPORALLY-ALIGNED Hamming-tolerant
+  matching over the per-window fine sub-fingerprint lists
+  (``aligned_match_score``): the best
   single head-offset must align >= ``audio_match_frac`` of the longer
   clip's windows within ``audio_frame_hamming_t`` bits. Alignment is the
   load-bearing discriminator: bag-of-frames containment collapsed to 0.30
@@ -47,7 +48,7 @@ import ray.data
 
 from deduplication_ray.config import DedupConfig
 from deduplication_ray.functions import hashing as H
-from deduplication_ray.stages import lsh
+from deduplication_ray.stages import verify
 from deduplication_ray.stages.multimodal import AudioSignatures, shingle_hashes
 from deduplication_ray.pipelines.video_dedup import clusters_from_verified_edges
 
@@ -168,12 +169,9 @@ def aligned_match_scores_batch(fa: np.ndarray, la: np.ndarray,
     return best / np.maximum(np.maximum(la, lb), 1)
 
 
-def verify_audio_edges(edges: ray.data.Dataset, sigs: ray.data.Dataset,
-                       cfg: DedupConfig) -> ray.data.Dataset:
-    """Keep candidate (src, dst) iff best aligned match >= audio_match_frac."""
-    from deduplication_ray.stages.verify import attach_signatures
-
-    e = attach_signatures(edges, sigs, cfg, cols=["frame_subfps"])
+def audio_accept(cfg: DedupConfig):
+    """The audio ``accept`` (``verify.resolve_and_verify_pairs``): keep a
+    candidate pair iff its best aligned match >= audio_match_frac."""
     tau, frac_min = cfg.audio_frame_hamming_t, cfg.audio_match_frac
     max_off = cfg.audio_max_offset
     reverse = cfg.audio_reverse_channel
@@ -184,11 +182,9 @@ def verify_audio_edges(edges: ray.data.Dataset, sigs: ray.data.Dataset,
         l_ = pc.list_value_length(a).fill_null(0).to_numpy().astype(np.int64)
         return f, l_
 
-    def check(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t.select(["src", "dst", "kind"])
-        fa, la = flat_lens(t["frame_subfps_src"])
-        fb, lb = flat_lens(t["frame_subfps_dst"])
+    def accept(t: pa.Table, col) -> np.ndarray:
+        fa, la = flat_lens(col("frame_subfps", "src", None))
+        fb, lb = flat_lens(col("frame_subfps", "dst", None))
         scores = aligned_match_scores_batch(fa, la, fb, lb, tau, max_off)
         if reverse:
             # also align against each dst sequence time-REVERSED (per-pair
@@ -199,10 +195,9 @@ def verify_audio_edges(edges: ray.data.Dataset, sigs: ray.data.Dataset,
             rev_scores = aligned_match_scores_batch(
                 fa, la, fb[rev_idx], lb, tau, max_off)
             scores = np.maximum(scores, rev_scores)
-        return t.select(["src", "dst", "kind"]).filter(
-            pa.array(scores >= frac_min))
+        return scores >= frac_min
 
-    return e.map_batches(check, batch_format="pyarrow")
+    return accept
 
 
 def audio_dedup_clusters(ds: ray.data.Dataset,
@@ -214,8 +209,9 @@ def audio_dedup_clusters(ds: ray.data.Dataset,
 
     apply_context_tuning()
     sigs = audio_signatures(ds, cfg, id_col).materialize()
-    buckets = sigs.map_batches(_ExplodeShingles(cfg), batch_format="pyarrow")
-    edges = lsh.dedupe_edges(lsh.edges_from_buckets(buckets, cfg)).materialize()
-    vedges = verify_audio_edges(edges, sigs, cfg).materialize()
+    vedges = verify.pair_and_verify(
+        sigs.map_batches(_ExplodeShingles(cfg), batch_format="pyarrow"),
+        verify.DeferredSignatureIndex(sigs, cfg), cfg,
+        accept=audio_accept(cfg)).materialize()
     ids = sigs.select_columns(["image_id"])
     return clusters_from_verified_edges(ids, vedges, cfg, id_col)

@@ -184,6 +184,7 @@ FROM documents
 def q_doc_simhash_pairs(sf_dir: str, hamming_t: int = 8):
     """Text SimHash near-dup pairs via the shared bucket machinery."""
     from deduplication_ray.stages import lsh
+    from deduplication_ray.stages import verify as V
 
     cfg = DedupConfig(num_partitions=8, simhash_hamming_t=hamming_t)
     ds = _docs(sf_dir, ["doc_id", "text"])
@@ -210,25 +211,23 @@ def q_doc_simhash_pairs(sf_dir: str, hamming_t: int = 8):
             "sh": np.repeat(t["simhash"].to_numpy(), 4),
         })
 
-    buckets = sigs.map_batches(explode, batch_format="pyarrow")
-    edges = lsh.dedupe_edges(lsh.edges_from_buckets(buckets, cfg))
+    def accept(t: pa.Table, col) -> np.ndarray:
+        return H.hamming_distance_u64(
+            H.bitcast_i64_to_u64(col("simhash", "src", None).to_numpy()),
+            H.bitcast_i64_to_u64(col("simhash", "dst", None).to_numpy()),
+        ) <= hamming_t
 
-    from deduplication_ray.stages import verify as V
+    edges = V.pair_and_verify(
+        sigs.map_batches(explode, batch_format="pyarrow"),
+        V.DeferredSignatureIndex(sigs, cfg), cfg, accept=accept)
 
-    attached = V.attach_signatures(edges, sigs, cfg, cols=["simhash"])
+    def ordered(t: pa.Table) -> pa.Table:
+        # src < dst as strings: the resolve emits id-hash order
+        lt = pc.less(t["src"], t["dst"])
+        return pa.table({"src": pc.if_else(lt, t["src"], t["dst"]),
+                         "dst": pc.if_else(lt, t["dst"], t["src"])})
 
-    def check(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"src": pa.array([], pa.string()),
-                             "dst": pa.array([], pa.string())})
-        hd = H.hamming_distance_u64(
-            H.bitcast_i64_to_u64(t["simhash_src"].to_numpy()),
-            H.bitcast_i64_to_u64(t["simhash_dst"].to_numpy()),
-        )
-        t = t.filter(pa.array(hd <= hamming_t))
-        return pa.table({"src": t["src"], "dst": t["dst"]})
-
-    return attached.map_batches(check, batch_format="pyarrow")
+    return edges.map_batches(ordered, batch_format="pyarrow")
 
 
 def q_doc_fingerprints(sf_dir: str, k: int = 8, w: int = 4):
@@ -303,6 +302,7 @@ def q_ngram_jaccard_pairs(sf_dir: str, tau: float = 0.6,
     binary blob and intersects per pair with one whole-batch sort-merge.
     """
     from deduplication_ray.stages import lsh
+    from deduplication_ray.stages import verify as V
     from deduplication_ray.stages.join import lookup_join
     from deduplication_ray.stages.signatures import normalize_captions
 
@@ -398,7 +398,11 @@ def q_ngram_jaccard_pairs(sf_dir: str, tau: float = 0.6,
             buckets = buckets.union(
                 sigs.select_columns(["image_id", "grams"])
                 .map_batches(sample_grams, batch_format="pyarrow"))
-        edges = lsh.dedupe_edges(lsh.edges_from_buckets(buckets, cfg))
+        # the ids only: the gram-set check below is the real verify
+        edges = V.pair_and_verify(
+            buckets, V.DeferredSignatureIndex(
+                sigs.select_columns(["image_id"]), cfg),
+            cfg, accept=V.keep_all)
 
     lean = sigs.select_columns(["image_id", "grams"])
     e = lookup_join(edges, lean.rename_columns({"image_id": "src", "grams": "g_src"}),

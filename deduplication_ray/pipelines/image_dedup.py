@@ -78,7 +78,7 @@ def verified_edges(
     salting run exactly once. Pairs exchange as 18-byte (id-hash, id-hash,
     prio, sc) rows; the signature resolve is a broadcast gather against the
     signature index inside the broadcast tier and a hash-join resolve above
-    it (``verify.resolve_and_verify_pairs``). ``substr_buckets`` replaces
+    it (``verify.pair_and_verify``). ``substr_buckets`` replaces
     the substring family built from ``captions`` when it was prefetched
     (already materialized: the union reuses its blocks). With
     ``cfg.use_suffix_array`` the suffix-array edges, trusted 'substr' by
@@ -95,13 +95,11 @@ def verified_edges(
         substr_buckets = substring_buckets(captions, cfg)
     if substr_buckets is not None:
         buckets = buckets.union(substr_buckets)
-    pairs = lsh.dedupe_slim_pairs(lsh.slim_pairs_from_buckets(buckets, cfg), cfg)
-    ve = verify.resolve_and_verify_pairs(pairs, sig_idx, cfg,
-                                         has_pixels=has_pixels)
+    ve = verify.pair_and_verify(buckets, sig_idx, cfg, has_pixels=has_pixels)
     if cfg.use_suffix_array and captions is not None:
-        ve = ve.union(suffix_array_edges(captions, cfg))
-    return ve.map_batches(lambda t: t.select(["src", "dst", "kind"]),
-                          batch_format="pyarrow")
+        ve = ve.union(suffix_array_edges(captions, cfg)
+                      .select_columns(["src", "dst", "kind"]))
+    return ve
 
 
 def finalize_clusters(
@@ -355,35 +353,16 @@ def run_pipeline(
 def _channel_clusters(
     sigs: ray.data.Dataset,
     cfg: DedupConfig,
-    band_lo: int,
-    band_hi: int,
-    exact_key: tuple | None = None,
+    families: tuple[str, ...],
     has_pixels: bool = True,
 ) -> ray.data.Dataset:
-    """Clusters over ONE candidate-family slice of the shared bucket stream.
-
-    ``ExplodeBands(families=...)`` emits ONLY the selected band namespaces
-    (pixel bands = pHash+SimHash multi-index, caption bands = MinHash LSH),
-    so non-selected families never exist — no wasted emission, nothing to
-    filter before the groupby shuffle. The band-range filter stays as a
-    cheap invariant guard.
-    """
-    # range-OVERLAP, not base containment: a sub-family slice whose window
-    # excludes the namespace base must still emit that family's bands
-    fam = tuple(f for f, base, width in (("minhash", 0, cfg.bands),
-                                         ("phash", lsh.BAND_PHASH, 4),
-                                         ("simhash", lsh.BAND_SIMHASH, 4))
-                if base < band_hi and band_lo < base + width)
-    buckets = sigs.map_batches(
-        lsh.ExplodeBands(cfg, families=fam), batch_format="pyarrow",
-        batch_size=cfg.text_batch_size,
-    ).filter(expr=f"band >= {band_lo} and band < {band_hi}")
-    edges = lsh.edges_from_buckets(buckets, cfg)
-    if exact_key is not None:
-        edges = edges.union(lsh.exact_edges(sigs, cfg, key=exact_key))
-    edges = lsh.dedupe_edges(edges)
-    attached = verify.attach_signatures(edges, sigs, cfg)
-    ve = verify.verify_edges(attached, cfg, has_pixels=has_pixels).materialize()
+    """Clusters over ONE candidate-family slice of the shared bucket stream:
+    ``verified_edges`` with ``ExplodeBands(families=...)`` emitting only the
+    selected families, so the others never exist. The exact family keys on
+    the content key ``(ck1, ck2)`` when ``sigs`` carries it, else on
+    ``cap_hash``."""
+    ve = verified_edges(sigs, cfg, families=families,
+                        has_pixels=has_pixels).materialize()
     labels = unionfind.connected_components(ve, cfg)
     return finalize_clusters(sigs.select_columns(["image_id"]), labels, cfg)
 
@@ -407,6 +386,7 @@ def tier_dedup_report(input_ds: ray.data.Dataset, cfg: DedupConfig | None = None
     per-tier attrition reported:
 
       tier 1  EXACT    collapse identical (decoded-pixel key, caption) rows
+                       (the exact family of the bucket stream alone)
                        to the min-image_id representative — the reference's
                        first-occurrence dictionary insert
                        (``/root/reference/src/compressor.c:109-113``) at
@@ -432,8 +412,6 @@ def tier_dedup_report(input_ds: ray.data.Dataset, cfg: DedupConfig | None = None
     """
     import pandas as pd
 
-    from deduplication_ray.functions import hashing as H
-    from deduplication_ray.stages.groupred import hash_grouped_reduce
     from deduplication_ray.stages.join import lookup_join
     from deduplication_ray.stages.tuning import apply_context_tuning
 
@@ -443,36 +421,23 @@ def tier_dedup_report(input_ds: ray.data.Dataset, cfg: DedupConfig | None = None
     sigs = compute_signatures(input_ds, cfg).materialize()
     n_in = sigs.count()
 
-    # tier 1: exact — min image_id per 128-bit (pixel key, caption hash).
-    # Group-per-row key cardinality: hash-partitioned vectorized reduce
-    # (the exact_edges regime), not a sort-based Ray aggregate.
-    def min_id(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        g = df.groupby(["ck1", "ck2"], sort=False)["image_id"] \
-            .min().reset_index()
-        return pa.Table.from_pandas(g[["image_id"]], preserve_index=False) \
-            .cast(pa.schema([("image_id", pa.string())]))
+    def survivors(s: ray.data.Dataset, families: tuple[str, ...]):
+        reps = _self_representatives(_channel_clusters(s, cfg, families))
+        return lookup_join(s, reps, on=["image_id"], cfg=cfg).materialize()
 
-    reps1 = hash_grouped_reduce(
-        sigs.select_columns(["ck1", "ck2", "image_id"]),
-        key_hash=lambda t: H.hash_u64_pair(
-            t["ck1"].to_numpy().view(np.uint64),
-            t["ck2"].to_numpy().view(np.uint64)),
-        reduce_fn=min_id,
-        num_parts=cfg.num_partitions,
-    )
-    s1 = lookup_join(sigs, reps1, on=["image_id"], cfg=cfg).materialize()
+    # tier 1: exact — the exact family alone: min image_id per 128-bit
+    # (pixel key, caption hash) content key
+    s1 = survivors(sigs, ("exact",))
     n1 = s1.count()
 
     # tier 2: pixel near-dup (pHash + SimHash multi-index bands)
-    cl2 = _channel_clusters(s1, cfg, lsh.BAND_PHASH, lsh.BAND_SUBSTR)
-    s2 = lookup_join(s1, _self_representatives(cl2),
-                     on=["image_id"], cfg=cfg).materialize()
+    s2 = survivors(s1, ("phash", "simhash"))
     n2 = s2.count()
 
-    # tier 3: caption near-dup (MinHash bands + exact caption hash)
-    cl3 = _channel_clusters(s2, cfg, 0, lsh.BAND_PHASH,
-                            exact_key=("cap_hash",), has_pixels=False)
+    # tier 3: caption near-dup (MinHash bands + exact caption hash: without
+    # ck1/ck2 the exact family keys on cap_hash)
+    cl3 = _channel_clusters(s2.drop_columns(["ck1", "ck2"]), cfg,
+                            ("minhash", "exact"), has_pixels=False)
     n3 = _self_representatives(cl3).count()
 
     return pd.DataFrame({
@@ -521,9 +486,9 @@ def modality_agreement(input_ds: ray.data.Dataset,
     cfg = cfg or DedupConfig()
     apply_context_tuning()
     sigs = compute_signatures(input_ds, cfg).materialize()
-    pix = _channel_clusters(sigs, cfg, lsh.BAND_PHASH, lsh.BAND_SUBSTR)
-    cap = _channel_clusters(sigs, cfg, 0, lsh.BAND_PHASH,
-                            exact_key=("cap_hash",), has_pixels=False)
+    pix = _channel_clusters(sigs, cfg, ("phash", "simhash"))
+    cap = _channel_clusters(sigs.drop_columns(["ck1", "ck2"]), cfg,
+                            ("minhash", "exact"), has_pixels=False)
     return cluster_agreement(pix, cap, id_col="image_id")
 
 

@@ -11,20 +11,23 @@ Work is delta-bounded at every expensive stage:
 
 - **Signatures** (image decode, the dominant cost) run on delta rows only;
   base signatures are read from the base run's checkpoint.
-- **Candidate generation** re-keys base *signatures* into band buckets (pure
-  hash math over the narrow signature table — no pixels) and keeps only
-  base rows landing in a bucket some delta row occupies: the distinct delta
-  bucket-key set is collected (bounded by |delta| x bands) and broadcast
-  via ``ray.put``, and the base bucket stream is filtered by a vectorized
-  ``searchsorted`` probe. Buckets untouched by the delta never emit a row.
+- **Candidate generation** re-keys base *signatures* into the full run's
+  bucket stream — every family, the exact content-key family included
+  (pure hash math over the narrow signature table — no pixels) — and keeps
+  only base rows landing in a bucket some delta row occupies: the distinct
+  delta bucket-key set is collected (bounded by |delta| x bands) and
+  broadcast via ``ray.put``, and the base bucket stream is filtered by a
+  vectorized ``searchsorted`` probe. Buckets untouched by the delta never
+  emit a row.
   (At 10^12 rows one would checkpoint the bucket index instead of re-keying
   — the swap point is ``_bucket_stream``; re-keying costs one linear scan
   of the signature table, which measured ~2% of a full run.)
-- **Old-old pairs are never re-verified**: after edge dedupe, an edge must
-  touch at least one delta id (broadcast membership probe). Connectivity
-  among base rows is injected instead as zero-cost trusted star
-  edges read straight from the base ``clusters`` checkpoint (non-singleton
-  members -> their representative).
+- **Old-old pairs are never re-verified**: after pair dedupe and before the
+  resolve, a slim pair must touch at least one delta id (probe of the
+  broadcast sorted delta id hashes). Connectivity among base rows is
+  injected instead as zero-cost trusted star edges read straight from the
+  base ``clusters`` checkpoint (non-singleton members -> their
+  representative).
 - **Union-find + finalize** then run over delta edges + base stars, so the
   result is EXACTLY the clusters a from-scratch run over base+delta would
   produce (asserted in tests/test_incremental.py): candidate coverage is
@@ -56,13 +59,17 @@ from deduplication_ray.state.checkpoint import CheckpointedRun
 
 
 def _bucket_stream(sigs: ray.data.Dataset, captions: ray.data.Dataset,
-                   cfg: DedupConfig) -> ray.data.Dataset:
+                   cfg: DedupConfig, families: tuple[str, ...]
+                   ) -> ray.data.Dataset:
     """Every candidate family's (band, bucket, salt, image_id, ph, sh) rows
     for one corpus side — the same stream the full run's
-    ``image_dedup.verified_edges`` pairs."""
+    ``image_dedup.verified_edges`` pairs, exact content key included
+    (``families``: ``image_dedup.PIXEL_FAMILIES`` or
+    ``text_dedup.TEXT_FAMILIES``)."""
     from deduplication_ray.stages.substring import substring_buckets
 
-    b = sigs.map_batches(lsh.ExplodeBands(cfg), batch_format="pyarrow",
+    b = sigs.map_batches(lsh.ExplodeBands(cfg, families=families),
+                         batch_format="pyarrow",
                          batch_size=cfg.text_batch_size)
     return b.union(substring_buckets(captions, cfg))
 
@@ -90,8 +97,7 @@ def _collect_keys(buckets: ray.data.Dataset) -> np.ndarray:
 class _MatchingKeys:
     """Filter a stream to rows whose u64 key (``key_fn`` over the batch) is
     in the broadcast sorted key set (plasma-local after first fetch per
-    node). ``key_fn`` defaults to the (band, bucket) composite — pass the
-    mode's exact-content-key fn to bound the exact-dup family instead."""
+    node). ``key_fn`` defaults to the (band, bucket) composite."""
 
     def __init__(self, ref, key_fn=None):
         self.ref = ref
@@ -110,11 +116,13 @@ class _MatchingKeys:
 
 
 class _SideFilter:
-    """Filter edges by endpoint membership in a broadcast id set.
+    """Filter pairs by endpoint membership in a broadcast sorted set of
+    64-bit id hashes. Slim pairs probe their (ah, bh) hashes; string
+    (src, dst) edges are hashed on the way in.
 
-    ``mode='touches'`` (ingest): keep edges with >= 1 endpoint in the delta
+    ``mode='touches'`` (ingest): keep pairs with >= 1 endpoint in the delta
     set — old-old pairs were adjudicated by the base run (their connectivity
-    re-enters as trusted star edges). ``mode='crosses'`` (merge): keep edges
+    re-enters as trusted star edges). ``mode='crosses'`` (merge): keep pairs
     with EXACTLY one endpoint in the B set — within-A and within-B pairs
     were adjudicated by their own runs."""
 
@@ -123,15 +131,22 @@ class _SideFilter:
         self.mode = mode
         self._set = None
 
+    def _member(self, t: pa.Table, slim: str, edge: str) -> np.ndarray:
+        if slim in t.column_names:
+            h = t[slim].to_numpy().view(np.uint64)
+        else:
+            h = H.hash_bytes_array(t[edge].combine_chunks().cast(pa.string()))
+        pos = np.minimum(np.searchsorted(self._set, h), len(self._set) - 1)
+        return self._set[pos] == h
+
     def __call__(self, t: pa.Table) -> pa.Table:
         if self._set is None:
             self._set = ray.get(self.ref)
-        if t.num_rows == 0:
-            return t
-        s = pc.is_in(t["src"].cast(pa.string()), value_set=self._set)
-        d = pc.is_in(t["dst"].cast(pa.string()), value_set=self._set)
-        return t.filter(pc.xor(s, d) if self.mode == "crosses"
-                        else pc.or_(s, d))
+        if t.num_rows == 0 or len(self._set) == 0:
+            return t.slice(0, 0)
+        s = self._member(t, "ah", "src")
+        d = self._member(t, "bh", "dst")
+        return t.filter(pa.array(s ^ d if self.mode == "crosses" else s | d))
 
 
 def _channel_edges_delta(delta_sigs: ray.data.Dataset,
@@ -248,6 +263,30 @@ def _collect_ids(sigs: ray.data.Dataset):
         .cast(pa.string()))
 
 
+def _id_hashes(ids) -> np.ndarray:
+    """Sorted 64-bit hashes of ``ids`` — the ``_SideFilter`` set."""
+    return np.unique(H.hash_bytes_array(ids))
+
+
+def _bounded_edges(new_b: ray.data.Dataset, old_b: ray.data.Dataset,
+                   sigs: ray.data.Dataset, cfg: DedupConfig, side_ref,
+                   mode: str, **verify_kw) -> ray.data.Dataset:
+    """The delta-bounded verified-edge plan of ingest and merge: the NEW
+    side's occupied bucket keys are collected (bounded: |new| x bands) and
+    broadcast, the OLD side's bucket stream keeps only rows in those
+    buckets — so every shared bucket is seen in full and salts exactly as
+    in a from-scratch run — and the slim pairs are side-filtered
+    (``_SideFilter(side_ref, mode)``) BEFORE the resolve, so pairs the
+    input runs already adjudicated are never verified. ``sigs`` holds both
+    sides' signatures; ``verify_kw`` goes to ``verify.pair_and_verify``."""
+    new_b = new_b.materialize()
+    keys_ref = ray.put(_collect_keys(new_b))
+    old_b = old_b.map_batches(_MatchingKeys(keys_ref), batch_format="pyarrow")
+    return verify.pair_and_verify(
+        new_b.union(old_b), verify.DeferredSignatureIndex(sigs, cfg), cfg,
+        pair_filter=_SideFilter(side_ref, mode), **verify_kw)
+
+
 def _assert_disjoint_ids(sigs_a: ray.data.Dataset, ids_ref,
                          what: str) -> None:
     """Merging requires globally unique ids: an id present on BOTH sides
@@ -280,12 +319,12 @@ def _assert_disjoint_ids(sigs_a: ray.data.Dataset, ids_ref,
 def _engine_mode_kit(mode: str, cfg: DedupConfig, id_col: str,
                      text_col: str) -> dict:
     """Image/text mode plumbing shared by ``ingest_delta`` and
-    ``merge_runs``: signature fn, caption source, exact-dup key (+ its u64
-    form) and verification flags. Mode changes nothing else — the
+    ``merge_runs``: signature fn, caption source, the full run's candidate
+    families and verification flag. Mode changes nothing else — the
     delta-bounding machinery is identical."""
     if mode == "text":
         from deduplication_ray.pipelines.text_dedup import (
-            as_engine_table, text_signatures)
+            TEXT_FAMILIES, as_engine_table, text_signatures)
 
         def sig_fn(path):
             ds = storage.read_table(path, columns=[id_col, text_col])
@@ -297,12 +336,11 @@ def _engine_mode_kit(mode: str, cfg: DedupConfig, id_col: str,
                 storage.read_table(path, columns=[id_col, text_col]),
                 id_col, text_col)
 
-        exact_key = ("cap_hash",)
-        attach_cols = ["minhash"]
-        has_pixels = False
-    elif mode == "image":
+        return {"sig_fn": sig_fn, "caps_of": caps_of,
+                "families": TEXT_FAMILIES, "has_pixels": False}
+    if mode == "image":
         from deduplication_ray.pipelines.image_dedup import (
-            compute_signatures)
+            PIXEL_FAMILIES, compute_signatures)
 
         def sig_fn(path):
             return compute_signatures(storage.read_table(path), cfg)
@@ -310,22 +348,9 @@ def _engine_mode_kit(mode: str, cfg: DedupConfig, id_col: str,
         def caps_of(path):
             return storage.read_table(path, columns=["image_id", "caption"])
 
-        exact_key = ("ck1", "ck2")
-        attach_cols = None
-        has_pixels = True
-    else:
-        raise ValueError(f"unknown mode {mode!r} (expected image|text)")
-
-    def exact_key_u64(t: pa.Table) -> np.ndarray:
-        if len(exact_key) == 2:
-            return H.hash_u64_pair(
-                t[exact_key[0]].to_numpy().view(np.uint64),
-                t[exact_key[1]].to_numpy().view(np.uint64))
-        return t[exact_key[0]].to_numpy().view(np.uint64)
-
-    return {"sig_fn": sig_fn, "caps_of": caps_of, "exact_key": exact_key,
-            "exact_key_u64": exact_key_u64, "attach_cols": attach_cols,
-            "has_pixels": has_pixels}
+        return {"sig_fn": sig_fn, "caps_of": caps_of,
+                "families": PIXEL_FAMILIES, "has_pixels": True}
+    raise ValueError(f"unknown mode {mode!r} (expected image|text)")
 
 
 def _base_star_edges(clusters: ray.data.Dataset) -> ray.data.Dataset:
@@ -381,8 +406,6 @@ def ingest_delta(
 
     kit = _engine_mode_kit(mode, cfg, id_col, text_col)
     sig_fn, caps_of = kit["sig_fn"], kit["caps_of"]
-    exact_key, exact_key_u64 = kit["exact_key"], kit["exact_key_u64"]
-    attach_cols, has_pixels = kit["attach_cols"], kit["has_pixels"]
 
     base_runs = ([base_run_dir] if isinstance(base_run_dir, str)
                  else list(base_run_dir))
@@ -410,34 +433,12 @@ def ingest_delta(
         return ds
 
     def build_and_verify() -> ray.data.Dataset:
-        db = _bucket_stream(delta_sigs, delta_caps(), cfg).materialize()
-        keys_ref = ray.put(_collect_keys(db))
-        bb = _bucket_stream(base_sigs, base_caps(), cfg).map_batches(
-            _MatchingKeys(keys_ref), batch_format="pyarrow")
-
-        # exact family, delta-bounded too: only base rows whose 128-bit
-        # content key matches some delta row enter the ck groupby
-        delta_lean = pa.concat_tables(
-            list(delta_sigs.select_columns(["image_id", *exact_key])
-                 .iter_batches(batch_format="pyarrow", batch_size=None)),
-            promote_options="default")
-        delta_ids = pc.unique(
-            delta_lean["image_id"].combine_chunks().cast(pa.string()))
-        ids_ref = ray.put(delta_ids)
-        ck_ref = ray.put(np.unique(exact_key_u64(delta_lean)))
-
-        base_ck_hits = base_sigs.map_batches(
-            _MatchingKeys(ck_ref, key_fn=exact_key_u64),
-            batch_format="pyarrow")
-        edges = lsh.edges_from_buckets(db.union(bb), cfg).union(
-            lsh.exact_edges(delta_sigs.union(base_ck_hits), cfg,
-                            key=exact_key))
-        deduped = lsh.dedupe_edges(edges)
-        cand = deduped.map_batches(_SideFilter(ids_ref, mode="touches"),
-                                   batch_format="pyarrow")
-        attached = verify.attach_signatures(
-            cand, delta_sigs.union(base_sigs), cfg, cols=attach_cols)
-        ve = verify.verify_edges(attached, cfg, has_pixels=has_pixels)
+        ids_ref = ray.put(_id_hashes(_collect_ids(delta_sigs)))
+        ve = _bounded_edges(
+            _bucket_stream(delta_sigs, delta_caps(), cfg, kit["families"]),
+            _bucket_stream(base_sigs, base_caps(), cfg, kit["families"]),
+            delta_sigs.union(base_sigs), cfg, ids_ref, "touches",
+            has_pixels=kit["has_pixels"])
         ch = (_channel_edges_delta(delta_sigs, base_sigs, cfg)
               if mode == "image" else None)
         if ch is not None:
@@ -523,8 +524,7 @@ def merge_runs(
     run = CheckpointedRun(out_run_dir, cfg)
 
     kit = _engine_mode_kit(mode, cfg, id_col, text_col)
-    caps_of, exact_key = kit["caps_of"], kit["exact_key"]
-    exact_key_u64 = kit["exact_key_u64"]
+    caps_of = kit["caps_of"]
 
     _check_sig_config((run_a_dir, run_b_dir), cfg, "merge")
     sigs_a = storage.read_table(f"{run_a_dir}/signatures")
@@ -532,40 +532,22 @@ def merge_runs(
     clusters_a = storage.read_table(f"{run_a_dir}/clusters")
     clusters_b = storage.read_table(f"{run_b_dir}/clusters")
 
-    ids_ref = ray.put(_collect_ids(sigs_b))
-    _assert_disjoint_ids(sigs_a, ids_ref, "merge_runs")
+    ids_b = _collect_ids(sigs_b)
+    _assert_disjoint_ids(sigs_a, ray.put(ids_b), "merge_runs")
+    side_ref = ray.put(_id_hashes(ids_b))
 
     def build_and_verify() -> ray.data.Dataset:
-        sb = _bucket_stream(sigs_b, caps_of(input_b), cfg).materialize()
-        keys_ref = ray.put(_collect_keys(sb))
-        sa = _bucket_stream(sigs_a, caps_of(input_a), cfg).map_batches(
-            _MatchingKeys(keys_ref), batch_format="pyarrow")
-
-        # exact family, B-bounded: only A rows whose 128-bit content key
-        # matches some B row enter the ck groupby
-        b_lean = pa.concat_tables(
-            list(sigs_b.select_columns(["image_id", *exact_key])
-                 .iter_batches(batch_format="pyarrow", batch_size=None)),
-            promote_options="default")
-        ck_ref = ray.put(np.unique(exact_key_u64(b_lean)))
-
-        a_ck_hits = sigs_a.map_batches(
-            _MatchingKeys(ck_ref, key_fn=exact_key_u64),
-            batch_format="pyarrow")
-        edges = lsh.edges_from_buckets(sb.union(sa), cfg).union(
-            lsh.exact_edges(sigs_b.union(a_ck_hits), cfg, key=exact_key))
-        cross = lsh.dedupe_edges(edges).map_batches(
-            _SideFilter(ids_ref, mode="crosses"), batch_format="pyarrow")
-        attached = verify.attach_signatures(
-            cross, sigs_a.union(sigs_b), cfg, cols=kit["attach_cols"])
-        ve = verify.verify_edges(attached, cfg,
-                                 has_pixels=kit["has_pixels"])
+        ve = _bounded_edges(
+            _bucket_stream(sigs_b, caps_of(input_b), cfg, kit["families"]),
+            _bucket_stream(sigs_a, caps_of(input_a), cfg, kit["families"]),
+            sigs_a.union(sigs_b), cfg, side_ref, "crosses",
+            has_pixels=kit["has_pixels"])
         # channel edges (B-bounded, run B playing the delta); within-side
         # channel connectivity is already inside each run's clusters
         ch = (_channel_edges_delta(sigs_b, sigs_a, cfg)
               if mode == "image" else None)
         if ch is not None:
-            ve = ve.union(ch.map_batches(_SideFilter(ids_ref, mode="crosses"),
+            ve = ve.union(ch.map_batches(_SideFilter(side_ref, mode="crosses"),
                                          batch_format="pyarrow"))
         return ve
 
@@ -609,7 +591,7 @@ def _modal_kit(kind: str, cfg: DedupConfig) -> dict:
     embedding paths: signature fn, bucket-stream fn, the config used for
     PAIRING (video swaps the pHash Hamming gate for its frame radius,
     embeddings swap in the generous ``emb_hamming_t`` SimHash radius —
-    exactly as the lazy pipelines do) and the verification fn. Candidate
+    exactly as the lazy pipelines do) and the verify ``accept``. Candidate
     and verify semantics are the lazy pipelines' own functions — one
     implementation, so the plans cannot drift."""
     import dataclasses
@@ -622,10 +604,8 @@ def _modal_kit(kind: str, cfg: DedupConfig) -> dict:
                 storage.read_table(path), cfg, id_col),
             "buckets": lambda sigs: sigs.map_batches(
                 V._ExplodeFrameBands(cfg), batch_format="pyarrow"),
-            "edge_cfg": dataclasses.replace(
-                cfg, phash_hamming_t=cfg.video_frame_hamming_t),
-            "verify": lambda edges, sigs: V.verify_video_edges(
-                edges, sigs, cfg),
+            "edge_cfg": V.pairing_config(cfg),
+            "accept": V.video_accept(cfg),
             "id_col": "video_id",
         }
     if kind == "audio":
@@ -637,8 +617,7 @@ def _modal_kit(kind: str, cfg: DedupConfig) -> dict:
             "buckets": lambda sigs: sigs.map_batches(
                 A._ExplodeShingles(cfg), batch_format="pyarrow"),
             "edge_cfg": cfg,
-            "verify": lambda edges, sigs: A.verify_audio_edges(
-                edges, sigs, cfg),
+            "accept": A.audio_accept(cfg),
             "id_col": "audio_id",
         }
     if kind == "embedding":
@@ -655,8 +634,7 @@ def _modal_kit(kind: str, cfg: DedupConfig) -> dict:
                 ann.explode_emb_bands, batch_format="pyarrow"),
             "edge_cfg": dataclasses.replace(
                 cfg, simhash_hamming_t=cfg.emb_hamming_t),
-            "verify": lambda edges, sigs: ann.verify_embedding_edges(
-                edges, sigs, cfg, cfg.emb_cos_min),
+            "accept": ann.embedding_accept(cfg.emb_cos_min),
             "id_col": "vec_id",
         }
     raise ValueError(
@@ -687,7 +665,8 @@ def run_modal_pipeline(input_path: str, run_dir: str,
                        strict_resume: bool = False) -> dict:
     """Checkpointed video/audio/embedding dedup run — the base-run producer
     for ``ingest_delta_modal``, mirroring ``run_text_pipeline``: signatures,
-    edges, verified_edges and per-round union-find labels all persist under
+    verified_edges (pairs built and verified inside the one stage, as in
+    ``run_pipeline``) and per-round union-find labels all persist under
     ``run_dir`` with config-hash lineage; clusters are written in the
     engine-canonical (image_id, cluster_id) shape. Same DAG as the lazy
     ``video_dedup_clusters`` / ``audio_dedup_clusters``."""
@@ -704,14 +683,12 @@ def run_modal_pipeline(input_path: str, run_dir: str,
     sigs = run.run_stage(
         "signatures", lambda: kit["sig"](input_path, id_col), ["input"])
 
-    def build() -> ray.data.Dataset:
-        b = kit["buckets"](sigs).materialize()
-        return lsh.dedupe_edges(lsh.edges_from_buckets(b, kit["edge_cfg"]))
+    def build_and_verify() -> ray.data.Dataset:
+        return verify.pair_and_verify(
+            kit["buckets"](sigs), verify.DeferredSignatureIndex(sigs, cfg),
+            kit["edge_cfg"], accept=kit["accept"])
 
-    edges = run.run_stage("edges", build, ["signatures"])
-    vedges = run.run_stage(
-        "verified_edges", lambda: kit["verify"](edges, sigs),
-        ["edges", "signatures"])
+    vedges = run.run_stage("verified_edges", build_and_verify, ["signatures"])
 
     if run.is_complete("clusters"):
         labels = None
@@ -755,19 +732,14 @@ def merge_runs_modal(
     clusters_a = storage.read_table(f"{run_a_dir}/clusters")
     clusters_b = storage.read_table(f"{run_b_dir}/clusters")
 
-    ids_ref = ray.put(_collect_ids(sigs_b))
-    _assert_disjoint_ids(sigs_a, ids_ref, "merge_runs_modal")
+    ids_b = _collect_ids(sigs_b)
+    _assert_disjoint_ids(sigs_a, ray.put(ids_b), "merge_runs_modal")
 
     def build_and_verify() -> ray.data.Dataset:
-        sb = kit["buckets"](sigs_b).materialize()
-        keys_ref = ray.put(_collect_keys(sb))
-        sa = kit["buckets"](sigs_a).map_batches(
-            _MatchingKeys(keys_ref), batch_format="pyarrow")
-        deduped = lsh.dedupe_edges(
-            lsh.edges_from_buckets(sb.union(sa), kit["edge_cfg"]))
-        cross = deduped.map_batches(_SideFilter(ids_ref, mode="crosses"),
-                                    batch_format="pyarrow")
-        return kit["verify"](cross, sigs_a.union(sigs_b))
+        return _bounded_edges(
+            kit["buckets"](sigs_b), kit["buckets"](sigs_a),
+            sigs_a.union(sigs_b), kit["edge_cfg"],
+            ray.put(_id_hashes(ids_b)), "crosses", accept=kit["accept"])
 
     vedges = run.run_stage("verified_edges", build_and_verify, ["input"])
 
@@ -831,16 +803,11 @@ def ingest_delta_modal(
         "signatures", lambda: kit["sig"](delta_input_path, id_col), ["input"])
 
     def build_and_verify() -> ray.data.Dataset:
-        db = kit["buckets"](delta_sigs).materialize()
-        keys_ref = ray.put(_collect_keys(db))
-        bb = kit["buckets"](base_sigs).map_batches(
-            _MatchingKeys(keys_ref), batch_format="pyarrow")
-        deduped = lsh.dedupe_edges(
-            lsh.edges_from_buckets(db.union(bb), kit["edge_cfg"]))
-        ids_ref = ray.put(_collect_ids(delta_sigs))
-        cand = deduped.map_batches(_SideFilter(ids_ref, mode="touches"),
-                                   batch_format="pyarrow")
-        return kit["verify"](cand, delta_sigs.union(base_sigs))
+        return _bounded_edges(
+            kit["buckets"](delta_sigs), kit["buckets"](base_sigs),
+            delta_sigs.union(base_sigs), kit["edge_cfg"],
+            ray.put(_id_hashes(_collect_ids(delta_sigs))), "touches",
+            accept=kit["accept"])
 
     vedges = run.run_stage("verified_edges", build_and_verify, ["signatures"])
 

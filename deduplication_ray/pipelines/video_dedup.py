@@ -13,9 +13,10 @@ The same bucketed engine as image/text dedup, specialized to VSQ1 clips
   two clips become a candidate pair iff some frame of one is a Hamming
   near-match of some frame of the other. Hot buckets (black frames, test
   cards) go through the same salting + ambassador re-linking as image LSH.
-* Verification is containment over the frame-hash lists: for candidate pair
-  (A, B), the fraction of A's frames with a Hamming-<=t match in B plus the
-  symmetric fraction must average >= ``video_match_frac``. Head-trimmed or
+* Verification (``video_accept``) is containment over the frame-hash
+  lists: for candidate pair (A, B), the fraction of A's frames with a
+  Hamming-<=t match in B plus the symmetric fraction must average >=
+  ``video_match_frac``. Head-trimmed or
   re-encoded copies keep containment ~1.0; clips sharing only a stray frame
   fall below the bar. The all-pairs XOR-popcount per pair is O(|A| x |B|)
   over a few dozen hashes and runs only on LSH survivors — never all clips.
@@ -37,7 +38,7 @@ import ray.data
 
 from deduplication_ray.config import DedupConfig
 from deduplication_ray.functions import hashing as H
-from deduplication_ray.stages import lsh
+from deduplication_ray.stages import lsh, verify
 from deduplication_ray.stages.multimodal import VideoSignatures
 from deduplication_ray.state import unionfind
 
@@ -54,8 +55,8 @@ class _ExplodeFrameBands:
     """signature rows -> (band, bucket, salt, image_id, ph, sh) bucket stream.
 
     One bucket row per (sampled frame x 4 pHash 16-bit bands); schema matches
-    stages/lsh.edges_from_buckets so the whole skew/salting/pairing machinery
-    is reused unchanged. ``ph`` carries the frame hash for the at-emission
+    ``lsh.ExplodeBands`` so the whole skew/salting/pairing machinery
+    (``lsh.slim_pairs_from_buckets``) is reused unchanged. ``ph`` carries the frame hash for the at-emission
     Hamming check (lsh._pixel_pair_keep)."""
 
     def __init__(self, cfg: DedupConfig):
@@ -91,18 +92,14 @@ class _ExplodeFrameBands:
         return out
 
 
-def verify_video_edges(edges: ray.data.Dataset, sigs: ray.data.Dataset,
-                       cfg: DedupConfig) -> ray.data.Dataset:
-    """Keep candidate (src, dst) iff mean frame containment >= video_match_frac.
+def video_accept(cfg: DedupConfig):
+    """The video ``accept`` (``verify.resolve_and_verify_pairs``): keep a
+    candidate pair iff mean frame containment >= video_match_frac.
 
     With ``cfg.video_mirror_channel`` two frames match when ANY of the four
     plain/flip hash combinations is within the radius — a mirrored copy
     scores the same containment as a plain one."""
-    from deduplication_ray.stages.verify import attach_signatures
-
     mirror = cfg.video_mirror_channel
-    cols = ["frame_phashes"] + (["frame_phashes_flip"] if mirror else [])
-    e = attach_signatures(edges, sigs, cfg, cols=cols)
     tau, frac_min = cfg.video_frame_hamming_t, cfg.video_match_frac
 
     def flat_lens(col) -> tuple[np.ndarray, np.ndarray]:
@@ -111,17 +108,15 @@ def verify_video_edges(edges: ray.data.Dataset, sigs: ray.data.Dataset,
         l_ = pc.list_value_length(a).fill_null(0).to_numpy().astype(np.int64)
         return f, l_
 
-    def check(t: pa.Table) -> pa.Table:
+    def accept(t: pa.Table, col) -> np.ndarray:
         n = t.num_rows
-        if n == 0:
-            return t.select(["src", "dst", "kind"])
         # whole-batch frame containment: pairs padded into (n, Lmax)
         # matrices, ONE (n, La, Lb) popcount(XOR) for all pairs at once
         # (frame lists are sampling-bounded: duration/every_k frames) —
         # the per-pair Python loop this replaces spent ~0.5 ms/pair in
         # tiny-call overhead (measured on the audio twin of this check).
-        fa, la = flat_lens(t["frame_phashes_src"])
-        fb, lb = flat_lens(t["frame_phashes_dst"])
+        fa, la = flat_lens(col("frame_phashes", "src", None))
+        fb, lb = flat_lens(col("frame_phashes", "dst", None))
         La, Lb = int(la.max(initial=1)), int(lb.max(initial=1))
 
         def pad(flat, lens, L):
@@ -135,18 +130,25 @@ def verify_video_edges(edges: ray.data.Dataset, sigs: ray.data.Dataset,
         vb = np.arange(Lb)[None, :] < lb[:, None]
         d = H.popcount64(A[:, :, None] ^ B[:, None, :])
         if mirror:
-            Fa = pad(flat_lens(t["frame_phashes_flip_src"])[0], la, La)
-            Fb = pad(flat_lens(t["frame_phashes_flip_dst"])[0], lb, Lb)
+            Fa = pad(flat_lens(col("frame_phashes_flip", "src", None))[0],
+                     la, La)
+            Fb = pad(flat_lens(col("frame_phashes_flip", "dst", None))[0],
+                     lb, Lb)
             d = np.minimum(d, H.popcount64(A[:, :, None] ^ Fb[:, None, :]))
             d = np.minimum(d, H.popcount64(Fa[:, :, None] ^ B[:, None, :]))
         d = np.where(vb[:, None, :], d, 65)  # pad frames never match
         hit_a = ((d.min(axis=2) <= tau) & va).sum(axis=1)
         d = np.where(va[:, :, None], d, 65)
         hit_b = ((d.min(axis=1) <= tau) & vb).sum(axis=1)
-        keep = (hit_a + hit_b) / np.maximum(la + lb, 1) >= frac_min
-        return t.select(["src", "dst", "kind"]).filter(pa.array(keep))
+        return (hit_a + hit_b) / np.maximum(la + lb, 1) >= frac_min
 
-    return e.map_batches(check, batch_format="pyarrow")
+    return accept
+
+
+def pairing_config(cfg: DedupConfig) -> DedupConfig:
+    """The emission-time Hamming gate must use the VIDEO frame radius, not
+    the still-image one: swapped in for the pairing pass."""
+    return dataclasses.replace(cfg, phash_hamming_t=cfg.video_frame_hamming_t)
 
 
 def clusters_from_verified_edges(ids: ray.data.Dataset,
@@ -189,11 +191,9 @@ def video_dedup_clusters(ds: ray.data.Dataset,
 
     apply_context_tuning()
     sigs = video_signatures(ds, cfg, id_col).materialize()
-    buckets = sigs.map_batches(_ExplodeFrameBands(cfg), batch_format="pyarrow")
-    # the emission-time Hamming gate must use the VIDEO frame radius, not the
-    # still-image one — swap it in a derived config for the pairing pass only
-    ecfg = dataclasses.replace(cfg, phash_hamming_t=cfg.video_frame_hamming_t)
-    edges = lsh.dedupe_edges(lsh.edges_from_buckets(buckets, ecfg)).materialize()
-    vedges = verify_video_edges(edges, sigs, cfg).materialize()
+    vedges = verify.pair_and_verify(
+        sigs.map_batches(_ExplodeFrameBands(cfg), batch_format="pyarrow"),
+        verify.DeferredSignatureIndex(sigs, cfg), pairing_config(cfg),
+        accept=video_accept(cfg)).materialize()
     ids = sigs.select_columns(["image_id"])
     return clusters_from_verified_edges(ids, vedges, cfg, id_col)

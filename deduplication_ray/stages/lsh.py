@@ -1,4 +1,4 @@
-"""LSH banding, hot-bucket skew defusal, and candidate-edge generation.
+"""LSH banding, hot-bucket skew defusal, and candidate-pair generation.
 
 Realizes SURVEY §2.2 T7-T9. The shuffle key is ``(band, bucket)`` — the
 distributed replacement for the reference's single mutable dictionary probe
@@ -18,12 +18,14 @@ bucket super-linear. Defusal is two-phase:
    per (band, bucket), which re-connects the salts. Connectivity of a
    true-duplicate bucket is preserved; no task ever all-pairs a hot bucket.
 
-Edge emission (T9): ``_pair_tagged_table_slim`` all-pairs cold buckets and
-stars + ambassadors hot ones, emitting pairs as 64-bit id hashes. The star
-anchor is the min id hash (deterministic; parallel-safe analog of
-first-occurrence ids, ``compressor.c:109-113``). ``edges_from_buckets`` maps
-the hashes back to id strings; the image and text pipelines instead resolve
-them against the signature table (``verify.resolve_and_verify_pairs``).
+Pair emission (T9): ``slim_pairs_from_buckets`` is the one way any engine
+turns bucket rows into pairs. ``_pair_tagged_table_slim`` all-pairs cold
+buckets and stars + ambassadors hot ones, emitting pairs as 64-bit id
+hashes. The star anchor is the min id hash (deterministic; parallel-safe
+analog of first-occurrence ids, ``compressor.c:109-113``). Exact identity
+rides the same stream (``BAND_EXACT``: bucket = content key). Pairs are
+deduped once (``dedupe_slim_pairs``) and resolved back to ids against the
+signature table once (``verify.resolve_and_verify_pairs``).
 """
 
 from __future__ import annotations
@@ -57,10 +59,9 @@ BAND_SUBSTR_EXACT = 4000  # full L-gram rendezvous: bucket key IS the L-gram
                       # hot-bucket star links are true by construction
 BAND_EXACT = 5000     # exact-duplicate family: bucket key = hash(content
                       # key), so co-membership IS identity (128-bit ck) ->
-                      # trusted kind 'exact'. Folding exact dedup into the
-                      # shared bucket stream removes the separate
-                      # exact_edges stage's two executions + shuffle + join
-                      # from every pipeline run; connectivity matches the
+                      # trusted kind 'exact'. Exact dedup rides the shared
+                      # bucket stream in every pipeline (full runs, ingest,
+                      # merge, the tier funnel); connectivity matches the
                       # min-id star (all-pairs below bucket_cap, salted
                       # stars + ambassadors above — same components either
                       # way, and hash-min union-find elects the same min-id
@@ -372,59 +373,6 @@ class _KeyTaggerIdx:
             t.column_names.index("salt"), "salt", pa.array(salt, pa.int64()))
 
 
-def candidate_edges(
-    signatures: ray.data.Dataset, cfg: DedupConfig
-) -> ray.data.Dataset:
-    """signatures -> deduplicated candidate edge Dataset (src < dst, kind)."""
-    buckets = signatures.map_batches(
-        ExplodeBands(cfg), batch_format="pyarrow", batch_size=cfg.text_batch_size
-    )
-    return dedupe_edges(edges_from_buckets(buckets, cfg))
-
-
-def edges_from_buckets(
-    buckets: ray.data.Dataset, cfg: DedupConfig
-) -> ray.data.Dataset:
-    """(band, bucket, salt, image_id) rows -> string edges (src < dst, kind,
-    sc), NOT yet deduped across families (callers union edge families
-    first, then ``dedupe_edges`` once).
-
-    Same tag + slim pairing as ``slim_pairs_from_buckets``; the pair id
-    hashes then map back to strings by ``lookup_join`` against the distinct
-    (idh, image_id) rows of the tagged stream, which also fails loudly on a
-    64-bit id-hash collision (``distinct_id_hashes``). An id may repeat
-    across bucket rows (video frames do); it never pairs with itself."""
-    import pyarrow.compute as pc
-
-    from deduplication_ray.stages.join import lookup_join
-
-    tagged, pairs = _tag_and_pair(buckets, cfg)
-    if tagged is None:
-        return _empty_edge_ds()
-    if isinstance(tagged, pa.Table):  # local tier: the id map is tiny too
-        ids = ray.data.from_arrow(distinct_id_hashes(id_hash_rows(tagged)))
-    else:
-        ids = id_hash_table(tagged, cfg).materialize()
-    a_side = ids.rename_columns({"idh": "ah", "image_id": "a"})
-    b_side = ids.rename_columns({"idh": "bh", "image_id": "b"})
-    # materialized between the two lookups: above the broadcast tier both
-    # are hash joins, and two hash joins live in one plan stalled for
-    # minutes at num_partitions=8 where either alone takes seconds
-    e = lookup_join(pairs, a_side, on=["ah"], cfg=cfg).materialize()
-    e = lookup_join(e, b_side, on=["bh"], cfg=cfg)
-    kindset = pa.array(KIND_PRIORITY)
-
-    def finish(t: pa.Table) -> pa.Table:
-        a, b = t["a"], t["b"]
-        lt = pc.less(a, b)
-        return pa.table({
-            "src": pc.if_else(lt, a, b), "dst": pc.if_else(lt, b, a),
-            "kind": pc.take(kindset, t["prio"].cast(pa.int32())),
-            "sc": t["sc"].cast(pa.int8())})
-
-    return e.map_batches(finish, batch_format="pyarrow")
-
-
 def id_hash_rows(t: pa.Table, cols: tuple[str, ...] = ()) -> pa.Table:
     """``cols`` of ``t`` + its ``image_id`` (as string) + the 64-bit id
     hash ``idh`` that the pair kernel identifies rows by."""
@@ -481,62 +429,6 @@ def raise_on_id_collision(sorted_ids, same: np.ndarray) -> None:
             f"{hi[i].as_py()!r} share one hash")
 
 
-def _tag_and_pair(buckets: ray.data.Dataset, cfg: DedupConfig):
-    """stats -> tag -> slim pairing kernel. Returns (tagged, pairs): the
-    tagged rows (a driver-local pa.Table below ``cfg.local_pairs_limit``,
-    else a materialized Dataset) and the materialized (ah, bh, prio, sc)
-    pairs — or (None, None) when no bucket has two members.
-
-    Size dispatch: a small tagged set (dup candidates only) pairs faster in
-    one driver-local numpy pass than through distributed barriers; above
-    the limit the SAME kernel runs sharded by bucket hash. The dispatch
-    reads the multi-bucket row total the index already summed, so no extra
-    count() execution."""
-    from deduplication_ray.stages.tuning import apply_context_tuning, ensure_blocks
-
-    apply_context_tuning()
-    buckets = ensure_blocks(buckets, cfg.num_partitions).materialize()
-    idx_ref, total_multi = multi_bucket_index(buckets, cfg)
-    if idx_ref is None:
-        return None, None
-    tagged = buckets.map_batches(
-        _KeyTaggerIdx(idx_ref, cfg.bucket_cap, cfg.gram_sample_drop_df),
-        batch_format="pyarrow",
-    )
-    if total_multi <= cfg.local_pairs_limit:
-        tbls = [t for t in tagged.iter_batches(batch_format="pyarrow")
-                if t.num_rows]
-        if not tbls:
-            return None, None
-        tbl = pa.concat_tables(tbls, promote_options="default")
-        return tbl, ray.data.from_arrow(_pair_tagged_table_slim(tbl, cfg))
-    # Materialize the tagged stream before the pairing exchange: letting
-    # the tagging map fuse into the sort-based groupby re-plans it INTO the
-    # exchange, which under backpressure measured +22s on the 8-CPU leg and
-    # +3s at 32 CPUs (600k rows).
-    tagged = tagged.materialize()
-    n_parts = max(cfg.num_partitions * 4, 8)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        comp = H.hash_u64_pair(
-            t["band"].to_numpy().view(np.uint64),
-            t["bucket"].to_numpy().view(np.uint64),
-        )
-        return t.append_column(
-            "part", pa.array((comp % np.uint64(n_parts)).astype(np.int64)))
-
-    def pair_part(t: pa.Table) -> pa.Table:
-        return _pair_tagged_table_slim(t, cfg)
-
-    # every bucket (and its salted sub-buckets + ambassadors) lands wholly
-    # in one partition; materialized because every caller feeds the pairs
-    # into a second hash-grouped shuffle (the pair dedupe), and chaining the
-    # two lazily measured ~13 s of pure overhead at 60k docs
-    return tagged, tagged.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("part").map_groups(pair_part, batch_format="pyarrow") \
-        .materialize()
-
-
 def _pair_tagged_table_slim(tbl: pa.Table, cfg: DedupConfig) -> pa.Table:
     """The pairing kernel over tagged multi-bucket rows: cold-bucket
     all-pairs (with emission-time pixel Hamming filtering), hot sub-bucket
@@ -551,9 +443,9 @@ def _pair_tagged_table_slim(tbl: pa.Table, cfg: DedupConfig) -> pa.Table:
     and the kernel never gathers object-dtype string arrays. A true pair
     collides in many bands, so pairs are deduped here first: the best
     (min) prio per pair, with ``sc`` OR-ed over the candidate-only
-    namespace. Strings come back after the global dedupe
-    (``verify.resolve_and_verify_pairs`` against the signature table, or
-    ``edges_from_buckets``). Hash-collision budget: E[collisions] ~
+    namespace. Strings come back after the global dedupe, when
+    ``verify.resolve_and_verify_pairs`` resolves both hashes against the
+    signature table. Hash-collision budget: E[collisions] ~
     n^2/2^65 (< 1e-7 at 1M ids); every resolve raises on one rather than
     merging two ids (``raise_on_id_collision``)."""
     empty = pa.table({"ah": pa.array([], pa.int64()),
@@ -666,23 +558,73 @@ def _pair_tagged_table_slim(tbl: pa.Table, cfg: DedupConfig) -> pa.Table:
 def slim_pairs_from_buckets(
     buckets: ray.data.Dataset, cfg: DedupConfig
 ) -> ray.data.Dataset:
-    """The verified-edge pairing stage: stats -> tag -> SLIM pairing kernel,
-    pairs exchanged as (ah, bh, prio, sc) id-hash rows. Caller must follow
-    with ``dedupe_slim_pairs`` + the resolve/verify step
-    (``verify.resolve_and_verify_pairs``)."""
-    _, pairs = _tag_and_pair(buckets, cfg)
-    if pairs is None:
+    """The one pairing stage: stats -> tag -> SLIM pairing kernel, pairs
+    exchanged as materialized (ah, bh, prio, sc) id-hash rows. Callers
+    follow with ``dedupe_slim_pairs`` + ``verify.resolve_and_verify_pairs``.
+    An id may repeat across bucket rows (video frames do); it never pairs
+    with itself.
+
+    Size dispatch: a small tagged set (dup candidates only) pairs faster in
+    one driver-local numpy pass than through distributed barriers; above
+    ``cfg.local_pairs_limit`` the SAME kernel runs sharded by bucket hash.
+    The dispatch reads the multi-bucket row total the index already summed,
+    so no extra count() execution."""
+    from deduplication_ray.stages.tuning import apply_context_tuning, ensure_blocks
+
+    def empty() -> ray.data.Dataset:
         return ray.data.from_arrow(_pair_tagged_table_slim(
             pa.table({"band": pa.array([], pa.int64())}), cfg))
-    return pairs
+
+    apply_context_tuning()
+    buckets = ensure_blocks(buckets, cfg.num_partitions).materialize()
+    idx_ref, total_multi = multi_bucket_index(buckets, cfg)
+    if idx_ref is None:
+        return empty()
+    tagged = buckets.map_batches(
+        _KeyTaggerIdx(idx_ref, cfg.bucket_cap, cfg.gram_sample_drop_df),
+        batch_format="pyarrow",
+    )
+    if total_multi <= cfg.local_pairs_limit:
+        tbls = [t for t in tagged.iter_batches(batch_format="pyarrow")
+                if t.num_rows]
+        if not tbls:
+            return empty()
+        return ray.data.from_arrow(_pair_tagged_table_slim(
+            pa.concat_tables(tbls, promote_options="default"), cfg))
+    # Materialize the tagged stream before the pairing exchange: letting
+    # the tagging map fuse into the sort-based groupby re-plans it INTO the
+    # exchange, which under backpressure measured +22s on the 8-CPU leg and
+    # +3s at 32 CPUs (600k rows).
+    tagged = tagged.materialize()
+    n_parts = max(cfg.num_partitions * 4, 8)
+
+    def add_part(t: pa.Table) -> pa.Table:
+        comp = H.hash_u64_pair(
+            t["band"].to_numpy().view(np.uint64),
+            t["bucket"].to_numpy().view(np.uint64),
+        )
+        return t.append_column(
+            "part", pa.array((comp % np.uint64(n_parts)).astype(np.int64)))
+
+    def pair_part(t: pa.Table) -> pa.Table:
+        return _pair_tagged_table_slim(t, cfg)
+
+    # every bucket (and its salted sub-buckets + ambassadors) lands wholly
+    # in one partition; materialized because every caller feeds the pairs
+    # into a second hash-grouped shuffle (the pair dedupe), and chaining the
+    # two lazily measured ~13 s of pure overhead at 60k docs
+    return tagged.map_batches(add_part, batch_format="pyarrow") \
+        .groupby("part").map_groups(pair_part, batch_format="pyarrow") \
+        .materialize()
 
 
 def dedupe_slim_pairs(pairs: ray.data.Dataset, cfg: DedupConfig) -> ray.data.Dataset:
     """Collapse duplicate (ah, bh) id-hash pairs across bands/partitions —
-    keep the best (min) prio, OR the sc flag. Same hash-partitioned
-    vectorized reduce as ``dedupe_edges`` but over the 18-byte slim rows;
-    returns a LAZY dataset so the caller can fuse the resolve/verify gather
-    into the same execution."""
+    keep the best (min) prio, OR the sc flag. One hash-partitioned
+    vectorized lexsort-unique per partition over the 18-byte slim rows
+    (Ray's aggregate pays per-distinct-group costs that dominate at
+    group-per-row keys); returns a LAZY dataset so the caller can fuse
+    the resolve/verify gather into the same execution."""
     from deduplication_ray.stages.groupred import hash_grouped_reduce
 
     def red(t: pa.Table) -> pa.Table:
@@ -711,121 +653,12 @@ def dedupe_slim_pairs(pairs: ray.data.Dataset, cfg: DedupConfig) -> ray.data.Dat
     )
 
 
-def _empty_edge_ds() -> ray.data.Dataset:
-    return ray.data.from_arrow(
-        pa.table({"src": pa.array([], pa.string()),
-                  "dst": pa.array([], pa.string()),
-                  "kind": pa.array([], pa.string()),
-                  "sc": pa.array([], pa.int8())})
-    )
-
-
 # trust order for duplicate (src,dst) edges found by several detectors:
 # trusted-by-construction kinds first, so verification never downgrades a
 # pair that an exact detector already proved. 'substr_cand' (the
 # candidate-only namespace, e.g. gram sampling) ranks LAST so any other
 # detection of the same pair wins.
 KIND_PRIORITY = ["exact", "substr", "phash", "simhash", "minhash", "substr_cand"]
-
-
-def dedupe_edges(
-    edges: ray.data.Dataset, num_parts: int = 64
-) -> ray.data.Dataset:
-    """Collapse duplicate (src, dst) across bands — keep the most-trusted
-    kind per KIND_PRIORITY. Hash-partitioned on a 128-bit NUMERIC pair key
-    (string-pair sort keys made the shuffle ~10x slower; a 64-bit key
-    silently drops edges on collision), reduced by ONE vectorized
-    lexsort-unique per partition (``hash_grouped_reduce`` — Ray's aggregate
-    pays per-distinct-group costs that dominate at group-per-row keys).
-    Emits (src, dst, kind)."""
-    import pyarrow.compute as pc
-
-    from deduplication_ray.stages.groupred import hash_grouped_reduce
-
-    kindset = pa.array(KIND_PRIORITY)
-
-    def to_prio(t: pa.Table) -> pa.Table:
-        prio = pc.index_in(t["kind"], value_set=kindset).cast(pa.int64())
-        hs = H.hash_bytes_array(t["src"].combine_chunks().cast(pa.string()))
-        hd = H.hash_bytes_array(t["dst"].combine_chunks().cast(pa.string()))
-        h1 = H.hash_u64_pair(hs, hd)
-        h2 = H.hash_u64_pair(hd ^ H._MIX2, hs)
-        return pa.table({
-            "h1": pa.array(H.bitcast_u64_to_i64(h1), pa.int64()),
-            "h2": pa.array(H.bitcast_u64_to_i64(h2), pa.int64()),
-            "src": t["src"], "dst": t["dst"], "prio": prio,
-        })
-
-    def red(t: pa.Table) -> pa.Table:
-        h1 = t["h1"].to_numpy()
-        h2 = t["h2"].to_numpy()
-        prio = t["prio"].to_numpy()
-        order = np.lexsort((prio, h2, h1))
-        h1s, h2s = h1[order], h2[order]
-        first = np.concatenate(
-            [[True], (h1s[1:] != h1s[:-1]) | (h2s[1:] != h2s[:-1])])
-        out = t.take(pa.array(order[first]))
-        kind = pc.take(kindset, out["prio"].combine_chunks().cast(pa.int32()))
-        return pa.table({"src": out["src"], "dst": out["dst"], "kind": kind})
-
-    keyed = edges.map_batches(to_prio, batch_format="pyarrow", batch_size=None)
-    return hash_grouped_reduce(
-        keyed, lambda t: t["h1"].to_numpy().view(np.uint64), red, num_parts)
-
-
-def exact_edges(
-    signatures: ray.data.Dataset, cfg: DedupConfig, key: tuple = ("ck1", "ck2")
-) -> ray.data.Dataset:
-    """Exact-duplicate star edges: per content-key group, link min id to rest.
-
-    The graft's R8: the reference's first-occurrence insertion
-    (``compressor.c:109-113``) becomes min-id election per content-key group
-    (deterministic under parallelism, SURVEY §7.5.5). The 128-bit (ck1, ck2)
-    key makes payload re-verification unnecessary. Vectorized min-aggregate +
-    join-back.
-    """
-    from deduplication_ray.stages.groupred import hash_grouped_reduce
-    from deduplication_ray.stages.join import lookup_join
-    from deduplication_ray.stages.tuning import apply_context_tuning, ensure_blocks
-
-    apply_context_tuning()
-    lean = ensure_blocks(
-        signatures.select_columns([*key, "image_id"]), cfg.num_partitions
-    ).materialize()
-
-    # group-per-row key cardinality: hash-partitioned vectorized reduce, not
-    # Ray aggregate (per-distinct-group cost). Only duplicated keys survive —
-    # the lookup side shrinks to actual dups.
-    def red(t: pa.Table) -> pa.Table:
-        schema = pa.schema([(k, t.schema.field(k).type) for k in key]
-                           + [("src", pa.string())])
-        df = t.to_pandas()
-        g = df.groupby(list(key), sort=False)["image_id"] \
-            .agg(src="min", _n="size").reset_index()
-        g = g[g["_n"] >= 2]
-        # explicit schema: an empty pandas frame would round-trip object
-        # columns to Arrow null type, which join kernels reject
-        return pa.Table.from_pandas(
-            g[[*key, "src"]], preserve_index=False).cast(schema)
-
-    def key_hash(t: pa.Table) -> np.ndarray:
-        h = t[key[0]].to_numpy().view(np.uint64)
-        for k in key[1:]:
-            h = H.hash_u64_pair(h, t[k].to_numpy().view(np.uint64))
-        return h
-
-    mins = hash_grouped_reduce(lean, key_hash, red, cfg.num_partitions)
-    joined = lookup_join(lean, mins, on=list(key), cfg=cfg)
-
-    def finish(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        t = t.filter(pc.invert(pc.equal(t["image_id"], t["src"])))
-        kind = pa.nulls(t.num_rows, pa.string()).fill_null("exact")
-        return pa.table({"src": t["src"], "dst": t["image_id"], "kind": kind,
-                         "sc": pa.array(np.zeros(t.num_rows, np.int8))})
-
-    return joined.map_batches(finish, batch_format="pyarrow")
 
 
 def plan_lsh_params(threshold: float, num_perm: int = 128,

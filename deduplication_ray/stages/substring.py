@@ -270,18 +270,3 @@ def substring_buckets(
         batch_size=cfg.text_batch_size,
     )
 
-
-def substring_edges(
-    input_ds: ray.data.Dataset,
-    cfg: DedupConfig,
-    id_col: str = "image_id",
-    text_col: str = "caption",
-) -> ray.data.Dataset:
-    """Standalone T11: per-partition suffix-array edges + the L-gram
-    rendezvous edges, deduped (src, dst, kind='substr'). The pipelines
-    instead union ``substring_buckets`` into the main bucket stream; this
-    composition exists for direct use/tests."""
-    sa = suffix_array_edges(input_ds, cfg, id_col, text_col)
-    grams = lsh.edges_from_buckets(
-        substring_buckets(input_ds, cfg, id_col, text_col), cfg)
-    return lsh.dedupe_edges(sa.union(grams))

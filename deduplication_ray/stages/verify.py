@@ -1,19 +1,24 @@
-"""Candidate-edge verification: Hamming-ball + MinHash-Jaccard checks (T10).
+"""Candidate-pair verification: Hamming-ball + MinHash-Jaccard checks (T10).
 
-Candidates from LSH banding are *hypotheses*; this stage attaches both
-endpoints' signatures (the lean ~1KB/row table, never pixels) and keeps an
-edge iff any signal passes (``_accept_mask``):
+Candidates from LSH banding are *hypotheses*. ``resolve_and_verify_pairs``
+resolves both endpoints of every deduped slim pair against the signature
+table (the lean ~1KB/row table, never pixels) and keeps a pair iff its
+``accept`` mask says so. The default accept (``_accept_mask``) keeps a pair
+iff any signal passes:
 
 * estimated Jaccard(minhash_src, minhash_dst) >= cfg.jaccard_tau
 * popcount(phash_src ^ phash_dst)   <= cfg.phash_hamming_t   (corroborated:
   the simhash distance must also be <= cfg.pixel_corr_t)
 * popcount(simhash_src ^ simhash_dst) <= cfg.simhash_hamming_t (corroborated:
   the phash distance must also be <= cfg.pixel_corr_t)
-* exact edges (kind == 'exact' / 'cap_exact' / 'substr') pass by construction
+* pairs of a kind trusted by construction pass unchecked: 'exact' (same
+  content-key bucket) and 'substr' (a shared L-gram)
 
-Signatures attach by a broadcast gather up to the broadcast tier
-(``join.broadcast_ok``) and by hash joins above it. The per-batch check is
-pure vectorized numpy over Arrow columns.
+Engine-specific checks (video frame containment, audio alignment,
+embedding cosine, text SimHash) are ``accept`` functions over the same
+column accessor. Signatures resolve by a broadcast gather up to the
+broadcast tier (``join.broadcast_ok``) and by hash joins on the id hash
+above it. The per-batch check is pure vectorized numpy over Arrow columns.
 """
 
 from __future__ import annotations
@@ -26,8 +31,6 @@ import ray.data
 
 from deduplication_ray.config import DedupConfig
 from deduplication_ray.functions import hashing as H
-
-_TRUSTED_KINDS = ("exact", "cap_exact", "substr")
 
 
 def _accept_mask(cfg: DedupConfig, trusted: np.ndarray, has_pixels: bool,
@@ -63,95 +66,39 @@ def _np(a) -> np.ndarray:
     return a.to_numpy(zero_copy_only=False)
 
 
-def _attached_col(t: pa.Table):
-    """``_accept_mask`` column accessor over ``{name}_{side}`` columns."""
+def _attached_col(t: pa.Table, lists: dict):
+    """``accept`` column accessor over ``{name}_{side}`` columns; the
+    columns named in ``lists`` crossed the joins packed (``_pack_lists``)
+    and are unpacked to their list type on access."""
     def col(name: str, side: str, rows):
         c = t[f"{name}_{side}"]
-        return c if rows is None else c.take(pa.array(rows))
+        c = c if rows is None else c.take(pa.array(rows))
+        if name not in lists:
+            return c
+        data, offs = H._arrow_flat_buffer(c)
+        vt = lists[name].value_type
+        vals = data[offs[0]:offs[-1]].view(vt.to_pandas_dtype())
+        return pa.ListArray.from_arrays(
+            pa.array((offs - offs[0]) // vt.byte_width, pa.int32()),
+            pa.array(vals, vt))
     return col
 
 
-class _AttachBoth:
-    """ONE broadcast gather that attaches signature columns to BOTH edge
-    endpoints: probe src and dst against the same presorted id-hash index
-    (``signature_index``), take the matched signature rows, confirm id
-    equality exactly. One execution, one broadcast, one index."""
-
-    def __init__(self, ref, cols: list[str]):
-        self.ref = ref
-        self.cols = cols
-        self._state = None
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        from deduplication_ray.stages.join import _key_hashes, _resolve_small
-
-        if self._state is None:
-            small, sorted_h, order = ray.get(self.ref)
-            self._state = (_resolve_small(small), sorted_h, order)
-        small, sorted_h, order = self._state
-        if t.num_rows == 0 or small.num_rows == 0:
-            t = t.slice(0, 0)
-            cols = {f.name: pa.array([], f.type if not pa.types.is_null(f.type)
-                                     else pa.string()) for f in t.schema}
-            for side in ("src", "dst"):
-                for c in self.cols:
-                    cols[f"{c}_{side}"] = pa.array(
-                        [], small.schema.field(c).type)
-            return pa.table(cols)
-
-        keep = np.ones(t.num_rows, dtype=bool)
-        gathered: dict[str, pa.ChunkedArray] = {}
-        for side in ("src", "dst"):
-            ph = _key_hashes(t, [side])
-            pos = np.minimum(np.searchsorted(sorted_h, ph), len(sorted_h) - 1)
-            cand = order[pos]
-            matched = sorted_h[pos] == ph
-            if matched.any():
-                idx = pa.array(cand, pa.int64())
-                eq = pc.fill_null(
-                    pc.equal(t[side], small["image_id"].take(idx)), False)
-                matched &= eq.to_numpy(zero_copy_only=False).astype(bool)
-            keep &= matched
-            for c in self.cols:
-                gathered[f"{c}_{side}"] = small[c].take(pa.array(cand))
-        out = t
-        for name, col in gathered.items():
-            out = out.append_column(name, col)
-        return out.filter(pa.array(keep))
-
-
-def attach_signatures(
-    edges: ray.data.Dataset,
-    signatures: ray.data.Dataset,
-    cfg: DedupConfig,
-    cols: list[str] | None = None,
-) -> ray.data.Dataset:
-    """edges(src,dst,kind) + signatures -> edges with _src/_dst signature cols.
-
-    Size-dispatched (R17's gather generalized): in the broadcast tier the
-    signature table broadcasts BY BLOCK REFS and one ``_AttachBoth`` gather
-    attaches both endpoints in a single map execution; above it — the
-    10^12-row path, where no table broadcasts — two hash-partitioned joins
-    on the edge endpoints, the first materialized before the second starts.
-    """
-    from deduplication_ray.stages.join import lookup_join
-
-    cols = cols or ["phash", "simhash", "minhash"]
-    sig = signatures.select_columns(["image_id", *cols]).materialize()
-    n_sig = sig.count()
-    ref = signature_index(sig, cfg) if n_sig else None
-    if ref is not None:
-        return edges.map_batches(_AttachBoth(ref, cols), batch_format="pyarrow")
-    src_side = sig.rename_columns(
-        {c: f"{c}_src" for c in cols}).rename_columns({"image_id": "src"})
-    dst_side = sig.rename_columns(
-        {c: f"{c}_dst" for c in cols}).rename_columns({"image_id": "dst"})
-    # two hash joins live in one lazy plan stalled for minutes at
-    # num_partitions=8 where either alone takes seconds: the first join
-    # finishes before the second starts
-    e = lookup_join(edges, src_side, on=["src"], cfg=cfg,
-                    lookup_rows=n_sig).materialize()
-    return lookup_join(e, dst_side, on=["dst"], cfg=cfg, lookup_rows=n_sig)
+def _pack_lists(t: pa.Table, lists: dict) -> pa.Table:
+    """Arrow's hash join carries no nested column: a list-of-fixed-width
+    signature column (video frame hashes, audio sub-fingerprints) crosses
+    the join tier as one binary of its value bytes per row."""
+    for name in lists:
+        a = t[name].combine_chunks()
+        vals = a.flatten().to_numpy(zero_copy_only=False)
+        lens = pc.list_value_length(a).fill_null(0).to_numpy()
+        offs = np.concatenate([[0], np.cumsum(lens)]) * vals.itemsize
+        t = t.set_column(t.column_names.index(name), name,
+                         pa.LargeBinaryArray.from_buffers(
+                             pa.large_binary(), len(a),
+                             [None, pa.py_buffer(offs.astype(np.int64)),
+                              pa.py_buffer(vals.tobytes())]))
+    return t
 
 
 class DeferredSignatureIndex:
@@ -193,10 +140,7 @@ class DeferredSignatureIndex:
         return self._box["ref"]
 
 
-def signature_index(
-    signatures: ray.data.Dataset, cfg: DedupConfig,
-    cols: list[str] | None = None,
-):
+def signature_index(signatures: ray.data.Dataset, cfg: DedupConfig):
     """Broadcast signature index: (block refs, sorted image_id hashes,
     permutation) in the object store, built with the driver touching only
     8 bytes/row. Returns the ray.put handle, or None when the table exceeds
@@ -207,8 +151,7 @@ def signature_index(
     (checkpoint output) and its non-index columns are ~33 bytes/row next to
     the ~1 KB/row minhash column, so re-materializing a pruned copy cost a
     full extra execution (measured 0.8-2.0s at 600k rows) to save ~3% of
-    broadcast bytes. ``cols`` is kept for signature parity; extra columns
-    ride along harmlessly."""
+    broadcast bytes."""
     from deduplication_ray.stages.join import (_block_key_hashes,
                                                _resolve_small, broadcast_ok)
     from deduplication_ray.stages.lsh import raise_on_id_collision
@@ -228,45 +171,57 @@ def signature_index(
     return ray.put((refs, sorted_h, order.astype(np.int64)))
 
 
-def _verified_slim(t: pa.Table, cfg: DedupConfig, has_pixels: bool,
-                   do_verify: bool, col) -> pa.Table:
-    """Slim pairs (ah, bh, prio, sc) -> verified (src, dst, kind, sc).
-    ``col`` is the ``_accept_mask`` accessor; it also serves the endpoint
-    ``image_id`` strings, fetched for accepted rows only."""
+def keep_all(t: pa.Table, col) -> np.ndarray:
+    """The ``accept`` of callers that only need the ids resolved."""
+    return np.ones(t.num_rows, dtype=bool)
+
+
+def _default_accept(cfg: DedupConfig, has_pixels: bool):
+    """``_accept_mask`` as an ``accept``: 'exact' and 'substr' pairs are
+    trusted by construction, the rest must pass a signature check."""
     from deduplication_ray.stages.lsh import KIND_PRIORITY
 
-    prio = t["prio"].to_numpy()
-    keep = np.ones(t.num_rows, dtype=bool)
-    if do_verify:
-        trusted = np.isin(prio, [KIND_PRIORITY.index("exact"),
-                                 KIND_PRIORITY.index("substr")])
-        keep = _accept_mask(cfg, trusted, has_pixels, col)
-    kept = np.flatnonzero(keep)
-    return pa.table({
-        "src": col("image_id", "src", kept),
-        "dst": col("image_id", "dst", kept),
-        "kind": pc.take(pa.array(KIND_PRIORITY),
-                        pa.array(prio[kept].astype(np.int32))),
-        "sc": t["sc"].take(pa.array(kept)).cast(pa.int8()),
-    })
+    trusted = [KIND_PRIORITY.index("exact"), KIND_PRIORITY.index("substr")]
+
+    def accept(t: pa.Table, col) -> np.ndarray:
+        return _accept_mask(cfg, np.isin(t["prio"].to_numpy(), trusted),
+                            has_pixels, col)
+    return accept
 
 
 _EMPTY_VERIFIED = pa.schema([("src", pa.string()), ("dst", pa.string()),
                              ("kind", pa.string()), ("sc", pa.int8())])
 
 
+def _verified_slim(t: pa.Table, accept, col) -> pa.Table:
+    """Slim pairs (ah, bh, prio, sc) -> accepted (src, dst, kind, sc).
+    ``col`` is the ``accept`` column accessor; it also serves the endpoint
+    ``image_id`` strings, fetched for accepted rows only."""
+    from deduplication_ray.stages.lsh import KIND_PRIORITY
+
+    if t.num_rows == 0:
+        return _EMPTY_VERIFIED.empty_table()
+    kept = np.flatnonzero(accept(t, col))
+    return pa.table({
+        "src": col("image_id", "src", kept),
+        "dst": col("image_id", "dst", kept),
+        "kind": pc.take(pa.array(KIND_PRIORITY),
+                        pa.array(t["prio"].to_numpy()[kept].astype(np.int32))),
+        "sc": t["sc"].take(pa.array(kept)).cast(pa.int8()),
+    })
+
+
 class _ResolveVerify:
     """One fused map over deduped SLIM pairs (ah, bh, prio, sc): gather the
     id strings and signature columns for both endpoints from the broadcast
-    signature index, apply ``_accept_mask``, and emit verified
-    (src, dst, kind, sc)."""
+    signature index, apply ``accept`` (None: ``_accept_mask``), and emit
+    accepted (src, dst, kind, sc)."""
 
-    def __init__(self, ref, cfg: DedupConfig, has_pixels: bool,
-                 do_verify: bool = True):
+    def __init__(self, ref, cfg: DedupConfig, has_pixels: bool, accept=None):
         self.ref = ref
         self.cfg = cfg
         self.has_pixels = has_pixels
-        self.do_verify = do_verify
+        self.accept = accept
         self._state = None
 
     def __call__(self, t: pa.Table) -> pa.Table:
@@ -274,8 +229,11 @@ class _ResolveVerify:
 
         if self._state is None:
             small, sorted_h, order = ray.get(self.ref)
-            self._state = (_resolve_small(small), sorted_h, order)
-        small, sorted_h, order = self._state
+            small = _resolve_small(small)
+            accept = self.accept or _default_accept(
+                self.cfg, self.has_pixels and "phash" in small.column_names)
+            self._state = (small, sorted_h, order, accept)
+        small, sorted_h, order, accept = self._state
         if t.num_rows == 0 or small.num_rows == 0:
             return _EMPTY_VERIFIED.empty_table()
         rows = {}
@@ -294,70 +252,84 @@ class _ResolveVerify:
             idx = rows[side] if sel is None else rows[side].take(pa.array(sel))
             return small[c].take(idx)
 
-        has_px = self.has_pixels and "phash" in small.column_names
-        return _verified_slim(t, self.cfg, has_px, self.do_verify, col)
+        return _verified_slim(t, accept, col)
 
 
 def _resolve_by_join(pairs: ray.data.Dataset, sig: ray.data.Dataset,
                      cfg: DedupConfig, has_pixels: bool,
-                     do_verify: bool) -> ray.data.Dataset:
+                     accept=None) -> ray.data.Dataset:
     """Above the broadcast tier: resolve both endpoints by hash joins on
     the id hash against the signature table (one row per id hash, with the
-    collision check), then apply the same ``_accept_mask``."""
+    collision check), carrying every signature column the caller passed,
+    then apply the same ``accept``."""
     from deduplication_ray.stages.join import lookup_join
     from deduplication_ray.stages.lsh import id_hash_table
 
-    cols = ("phash", "simhash", "minhash") if has_pixels else ("minhash",)
+    schema = sig.schema()
+    types = dict(zip(schema.names, schema.types))
+    cols = tuple(c for c in types if c != "image_id")
+    lists = {c: typ for c, typ in types.items() if pa.types.is_list(typ)}
+    accept = accept or _default_accept(cfg, has_pixels and "phash" in cols)
+    if lists:
+        sig = sig.map_batches(lambda t: _pack_lists(t, lists),
+                              batch_format="pyarrow")
     side = id_hash_table(sig, cfg, cols).materialize()
 
     def renamed(key: str, name: str) -> ray.data.Dataset:
         return side.rename_columns(
             {"idh": key, **{c: f"{c}_{name}" for c in ["image_id", *cols]}})
 
-    # the first hash join finishes before the second starts (see
-    # ``attach_signatures``)
+    # two hash joins live in one lazy plan stalled for minutes at
+    # num_partitions=8 where either alone takes seconds: the first join
+    # finishes before the second starts
     e = lookup_join(pairs, renamed("ah", "src"), on=["ah"], cfg=cfg).materialize()
     e = lookup_join(e, renamed("bh", "dst"), on=["bh"], cfg=cfg)
     return e.map_batches(
-        lambda t: _verified_slim(t, cfg, has_pixels, do_verify,
-                                 _attached_col(t)),
+        lambda t: _verified_slim(t, accept, _attached_col(t, lists)),
         batch_format="pyarrow")
 
 
 def resolve_and_verify_pairs(
     slim_pairs: ray.data.Dataset, sig_ref, cfg: DedupConfig,
-    has_pixels: bool = True, do_verify: bool = True,
+    has_pixels: bool = True, accept=None,
 ) -> ray.data.Dataset:
-    """Deduped slim pairs -> verified (src, dst, kind, sc) edges (lazy).
+    """Deduped slim pairs -> accepted (src, dst, kind, sc) edges (lazy).
 
     ``sig_ref`` is a ``signature_index`` handle (broadcast gather) or a
     ``DeferredSignatureIndex``, which picks the broadcast gather inside the
-    tier and the hash-join resolve above it."""
+    tier and the hash-join resolve above it. ``accept(t, col)`` returns the
+    keep mask of slim batch ``t``; ``col(name, side, rows)`` serves
+    endpoint ``side``'s ('src'/'dst') signature column ``name`` for the row
+    indices ``rows`` (None = every row). None keeps ``_accept_mask``
+    (``has_pixels`` adds its pixel checks)."""
     if isinstance(sig_ref, DeferredSignatureIndex):
         if not sig_ref.eligible:
             return _resolve_by_join(slim_pairs, sig_ref.signatures, cfg,
-                                    has_pixels, do_verify)
+                                    has_pixels, accept)
         sig_ref = sig_ref.get()  # index build overlapped the pairing chain
     return slim_pairs.map_batches(
-        _ResolveVerify(sig_ref, cfg, has_pixels, do_verify),
+        _ResolveVerify(sig_ref, cfg, has_pixels, accept),
         batch_format="pyarrow", batch_size=65536)
 
 
-def verify_edges(
-    edges_with_sigs: ray.data.Dataset, cfg: DedupConfig, has_pixels: bool = True
-) -> ray.data.Dataset:
-    """Filter attached edges to verified ones; emits (src, dst, kind)."""
+def pair_and_verify(buckets: ray.data.Dataset, sig_ref, cfg: DedupConfig,
+                    accept=None, has_pixels: bool = True,
+                    pair_filter=None) -> ray.data.Dataset:
+    """The one bucket-rows -> edges path of every engine: slim pairs ->
+    pair dedupe -> [``pair_filter`` over the slim pairs] -> resolve +
+    ``accept``. Emits (src, dst, kind), lazy. ``sig_ref`` as in
+    ``resolve_and_verify_pairs``; build a ``DeferredSignatureIndex`` before
+    calling so its index build overlaps the pairing chain."""
+    from deduplication_ray.stages import lsh
 
-    def check(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t.select(["src", "dst", "kind"])
-        trusted = pc.fill_null(
-            pc.is_in(t["kind"], value_set=pa.array(_TRUSTED_KINDS)), False)
-        keep = _accept_mask(cfg, _np(trusted).astype(bool), has_pixels,
-                            _attached_col(t))
-        return t.select(["src", "dst", "kind"]).filter(pa.array(keep))
-
-    return edges_with_sigs.map_batches(check, batch_format="pyarrow")
+    pairs = lsh.dedupe_slim_pairs(lsh.slim_pairs_from_buckets(buckets, cfg),
+                                  cfg)
+    if pair_filter is not None:
+        pairs = pairs.map_batches(pair_filter, batch_format="pyarrow")
+    return resolve_and_verify_pairs(
+        pairs, sig_ref, cfg, has_pixels=has_pixels, accept=accept
+    ).map_batches(lambda t: t.select(["src", "dst", "kind"]),
+                  batch_format="pyarrow")
 
 
 def plan_hamming_radius(pos_dists, neg_dists, target_recall: float = 0.99,

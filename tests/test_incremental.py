@@ -159,6 +159,14 @@ def test_text_ingest_matches_full_run(ray_session, tmp_path, sig_mode):
 
     src = pq.read_table("/root/testdata/sf0.001/documents.parquet") \
         .select(["doc_id", "text"])
+    # one exact duplicate straddling base and delta: a new delta doc
+    # (doc_id % 4 == 0) repeating base doc 1's text, so the exact family of
+    # the ingest bucket stream must link across the split
+    dup_id = (max(src["doc_id"].to_pylist()) // 4 + 1) * 4
+    src = pa.concat_tables([src, pa.table({
+        "doc_id": pa.array([dup_id], pa.int64()),
+        "text": pa.array([src["text"][1].as_py()],
+                         src.schema.field("text").type)})])
     is_delta = pc.equal(pc.bit_wise_and(src["doc_id"], 3), 0)
     parts = {"base": src.filter(pc.invert(is_delta)),
              "delta": src.filter(is_delta), "full": src}
@@ -183,6 +191,8 @@ def test_text_ingest_matches_full_run(ray_session, tmp_path, sig_mode):
         .sort_values("image_id").reset_index(drop=True)
     assert (inc["image_id"].values == full["image_id"].values).all()
     assert (inc["cluster_id"].values == full["cluster_id"].values).all()
+    lab = dict(zip(inc["image_id"], inc["cluster_id"]))
+    assert lab[str(dup_id)] == lab["1"]
     # delta-bounded: the ingest signature checkpoint holds ONLY delta rows
     assert metrics["rows"]["signatures"] == parts["delta"].num_rows
 

@@ -193,7 +193,8 @@ def test_stale_config_strict_refuses_default_recomputes(tiny_run, tiny_fixture, 
 
 def test_partitioned_pairing_matches_local(tiny_run, ray_session):
     """The distributed (bucket-sharded) pairing kernel must emit exactly the
-    edge set of the driver-local kernel on the same signatures."""
+    deduped slim pair set of the driver-local kernel on the same
+    signatures."""
     import dataclasses
 
     from deduplication_ray.sources import storage
@@ -201,15 +202,17 @@ def test_partitioned_pairing_matches_local(tiny_run, ray_session):
 
     run_dir, cfg, _ = tiny_run
     sigs = storage.read_table(f"{run_dir}/signatures")
-    e_local = lsh.candidate_edges(sigs, cfg).to_pandas()
-    cfg_part = dataclasses.replace(cfg, local_pairs_limit=0)
-    e_part = lsh.candidate_edges(sigs, cfg_part).to_pandas()
 
-    def key(df):
-        return set(zip(df["src"], df["dst"], df["kind"]))
+    def pairs(c):
+        buckets = sigs.map_batches(lsh.ExplodeBands(c), batch_format="pyarrow",
+                                   batch_size=c.text_batch_size)
+        df = lsh.dedupe_slim_pairs(lsh.slim_pairs_from_buckets(buckets, c),
+                                   c).to_pandas()
+        return set(zip(df["ah"], df["bh"], df["prio"]))
 
-    assert len(e_local) > 0
-    assert key(e_local) == key(e_part)
+    local = pairs(cfg)
+    assert len(local) > 0
+    assert local == pairs(dataclasses.replace(cfg, local_pairs_limit=0))
 
 
 def test_image_join_tier_matches_broadcast(tiny_fixture, ray_session,
@@ -236,49 +239,38 @@ def test_image_join_tier_matches_broadcast(tiny_fixture, ray_session,
     pd.testing.assert_frame_equal(out["bcast"], out["join"])
 
 
-def test_attach_signatures_join_tier_finishes(tiny_run, ray_session):
-    """attach_signatures' hash-join tier at num_partitions=8 (two chained
-    hash joins in one lazy plan stalled there) must finish and verify the
-    same edges as the broadcast gather."""
+def test_id_hash_collision_fails_loudly(ray_session, monkeypatch):
+    """Pairs travel as 64-bit id hashes: one id repeated across bucket rows
+    (video frames) never pairs with itself, while two DISTINCT ids sharing
+    a hash must raise in the resolve — in the broadcast ``signature_index``
+    and in the ``broadcast_limit=0`` ``id_hash_table`` tier alike."""
     import dataclasses
 
-    from deduplication_ray.sources import storage
-    from deduplication_ray.stages import verify
-    from tests.conftest import deadline
-
-    run_dir, cfg, _ = tiny_run
-    sigs = storage.read_table(f"{run_dir}/signatures")
-    edges = storage.read_table(f"{run_dir}/verified_edges")
-    cfg = dataclasses.replace(cfg, num_partitions=8)
-
-    def verified(c):
-        att = verify.attach_signatures(edges, sigs, c)
-        df = verify.verify_edges(att, c).to_pandas()
-        return set(zip(df["src"], df["dst"], df["kind"]))
-
-    with deadline(180):
-        join = verified(dataclasses.replace(cfg, broadcast_limit=0))
-    bcast = verified(cfg)
-    assert len(bcast) > 0
-    assert join == bcast
-
-
-def test_id_hash_collision_fails_loudly(ray_session, monkeypatch):
-    """Pairs travel as 64-bit id hashes: two DISTINCT ids sharing a hash
-    must raise in the id resolve, while one id repeated across bucket rows
-    (video frames) is fine and never pairs with itself."""
     import pyarrow as pa
+    import ray
     import ray.data
 
     from deduplication_ray.config import DedupConfig
     from deduplication_ray.functions import hashing as H
-    from deduplication_ray.stages import lsh
+    from deduplication_ray.stages import join, lsh, verify
 
     def weak_hash(arr, seed=0):  # byte sum: anagrams collide
         return np.array([sum(x.encode()) for x in arr.to_pylist()],
                         np.uint64)
 
+    class WeakBlockHashes:  # signature_index hashes blocks in remote tasks
+        @staticmethod
+        def remote(ref, on):
+            return ray.put(weak_hash(ray.get(ref)["image_id"]))
+
+    def weak_id_hash_rows(t, cols=()):  # id_hash_table maps in workers
+        ids = t["image_id"].combine_chunks().cast(pa.string())
+        return t.select(list(cols)).append_column("image_id", ids) \
+            .append_column("idh", pa.array(weak_hash(ids).view(np.int64)))
+
     monkeypatch.setattr(H, "hash_bytes_array", weak_hash)
+    monkeypatch.setattr(join, "_block_key_hashes", WeakBlockHashes)
+    monkeypatch.setattr(lsh, "id_hash_rows", weak_id_hash_rows)
     cfg = DedupConfig(num_partitions=2)
 
     def buckets(ids):
@@ -291,10 +283,21 @@ def test_id_hash_collision_fails_loudly(ray_session, monkeypatch):
             "ph": pa.array([0] * n, pa.int64()),
             "sh": pa.array([0] * n, pa.int64())}))
 
-    e = lsh.edges_from_buckets(buckets(["v1", "v1", "v2"]), cfg).to_pandas()
-    assert set(zip(e["src"], e["dst"])) == {("v1", "v2")}
+    p = lsh.slim_pairs_from_buckets(buckets(["v1", "v1", "v2"]),
+                                    cfg).to_pandas()
+    h1, h2 = (int(x) for x in weak_hash(pa.array(["v1", "v2"])))
+    assert set(zip(p["ah"], p["bh"])) == {(min(h1, h2), max(h1, h2))}
+
+    ids = ["ab", "ba", "zz"]
+    pairs = lsh.slim_pairs_from_buckets(buckets(ids), cfg)
+    sigs = ray.data.from_arrow(pa.table({"image_id": pa.array(ids)}))
     with pytest.raises(RuntimeError, match="collision"):
-        lsh.edges_from_buckets(buckets(["ab", "ba", "zz"]), cfg).materialize()
+        verify.signature_index(sigs, cfg)
+    join_cfg = dataclasses.replace(cfg, broadcast_limit=0)
+    with pytest.raises(RuntimeError, match="collision"):
+        verify.resolve_and_verify_pairs(
+            pairs, verify.DeferredSignatureIndex(sigs, join_cfg), join_cfg,
+            accept=verify.keep_all).materialize()
 
 
 def test_local_unionfind_matches_distributed(tiny_run, ray_session):

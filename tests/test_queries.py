@@ -129,7 +129,7 @@ def test_gram_sample_hot_buckets_dropped(ray_session):
     import ray.data
 
     from deduplication_ray.config import DedupConfig
-    from deduplication_ray.stages import lsh
+    from deduplication_ray.stages import lsh, verify
 
     n = 50
     rows = {"band": [], "bucket": [], "salt": [], "image_id": [],
@@ -152,9 +152,12 @@ def test_gram_sample_hot_buckets_dropped(ray_session):
         k: pa.array(v, pa.int64() if k != "image_id" else pa.string())
         for k, v in rows.items()}))
     cfg = DedupConfig(num_partitions=2, gram_sample_drop_df=10)
-    edges = lsh.dedupe_edges(
-        lsh.edges_from_buckets(buckets, cfg)).to_pandas()
-    pairs = set(zip(edges["src"], edges["dst"]))
+    sigs = ray.data.from_arrow(pa.table({
+        "image_id": pa.array(sorted(set(rows["image_id"])))}))
+    edges = verify.pair_and_verify(
+        buckets, verify.signature_index(sigs, cfg), cfg,
+        accept=verify.keep_all).to_pandas()
+    pairs = {tuple(sorted(p)) for p in zip(edges["src"], edges["dst"])}
     assert pairs == {("d001", "d002")}, pairs
 
 

@@ -55,7 +55,8 @@ def test_cross_batch_substring_at_lmin_window_gap(ray_session):
     import ray.data
 
     from deduplication_ray.config import DedupConfig
-    from deduplication_ray.stages.substring import substring_edges
+    from deduplication_ray.stages import verify
+    from deduplication_ray.stages.substring import substring_buckets
 
     cfg = DedupConfig(num_partitions=2, text_batch_size=4, sa_batch_size=4)
     s = "shared secret segment of exactly fortyfive"  # 42 normalized chars
@@ -68,7 +69,12 @@ def test_cross_batch_substring_at_lmin_window_gap(ray_session):
                     + ["prefix two " + s + " tail beta"] + fillers[3:]),
     })
     ds = ray.data.from_pandas(rows)
-    edges = substring_edges(ds, cfg).to_pandas()
-    pairs = set(zip(edges["src"], edges["dst"]))
+    # default accept over an id-only index: 'substr' pairs are trusted, so
+    # no signature column is ever read
+    edges = verify.pair_and_verify(
+        substring_buckets(ds, cfg),
+        verify.signature_index(ds.select_columns(["image_id"]), cfg),
+        cfg).to_pandas()
+    pairs = {tuple(sorted(p)) for p in zip(edges["src"], edges["dst"])}
     assert ("d0", "d4") in pairs, pairs
     assert all(k == "substr" for k in edges["kind"])

@@ -147,3 +147,35 @@ def test_video_reversed_playback_caught_by_default(ray_session,
     lab = dict(zip(out["video_id"], out["cluster_id"]))
     split = [m for m in planted if lab[m] != lab[m.split("_of_", 1)[1]]]
     assert not split, f"default config missed reversed playback {split}"
+
+
+def test_video_join_tier_matches_broadcast(video_fixture, monkeypatch):
+    """At num_partitions=8 the hash-join resolve (broadcast_limit=0) must
+    carry the list-typed frame-hash columns through both joins, finish, and
+    give clusters identical to the broadcast gather."""
+    import dataclasses
+
+    from deduplication_ray.sources import storage
+    from deduplication_ray.stages import verify
+    from tests.conftest import deadline
+
+    joined = []
+    by_join = verify._resolve_by_join
+
+    def spy(pairs, sig, *a, **kw):
+        schema = sig.schema()
+        joined.append(dict(zip(schema.names, schema.types))["frame_phashes"])
+        return by_join(pairs, sig, *a, **kw)
+
+    monkeypatch.setattr(verify, "_resolve_by_join", spy)
+    cfg = DedupConfig(num_partitions=8)
+    ds = storage.read_table(f"{video_fixture}/data")
+    out = {}
+    with deadline(300):
+        for name, c in (("bcast", cfg),
+                        ("join", dataclasses.replace(cfg, broadcast_limit=0))):
+            out[name] = video_dedup_clusters(ds, c).to_pandas() \
+                .sort_values("video_id").reset_index(drop=True)
+    assert len(joined) == 1 and pa.types.is_list(joined[0])
+    assert out["bcast"]["cluster_id"].nunique() < len(out["bcast"])
+    pd.testing.assert_frame_equal(out["bcast"], out["join"])
