@@ -174,11 +174,15 @@ def _img_fixture_dir() -> str:
     return f"/tmp/dedup_ray_benchfix_{SEED}_{IMG_ROWS}"
 
 
-class PeakRssSampler:
-    """Samples the summed RSS of this driver + every local Ray worker
-    (``ray::`` processes in /proc) — the single-node analog of the reference
-    protocol's ``/usr/bin/time -v`` max_rss_kb scrape
-    (``/root/reference/scripts/encode_bench.sh:67-80``)."""
+class PeakPssSampler:
+    """Samples the summed PSS (proportional set size, from
+    ``/proc/<pid>/smaps_rollup``) of this driver + every local Ray worker
+    (``ray::`` processes and the raylet) — the single-node analog of the
+    reference protocol's ``/usr/bin/time -v`` max_rss_kb scrape
+    (``scripts/encode_bench.sh:67-80`` of the reference). PSS splits each
+    shared page (the object-store mapping every worker maps) between its
+    users, so the sum counts it once; summed RSS counted it once per worker
+    and could exceed the host's RAM."""
 
     def __init__(self, interval: float = 0.5):
         import threading
@@ -198,9 +202,9 @@ class PeakRssSampler:
                     cmd = f.read()
                 if pid != me and b"ray::" not in cmd and b"raylet" not in cmd:
                     continue
-                with open(f"/proc/{pid}/status") as f:
+                with open(f"/proc/{pid}/smaps_rollup") as f:
                     for line in f:
-                        if line.startswith("VmRSS:"):
+                        if line.startswith("Pss:"):
                             total += int(line.split()[1])
                             break
             except OSError:
@@ -397,12 +401,12 @@ def run_bench() -> dict:
     # while the groups' read/write tasks starve -> deadlock at num_cpus=8.
     # Tasks share the session's prestarted workers and can't starve anyone.
     cfg = DedupConfig(num_partitions=max(8, NUM_CPUS))
-    with PeakRssSampler() as rss, CpuCounters() as cpu:
+    with PeakPssSampler() as pss, CpuCounters() as cpu:
         t0 = time.time()
         image_dedup.run_pipeline(f"{fix}/data", run_dir, cfg)
         img_sec = time.time() - t0
     queries["image_dedup"] = round(img_sec, 2)
-    peak_rss_mb = round(rss.peak_kb / 1024, 1)
+    peak_pss_mb = round(pss.peak_kb / 1024, 1)
 
     from deduplication_ray.pipelines.audio_dedup import audio_dedup_clusters
     from deduplication_ray.pipelines.video_dedup import video_dedup_clusters
@@ -447,7 +451,7 @@ def run_bench() -> dict:
         "text_doc_rows": doc_rows,
         "text_docs_per_sec": round(doc_rows / max(queries["doc_lsh_dedup"],
                                                   1e-9), 1),
-        "peak_rss_mb": peak_rss_mb,
+        "peak_pss_mb": peak_pss_mb,
         "image_busy_cores": cpu.busy_cores,
         "image_ctxt_per_sec": cpu.ctxt_per_sec,
         "cold_read": cold,
@@ -525,8 +529,8 @@ def run_scaling() -> dict:
         "img_rows": IMG_ROWS,
         f"total_sec_{lo}": r_lo["value"],
         f"total_sec_{hi}": r_hi["value"],
-        f"peak_rss_mb_{lo}": r_lo.get("peak_rss_mb"),
-        f"peak_rss_mb_{hi}": r_hi.get("peak_rss_mb"),
+        f"peak_pss_mb_{lo}": r_lo.get("peak_pss_mb"),
+        f"peak_pss_mb_{hi}": r_hi.get("peak_pss_mb"),
         f"text_docs_per_sec_{lo}": r_lo.get("text_docs_per_sec"),
         f"text_docs_per_sec_{hi}": r_hi.get("text_docs_per_sec"),
         f"image_busy_cores_{lo}": r_lo.get("image_busy_cores"),

@@ -54,7 +54,7 @@ def main() -> None:
     shutil.rmtree(run_dir, ignore_errors=True)
     storage.read_table(f"{fix}/data").count()  # warm page cache
     cfg = DedupConfig(num_partitions=max(8, NUM_CPUS))
-    with bench.PeakRssSampler() as rss, bench.CpuCounters() as cpu:
+    with bench.PeakPssSampler() as pss, bench.CpuCounters() as cpu:
         t0 = time.time()
         metrics = image_dedup.run_pipeline(f"{fix}/data", run_dir, cfg)
         wall = time.time() - t0
@@ -70,7 +70,7 @@ def main() -> None:
         "images_per_sec": round(ROWS / wall, 1),
         "stage_seconds": metrics["stage_seconds"],
         "rows": metrics["rows"],
-        "peak_rss_mb": round(rss.peak_kb / 1024, 1),
+        "peak_pss_mb": round(pss.peak_kb / 1024, 1),
         "busy_cores": cpu.busy_cores,
         "recall": round(pm["recall"], 5),
         "precision": round(pm["precision"], 5),

@@ -1,4 +1,4 @@
-"""One-shot 1M-row flagship pin: wall, per-stage seconds, peak RSS, and
+"""One-shot 1M-row flagship pin: wall, per-stage seconds, peak PSS, and
 recall/precision vs planted truth at 1,000,000 image+caption rows — the
 committed evidence that the quality story measured at 150k holds two
 orders of magnitude above the tiny fixtures (verdict r3 item 7).
@@ -56,7 +56,7 @@ def main() -> None:
     # value on both legs of a comparison
     n_parts = int(os.environ.get("MILLION_PARTS", max(8, NUM_CPUS)))
     cfg = DedupConfig(num_partitions=n_parts)
-    with bench.PeakRssSampler() as rss, bench.CpuCounters() as cpu:
+    with bench.PeakPssSampler() as pss, bench.CpuCounters() as cpu:
         t0 = time.time()
         metrics = image_dedup.run_pipeline(f"{fix}/data", run_dir, cfg)
         wall = time.time() - t0
@@ -73,7 +73,7 @@ def main() -> None:
         "stage_seconds": {k: round(v, 2)
                           for k, v in metrics["stage_seconds"].items()},
         "rows": metrics["rows"],
-        "peak_rss_mb": round(rss.peak_kb / 1024, 1),
+        "peak_pss_mb": round(pss.peak_kb / 1024, 1),
         "busy_cores": cpu.busy_cores,
         "recall": round(pm["recall"], 5),
         "precision": round(pm["precision"], 5),

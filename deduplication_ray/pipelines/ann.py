@@ -587,8 +587,8 @@ def embedding_dup_clusters(sf_dir: str, cos_min: float = 0.45,
     int64 at the end."""
     import pyarrow.compute as pc
 
+    from deduplication_ray.pipelines.image_dedup import finalize_clusters
     from deduplication_ray.state import unionfind
-    from deduplication_ray.stages.join import lookup_join
 
     cfg = DedupConfig(num_partitions=8)
     pairs = embedding_dup_pairs(sf_dir, cos_min=cos_min)
@@ -598,27 +598,17 @@ def embedding_dup_clusters(sf_dir: str, cos_min: float = 0.45,
         return pa.table({"src": pad("src"), "dst": pad("dst"),
                          "kind": pa.array(["exact"] * t.num_rows)})
 
-    edges = pairs.map_batches(to_edges, batch_format="pyarrow").materialize()
-    if edges.count() <= cfg.local_uf_limit:
-        labels = unionfind.local_components(edges)
-    else:
-        labels = unionfind.connected_components(edges, cfg)
-
+    labels = unionfind.connected_components(
+        pairs.map_batches(to_edges, batch_format="pyarrow"), cfg)
     ds = storage.read_table(f"{sf_dir}/{table}.parquet", columns=[id_col])
     ids = ds.map_batches(
-        lambda t: pa.table({"node": pc.utf8_lpad(
+        lambda t: pa.table({"image_id": pc.utf8_lpad(
             t[id_col].cast(pa.string()), 12, "0")}),
         batch_format="pyarrow")
-    j = lookup_join(ids, labels, on=["node"], cfg=cfg, how="left")
-
-    def fill(t: pa.Table) -> pa.Table:
-        lab = pc.coalesce(t["label"].cast(pa.string()), t["node"])
-        return pa.table({
-            id_col: t["node"].cast(pa.int64()),
-            "cluster_id": lab.cast(pa.int64()),
-        })
-
-    return j.map_batches(fill, batch_format="pyarrow")
+    return finalize_clusters(ids, labels, cfg, id_col).map_batches(
+        lambda t: pa.table({id_col: t[id_col].cast(pa.int64()),
+                            "cluster_id": t["cluster_id"].cast(pa.int64())}),
+        batch_format="pyarrow")
 
 
 def embedding_dup_clusters_sql(cos_min: float = 0.45) -> str:

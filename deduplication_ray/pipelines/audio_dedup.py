@@ -48,9 +48,10 @@ import ray.data
 
 from deduplication_ray.config import DedupConfig
 from deduplication_ray.functions import hashing as H
+from deduplication_ray.pipelines.image_dedup import finalize_clusters
 from deduplication_ray.stages import verify
 from deduplication_ray.stages.multimodal import AudioSignatures, shingle_hashes
-from deduplication_ray.pipelines.video_dedup import clusters_from_verified_edges
+from deduplication_ray.state import unionfind
 
 
 def audio_signatures(ds: ray.data.Dataset, cfg: DedupConfig,
@@ -212,6 +213,7 @@ def audio_dedup_clusters(ds: ray.data.Dataset,
     vedges = verify.pair_and_verify(
         sigs.map_batches(_ExplodeShingles(cfg), batch_format="pyarrow"),
         verify.DeferredSignatureIndex(sigs, cfg), cfg,
-        accept=audio_accept(cfg)).materialize()
-    ids = sigs.select_columns(["image_id"])
-    return clusters_from_verified_edges(ids, vedges, cfg, id_col)
+        accept=audio_accept(cfg))
+    return finalize_clusters(sigs.select_columns(["image_id"]),
+                             unionfind.connected_components(vedges, cfg),
+                             cfg, id_col)

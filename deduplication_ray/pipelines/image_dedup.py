@@ -10,11 +10,13 @@ Stage DAG (each boundary is a checkpoint, see state/checkpoint.py):
     |   exact content key, caption L-grams) -> tag + salt -> slim id-hash
     |   pairs -> pair dedupe -> resolve signatures (broadcast gather, or
     |   hash joins above the broadcast tier) + verify (Hamming/Jaccard)
-  verified_edges (src, dst, kind)
-    | connected_components (hash-min rounds, labels_r{k} checkpoints)
-  labels (node, label)
-    | finalize: left-join all ids -> clusters (image_id, cluster_id)
-  clusters / representatives / assignments
+  verified_edges (src, dst, kind)     [candidate pairs are never written]
+    | checkpointed_clusters: connected_components (one local pass, or
+    |   hash-min rounds checkpointed as labels_r{k}) -> finalize: left-join
+    |   all ids
+  clusters (image_id, cluster_id)      [the assignments]
+    | one input row per cluster_id
+  representatives
 
 This is the graft of the reference's compress path R1->R8->R11-R13
 (``/root/reference/src/compressor.c:41-207``): representatives generalize the
@@ -103,11 +105,14 @@ def verified_edges(
 
 
 def finalize_clusters(
-    input_ids: ray.data.Dataset, labels: ray.data.Dataset, cfg: DedupConfig
+    input_ids: ray.data.Dataset, labels: ray.data.Dataset, cfg: DedupConfig,
+    id_col: str = "image_id",
 ) -> ray.data.Dataset:
-    """clusters(image_id, cluster_id): propagated label, else self (singleton).
+    """clusters(id_col, cluster_id): propagated label, else self (singleton).
 
-    Left join realized as: ids LEFT JOIN labels ON image_id == node.
+    Left join realized as: ids LEFT JOIN labels ON image_id == node, where
+    ``input_ids`` holds every id as the string column ``image_id``; the
+    output names that column ``id_col``.
     """
     from deduplication_ray.stages.join import lookup_join
 
@@ -124,56 +129,44 @@ def finalize_clusters(
 
         # all-null batches come back null-typed from the pandas merge
         lab = pc.coalesce(t["label"].cast(pa.string()), t["image_id"])
-        return pa.table({"image_id": t["image_id"], "cluster_id": lab})
+        return pa.table({id_col: t["image_id"], "cluster_id": lab})
 
     return j.map_batches(fill, batch_format="pyarrow")
 
 
-def _edge_rows(run: CheckpointedRun, vedges: ray.data.Dataset) -> int:
-    m = storage.read_manifest(run.stage_dir("verified_edges")) or {}
-    n = m.get("rows")
-    return int(n) if n is not None else vedges.count()
-
-
-def checkpointed_components(
+def checkpointed_clusters(
     run: CheckpointedRun,
-    edges_ds: ray.data.Dataset,
+    edges: ray.data.Dataset,
+    ids: ray.data.Dataset,
     cfg: DedupConfig,
-    upstream: str = "verified_edges",
     edge_rows: int | None = None,
 ) -> ray.data.Dataset:
-    """Shared union-find driver (used by run_pipeline AND incremental
-    ingest): size-dispatched — one local vectorized pass below
-    ``cfg.local_uf_limit`` edges, distributed hash-min rounds above — with
-    per-round ``labels_r{k}`` checkpoints and latest-round fast resume."""
-    start_round = run.latest_labels_round()
-    if edge_rows is None:
-        edge_rows = edges_ds.count()
-    if start_round < 0 and edge_rows <= cfg.local_uf_limit:
-        return run.run_stage(
-            "labels_r0", lambda: unionfind.local_components(edges_ds),
-            [upstream])
-    eb = unionfind.bidirectional(edges_ds).materialize()
-    if start_round >= 0:
-        labels = storage.read_table(run.stage_dir(f"labels_r{start_round}"))
-        run.skipped.extend(f"labels_r{k}" for k in range(start_round + 1))
-    else:
-        labels = unionfind.init_labels(edges_ds, cfg.num_partitions).materialize()
-    prev_hash = unionfind.label_state_hash(labels)
-    rnd = start_round
-    while True:
-        rnd += 1
-        if rnd >= cfg.max_rounds + 1:
-            raise RuntimeError("union-find exceeded max_rounds")
-        new = run.run_stage(
-            f"labels_r{rnd}",
-            lambda: unionfind.propagate_round(labels, eb, cfg),
-            [f"labels_r{rnd - 1}" if rnd else upstream])
-        new_hash = unionfind.label_state_hash(new)
-        labels = new
-        if new_hash == prev_hash:
-            return labels
-        prev_hash = new_hash
+    """The cluster tail of every checkpointed pipeline: union-find over
+    ``edges`` (``unionfind.connected_components``) with round k computed
+    and persisted as stage ``labels_r{k}``, then the ``clusters`` stage
+    (``finalize_clusters`` over ``ids``). A complete ``clusters``
+    checkpoint skips the union-find; otherwise the rounds resume after the
+    latest complete ``labels_r{k}``. ``edge_rows`` (e.g. the
+    ``verified_edges`` manifest's row count) spares counting ``edges``."""
+    labels = None
+    if not run.is_complete("clusters"):
+        last = run.latest_labels_round()
+        resume = None
+        if last >= 0:
+            run.skipped.extend(f"labels_r{k}" for k in range(last + 1))
+            resume = (last,
+                      storage.read_table(run.stage_dir(f"labels_r{last}")))
+
+        def run_round(k: int, compute) -> ray.data.Dataset:
+            return run.run_stage(
+                f"labels_r{k}", compute,
+                [f"labels_r{k - 1}" if k else "verified_edges"])
+
+        labels = unionfind.connected_components(
+            edges, cfg, run_round=run_round, resume=resume,
+            edge_rows=edge_rows)
+    return run.run_stage(
+        "clusters", lambda: finalize_clusters(ids, labels, cfg), ["labels"])
 
 
 def run_pipeline(
@@ -185,8 +178,9 @@ def run_pipeline(
 ) -> dict:
     """Execute (or resume) the full dedup DAG; returns stage metrics.
 
-    Outputs under run_dir: signatures/ edges/ verified_edges/ labels_r{k}/
-    clusters/ representatives/ assignments/ each with a lineage manifest.
+    Outputs under run_dir: signatures/ verified_edges/ labels_r{k}/
+    clusters/ representatives/, each with a lineage manifest, and the run
+    manifest carrying the returned metrics.
     ``strict_resume`` (the CLI ``resume`` verb) refuses stale-config
     checkpoints; the default recomputes them.
     """
@@ -284,13 +278,6 @@ def run_pipeline(
 
     vedges = run.run_stage("verified_edges", make_vedges, ["signatures"])
 
-    # --- union-find with per-round checkpoints (mid-shuffle resume) ---
-    if run.is_complete("clusters"):
-        labels = None  # not needed
-    else:
-        labels = checkpointed_components(
-            run, vedges, cfg, edge_rows=_edge_rows(run, vedges))
-
     if cfg.skip_undecodable:
         # dropped-undecodable rows must not resurface as singleton clusters:
         # the id universe is what SURVIVED the signature stage
@@ -298,9 +285,9 @@ def run_pipeline(
     else:
         ids = storage.read_table(input_path, columns=["image_id"]) \
             if input_ds is None else input_ds.select_columns(["image_id"])
-    clusters = run.run_stage(
-        "clusters", lambda: finalize_clusters(ids, labels, cfg), ["labels"]
-    )
+    # union-find with per-round checkpoints (mid-shuffle resume)
+    clusters = checkpointed_clusters(
+        run, vedges, ids, cfg, edge_rows=run.rows("verified_edges"))
 
     # representatives: one row per cluster (min image_id IS the cluster_id) —
     # semi-join the full input on cluster_id == image_id (R12 analog)
@@ -333,21 +320,8 @@ def run_pipeline(
 
     representatives = run.run_stage("representatives", reps, ["clusters"])
 
-    run.flush()  # manifests must exist before rows are read below
-    metrics = {
-        "config_hash": cfg.config_hash(),
-        "stages_executed": run.executed,
-        "stages_resumed": run.skipped,
-        "stage_seconds": run.timings,
-        "rows": {
-            s: (storage.read_manifest(run.stage_dir(s)) or {}).get("rows")
-            for s in ("signatures", "verified_edges", "clusters", "representatives")
-        },
-    }
-    storage.write_manifest(run.run_dir, {"stage": "run", "complete": True,
-                                         "config_hash": cfg.config_hash(),
-                                         "metrics": metrics})
-    return metrics
+    return run.finish(("signatures", "verified_edges", "clusters",
+                       "representatives"))
 
 
 def _channel_clusters(
@@ -361,10 +335,9 @@ def _channel_clusters(
     selected families, so the others never exist. The exact family keys on
     the content key ``(ck1, ck2)`` when ``sigs`` carries it, else on
     ``cap_hash``."""
-    ve = verified_edges(sigs, cfg, families=families,
-                        has_pixels=has_pixels).materialize()
-    labels = unionfind.connected_components(ve, cfg)
-    return finalize_clusters(sigs.select_columns(["image_id"]), labels, cfg)
+    ve = verified_edges(sigs, cfg, families=families, has_pixels=has_pixels)
+    return finalize_clusters(sigs.select_columns(["image_id"]),
+                             unionfind.connected_components(ve, cfg), cfg)
 
 
 def _self_representatives(clusters: ray.data.Dataset) -> ray.data.Dataset:

@@ -396,7 +396,7 @@ def ingest_delta(
     the signature function, the exact-dup key (single cap_hash vs the
     128-bit (ck1, ck2) content pair) and the verification families — the
     delta-bounding machinery is identical."""
-    from deduplication_ray.pipelines.image_dedup import finalize_clusters
+    from deduplication_ray.pipelines.image_dedup import checkpointed_clusters
     from deduplication_ray.stages.tuning import apply_context_tuning
 
     cfg = cfg or DedupConfig()
@@ -450,37 +450,11 @@ def ingest_delta(
 
     vedges = run.run_stage("verified_edges", build_and_verify, ["signatures"])
 
-    def all_edges() -> ray.data.Dataset:
-        return vedges.union(_base_star_edges(base_clusters))
-
-    if run.is_complete("clusters"):
-        labels = None
-    else:
-        from deduplication_ray.pipelines.image_dedup import (
-            checkpointed_components)
-
-        labels = checkpointed_components(run, all_edges().materialize(), cfg)
-
     ids = base_clusters.select_columns(["image_id"]).union(
         delta_sigs.select_columns(["image_id"]))
-    clusters = run.run_stage(
-        "clusters", lambda: finalize_clusters(ids, labels, cfg), ["labels"])
-
-    run.flush()  # manifests must exist before rows are read below
-    metrics = {
-        "config_hash": cfg.config_hash(),
-        "stages_executed": run.executed,
-        "stages_resumed": run.skipped,
-        "stage_seconds": run.timings,
-        "rows": {
-            s: (storage.read_manifest(run.stage_dir(s)) or {}).get("rows")
-            for s in ("signatures", "verified_edges", "clusters")
-        },
-    }
-    storage.write_manifest(run.run_dir, {"stage": "run", "complete": True,
-                                         "config_hash": cfg.config_hash(),
-                                         "metrics": metrics})
-    return metrics
+    checkpointed_clusters(
+        run, vedges.union(_base_star_edges(base_clusters)), ids, cfg)
+    return run.finish(("signatures", "verified_edges", "clusters"))
 
 
 def merge_runs(
@@ -514,8 +488,7 @@ def merge_runs(
     over A+B (asserted in tests/test_incremental.py); both preconditions —
     a shared DedupConfig and disjoint ids between the runs — are guarded
     with loud errors."""
-    from deduplication_ray.pipelines.image_dedup import (
-        checkpointed_components, finalize_clusters)
+    from deduplication_ray.pipelines.image_dedup import checkpointed_clusters
     from deduplication_ray.stages.tuning import apply_context_tuning
 
     cfg = cfg or DedupConfig()
@@ -553,35 +526,12 @@ def merge_runs(
 
     vedges = run.run_stage("verified_edges", build_and_verify, ["input"])
 
-    def all_edges() -> ray.data.Dataset:
-        return vedges.union(_base_star_edges(clusters_a)) \
-            .union(_base_star_edges(clusters_b))
-
-    if run.is_complete("clusters"):
-        labels = None
-    else:
-        labels = checkpointed_components(run, all_edges().materialize(), cfg)
-
+    all_edges = vedges.union(_base_star_edges(clusters_a)) \
+        .union(_base_star_edges(clusters_b))
     ids = clusters_a.select_columns(["image_id"]).union(
         clusters_b.select_columns(["image_id"]))
-    run.run_stage(
-        "clusters", lambda: finalize_clusters(ids, labels, cfg), ["labels"])
-
-    run.flush()  # manifests must exist before rows are read below
-    metrics = {
-        "config_hash": cfg.config_hash(),
-        "stages_executed": run.executed,
-        "stages_resumed": run.skipped,
-        "stage_seconds": run.timings,
-        "rows": {
-            s: (storage.read_manifest(run.stage_dir(s)) or {}).get("rows")
-            for s in ("verified_edges", "clusters")
-        },
-    }
-    storage.write_manifest(run.run_dir, {"stage": "run", "complete": True,
-                                         "config_hash": cfg.config_hash(),
-                                         "metrics": metrics})
-    return metrics
+    checkpointed_clusters(run, all_edges, ids, cfg)
+    return run.finish(("verified_edges", "clusters"))
 
 
 # ------------------------------------------------- video / audio modalities
@@ -641,24 +591,6 @@ def _modal_kit(kind: str, cfg: DedupConfig) -> dict:
         f"unknown modal kind {kind!r} (expected video|audio|embedding)")
 
 
-def _modal_metrics(run: CheckpointedRun, cfg: DedupConfig) -> dict:
-    run.flush()  # manifests must exist before rows are read below
-    metrics = {
-        "config_hash": cfg.config_hash(),
-        "stages_executed": run.executed,
-        "stages_resumed": run.skipped,
-        "stage_seconds": run.timings,
-        "rows": {
-            s: (storage.read_manifest(run.stage_dir(s)) or {}).get("rows")
-            for s in ("signatures", "verified_edges", "clusters")
-        },
-    }
-    storage.write_manifest(run.run_dir, {"stage": "run", "complete": True,
-                                         "config_hash": cfg.config_hash(),
-                                         "metrics": metrics})
-    return metrics
-
-
 def run_modal_pipeline(input_path: str, run_dir: str,
                        cfg: DedupConfig | None = None, kind: str = "video",
                        id_col: str | None = None,
@@ -670,8 +602,7 @@ def run_modal_pipeline(input_path: str, run_dir: str,
     ``run_dir`` with config-hash lineage; clusters are written in the
     engine-canonical (image_id, cluster_id) shape. Same DAG as the lazy
     ``video_dedup_clusters`` / ``audio_dedup_clusters``."""
-    from deduplication_ray.pipelines.image_dedup import (
-        checkpointed_components, finalize_clusters)
+    from deduplication_ray.pipelines.image_dedup import checkpointed_clusters
     from deduplication_ray.stages.tuning import apply_context_tuning
 
     cfg = cfg or DedupConfig()
@@ -690,14 +621,8 @@ def run_modal_pipeline(input_path: str, run_dir: str,
 
     vedges = run.run_stage("verified_edges", build_and_verify, ["signatures"])
 
-    if run.is_complete("clusters"):
-        labels = None
-    else:
-        labels = checkpointed_components(run, vedges.materialize(), cfg)
-    ids = sigs.select_columns(["image_id"])
-    run.run_stage("clusters",
-                  lambda: finalize_clusters(ids, labels, cfg), ["labels"])
-    return _modal_metrics(run, cfg)
+    checkpointed_clusters(run, vedges, sigs.select_columns(["image_id"]), cfg)
+    return run.finish(("signatures", "verified_edges", "clusters"))
 
 
 def merge_runs_modal(
@@ -717,8 +642,7 @@ def merge_runs_modal(
     connectivity enters as trusted star edges from both clusters
     checkpoints. Result equals a from-scratch run over A+B
     (tests/test_incremental.py::test_modal_merge_matches_full_run)."""
-    from deduplication_ray.pipelines.image_dedup import (
-        checkpointed_components, finalize_clusters)
+    from deduplication_ray.pipelines.image_dedup import checkpointed_clusters
     from deduplication_ray.stages.tuning import apply_context_tuning
 
     cfg = cfg or DedupConfig()
@@ -745,15 +669,10 @@ def merge_runs_modal(
 
     all_edges = vedges.union(_base_star_edges(clusters_a)) \
         .union(_base_star_edges(clusters_b))
-    if run.is_complete("clusters"):
-        labels = None
-    else:
-        labels = checkpointed_components(run, all_edges.materialize(), cfg)
     ids = clusters_a.select_columns(["image_id"]).union(
         clusters_b.select_columns(["image_id"]))
-    run.run_stage("clusters",
-                  lambda: finalize_clusters(ids, labels, cfg), ["labels"])
-    return _modal_metrics(run, cfg)
+    checkpointed_clusters(run, all_edges, ids, cfg)
+    return run.finish(("signatures", "verified_edges", "clusters"))
 
 
 def ingest_delta_modal(
@@ -781,8 +700,7 @@ def ingest_delta_modal(
       delta-occupied buckets see identical membership hence identical
       salting/pairing, untouched buckets were adjudicated by the base run.
     """
-    from deduplication_ray.pipelines.image_dedup import (
-        checkpointed_components, finalize_clusters)
+    from deduplication_ray.pipelines.image_dedup import checkpointed_clusters
     from deduplication_ray.stages.tuning import apply_context_tuning
 
     cfg = cfg or DedupConfig()
@@ -811,16 +729,11 @@ def ingest_delta_modal(
 
     vedges = run.run_stage("verified_edges", build_and_verify, ["signatures"])
 
-    all_edges = vedges.union(_base_star_edges(base_clusters))
-    if run.is_complete("clusters"):
-        labels = None
-    else:
-        labels = checkpointed_components(run, all_edges.materialize(), cfg)
     ids = base_clusters.select_columns(["image_id"]).union(
         delta_sigs.select_columns(["image_id"]))
-    run.run_stage("clusters",
-                  lambda: finalize_clusters(ids, labels, cfg), ["labels"])
-    return _modal_metrics(run, cfg)
+    checkpointed_clusters(
+        run, vedges.union(_base_star_edges(base_clusters)), ids, cfg)
+    return run.finish(("signatures", "verified_edges", "clusters"))
 
 
 def delete_ids(
@@ -936,18 +849,5 @@ def delete_ids(
 
         run.run_stage("representatives", reps, ["clusters"])
 
-    run.flush()  # manifests must exist before rows are read below
-    metrics = {
-        "config_hash": cfg.config_hash(),
-        "deleted_ids": len(dels),
-        "stages_executed": run.executed,
-        "stage_seconds": run.timings,
-        "rows": {
-            s: (storage.read_manifest(run.stage_dir(s)) or {}).get("rows")
-            for s in ("signatures", "clusters", "representatives")
-        },
-    }
-    storage.write_manifest(run.run_dir, {"stage": "run", "complete": True,
-                                         "config_hash": cfg.config_hash(),
-                                         "metrics": metrics})
-    return metrics
+    return run.finish(("signatures", "clusters", "representatives"),
+                      deleted_ids=len(dels))

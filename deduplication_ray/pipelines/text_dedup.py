@@ -61,45 +61,28 @@ def text_dedup_clusters(
     text_col: str = "text",
     with_substring: bool = True,
 ) -> ray.data.Dataset:
-    """(id, text) table -> clusters(doc_id, cluster_id) via the full engine."""
+    """(id, text) table -> clusters(id_col, cluster_id) via the full engine."""
     cfg = cfg or DedupConfig()
+    from deduplication_ray.pipelines.image_dedup import finalize_clusters
     from deduplication_ray.stages.tuning import apply_context_tuning
 
     apply_context_tuning()
     caps = as_engine_table(ds, id_col, text_col)
     sigs = text_signatures(caps, cfg, "image_id", "caption").materialize()
     if with_substring:
-        vedges = text_edge_dag(caps, sigs, cfg).materialize()
+        vedges = text_edge_dag(caps, sigs, cfg)
     else:
         from deduplication_ray.pipelines.image_dedup import verified_edges
 
         vedges = verified_edges(sigs, cfg, families=TEXT_FAMILIES,
-                                has_pixels=False).materialize()
-
-    labels = unionfind.connected_components(vedges, cfg)
+                                has_pixels=False)
 
     ids = ds.select_columns([id_col]).map_batches(
         lambda t: pa.table({"image_id": t[id_col].cast(pa.string())}),
         batch_format="pyarrow",
     )
-    from deduplication_ray.stages.join import lookup_join
-
-    j = lookup_join(
-        ids,
-        labels.rename_columns({"node": "image_id"}),
-        on=["image_id"],
-        cfg=cfg,
-        how="left",
-    )
-
-    def fill(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        # all-null batches come back null-typed from the pandas merge
-        lab = pc.coalesce(t["label"].cast(pa.string()), t["image_id"])
-        return pa.table({"doc_id": t["image_id"], "cluster_id": lab})
-
-    return j.map_batches(fill, batch_format="pyarrow")
+    return finalize_clusters(ids, unionfind.connected_components(vedges, cfg),
+                             cfg, id_col)
 
 
 def as_engine_table(ds: ray.data.Dataset, id_col: str = "doc_id",
@@ -124,8 +107,7 @@ def run_text_pipeline(input_path: str, run_dir: str,
     the signature/cluster checkpoints feed
     ``incremental.ingest_delta(mode='text')`` exactly like the image run's
     feed the image ingest. Returns stage metrics."""
-    from deduplication_ray.pipelines.image_dedup import (
-        checkpointed_components, finalize_clusters)
+    from deduplication_ray.pipelines.image_dedup import checkpointed_clusters
     from deduplication_ray.sources import storage
     from deduplication_ray.stages.tuning import apply_context_tuning
     from deduplication_ray.state.checkpoint import CheckpointedRun
@@ -149,27 +131,5 @@ def run_text_pipeline(input_path: str, run_dir: str,
 
     vedges = run.run_stage("verified_edges", build, ["signatures"])
 
-    if run.is_complete("clusters"):
-        labels = None
-    else:
-        labels = checkpointed_components(run, vedges.materialize(), cfg)
-
-    ids = sigs.select_columns(["image_id"])
-    run.run_stage("clusters",
-                  lambda: finalize_clusters(ids, labels, cfg), ["labels"])
-
-    run.flush()  # manifests must exist before rows are read below
-    metrics = {
-        "config_hash": cfg.config_hash(),
-        "stages_executed": run.executed,
-        "stages_resumed": run.skipped,
-        "stage_seconds": run.timings,
-        "rows": {
-            s: (storage.read_manifest(run.stage_dir(s)) or {}).get("rows")
-            for s in ("signatures", "verified_edges", "clusters")
-        },
-    }
-    storage.write_manifest(run.run_dir, {"stage": "run", "complete": True,
-                                         "config_hash": cfg.config_hash(),
-                                         "metrics": metrics})
-    return metrics
+    checkpointed_clusters(run, vedges, sigs.select_columns(["image_id"]), cfg)
+    return run.finish(("signatures", "verified_edges", "clusters"))

@@ -38,6 +38,7 @@ import ray.data
 
 from deduplication_ray.config import DedupConfig
 from deduplication_ray.functions import hashing as H
+from deduplication_ray.pipelines.image_dedup import finalize_clusters
 from deduplication_ray.stages import lsh, verify
 from deduplication_ray.stages.multimodal import VideoSignatures
 from deduplication_ray.state import unionfind
@@ -151,37 +152,6 @@ def pairing_config(cfg: DedupConfig) -> DedupConfig:
     return dataclasses.replace(cfg, phash_hamming_t=cfg.video_frame_hamming_t)
 
 
-def clusters_from_verified_edges(ids: ray.data.Dataset,
-                                 vedges: ray.data.Dataset,
-                                 cfg: DedupConfig,
-                                 id_col: str) -> ray.data.Dataset:
-    """Shared tail for the modal dedup pipelines: verified edges + the full
-    id set (column ``image_id``) -> clusters(id_col, cluster_id), unmatched
-    ids as singletons. ``vedges`` must be materialized (its count decides
-    the empty shortcut)."""
-    if vedges.count() == 0:
-        # no links survive verification: everything is a singleton. (Also
-        # dodges a Ray quirk: an EMPTY dataset loses its schema through
-        # rename_columns, which would break the lookup_join below.)
-        return ids.map_batches(
-            lambda t: pa.table({id_col: t["image_id"],
-                                "cluster_id": t["image_id"]}),
-            batch_format="pyarrow")
-    labels = unionfind.connected_components(vedges, cfg)
-    from deduplication_ray.stages.join import lookup_join
-
-    j = lookup_join(ids, labels.rename_columns({"node": "image_id"}),
-                    on=["image_id"], cfg=cfg, how="left")
-
-    def fill(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        lab = pc.coalesce(t["label"].cast(pa.string()), t["image_id"])
-        return pa.table({id_col: t["image_id"], "cluster_id": lab})
-
-    return j.map_batches(fill, batch_format="pyarrow")
-
-
 def video_dedup_clusters(ds: ray.data.Dataset,
                          cfg: DedupConfig | None = None,
                          id_col: str = "video_id") -> ray.data.Dataset:
@@ -194,6 +164,7 @@ def video_dedup_clusters(ds: ray.data.Dataset,
     vedges = verify.pair_and_verify(
         sigs.map_batches(_ExplodeFrameBands(cfg), batch_format="pyarrow"),
         verify.DeferredSignatureIndex(sigs, cfg), pairing_config(cfg),
-        accept=video_accept(cfg)).materialize()
-    ids = sigs.select_columns(["image_id"])
-    return clusters_from_verified_edges(ids, vedges, cfg, id_col)
+        accept=video_accept(cfg))
+    return finalize_clusters(sigs.select_columns(["image_id"]),
+                             unionfind.connected_components(vedges, cfg),
+                             cfg, id_col)

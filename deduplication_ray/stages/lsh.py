@@ -532,6 +532,8 @@ def _pair_tagged_table_slim(tbl: pa.Table, cfg: DedupConfig) -> pa.Table:
     # a == b: one id on several rows of a bucket (video frames) — never an
     # edge. Two DISTINCT ids on one hash are caught by the resolves.
     nz = a != b
+    if not nz.any():  # reduceat below rejects an empty group list
+        return empty
     a, b, bands = a[nz], b[nz], bands[nz]
     is_sc = ((bands >= BAND_SUBSTR) & (bands < BAND_SUBSTR_EXACT)).astype(np.int8)
     prio_of_band = np.select(

@@ -152,6 +152,29 @@ class CheckpointedRun:
                     f"deferred checkpoint write of stage {stage!r} failed"
                 ) from errbox["err"]
 
+    def rows(self, stage: str) -> int | None:
+        """Row count from ``stage``'s manifest (None until it is written)."""
+        return (storage.read_manifest(self.stage_dir(stage)) or {}).get("rows")
+
+    def finish(self, stages, **extra) -> dict:
+        """Close the run: join the deferred commits, build the run metrics
+        (``extra`` first, then the stage lists, ``stage_seconds`` and the
+        manifest ``rows`` of ``stages``) and write them into the run
+        manifest. Returns the metrics."""
+        self.flush()  # manifests must exist before rows are read below
+        metrics = {
+            "config_hash": self.cfg.config_hash(),
+            **extra,
+            "stages_executed": self.executed,
+            "stages_resumed": self.skipped,
+            "stage_seconds": self.timings,
+            "rows": {s: self.rows(s) for s in stages},
+        }
+        storage.write_manifest(self.run_dir, {
+            "stage": "run", "complete": True,
+            "config_hash": self.cfg.config_hash(), "metrics": metrics})
+        return metrics
+
     def run_stage_sharded(
         self,
         stage: str,

@@ -5,13 +5,16 @@ dictionary entry or it doesn't (``/root/reference/src/dictionary.c:49-59``).
 Near-dup clustering needs transitive closure over the verified edge set, as a
 *distributed* algorithm: no driver-side union-find, no shared mutable index.
 
-Algorithm (hash-min / label propagation over Datasets):
+``connected_components`` is the one entry point of every engine. Below
+``cfg.local_uf_limit`` edges it runs ``local_components`` (one vectorized
+pass in the driver); above it, hash-min rounds over Datasets:
+
   labels(node, label) init: label = node
   each round:
     msgs  = bidirectional(edges) JOIN labels ON nbr  -> (node, nbr_label)
     new   = (msgs UNION labels).groupby(node).min(label)
-    changed = COUNT(new.label != old.label)   (hash join old vs new)
-  stop at changed == 0 (or cfg.max_rounds, asserting fixpoint).
+  stop when label_state_hash(new) == label_state_hash(old) (a round that
+  changed nothing); more than cfg.max_rounds rounds raise.
 
 min(label) over string image_ids converges to the min image_id of each
 component — the deterministic, parallel-safe analog of the reference's
@@ -20,7 +23,9 @@ candidate edges keep component diameters small, so rounds = O(log n) in
 practice (3-5 on the fixtures).
 
 Each round can checkpoint its frontier (labels Dataset) — that is the
-"resume mid-shuffle" story: a killed job restarts at round k, not row 0.
+"resume mid-shuffle" story: a killed job restarts at round k, not row 0
+(``image_dedup.checkpointed_clusters`` runs round k as stage
+``labels_r{k}`` and resumes from the latest one).
 """
 
 from __future__ import annotations
@@ -136,33 +141,6 @@ def label_state_hash(labels: ray.data.Dataset) -> int:
     return int(total)
 
 
-def count_changed(
-    old: ray.data.Dataset, new: ray.data.Dataset, cfg: DedupConfig
-) -> int:
-    from deduplication_ray.stages.join import lookup_join
-
-    j = lookup_join(
-        new,
-        old.rename_columns({"label": "label_o"}),
-        on=["node"],
-        cfg=cfg,
-    )
-
-    def diff(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        neq = pc.invert(pc.equal(t["label"], t["label_o"]))
-        c = pc.sum(neq.cast(pa.int64())).as_py() or 0
-        return pa.table({"changed": pa.array([int(c)], pa.int64())})
-
-    total = 0
-    for b in j.map_batches(diff, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        total += int(b["changed"].to_numpy().sum())  # batches may coalesce
-    return total
-
-
 def local_components(edges: ray.data.Dataset) -> ray.data.Dataset:
     """Size-dispatched LOCAL fast path for small edge sets: one vectorized
     min-label propagation with pointer doubling over numpy index arrays.
@@ -172,8 +150,9 @@ def local_components(edges: ray.data.Dataset) -> ray.data.Dataset:
     of barrier latency for an edge set that fits in one worker's heap. Below
     ``cfg.local_uf_limit`` edges this computes identical labels (min
     image_id per component, same as hash-min fixpoint) in one pass.
-    Callers keep the distributed path above the limit — that is the
-    10^12-row story; this is the everything-converged-already story.
+    ``connected_components`` keeps the distributed path above the limit —
+    that is the 10^12-row story; this is the everything-converged-already
+    story.
     """
     tbls = list(edges.select_columns(["src", "dst"])
                 .iter_batches(batch_format="pyarrow", batch_size=None))
@@ -237,30 +216,47 @@ def connected_components(
     edges: ray.data.Dataset,
     cfg: DedupConfig,
     checkpoint_cb=None,
+    *,
+    run_round=None,
+    resume: tuple[int, ray.data.Dataset] | None = None,
+    edge_rows: int | None = None,
 ) -> ray.data.Dataset:
     """Run label propagation to fixpoint; returns labels(node, label).
 
-    ``checkpoint_cb(round_idx, labels_ds) -> labels_ds`` lets the pipeline
-    materialize/persist each frontier (and lets tests kill/resume mid-run).
+    The only local/distributed dispatch: ``local_components`` (reported as
+    round 0) when ``edges`` hold at most ``cfg.local_uf_limit`` rows, else
+    hash-min rounds 0 .. ``cfg.max_rounds - 1``.
+
+    ``checkpoint_cb(round_idx, labels_ds) -> labels_ds`` sees each round's
+    materialized frontier (and lets tests kill/resume mid-run).
+    ``run_round(round_idx, compute) -> labels_ds`` replaces the default
+    ``compute().materialize()`` + ``checkpoint_cb`` step, so a checkpointed
+    run can time and persist each round's compute as one stage.
+    ``resume=(k, labels_rk)`` continues the distributed rounds after round
+    k. ``edge_rows`` is the known row count of ``edges`` (skips counting).
     """
     from deduplication_ray.stages.tuning import apply_context_tuning, ensure_blocks
 
+    if run_round is None:
+        def run_round(rnd, compute):
+            labels = compute().materialize()
+            return labels if checkpoint_cb is None else checkpoint_cb(rnd, labels)
+
     apply_context_tuning()
-    edges = edges.materialize()
-    if edges.count() <= cfg.local_uf_limit:
-        labels = local_components(edges)
-        if checkpoint_cb is not None:
-            labels = checkpoint_cb(0, labels)
-        return labels
+    if edge_rows is None:
+        edges = edges.materialize()
+        edge_rows = edges.count()
+    if resume is None and edge_rows <= cfg.local_uf_limit:
+        return run_round(0, lambda: local_components(edges))
     eb = ensure_blocks(bidirectional(edges), cfg.num_partitions).materialize()
-    labels = init_labels(edges, cfg.num_partitions).materialize()
+    if resume is None:
+        last, labels = -1, init_labels(edges, cfg.num_partitions).materialize()
+    else:
+        last, labels = resume
     prev_hash = label_state_hash(labels)
-    for rnd in range(cfg.max_rounds):
-        new = propagate_round(labels, eb, cfg).materialize()
-        new_hash = label_state_hash(new)
-        labels = new
-        if checkpoint_cb is not None:
-            labels = checkpoint_cb(rnd, labels)
+    for rnd in range(last + 1, cfg.max_rounds):
+        labels = run_round(rnd, lambda: propagate_round(labels, eb, cfg))
+        new_hash = label_state_hash(labels)
         if new_hash == prev_hash:
             return labels
         prev_hash = new_hash

@@ -155,6 +155,29 @@ def test_audio_reverse_channel_catches_reversed_reuploads(ray_session,
     assert m["precision"] >= 0.99, m
 
 
+def test_audio_no_verified_edges_all_singletons(ray_session, monkeypatch):
+    """Distinct recordings produce zero verified edges and come out as
+    singletons, keyed by the caller's id column."""
+    from deduplication_ray.stages.multimodal import encode_wav
+    from deduplication_ray.state import unionfind
+
+    ids = [f"a{i:02d}" for i in range(3)]
+    t = pa.table({"audio_id": ids, "bytes": [
+        encode_wav(F.render_audio_pcm(100 + i, F.AUDIO_RATE), F.AUDIO_RATE, 16)
+        for i in range(3)]})
+    real, rows = unionfind.connected_components, []
+    monkeypatch.setattr(
+        unionfind, "connected_components",
+        lambda edges, cfg, **kw: rows.append(edges.count())
+        or real(edges, cfg, **kw))
+    out = audio_dedup_clusters(
+        ray.data.from_arrow(t), DedupConfig(num_partitions=2)).to_pandas()
+    assert rows == [0]
+    assert list(out.columns) == ["audio_id", "cluster_id"]
+    assert sorted(out["audio_id"]) == ids
+    assert (out["audio_id"] == out["cluster_id"]).all()
+
+
 def test_float_wav_dups_cluster_with_int_wav(ray_session):
     """A float32-WAV re-encode of the same recording must land in the same
     cluster as its 16-bit-PCM original: the decoder normalizes both to mono

@@ -132,6 +132,34 @@ def test_resume_mid_unionfind(tiny_run, tiny_fixture, ray_session):
                                   resumed.reset_index(drop=True))
 
 
+def test_resume_mid_unionfind_distributed(tiny_run, tiny_fixture, ray_session,
+                                         tmp_path):
+    """The distributed tier resumes too: with ``local_uf_limit=0`` a run
+    killed after hash-min round 0 resumes from ``labels_r0`` and yields the
+    same clusters as its uninterrupted run (and as the local tier)."""
+    import dataclasses
+
+    from deduplication_ray.pipelines import image_dedup
+
+    run_dir, cfg, _ = tiny_run
+    local = load_parquet_dir(f"{run_dir}/clusters").sort_values("image_id")
+    cfg = dataclasses.replace(cfg, local_uf_limit=0)
+    full_dir, partial_dir = str(tmp_path / "full"), str(tmp_path / "partial")
+    image_dedup.run_pipeline(f"{tiny_fixture}/data", full_dir, cfg)
+    full = load_parquet_dir(f"{full_dir}/clusters").sort_values("image_id")
+    assert os.path.isdir(f"{full_dir}/labels_r1")  # rounds really ran
+    os.makedirs(partial_dir)
+    for stage in ("signatures", "verified_edges", "labels_r0"):
+        shutil.copytree(f"{full_dir}/{stage}", f"{partial_dir}/{stage}")
+    m = image_dedup.run_pipeline(f"{tiny_fixture}/data", partial_dir, cfg)
+    assert "labels_r0" in m["stages_resumed"]
+    assert "labels_r1" in m["stages_executed"]
+    resumed = load_parquet_dir(f"{partial_dir}/clusters").sort_values("image_id")
+    for other in (full, local):
+        pd.testing.assert_frame_equal(other.reset_index(drop=True),
+                                      resumed.reset_index(drop=True))
+
+
 def test_resume_mid_signatures_shards(tiny_run, tiny_fixture, ray_session):
     """Kill mid-signature-stage: only the unfinished input-shard groups are
     recomputed; final clusters byte-match the full run (partition lineage)."""
@@ -317,6 +345,57 @@ def test_local_unionfind_matches_distributed(tiny_run, ray_session):
         .sort_values("node").reset_index(drop=True)
     assert len(loc) > 0
     pd.testing.assert_frame_equal(loc, dist)
+
+
+def test_round_cap_shared_by_lazy_and_checkpointed(ray_session, tmp_path):
+    """One round cap for both entry points of the distributed tier: on a
+    10-node path (a label moves one hop per round) a cap below the path
+    length makes ``connected_components`` and ``checkpointed_clusters``
+    raise the same error; with a high cap both give ``local_components``'
+    labels."""
+    import dataclasses
+
+    import pyarrow as pa
+    import ray.data
+
+    from deduplication_ray.config import DedupConfig
+    from deduplication_ray.pipelines.image_dedup import checkpointed_clusters
+    from deduplication_ray.sources import storage
+    from deduplication_ray.state import unionfind
+    from deduplication_ray.state.checkpoint import CheckpointedRun
+
+    nodes = [f"n{i}" for i in range(10)]
+    edges = ray.data.from_arrow(pa.table({
+        "src": nodes[1:], "dst": nodes[:-1], "kind": ["exact"] * 9}))
+    ids = ray.data.from_arrow(pa.table({"image_id": nodes}))
+    base = DedupConfig(num_partitions=2, local_uf_limit=0)
+
+    def lazy(cfg):
+        return unionfind.connected_components(edges, cfg)
+
+    def checkpointed(cfg, d):
+        run = CheckpointedRun(str(tmp_path / d), cfg)
+        checkpointed_clusters(run, edges, ids, cfg)
+        run.flush()
+        k = run.latest_labels_round()
+        return storage.read_table(run.stage_dir(f"labels_r{k}"))
+
+    low = dataclasses.replace(base, max_rounds=4)
+    with pytest.raises(RuntimeError) as e_lazy:
+        lazy(low)
+    with pytest.raises(RuntimeError) as e_ckpt:
+        checkpointed(low, "low")
+    assert str(e_lazy.value) == str(e_ckpt.value)
+    assert "4 rounds" in str(e_lazy.value)
+
+    def canon(ds):
+        return ds.to_pandas().sort_values("node").reset_index(drop=True)
+
+    want = canon(unionfind.local_components(edges))
+    assert (want["label"] == "n0").all()
+    high = dataclasses.replace(base, max_rounds=20)
+    pd.testing.assert_frame_equal(canon(lazy(high)), want)
+    pd.testing.assert_frame_equal(canon(checkpointed(high, "high")), want)
 
 
 def test_adversary_cluster_intact(tiny_run):

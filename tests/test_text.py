@@ -116,6 +116,24 @@ def test_text_dedup_partition_determinism(ray_session):
     assert (a["cluster_id"].to_numpy() == b["cluster_id"].to_numpy()).all()
 
 
+def test_text_dedup_names_output_after_id_col(ray_session):
+    """Clusters come back keyed by the caller's id column, whatever its
+    name."""
+    import ray.data
+
+    from deduplication_ray.config import DedupConfig
+    from deduplication_ray.pipelines.text_dedup import text_dedup_clusters
+
+    t = pa.table({"uid": ["u1", "u2", "u3"],
+                  "body": [DOCS[0], DOCS[0], DOCS[2]]})
+    out = text_dedup_clusters(ray.data.from_arrow(t),
+                              DedupConfig(num_partitions=2),
+                              id_col="uid", text_col="body").to_pandas()
+    assert list(out.columns) == ["uid", "cluster_id"]
+    c = out.set_index("uid")["cluster_id"]
+    assert c["u1"] == c["u2"] == "u1" and c["u3"] == "u3"
+
+
 def test_text_join_tier_matches_broadcast(ray_session, tmp_path):
     """The signature resolve has two physical plans — the broadcast gather
     (the default at bench/test sizes) and the hash-join resolve above the

@@ -47,6 +47,29 @@ def test_video_dedup_matches_planted_truth(video_fixture):
     assert m["precision"] >= 0.99, m
 
 
+def test_video_no_verified_edges_all_singletons(video_fixture, monkeypatch):
+    """Videos with no duplicate among them produce zero verified edges and
+    come out as singletons, keyed by the caller's id column."""
+    from deduplication_ray.sources import storage
+    from deduplication_ray.state import unionfind
+
+    truth = storage.read_table(f"{video_fixture}/truth").to_pandas()
+    sizes = truth.groupby("cluster_id")["video_id"].transform("size")
+    keep = truth.loc[sizes == 1, "video_id"].head(4).tolist()
+    ds = storage.read_table(f"{video_fixture}/data").filter(
+        lambda r: r["video_id"] in keep)
+    real, rows = unionfind.connected_components, []
+    monkeypatch.setattr(
+        unionfind, "connected_components",
+        lambda edges, cfg, **kw: rows.append(edges.count())
+        or real(edges, cfg, **kw))
+    out = video_dedup_clusters(ds, DedupConfig(num_partitions=2)).to_pandas()
+    assert rows == [0]
+    assert list(out.columns) == ["video_id", "cluster_id"]
+    assert sorted(out["video_id"]) == sorted(keep)
+    assert (out["video_id"] == out["cluster_id"]).all()
+
+
 def test_video_dedup_deterministic_across_partitioning(video_fixture):
     from deduplication_ray.sources import storage
 
