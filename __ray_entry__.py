@@ -264,7 +264,7 @@ def _img_modality_query(sf_dir: str):
 
 def _img_semdedup_query(sf_dir: str):
     """Cross-modal composition: batched image-embedding inference (the
-    ImageEmbed actor pool — seeded random-projection stand-in for a real
+    ImageEmbed task stage — seeded random-projection stand-in for a real
     encoder) feeding SemDeDup semantic dedup over the resulting vectors.
     Returns (vec_id, cell, dup_group, keep). Rows-only; pixel-dup recall
     asserted in tests/test_ann.py::test_image_semdedup_catches_pixel_dups."""
@@ -274,7 +274,7 @@ def _img_semdedup_query(sf_dir: str):
 
 
 def _img_ann_query(sf_dir: str):
-    """Query-by-image similarity search: ImageEmbed actor-pool inference
+    """Query-by-image similarity search: ImageEmbed task-stage inference
     feeding exact cosine top-k (the brute baseline; the IVF/LSH variants
     are the registered scale paths on the embeddings table). Returns
     (q_id, n_id, rank). Rows-only; planted-twin top-1 asserted in

@@ -15,7 +15,8 @@ headline metric is end-to-end images/sec of the near-dup pipeline on the
 deterministic synthetic image+caption fixture, plus per-query seconds over
 the sf0.1 testdata tables.
 
-Env: GRAFT_SF_DIR (default /root/testdata/sf0.1), RAY_GRAFT_CPUS (default 32),
+Env: GRAFT_SF_DIR (default: the sf0.1 testdata tables), RAY_GRAFT_CPUS
+(default: the CPUs this process may run on, ``os.sched_getaffinity``),
 BENCH_IMG_ROWS (default 60000), BENCH_TEXT_ROWS (default 150000),
 BENCH_COLD=1 (drop the page cache before the
 image pipeline instead of warming it — reference cache hygiene; needs root).
@@ -31,7 +32,8 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS",
+                              len(os.sched_getaffinity(0))))
 IMG_ROWS = int(os.environ.get("BENCH_IMG_ROWS", "60000"))
 SEED = 42
 
@@ -395,11 +397,6 @@ def run_bench() -> dict:
 
     run_dir = f"/tmp/dedup_ray_benchrun_{NUM_CPUS}"
     shutil.rmtree(run_dir, ignore_errors=True)
-    # task-mode signatures (sig_concurrency=None): the sharded signature
-    # stage runs up to 8 shard groups CONCURRENTLY, and an actor pool per
-    # group (min 1 actor x 1 CPU each) can hold every CPU of a small session
-    # while the groups' read/write tasks starve -> deadlock at num_cpus=8.
-    # Tasks share the session's prestarted workers and can't starve anyone.
     cfg = DedupConfig(num_partitions=max(8, NUM_CPUS))
     with PeakPssSampler() as pss, CpuCounters() as cpu:
         t0 = time.time()

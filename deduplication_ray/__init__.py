@@ -15,8 +15,8 @@ web-scale tables of image+caption pairs:
                                 distributed union-find (hash-min propagation)
 
 Everything is expressed Ray-Data-first: ``ray.data.Dataset`` pipelines,
-``map_batches`` over zero-copy Arrow batches, stateful actor pools for
-signature stages, ``groupby`` shuffles for LSH band buckets, and per-stage
+``map_batches`` over zero-copy Arrow batches, stateful stages run as
+tasks, ``groupby`` shuffles for LSH band buckets, and per-stage
 Parquet checkpoints with lineage manifests for resume.
 
 No module in this package calls ``ray.init()`` — sessions are owned by the

@@ -193,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     s.add_argument("--num-cpus", type=int, default=None)
 
     s = sub.add_parser("embed", help="materialize image embeddings: batched "
-                                     "actor-pool inference over an "
+                                     "task-stage inference over an "
                                      "image+caption table -> (image_id, "
                                      "embedding) table")
     s.add_argument("--input", required=True, help="input table dir/file")

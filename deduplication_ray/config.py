@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 
 @dataclass(frozen=True)
@@ -153,14 +153,12 @@ class DedupConfig:
     psnr_min_db: float = 40.0
 
     # --- execution shape ---
+    # Every map stage runs as Ray tasks, never as a fixed actor pool: a pool
+    # pins CPUs that the read tasks feeding it need (a 1-CPU session hangs),
+    # and the signature stage measured 13.6 s as tasks vs 38.7 s as a fixed
+    # pool at 60k rows.
     batch_size: int = 1024        # rows per map_batches batch for image stages
     text_batch_size: int = 4096   # rows per batch for caption-only stages
-    # actor pool size for signature stages; None -> stateless tasks with the
-    # (small, immutable) signature state shipped in the task closure — on a
-    # single node tasks reuse prestarted workers and skip actor-pool ramp
-    # (measured 13.6s vs 38.7s fixed pool vs 55.9s autoscale at 60k rows).
-    # Set an int/(min,max) to run as a classic stateful actor pool instead.
-    sig_concurrency: int | tuple | None = field(default=None)
     num_partitions: int = 32      # hash-join / groupby partition count
     broadcast_limit: int = 1_000_000  # lookup rows <= this -> broadcast join
                                       # (ray.put + per-batch merge); above ->

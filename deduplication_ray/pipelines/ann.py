@@ -93,9 +93,11 @@ def brute_force_topk(
 
     class PartialTopK:
         def __init__(self):
-            self.q_ids, self.qm = ray.get(ref)
+            self.q_ids = None
 
         def __call__(self, t: pa.Table) -> pa.Table:
+            if self.q_ids is None:
+                self.q_ids, self.qm = ray.get(ref)
             m = _normalize(_emb_matrix(t))
             ids = t[id_col].to_numpy()
             sims = m @ self.qm.T  # (B, Q)
@@ -113,8 +115,8 @@ def brute_force_topk(
                 "sim": np.concatenate(out_s).astype(np.float64),
             })
 
-    partials = ds.map_batches(PartialTopK, batch_format="pyarrow",
-                              batch_size=4096, concurrency=(1, 4))
+    partials = ds.map_batches(PartialTopK(), batch_format="pyarrow",
+                              batch_size=4096)
     return _distributed_topk(partials, k)
 
 
@@ -367,9 +369,11 @@ def _embedding_dup_pairs_exact(
 
     class PairFinder:
         def __init__(self):
-            self.ids, self.M = ray.get(ref)
+            self.ids = None
 
         def __call__(self, b: pa.Table) -> pa.Table:
+            if self.ids is None:
+                self.ids, self.M = ray.get(ref)
             ids_b = b[id_col].to_numpy().astype(np.int64)
             Mb = _normalize(_emb_matrix(b).astype(np.float64))
             sims = Mb @ self.M.T
@@ -377,8 +381,8 @@ def _embedding_dup_pairs_exact(
             r, c = np.nonzero(keep)
             return pa.table({"src": ids_b[r], "dst": self.ids[c]})
 
-    return ds.map_batches(PairFinder, batch_format="pyarrow", batch_size=2048,
-                          concurrency=(1, 4))
+    return ds.map_batches(PairFinder(), batch_format="pyarrow",
+                          batch_size=2048)
 
 
 class EmbSig:
@@ -484,10 +488,8 @@ def embedding_dup_pairs(
     if ds.count() <= exact_limit:
         return _embedding_dup_pairs_exact(ds, id_col, cos_min)
 
-    sigs = ds.map_batches(
-        EmbSig, fn_constructor_kwargs={"cfg": cfg, "id_col": id_col},
-        batch_format="pyarrow", batch_size=4096, concurrency=(1, 4)
-    ).materialize()
+    sigs = ds.map_batches(EmbSig(cfg, id_col), batch_format="pyarrow",
+                          batch_size=4096).materialize()
 
     verified = verify.pair_and_verify(
         sigs.map_batches(explode_emb_bands, batch_format="pyarrow"),
@@ -904,7 +906,7 @@ def embedding_semdedup(
     Representative = min id per duplicate component (deterministic at any
     parallelism). Output: (vec_id, cell, dup_group, keep). ``ds`` overrides
     the table read (the image_semdedup composition feeds embeddings
-    straight from the ImageEmbed actor pool)."""
+    straight from the ImageEmbed stage)."""
     if ds is None:
         ds = storage.read_table(f"{sf_dir}/{table}.parquet",
                                 columns=[id_col, "embedding"])
@@ -1486,9 +1488,11 @@ def q_knn_label_check(sf_dir: str, table: str = "embeddings",
 
         class NN:
             def __init__(self):
-                self.ids, self.labels, self.Q = ray.get(ref)
+                self.ids = None
 
             def __call__(self, b: pa.Table) -> pa.Table:
+                if self.ids is None:
+                    self.ids, self.labels, self.Q = ray.get(ref)
                 ids_b = b["vec_id"].to_numpy().astype(np.int64)
                 lab_b = b["label"].to_numpy().astype(np.int64)
                 sims = _quantize_milli(_emb_matrix(b)) @ self.Q.T
@@ -1498,8 +1502,8 @@ def q_knn_label_check(sf_dir: str, table: str = "embeddings",
                 nn = sims.argmax(axis=1)
                 return partial_counts(lab_b, self.labels[nn])
 
-        partials = ds.map_batches(NN, batch_format="pyarrow",
-                                  batch_size=2048, concurrency=(1, 4))
+        partials = ds.map_batches(NN(), batch_format="pyarrow",
+                                  batch_size=2048)
         return (partials.groupby("label")
                 .aggregate(Sum("n_vecs", alias_name="n_vecs"),
                            Sum("nn_match", alias_name="nn_match")))

@@ -110,13 +110,8 @@ class WindowSignatures:
 
 def compute_window_signatures(ds: ray.data.Dataset,
                               cfg: DedupConfig) -> ray.data.Dataset:
-    if cfg.sig_concurrency is None:  # task mode: state ships in the closure
-        return ds.map_batches(WindowSignatures(cfg), batch_format="pyarrow",
-                              batch_size=cfg.batch_size)
-    return ds.map_batches(
-        WindowSignatures, fn_constructor_args=(cfg,),
-        batch_format="pyarrow", batch_size=cfg.batch_size,
-        concurrency=cfg.sig_concurrency, num_cpus=1)
+    return ds.map_batches(WindowSignatures(cfg), batch_format="pyarrow",
+                          batch_size=cfg.batch_size)
 
 
 def crop_dup_pairs(sigs: ray.data.Dataset, cfg: DedupConfig,

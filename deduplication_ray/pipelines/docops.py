@@ -527,9 +527,11 @@ def q_doc_similar_topk(sf_dir: str, n_queries: int = 8, k: int = 10):
 
     class Score:
         def __init__(self):
-            self.qids, self.qsets = ray.get(ref)
+            self.qids = None
 
         def __call__(self, t: pa.Table) -> pa.Table:
+            if self.qids is None:
+                self.qids, self.qsets = ray.get(ref)
             out_q, out_d, out_j = [], [], []
             if t.num_rows:
                 cap = normalize_captions(t["text"])
@@ -565,8 +567,7 @@ def q_doc_similar_topk(sf_dir: str, n_queries: int = 8, k: int = 10):
                              "doc_id": pa.array(cat(out_d), pa.int64()),
                              "jaccard_milli": pa.array(cat(out_j), pa.int64())})
 
-    parts = ds.map_batches(Score, batch_format="pyarrow",
-                           concurrency=(1, 8)).to_pandas()
+    parts = ds.map_batches(Score(), batch_format="pyarrow").to_pandas()
     if parts.empty or "query_id" not in parts.columns:
         return empty
     return (parts.sort_values(["query_id", "jaccard_milli", "doc_id"],
@@ -688,9 +689,11 @@ def q_doc_ppjoin_pairs(sf_dir: str, tau_permille: int = 600,
 
     class Prefix:
         def __init__(self):
-            self.tok_sorted, self.rank = ray.get(rank_ref)
+            self.tok_sorted = None
 
         def __call__(self, t: pa.Table) -> pa.Table:
+            if self.tok_sorted is None:
+                self.tok_sorted, self.rank = ray.get(rank_ref)
             flat, lens = _flat_u64(t["toks"])
             if len(flat) == 0:
                 return pa.table({"bucket": pa.array([], pa.int64()),
@@ -747,8 +750,7 @@ def q_doc_ppjoin_pairs(sf_dir: str, tau_permille: int = 600,
         return pa.table({"src": pa.array(np.minimum(a, b)[keep]),
                          "dst": pa.array(np.maximum(a, b)[keep])})
 
-    cands = (sigs.map_batches(Prefix, concurrency=(1, 8),
-                              batch_format="pyarrow")
+    cands = (sigs.map_batches(Prefix(), batch_format="pyarrow")
              .groupby("bucket").map_groups(emit_pairs,
                                            batch_format="pyarrow")
              .groupby(["src", "dst"]).aggregate(Count(alias_name="nb")))
@@ -895,9 +897,11 @@ def q_doc_weighted_ppjoin_pairs(sf_dir: str, tau_permille: int = 600,
 
     class Prefix:
         def __init__(self):
-            self.tok_sorted, self.rank = ray.get(rank_ref)
+            self.tok_sorted = None
 
         def __call__(self, t: pa.Table) -> pa.Table:
+            if self.tok_sorted is None:
+                self.tok_sorted, self.rank = ray.get(rank_ref)
             flat, lens = _flat_u64(t["toks"])
             if len(flat) == 0:
                 return pa.table({"bucket": pa.array([], pa.int64()),
@@ -953,8 +957,7 @@ def q_doc_weighted_ppjoin_pairs(sf_dir: str, tau_permille: int = 600,
         return pa.table({"src": pa.array(np.minimum(a, b)[keep]),
                          "dst": pa.array(np.maximum(a, b)[keep])})
 
-    cands = (sigs.map_batches(Prefix, concurrency=(1, 8),
-                              batch_format="pyarrow")
+    cands = (sigs.map_batches(Prefix(), batch_format="pyarrow")
              .groupby("bucket").map_groups(emit_pairs,
                                            batch_format="pyarrow")
              .groupby(["src", "dst"]).aggregate(Count(alias_name="nb")))
@@ -1534,18 +1537,17 @@ ORDER BY df DESC, tok LIMIT {k}
 # ------------------------------------------------------ model-inference scoring
 
 class _DocClassifier:
-    """Batched MODEL INFERENCE as a stateful actor stage — the
-    fasttext-shaped quality/topic classifier slot of a training-data
-    curation pipeline.
+    """Batched MODEL INFERENCE as a map stage — the fasttext-shaped
+    quality/topic classifier slot of a training-data curation pipeline.
 
     The model is a deterministic stand-in (no model binaries ship in this
     sandbox): a linear layer over 2^16 hashed char-trigram buckets whose
     float32 weights derive from ``seed`` via SplitMix64. The Ray-side
     contract is the real thing and is what the tests pin down: weights
-    materialize ONCE per actor in ``__init__`` (the slot where a production
-    run reads the .bin from shared storage — never per batch), and
-    inference is one weight gather + per-row segment reduce per batch
-    (``np.add.reduceat`` — exact per-row sums independent of batch
+    materialize ONCE per task (or actor) at the first batch (the slot where
+    a production run reads the .bin from shared storage — never per
+    batch), and inference is one weight gather + per-row segment reduce per
+    batch (``np.add.reduceat`` — exact per-row sums independent of batch
     composition, so output is partition-invariant; no per-row Python)."""
 
     N_BUCKETS = 1 << 16
@@ -1553,15 +1555,18 @@ class _DocClassifier:
     LABELS = np.array(["hi", "mid", "low", "junk"])
 
     def __init__(self, seed: int = 42):
-        idx = np.arange(self.N_BUCKETS * self.N_CLASSES, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            h = H.splitmix64(
-                idx + np.uint64(seed) * np.uint64(0x9E3779B97F4A7C15))
-        self.w = ((h >> np.uint64(40)).astype(np.float64)
-                  / np.float64(1 << 24) - 0.5) \
-            .reshape(self.N_BUCKETS, self.N_CLASSES)
+        self.seed = seed
+        self.w = None
 
     def __call__(self, t: pa.Table) -> pa.Table:
+        if self.w is None:
+            idx = np.arange(self.N_BUCKETS * self.N_CLASSES, dtype=np.uint64)
+            with np.errstate(over="ignore"):
+                h = H.splitmix64(
+                    idx + np.uint64(self.seed) * np.uint64(0x9E3779B97F4A7C15))
+            self.w = ((h >> np.uint64(40)).astype(np.float64)
+                      / np.float64(1 << 24) - 0.5) \
+                .reshape(self.N_BUCKETS, self.N_CLASSES)
         hashes, offs = H.shingle_window_hashes(t["text"], 3)
         b = (hashes % np.uint64(self.N_BUCKETS)).astype(np.int64)
         contrib = self.w[b]                              # (n_grams, C)
@@ -1579,15 +1584,15 @@ class _DocClassifier:
 
 def q_doc_model_score(sf_dir: str):
     """Model-inference scoring pass: every document classified by a linear
-    hashed-trigram model running as an autoscaling ACTOR POOL
-    (``map_batches(_DocClassifier, concurrency=(1, 4))`` — construct-once,
-    score-per-batch). Rows-only driver check (a learned scorer has no ANSI
-    SQL form); tests assert exact parity with a serial single-process
-    oracle and invariance to partition count."""
+    hashed-trigram model running as TASKS
+    (``map_batches(_DocClassifier(seed=42))`` — weights built at each
+    task's first batch, score-per-batch; no actor holds a CPU between
+    batches). Rows-only check (a learned scorer
+    has no ANSI SQL form); tests assert exact parity with a serial
+    single-process oracle and invariance to partition count."""
     ds = _docs(sf_dir, ["doc_id", "text"])
-    return ds.map_batches(
-        _DocClassifier, fn_constructor_kwargs={"seed": 42},
-        batch_format="pyarrow", batch_size=1024, concurrency=(1, 4))
+    return ds.map_batches(_DocClassifier(seed=42), batch_format="pyarrow",
+                          batch_size=1024)
 
 
 # ----------------------------------------------------------- BM25 keyword search
@@ -2220,9 +2225,11 @@ def q_doc_cdc_dedup(sf_dir: str, mask_bits: int = 6, max_chunk: int = 256):
 
     class Chunker:
         def __init__(self):
-            self.src_vals = pa.array(ray.get(src_ref))
+            self.src_vals = None
 
         def __call__(self, t: pa.Table) -> pa.Table:
+            if self.src_vals is None:
+                self.src_vals = pa.array(ray.get(src_ref))
             raw, cuts, chunk_doc = _cdc_cuts(t["text"], mask_bits, max_chunk)
             if len(cuts) <= 1:
                 return pa.table({"h1": pa.array([], pa.int64()),
@@ -2267,8 +2274,7 @@ def q_doc_cdc_dedup(sf_dir: str, mask_bits: int = 6, max_chunk: int = 256):
                 "owner": pa.array(owner, pa.int64())})
 
     per_chunk = (_docs(sf_dir, ["doc_id", "text", "source"])
-                 .map_batches(Chunker, concurrency=(1, 8),
-                              batch_format="pyarrow")
+                 .map_batches(Chunker(), batch_format="pyarrow")
                  .groupby(["h1", "h2", "clen"])
                  .aggregate(Min("owner", alias_name="rep_owner"),
                             Count(alias_name="n_copies")))
@@ -2588,8 +2594,8 @@ def q_doc_pack_sequences(sf_dir: str, seq_len: int = 128, ds=None):
                 "start_in_seq": pa.array(lo - seq * seq_len),
             })
 
-    return counted.map_batches(Expand, batch_format="pyarrow",
-                               batch_size=None, concurrency=(1, 8))
+    return counted.map_batches(Expand(), batch_format="pyarrow",
+                               batch_size=None)
 
 
 def doc_pack_sequences_sql(seq_len: int = 128) -> str:
@@ -4569,10 +4575,12 @@ def q_doc_bpe_tokenize(sf_dir: str, num_merges: int = 200,
 
     class Encode:
         def __init__(self):
-            self.ranks, self.merges = ray.get(ref)
+            self.ranks = None
             self.cache: dict = {}
 
         def __call__(self, t: pa.Table) -> pa.Table:
+            if self.ranks is None:
+                self.ranks, self.merges = ray.get(ref)
             flat, offs = _tokens_flat(t["text"])
             toks = flat.to_numpy(zero_copy_only=False)
             nonempty = toks != ""
@@ -4596,8 +4604,7 @@ def q_doc_bpe_tokenize(sf_dir: str, num_merges: int = 200,
                 "n_bpe_tokens": pa.array(n_tok.astype(np.int64)),
             })
 
-    return ds.map_batches(Encode, batch_format="pyarrow",
-                          concurrency=(1, 8))
+    return ds.map_batches(Encode(), batch_format="pyarrow")
 
 
 # ------------------------------------------------------- keyed upsert (merge)

@@ -45,17 +45,6 @@ def pair_metrics(pred: pd.DataFrame, truth: pd.DataFrame) -> dict:
     }
 
 
-def recall_by_kind(pred: pd.DataFrame, truth: pd.DataFrame, spec: pd.DataFrame) -> dict:
-    """Per-planted-population recall — which detector family is missing what."""
-    out = {}
-    merged = truth.merge(spec[["image_id", "kind"]], on="image_id")
-    for kind, grp in merged.groupby("kind"):
-        sub_truth = truth[truth["cluster_id"].isin(grp["cluster_id"].unique())]
-        m = pair_metrics(pred, sub_truth.reset_index(drop=True))
-        out[str(kind)] = round(m["recall"], 4) if m["truth_pairs"] else None
-    return out
-
-
 def validate_run(input_path: str, run_dir: str, cfg=None,
                  sample: int | None = None) -> dict:
     """North-rule per-row invariant AUDIT over a finished image run (the

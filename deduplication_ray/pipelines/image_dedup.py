@@ -4,7 +4,7 @@ image+caption table (BASELINE.json north rule).
 Stage DAG (each boundary is a checkpoint, see state/checkpoint.py):
 
   input parquet (image_id, bytes, w, h, fmt, caption, phash)
-    | map_batches(ComputeSignatures actor pool)      [decode once; bytes die]
+    | map_batches(ComputeSignatures tasks)           [decode once; bytes die]
   signatures (image_id, ck1, ck2, cap_hash, phash, phash_ok, simhash, minhash)
     | verified_edges: one bucket stream (MinHash / pHash / SimHash bands,
     |   exact content key, caption L-grams) -> tag + salt -> slim id-hash
@@ -45,17 +45,8 @@ from deduplication_ray.state.checkpoint import CheckpointedRun
 
 
 def compute_signatures(input_ds: ray.data.Dataset, cfg: DedupConfig) -> ray.data.Dataset:
-    if cfg.sig_concurrency is None:  # task mode: state ships in the closure
-        return input_ds.map_batches(
-            ComputeSignatures(cfg), batch_format="pyarrow", batch_size=cfg.batch_size
-        )
     return input_ds.map_batches(
-        ComputeSignatures,
-        fn_constructor_kwargs={"cfg": cfg},
-        batch_format="pyarrow",
-        batch_size=cfg.batch_size,
-        concurrency=cfg.sig_concurrency,
-        num_cpus=1,
+        ComputeSignatures(cfg), batch_format="pyarrow", batch_size=cfg.batch_size
     )
 
 

@@ -11,7 +11,7 @@ orientations. A pair related by any rotation/mirror (plus mild noise)
 collides in the band whose orientations align and verifies at ~0 Hamming.
 
 Scale shape (mirrors the main image pipeline, ``image_dedup.py``):
-- decode + hash in an actor-pool ``map_batches`` — bytes die at this stage,
+- decode + hash in a task-mode ``map_batches`` — bytes die at this stage,
   only (image_id, 8 x u64) rows ever shuffle;
 - banding is a groupby on 16-bit band keys; emitting 8 orientations costs
   8x band rows (a documented constant factor on the SIGNATURE stream, not
@@ -86,14 +86,8 @@ class OrientationSignatures:
 
 def compute_orientation_signatures(ds: ray.data.Dataset,
                                    cfg: DedupConfig) -> ray.data.Dataset:
-    if cfg.sig_concurrency is None:  # task mode: state ships in the closure
-        return ds.map_batches(OrientationSignatures(cfg),
-                              batch_format="pyarrow",
-                              batch_size=cfg.batch_size)
-    return ds.map_batches(
-        OrientationSignatures, fn_constructor_args=(cfg,),
-        batch_format="pyarrow", batch_size=cfg.batch_size,
-        concurrency=cfg.sig_concurrency, num_cpus=1)
+    return ds.map_batches(OrientationSignatures(cfg), batch_format="pyarrow",
+                          batch_size=cfg.batch_size)
 
 
 def rot_dup_pairs(sigs: ray.data.Dataset, cfg: DedupConfig,

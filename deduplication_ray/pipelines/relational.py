@@ -24,8 +24,10 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
+from deduplication_ray.config import DedupConfig
 from deduplication_ray.functions import hashing as H
 from deduplication_ray.sources import storage
+from deduplication_ray.stages.join import lookup_join
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None,
@@ -105,33 +107,22 @@ GROUP BY l_returnflag, l_linestatus
 # ---------------------------------------------------------------- broadcast join
 
 def q_broadcast_join(sf_dir: str):
-    """orders x customer via BROADCAST of the small dimension side:
-    ray.put once, numpy searchsorted lookup per batch — no shuffle
-    (the idiomatic R17 small-side gather)."""
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).to_pandas()
-    keys = np.sort(cust["c_custkey"].to_numpy())
-    order_idx = np.argsort(cust["c_custkey"].to_numpy(), kind="stable")
-    segs = cust["c_mktsegment"].to_numpy()[order_idx]
-    ref = ray.put((keys, segs))
+    """orders x customer via BROADCAST of the small dimension side
+    (``lookup_join``: one gather per batch, no shuffle — the idiomatic R17
+    small-side gather)."""
+    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]) \
+        .rename_columns({"c_custkey": "o_custkey"})
 
-    class Attach:
-        def __init__(self):
-            self.keys, self.segs = ray.get(ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ck = t["o_custkey"].to_numpy()
-            pos = np.searchsorted(self.keys, ck)
-            pos = np.clip(pos, 0, len(self.keys) - 1)
-            ok = self.keys[pos] == ck
-            seg = np.where(ok, self.segs[pos], None)
-            cents = pc.round(pc.multiply(t["o_totalprice"], pa.scalar(100.0))).cast(pa.int64())
-            return pa.table({
-                "c_mktsegment": pa.array(seg.tolist(), pa.string()),
-                "price_cents": cents,
-            })
+    def cents(t: pa.Table) -> pa.Table:
+        return pa.table({
+            "c_mktsegment": t["c_mktsegment"],
+            "price_cents": pc.round(pc.multiply(
+                t["o_totalprice"], pa.scalar(100.0))).cast(pa.int64()),
+        })
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    out = orders.map_batches(Attach, batch_format="pyarrow", concurrency=(1, 4)) \
+    out = lookup_join(orders, cust, on=["o_custkey"], cfg=DedupConfig()) \
+        .map_batches(cents, batch_format="pyarrow") \
         .groupby("c_mktsegment").aggregate(
             Count(alias_name="n_orders"),
             Sum("price_cents", alias_name="total_price_cents"),
@@ -210,23 +201,11 @@ def q_top_revenue_orders(sf_dir: str, k: int = 10):
         {"l_orderkey": pa.array([], pa.int64()),
          "revenue_e4": pa.array([], pa.int64())})
 
-    keyset_ref = ray.put(np.sort(cand["l_orderkey"].to_numpy()))
-
-    class FilterKeys:
-        def __init__(self):
-            self.keys = ray.get(keyset_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ks = t["o_orderkey"].to_numpy()
-            pos = np.searchsorted(self.keys, ks)
-            pos[pos >= len(self.keys)] = 0
-            hit = (self.keys[pos] == ks) if len(self.keys) else np.zeros(len(ks), bool)
-            return t.filter(pa.array(hit))
-
+    keys = pd.DataFrame({"o_orderkey": cand["l_orderkey"].to_numpy()})
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
     matched = pa.concat_tables(
-        list(orders.map_batches(FilterKeys, batch_format="pyarrow",
-                                concurrency=(1, 4))
+        list(lookup_join(orders, keys, on=["o_orderkey"], cfg=DedupConfig(),
+                         how="semi")
              .iter_batches(batch_format="pyarrow", batch_size=None)),
         promote_options="default") if len(cand) else cand
 
@@ -369,27 +348,15 @@ def q_semi_join(sf_dir: str):
     def f(t: pa.Table) -> pa.Table:
         return t.select(["o_custkey"])
 
-    # distributed distinct BEFORE the collect: the driver only ever sees the
-    # bounded set of distinct hot customers, not the raw filtered stream
-    distinct = _collect_int_column(
-        hot.map_batches(f, batch_format="pyarrow")
-        .groupby("o_custkey").aggregate(Count(alias_name="_n")), "o_custkey")
-    keys_arr = np.sort(distinct.astype(np.int64)) if len(distinct) \
-        else np.array([-1], dtype=np.int64)
-    ref = ray.put(keys_arr)
-
+    # distributed distinct first: the broadcast lookup is the bounded set of
+    # distinct hot customers, not the raw filtered stream
+    distinct = (hot.map_batches(f, batch_format="pyarrow")
+                .groupby("o_custkey").aggregate(Count(alias_name="_n"))
+                .select_columns(["o_custkey"])
+                .rename_columns({"o_custkey": "c_custkey"}))
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-
-    class Semi:
-        def __init__(self):
-            self.keys = ray.get(ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ck = t["c_custkey"].to_numpy()
-            pos = np.clip(np.searchsorted(self.keys, ck), 0, len(self.keys) - 1)
-            return t.filter(pa.array(self.keys[pos] == ck))
-
-    out = cust.map_batches(Semi, batch_format="pyarrow", concurrency=(1, 4))
+    out = lookup_join(cust, distinct, on=["c_custkey"], cfg=DedupConfig(),
+                      how="semi")
     return out.groupby("c_nationkey").aggregate(Count(alias_name="n_customers"))
 
 
@@ -529,9 +496,11 @@ def q_dedup_keep_first_lowshuffle(sf_dir: str):
 
     class SplitBase:
         def __init__(self):
-            self.dups = ray.get(ref)
+            self.dups = None
 
         def _dup_mask(self, t: pa.Table) -> np.ndarray:
+            if self.dups is None:
+                self.dups = ray.get(ref)
             h = H.hash_bytes_array(t["text"]).view(np.int64)
             pos = np.clip(np.searchsorted(self.dups, h), 0,
                           len(self.dups) - 1)
@@ -546,10 +515,8 @@ def q_dedup_keep_first_lowshuffle(sf_dir: str):
         def __call__(self, t: pa.Table) -> pa.Table:
             return t.filter(pa.array(self._dup_mask(t)))
 
-    uniq_ids = ds.map_batches(UniqueSide, batch_format="pyarrow",
-                              concurrency=(1, 8))
-    reps = ds.map_batches(DupSide, batch_format="pyarrow",
-                          concurrency=(1, 8)) \
+    uniq_ids = ds.map_batches(UniqueSide(), batch_format="pyarrow")
+    reps = ds.map_batches(DupSide(), batch_format="pyarrow") \
         .groupby("text").aggregate(Min("doc_id", alias_name="rep_id")) \
         .select_columns(["rep_id"]).rename_columns({"rep_id": "doc_id"})
     return uniq_ids.union(reps)
@@ -746,10 +713,10 @@ SELECT o_custkey, o_orderkey, o_totalprice FROM (
 
 def q_anti_join(sf_dir: str):
     """Customers with NO urgent order (NOT IN): the broadcast complement of
-    the semi-join. Distributed distinct of the probe keys first (the driver
-    only collects the bounded distinct keyset, never the raw stream), then a
-    vectorized sorted-keyset NOT-IN filter per batch. At 100 TB the keyset
-    collect is replaced by the same Bloom-prefilter + exact-set pattern; the
+    the semi-join. Distributed distinct of the probe keys first (the
+    broadcast lookup is the bounded distinct keyset, never the raw stream),
+    then a ``lookup_join`` anti probe per batch. At 100 TB the keyset
+    broadcast is replaced by the same Bloom-prefilter + exact-set pattern; the
     filter pass is unchanged."""
     urgent = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"],
                    filter=(pc.field("o_orderpriority") == "1-URGENT"))
@@ -757,25 +724,13 @@ def q_anti_join(sf_dir: str):
     def f(t: pa.Table) -> pa.Table:
         return t.select(["o_custkey"])
 
-    distinct = _collect_int_column(
-        urgent.map_batches(f, batch_format="pyarrow")
-        .groupby("o_custkey").aggregate(Count(alias_name="_n")), "o_custkey")
-    keys_arr = np.sort(distinct.astype(np.int64)) if len(distinct) \
-        else np.array([-1], dtype=np.int64)
-    ref = ray.put(keys_arr)
-
+    distinct = (urgent.map_batches(f, batch_format="pyarrow")
+                .groupby("o_custkey").aggregate(Count(alias_name="_n"))
+                .select_columns(["o_custkey"])
+                .rename_columns({"o_custkey": "c_custkey"}))
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-
-    class Anti:
-        def __init__(self):
-            self.keys = ray.get(ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ck = t["c_custkey"].to_numpy()
-            pos = np.clip(np.searchsorted(self.keys, ck), 0, len(self.keys) - 1)
-            return t.filter(pa.array(self.keys[pos] != ck))
-
-    return cust.map_batches(Anti, batch_format="pyarrow", concurrency=(1, 4))
+    return lookup_join(cust, distinct, on=["c_custkey"], cfg=DedupConfig(),
+                       how="anti")
 
 
 Q_ANTI_JOIN_SQL = """
@@ -1454,7 +1409,7 @@ def q_revenue_by_nation(sf_dir: str, num_buckets: int = 32):
     """TPC-H Q5 shape: revenue per nation for customers of ONE region —
     a five-table join composed from both join strategies this engine has:
     the dimension chain region -> nation -> customer collapses into one
-    broadcast custkey->nation map (tiny, ray.put once), while
+    broadcast custkey->nation lookup (tiny, ``lookup_join``), while
     lineitem x orders — the big-big edge where no side is broadcastable at
     10^12 rows — goes through the hash-co-partitioned ``shuffle_join``.
 
@@ -1470,34 +1425,14 @@ def q_revenue_by_nation(sf_dir: str, num_buckets: int = 32):
     nation = _read(sf_dir, "nation",
                    ["n_nationkey", "n_name", "n_regionkey"]).to_pandas()
     nation = nation[nation["n_regionkey"].isin(rkeys)]
-    nmap = dict(zip(nation["n_nationkey"].astype(int),
-                    nation["n_name"].astype(str)))
+    cn = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).to_pandas() \
+        .merge(nation, left_on="c_nationkey", right_on="n_nationkey") \
+        [["c_custkey", "n_name"]].rename(columns={"c_custkey": "o_custkey"})
 
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).to_pandas()
-    cust = cust[cust["c_nationkey"].astype(int).isin(nmap)]
-    order_idx = np.argsort(cust["c_custkey"].to_numpy(), kind="stable")
-    ckeys = cust["c_custkey"].to_numpy()[order_idx]
-    cnames = np.array([nmap[int(k)] for k in
-                       cust["c_nationkey"].to_numpy()[order_idx]], dtype=object)
-    ref = ray.put((ckeys, cnames))
-
-    class AttachNation:
-        def __init__(self):
-            self.keys, self.names = ray.get(ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ck = t["o_custkey"].to_numpy()
-            pos = np.clip(np.searchsorted(self.keys, ck), 0,
-                          max(len(self.keys) - 1, 0))
-            ok = (self.keys[pos] == ck) if len(self.keys) else \
-                np.zeros(len(ck), bool)
-            return pa.table({
-                "l_orderkey": t["o_orderkey"].filter(pa.array(ok)),
-                "n_name": pa.array(self.names[pos[ok]].tolist(), pa.string()),
-            })
-
-    orders_nat = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]) \
-        .map_batches(AttachNation, batch_format="pyarrow", concurrency=(1, 4))
+    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
+    orders_nat = lookup_join(orders, cn, on=["o_custkey"], cfg=DedupConfig()) \
+        .select_columns(["o_orderkey", "n_name"]) \
+        .rename_columns({"o_orderkey": "l_orderkey"})
 
     def li_partial(t: pa.Table) -> pa.Table:
         rev = pc.round(pc.multiply(
@@ -1670,9 +1605,7 @@ def q_semi_join_bloom(sf_dir: str, n_bits: int = 1 << 20):
     + ~0.8% false positives) go through the size-dispatched lookup_join
     against the key Dataset — broadcast here, hash-shuffle above
     ``cfg.broadcast_limit``."""
-    from deduplication_ray.config import DedupConfig
     from deduplication_ray.functions import sketch as SK
-    from deduplication_ray.stages.join import lookup_join
 
     cfg = DedupConfig(num_partitions=8)
     hot = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"],
@@ -1699,15 +1632,16 @@ def q_semi_join_bloom(sf_dir: str, n_bits: int = 1 << 20):
 
     class BloomProbe:
         def __init__(self):
-            self.bits = ray.get(ref)
+            self.bits = None
 
         def __call__(self, t: pa.Table) -> pa.Table:
+            if self.bits is None:
+                self.bits = ray.get(ref)
             maybe = SK.bloom_might_contain(
                 self.bits, t["c_custkey"].to_numpy().astype(np.uint64))
             return t.filter(pa.array(maybe))
 
-    survivors = cust.map_batches(BloomProbe, batch_format="pyarrow",
-                                 concurrency=(1, 4))
+    survivors = cust.map_batches(BloomProbe(), batch_format="pyarrow")
     confirmed = lookup_join(
         survivors, keys.rename_columns({"o_custkey": "c_custkey"}),
         on=["c_custkey"], cfg=cfg)
@@ -2575,8 +2509,8 @@ def q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
     this engine's three join strategies in their proper roles.
 
     Scale plan: (1) the segment's custkeys are the small dimension side —
-    broadcast once via ray.put, probed with one searchsorted per orders
-    batch (no shuffle; the R17 small-side gather,
+    broadcast once and probed per orders batch (``lookup_join`` semi; no
+    shuffle; the R17 small-side gather,
     /root/reference/src/compressor.c:320-339); (2) lineitem revenue
     collapses to one row per orderkey BEFORE any wire hop (in-batch
     sum-by-key partial, then hash_grouped_reduce — group-per-row regime);
@@ -2593,36 +2527,26 @@ def q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
 
     cut = datetime.datetime(1998, 6, 1)
 
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"],
-                 filter=(pc.field("c_mktsegment") == segment))
-    ckeys_ref = ray.put(np.sort(_collect_int_column(cust, "c_custkey")))
+    cust = _read(sf_dir, "customer", ["c_custkey"],
+                 filter=(pc.field("c_mktsegment") == segment)) \
+        .rename_columns({"c_custkey": "o_custkey"})
 
-    class SemiCust:
-        def __init__(self):
-            self.keys = ray.get(ckeys_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ck = t["o_custkey"].to_numpy()
-            if len(self.keys):
-                pos = np.searchsorted(self.keys, ck)
-                pos[pos >= len(self.keys)] = 0
-                hit = self.keys[pos] == ck
-            else:
-                hit = np.zeros(len(ck), bool)
-            t = t.filter(pa.array(hit))
-            day = (t["o_orderdate"].to_numpy().astype("datetime64[D]")
-                   .astype(np.int64))
-            return pa.table({
-                "l_orderkey": t["o_orderkey"],
-                "o_orderdate_day": pa.array(day, pa.int64()),
-                "o_orderpriority": t["o_orderpriority"],
-            })
+    def project(t: pa.Table) -> pa.Table:
+        day = (t["o_orderdate"].to_numpy().astype("datetime64[D]")
+               .astype(np.int64))
+        return pa.table({
+            "l_orderkey": t["o_orderkey"],
+            "o_orderdate_day": pa.array(day, pa.int64()),
+            "o_orderpriority": t["o_orderpriority"],
+        })
 
     orders = _read(
         sf_dir, "orders",
         ["o_orderkey", "o_custkey", "o_orderdate", "o_orderpriority"],
-        filter=(pc.field("o_orderdate") < cut)
-    ).map_batches(SemiCust, batch_format="pyarrow", concurrency=(1, 4))
+        filter=(pc.field("o_orderdate") < cut))
+    orders = lookup_join(orders, cust, on=["o_custkey"], cfg=DedupConfig(),
+                         how="semi").map_batches(project,
+                                                 batch_format="pyarrow")
 
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_extendedprice", "l_discount"],
@@ -2788,9 +2712,11 @@ def q18_big_orders(sf_dir: str, qty_threshold: int = 270,
 
     class Enrich:
         def __init__(self):
-            self.bkeys, self.bqty, self.ckeys, self.cnames = ray.get(ref)
+            self.bkeys = None
 
         def __call__(self, t: pa.Table) -> pa.Table:
+            if self.bkeys is None:
+                self.bkeys, self.bqty, self.ckeys, self.cnames = ray.get(ref)
             ok_ = t["o_orderkey"].to_numpy()
             if len(self.bkeys):
                 pos = np.searchsorted(self.bkeys, ok_)
@@ -2821,8 +2747,7 @@ def q18_big_orders(sf_dir: str, qty_threshold: int = 270,
 
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])
-    return orders.map_batches(Enrich, batch_format="pyarrow",
-                              concurrency=(1, 4))
+    return orders.map_batches(Enrich(), batch_format="pyarrow")
 
 
 Q18_BIG_ORDERS_SQL = """
@@ -2919,54 +2844,43 @@ GROUP BY g.day
 
 # ------------------------------------------------ TPC-H Q9 (profit by nation)
 
-def _broadcast_sorted(df: pd.DataFrame, key: str, val: str):
-    """Sort a small dimension frame by key and ray.put the (keys, values)
-    arrays for searchsorted probes inside map_batches."""
-    order = np.argsort(df[key].to_numpy(), kind="stable")
-    return ray.put((df[key].to_numpy()[order], df[val].to_numpy()[order]))
+def _supp_nation(sf_dir: str) -> pd.DataFrame:
+    """The supplier -> nation dimension chain collapsed in pandas into one
+    (l_suppkey, n_name) lookup for lineitem probes."""
+    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).to_pandas()
+    nation = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
+    return supp.merge(nation, left_on="s_nationkey", right_on="n_nationkey") \
+        [["s_suppkey", "n_name"]].rename(columns={"s_suppkey": "l_suppkey"})
 
 
 def q9_profit_by_nation(sf_dir: str):
     """TPC-H Q9 shape: profit per (supplier nation, ship year) — a fact
     table against a star of dimensions, composed as a DOUBLE broadcast:
     the dimension chain supplier -> nation collapses driver-side into ONE
-    (suppkey -> nation name) lookup shipped once via ray.put and probed
-    with a searchsorted per lineitem batch, so the fact stream never
+    (suppkey -> nation name) lookup broadcast once and probed per lineitem
+    batch (``lookup_join``), so the fact stream never
     shuffles until the final |nations| x |years| groupby of per-batch
     partials (the q_revenue_by_nation dimension-collapse pattern on the
     supplier leg of the star)."""
-    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).to_pandas()
-    nation = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
-    sn = supp.merge(nation, left_on="s_nationkey", right_on="n_nationkey")
-    supp_ref = _broadcast_sorted(sn, "s_suppkey", "n_name")
+    sn = _supp_nation(sf_dir)
 
-    class Star:
-        def __init__(self):
-            self.sk, self.nname = ray.get(supp_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            spos = np.searchsorted(self.sk, t["l_suppkey"].to_numpy())
-            spos = np.clip(spos, 0, len(self.sk) - 1)
-            nname = self.nname[spos]
-            year = (t["l_shipdate"].to_numpy().astype("datetime64[Y]")
-                    .astype(np.int64) + 1970)
-            e4 = pc.round(pc.multiply(
-                pc.multiply(t["l_extendedprice"],
-                            pc.subtract(pa.scalar(1.0), t["l_discount"])),
-                pa.scalar(10000.0))).cast(pa.int64()).to_numpy()
-            g = (pa.table({"n_name": pa.array(nname.tolist(), pa.string()),
-                           "ship_year": pa.array(year),
-                           "profit_e4": pa.array(e4),
-                           "n_items": pa.array(np.ones(len(e4), np.int64))})
-                 .group_by(["n_name", "ship_year"])
-                 .aggregate([("profit_e4", "sum"), ("n_items", "sum")]))
-            return g.rename_columns(
-                ["n_name", "ship_year", "profit_e4", "n_items"])
+    def star(t: pa.Table) -> pa.Table:
+        year = (t["l_shipdate"].to_numpy().astype("datetime64[Y]")
+                .astype(np.int64) + 1970)
+        e4 = _rev_e4(t)
+        g = (pa.table({"n_name": t["n_name"],
+                       "ship_year": pa.array(year),
+                       "profit_e4": pa.array(e4),
+                       "n_items": pa.array(np.ones(len(e4), np.int64))})
+             .group_by(["n_name", "ship_year"])
+             .aggregate([("profit_e4", "sum"), ("n_items", "sum")]))
+        return g.rename_columns(
+            ["n_name", "ship_year", "profit_e4", "n_items"])
 
     li = _read(sf_dir, "lineitem",
                ["l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"])
-    return li.map_batches(Star, batch_format="pyarrow",
-                          concurrency=(1, 4)) \
+    return lookup_join(li, sn, on=["l_suppkey"], cfg=DedupConfig()) \
+        .map_batches(star, batch_format="pyarrow") \
         .groupby(["n_name", "ship_year"]).aggregate(
             Sum("profit_e4", alias_name="profit_e4"),
             Sum("n_items", alias_name="n_items"))
@@ -2991,34 +2905,26 @@ def q14_promo_share(sf_dir: str):
     broadcast dimension probe. The share is computed with INTEGER floor
     division on e4-unit sums (never a float ratio), so the DuckDB oracle
     hash-matches bit-for-bit."""
-    part = _read(sf_dir, "part", ["p_partkey", "p_type"]).to_pandas()
-    part_ref = _broadcast_sorted(part, "p_partkey", "p_type")
+    part = _read(sf_dir, "part", ["p_partkey", "p_type"]) \
+        .rename_columns({"p_partkey": "l_partkey"})
 
-    class Promo:
-        def __init__(self):
-            self.pk, self.ptype = ray.get(part_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ppos = np.searchsorted(self.pk, t["l_partkey"].to_numpy())
-            ppos = np.clip(ppos, 0, len(self.pk) - 1)
-            promo = self.ptype[ppos] == "PROMO"
-            year = (t["l_shipdate"].to_numpy().astype("datetime64[Y]")
-                    .astype(np.int64) + 1970)
-            e4 = pc.round(pc.multiply(
-                pc.multiply(t["l_extendedprice"],
-                            pc.subtract(pa.scalar(1.0), t["l_discount"])),
-                pa.scalar(10000.0))).cast(pa.int64()).to_numpy()
-            g = (pa.table({"ship_year": pa.array(year),
-                           "promo_e4": pa.array(np.where(promo, e4, 0)),
-                           "total_e4": pa.array(e4)})
-                 .group_by(["ship_year"])
-                 .aggregate([("promo_e4", "sum"), ("total_e4", "sum")]))
-            return g.rename_columns(["ship_year", "promo_e4", "total_e4"])
+    def promo(t: pa.Table) -> pa.Table:
+        is_promo = pc.equal(t["p_type"], "PROMO").to_numpy(
+            zero_copy_only=False)
+        year = (t["l_shipdate"].to_numpy().astype("datetime64[Y]")
+                .astype(np.int64) + 1970)
+        e4 = _rev_e4(t)
+        g = (pa.table({"ship_year": pa.array(year),
+                       "promo_e4": pa.array(np.where(is_promo, e4, 0)),
+                       "total_e4": pa.array(e4)})
+             .group_by(["ship_year"])
+             .aggregate([("promo_e4", "sum"), ("total_e4", "sum")]))
+        return g.rename_columns(["ship_year", "promo_e4", "total_e4"])
 
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_shipdate", "l_extendedprice", "l_discount"])
-    agg = li.map_batches(Promo, batch_format="pyarrow",
-                         concurrency=(1, 4)) \
+    agg = lookup_join(li, part, on=["l_partkey"], cfg=DedupConfig()) \
+        .map_batches(promo, batch_format="pyarrow") \
         .groupby("ship_year").aggregate(
             Sum("promo_e4", alias_name="promo_e4"),
             Sum("total_e4", alias_name="total_e4"))
@@ -3070,9 +2976,11 @@ def q19_brand_revenue(sf_dir: str):
 
     class Q19:
         def __init__(self):
-            self.pk, self.brand, self.size = ray.get(ref)
+            self.pk = None
 
         def __call__(self, t: pa.Table) -> pa.Table:
+            if self.pk is None:
+                self.pk, self.brand, self.size = ray.get(ref)
             ppos = np.searchsorted(self.pk, t["l_partkey"].to_numpy())
             ppos = np.clip(ppos, 0, len(self.pk) - 1)
             brand = self.brand[ppos]
@@ -3093,8 +3001,7 @@ def q19_brand_revenue(sf_dir: str):
 
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"])
-    parts = li.map_batches(Q19, batch_format="pyarrow",
-                           concurrency=(1, 4)).to_pandas()
+    parts = li.map_batches(Q19(), batch_format="pyarrow").to_pandas()
     return pd.DataFrame({
         "revenue_e4": [int(parts["revenue_e4"].sum())],
         "n_items": [int(parts["n_items"].sum())],
@@ -3582,34 +3489,26 @@ def q7_nation_volume(sf_dir: str):
     size-dispatched lookup join (broadcast here, shuffle above
     ``cfg.broadcast_limit``); the final groupby is
     |nations|² × |years| rows."""
-    from deduplication_ray.config import DedupConfig
-    from deduplication_ray.stages.join import lookup_join, shuffle_join
+    from deduplication_ray.stages.join import shuffle_join
 
-    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).to_pandas()
     nation = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
-    sn = supp.merge(nation, left_on="s_nationkey", right_on="n_nationkey")
-    supp_ref = _broadcast_sorted(sn, "s_suppkey", "n_name")
 
-    class SuppNation:
-        def __init__(self):
-            self.sk, self.nname = ray.get(supp_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            pos = np.clip(np.searchsorted(self.sk, t["l_suppkey"].to_numpy()),
-                          0, len(self.sk) - 1)
-            year = (t["l_shipdate"].to_numpy().astype("datetime64[Y]")
-                    .astype(np.int64) + 1970)
-            return pa.table({
-                "o_orderkey": t["l_orderkey"],
-                "supp_nation": pa.array(self.nname[pos].tolist(), pa.string()),
-                "ship_year": pa.array(year),
-                "revenue_e4": pa.array(_rev_e4(t)),
-            })
+    def supp_nation(t: pa.Table) -> pa.Table:
+        year = (t["l_shipdate"].to_numpy().astype("datetime64[Y]")
+                .astype(np.int64) + 1970)
+        return pa.table({
+            "o_orderkey": t["l_orderkey"],
+            "supp_nation": t["n_name"],
+            "ship_year": pa.array(year),
+            "revenue_e4": pa.array(_rev_e4(t)),
+        })
 
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_suppkey", "l_shipdate",
-                "l_extendedprice", "l_discount"]) \
-        .map_batches(SuppNation, batch_format="pyarrow", concurrency=(1, 4))
+                "l_extendedprice", "l_discount"])
+    li = lookup_join(li, _supp_nation(sf_dir), on=["l_suppkey"],
+                     cfg=DedupConfig()) \
+        .map_batches(supp_nation, batch_format="pyarrow")
 
     # collapse per (orderkey, nation, year) pre-wire: composite group key =
     # orderkey is the join key, so reduce on it and keep per-(nation, year)
@@ -3642,8 +3541,7 @@ def q7_nation_volume(sf_dir: str):
         .merge(nation, left_on="c_nationkey", right_on="n_nationkey") \
         [["c_custkey", "n_name"]].rename(columns={"n_name": "cust_nation",
                                                   "c_custkey": "o_custkey"})
-    cfg = DedupConfig()
-    j2 = lookup_join(j, cn, on=["o_custkey"], cfg=cfg)
+    j2 = lookup_join(j, cn, on=["o_custkey"], cfg=DedupConfig())
 
     def project(t: pa.Table) -> pa.Table:
         keep = pc.not_equal(t["supp_nation"], t["cust_nation"])
@@ -3810,50 +3708,35 @@ def q8_market_share(sf_dir: str, part_type: str = "STANDARD",
     through the co-partitioned shuffle join; the customer→region leg rides
     the size-dispatched lookup join; the share is integer floor-division
     permille so the DuckDB oracle hash-matches bit-for-bit."""
-    from deduplication_ray.config import DedupConfig
     from deduplication_ray.stages.groupred import hash_grouped_reduce
-    from deduplication_ray.stages.join import lookup_join, shuffle_join
+    from deduplication_ray.stages.join import shuffle_join
 
     part = _read(sf_dir, "part", ["p_partkey"],
-                 filter=(pc.field("p_type") == part_type))
-    pkeys_ref = ray.put(np.sort(_collect_int_column(part, "p_partkey")))
-
-    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).to_pandas()
+                 filter=(pc.field("p_type") == part_type)) \
+        .rename_columns({"p_partkey": "l_partkey"})
     nation = _read(sf_dir, "nation",
                    ["n_nationkey", "n_name", "n_regionkey"]).to_pandas()
-    sn = supp.merge(nation, left_on="s_nationkey", right_on="n_nationkey")
-    supp_ref = _broadcast_sorted(sn, "s_suppkey", "n_name")
 
-    class Prep:
-        def __init__(self):
-            self.pk = ray.get(pkeys_ref)
-            self.sk, self.nname = ray.get(supp_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ks = t["l_partkey"].to_numpy()
-            if len(self.pk):
-                pos = np.clip(np.searchsorted(self.pk, ks), 0, len(self.pk) - 1)
-                t = t.filter(pa.array(self.pk[pos] == ks))
-            else:
-                t = t.slice(0, 0)
-            spos = np.clip(np.searchsorted(self.sk, t["l_suppkey"].to_numpy()),
-                           0, max(len(self.sk) - 1, 0))
-            is_nat = self.nname[spos] == nation_name if len(self.sk) else \
-                np.zeros(t.num_rows, bool)
-            year = (t["l_shipdate"].to_numpy().astype("datetime64[Y]")
-                    .astype(np.int64) + 1970)
-            e4 = _rev_e4(t)
-            return pa.table({
-                "o_orderkey": t["l_orderkey"],
-                "ship_year": pa.array(year),
-                "nation_e4": pa.array(np.where(is_nat, e4, 0)),
-                "total_e4": pa.array(e4),
-            })
+    def prep(t: pa.Table) -> pa.Table:
+        is_nat = pc.equal(t["n_name"], nation_name).to_numpy(
+            zero_copy_only=False)
+        year = (t["l_shipdate"].to_numpy().astype("datetime64[Y]")
+                .astype(np.int64) + 1970)
+        e4 = _rev_e4(t)
+        return pa.table({
+            "o_orderkey": t["l_orderkey"],
+            "ship_year": pa.array(year),
+            "nation_e4": pa.array(np.where(is_nat, e4, 0)),
+            "total_e4": pa.array(e4),
+        })
 
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_partkey", "l_suppkey", "l_shipdate",
-                "l_extendedprice", "l_discount"]) \
-        .map_batches(Prep, batch_format="pyarrow", concurrency=(1, 4))
+                "l_extendedprice", "l_discount"])
+    li = lookup_join(li, part, on=["l_partkey"], cfg=DedupConfig(), how="semi")
+    li = lookup_join(li, _supp_nation(sf_dir), on=["l_suppkey"],
+                     cfg=DedupConfig()) \
+        .map_batches(prep, batch_format="pyarrow")
 
     def combine(t: pa.Table) -> pa.Table:
         schema = pa.schema([("o_orderkey", pa.int64()),
@@ -3883,8 +3766,8 @@ def q8_market_share(sf_dir: str, part_type: str = "STANDARD",
         .merge(nation, left_on="c_nationkey", right_on="n_nationkey")
     cn = cn[cn["n_regionkey"] == rkey][["c_custkey"]] \
         .rename(columns={"c_custkey": "o_custkey"})
-    cfg = DedupConfig()
-    j2 = lookup_join(j, cn, on=["o_custkey"], cfg=cfg)  # inner: region only
+    # inner: region customers only
+    j2 = lookup_join(j, cn, on=["o_custkey"], cfg=DedupConfig())
 
     agg = (j2.map_batches(
         lambda t: t.select(["ship_year", "nation_e4", "total_e4"]),
@@ -4001,22 +3884,6 @@ ORDER BY r.s_suppkey
 # hash-compares bit-identically at any parallelism.
 
 
-def _probe_sorted(keys_sorted: np.ndarray,
-                  x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ONE searchsorted pass -> (membership mask, gather positions), so a
-    broadcast probe that needs both never binary-searches twice
-    (empty-safe: positions are all-zero and the mask all-false)."""
-    if len(keys_sorted) == 0:
-        return np.zeros(len(x), dtype=bool), np.zeros(len(x), dtype=np.int64)
-    pos = np.clip(np.searchsorted(keys_sorted, x), 0, len(keys_sorted) - 1)
-    return keys_sorted[pos] == x, pos
-
-
-def _member_mask(keys_sorted: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Vectorized membership probe against a sorted key array (empty-safe)."""
-    return _probe_sorted(keys_sorted, x)[0]
-
-
 def _region_nations(sf_dir: str, region: str) -> pd.DataFrame:
     """Nation rows (n_nationkey, n_name) belonging to one region — the
     shared region->nation resolution of the Q2/Q5 dimension legs."""
@@ -4082,19 +3949,17 @@ def q5_local_supplier_volume(sf_dir: str, region: str = "ASIA",
 
     from deduplication_ray.stages.join import shuffle_join
 
-    nat = _region_nations(sf_dir, region).sort_values("n_nationkey")
-    nat_keys = nat["n_nationkey"].to_numpy()
-    nat_names = nat["n_name"].to_numpy()
-
+    nat = _region_nations(sf_dir, region)
     supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).to_pandas()
-    supp = supp[supp["s_nationkey"].isin(nat_keys)].sort_values("s_suppkey")
-    supp_ref = ray.put((supp["s_suppkey"].to_numpy(),
-                        supp["s_nationkey"].to_numpy()))
-
+    supp = supp[supp["s_nationkey"].isin(nat["n_nationkey"])] \
+        .rename(columns={"s_suppkey": "l_suppkey"})
+    # the cycle predicate c_nationkey = s_nationkey is part of the
+    # customer leg's join key
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).to_pandas() \
-        .sort_values("c_custkey")
-    cust_ref = ray.put((cust["c_custkey"].to_numpy(),
-                        cust["c_nationkey"].to_numpy()))
+        .merge(nat, left_on="c_nationkey", right_on="n_nationkey") \
+        .rename(columns={"c_custkey": "o_custkey",
+                         "c_nationkey": "s_nationkey"}) \
+        [["o_custkey", "s_nationkey", "n_name"]]
 
     def combine(t: pa.Table) -> pa.Table:
         schema = pa.schema([("o_orderkey", pa.int64()),
@@ -4105,27 +3970,20 @@ def q5_local_supplier_volume(sf_dir: str, region: str = "ASIA",
              ["revenue_e4"].sum().reset_index())
         return pa.Table.from_pandas(g, preserve_index=False).cast(schema)
 
-    class SuppLeg:
-        def __init__(self):
-            self.sk, self.snat = ray.get(supp_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            sk = t["l_suppkey"].to_numpy()
-            ok, pos = _probe_sorted(self.sk, sk)
-            raw = pa.table({
-                "o_orderkey": t["l_orderkey"],
-                "s_nationkey": pa.array(
-                    np.where(ok, self.snat[pos] if len(self.sk) else 0, 0)),
-                "revenue_e4": pa.array(_rev_e4(t)),
-            }).filter(pa.array(ok))
-            return combine(raw)
+    def supp_leg(t: pa.Table) -> pa.Table:
+        return combine(pa.table({
+            "o_orderkey": t["l_orderkey"],
+            "s_nationkey": t["s_nationkey"],
+            "revenue_e4": pa.array(_rev_e4(t)),
+        }))
 
     from deduplication_ray.stages.groupred import hash_grouped_reduce
 
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"])
     per_order = hash_grouped_reduce(
-        li.map_batches(SuppLeg, batch_format="pyarrow", concurrency=(1, 4)),
+        lookup_join(li, supp, on=["l_suppkey"], cfg=DedupConfig())
+        .map_batches(supp_leg, batch_format="pyarrow"),
         key_hash=lambda t: H.splitmix64(
             t["o_orderkey"].to_numpy().astype(np.uint64)),
         reduce_fn=combine,
@@ -4137,26 +3995,9 @@ def q5_local_supplier_volume(sf_dir: str, region: str = "ASIA",
                            & (pc.field("o_orderdate") < datetime.datetime.fromisoformat(end))))
     j = shuffle_join(per_order, orders, on=["o_orderkey"], how="inner")
 
-    nat_ref = ray.put((nat_keys, nat_names))
-
-    class CustLeg:
-        def __init__(self):
-            self.ck, self.cnat = ray.get(cust_ref)
-            self.nk, self.nname = ray.get(nat_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ck = t["o_custkey"].to_numpy()
-            pos = np.clip(np.searchsorted(self.ck, ck), 0, len(self.ck) - 1)
-            cnat = self.cnat[pos]
-            keep = cnat == t["s_nationkey"].to_numpy()
-            npos = np.clip(np.searchsorted(self.nk, cnat[keep]),
-                           0, len(self.nk) - 1)
-            return pa.table({
-                "n_name": pa.array(self.nname[npos].tolist(), pa.string()),
-                "revenue_e4": t["revenue_e4"].filter(pa.array(keep)),
-            })
-
-    return (j.map_batches(CustLeg, batch_format="pyarrow", concurrency=(1, 4))
+    return (lookup_join(j, cust, on=["o_custkey", "s_nationkey"],
+                        cfg=DedupConfig())
+            .select_columns(["n_name", "revenue_e4"])
             .groupby("n_name")
             .aggregate(Sum("revenue_e4", alias_name="revenue_e4")))
 
@@ -4229,45 +4070,27 @@ def q16_supplier_count_by_type(sf_dir: str, excl_brand: str = "Brand#1",
     (all rows of a triple share the suppkey, so one partition sees them
     all); the final groupby counts pre-deduped rows — COUNT(DISTINCT)
     without ever shuffling the fact table by the group key."""
-    part = _read(sf_dir, "part",
-                 ["p_partkey", "p_brand", "p_type"]).to_pandas() \
-        .sort_values("p_partkey")
-    part = part[part["p_brand"] != excl_brand]
-    part_ref = ray.put((part["p_partkey"].to_numpy(),
-                        part["p_brand"].to_numpy(),
-                        part["p_type"].to_numpy()))
-    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_acctbal"]).to_pandas()
-    bad = np.sort(supp.loc[supp["s_acctbal"] < bal_floor, "s_suppkey"].to_numpy())
-    bad_ref = ray.put(bad)
+    part = _read(sf_dir, "part", ["p_partkey", "p_brand", "p_type"],
+                 filter=(pc.field("p_brand") != excl_brand)) \
+        .rename_columns({"p_partkey": "l_partkey"})
+    bad = _read(sf_dir, "supplier", ["s_suppkey"],
+                filter=(pc.field("s_acctbal") < bal_floor)) \
+        .rename_columns({"s_suppkey": "l_suppkey"})
 
     def dedup_triples(t: pa.Table) -> pa.Table:
         schema = pa.schema([("p_brand", pa.string()), ("p_type", pa.string()),
                             ("l_suppkey", pa.int64())])
-        df = t.to_pandas().drop_duplicates()
+        df = t.select(["p_brand", "p_type", "l_suppkey"]).to_pandas() \
+            .drop_duplicates()
         return pa.Table.from_pandas(df, preserve_index=False).cast(schema)
-
-    class Triples:
-        def __init__(self):
-            self.pk, self.brand, self.ptype = ray.get(part_ref)
-            self.bad = ray.get(bad_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            pk = t["l_partkey"].to_numpy()
-            sk = t["l_suppkey"].to_numpy()
-            pok, pos = _probe_sorted(self.pk, pk)
-            ok = pok & ~_member_mask(self.bad, sk)
-            raw = pa.table({
-                "p_brand": pa.array(self.brand[pos].tolist(), pa.string()),
-                "p_type": pa.array(self.ptype[pos].tolist(), pa.string()),
-                "l_suppkey": t["l_suppkey"],
-            }).filter(pa.array(ok))
-            return dedup_triples(raw)
 
     from deduplication_ray.stages.groupred import hash_grouped_reduce
 
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
+    li = lookup_join(li, bad, on=["l_suppkey"], cfg=DedupConfig(), how="anti")
+    li = lookup_join(li, part, on=["l_partkey"], cfg=DedupConfig())
     triples = hash_grouped_reduce(
-        li.map_batches(Triples, batch_format="pyarrow", concurrency=(1, 4)),
+        li.map_batches(dedup_triples, batch_format="pyarrow"),
         key_hash=lambda t: H.splitmix64(
             t["l_suppkey"].to_numpy().astype(np.uint64)),
         reduce_fn=dedup_triples,
@@ -4297,28 +4120,21 @@ def q20_heavy_share_suppliers(sf_dir: str, name_like: str = "widget",
     every pair of each part, so the per-part total and the share filter run
     vectorized inside the partition — the nested aggregate never re-shuffles."""
     part = _read(sf_dir, "part", ["p_partkey", "p_name"]).to_pandas()
-    sel = np.sort(part.loc[part["p_name"].str.contains(name_like),
-                           "p_partkey"].to_numpy())
-    sel_ref = ray.put(sel)
+    sel = pd.DataFrame({"l_partkey": part.loc[
+        part["p_name"].str.contains(name_like), "p_partkey"].to_numpy()})
 
     def pair_partial(df: pd.DataFrame) -> pd.DataFrame:
         return (df.groupby(["l_partkey", "l_suppkey"], sort=False)["qty"]
                 .sum().reset_index())
 
-    class PairQty:
-        def __init__(self):
-            self.sel = ray.get(sel_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            pk = t["l_partkey"].to_numpy()
-            ok = _member_mask(self.sel, pk)
-            qty = pc.round(t["l_quantity"]).cast(pa.int64()).to_numpy()
-            df = pd.DataFrame({"l_partkey": pk[ok], "l_suppkey":
-                               t["l_suppkey"].to_numpy()[ok], "qty": qty[ok]})
-            g = pair_partial(df)
-            return pa.table({"l_partkey": pa.array(g["l_partkey"], type=pa.int64()),
-                             "l_suppkey": pa.array(g["l_suppkey"], type=pa.int64()),
-                             "qty": pa.array(g["qty"], type=pa.int64())})
+    def pair_qty(t: pa.Table) -> pa.Table:
+        g = pair_partial(pd.DataFrame({
+            "l_partkey": t["l_partkey"].to_numpy(),
+            "l_suppkey": t["l_suppkey"].to_numpy(),
+            "qty": pc.round(t["l_quantity"]).cast(pa.int64()).to_numpy()}))
+        return pa.table({"l_partkey": pa.array(g["l_partkey"], type=pa.int64()),
+                         "l_suppkey": pa.array(g["l_suppkey"], type=pa.int64()),
+                         "qty": pa.array(g["qty"], type=pa.int64())})
 
     def heavy(t: pa.Table) -> pa.Table:
         df = pair_partial(t.to_pandas())
@@ -4330,7 +4146,9 @@ def q20_heavy_share_suppliers(sf_dir: str, name_like: str = "widget",
 
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_quantity"])
     winners = hash_grouped_reduce(
-        li.map_batches(PairQty, batch_format="pyarrow", concurrency=(1, 4)),
+        lookup_join(li, sel, on=["l_partkey"], cfg=DedupConfig(),
+                    how="semi")
+        .map_batches(pair_qty, batch_format="pyarrow"),
         key_hash=lambda t: H.splitmix64(
             t["l_partkey"].to_numpy().astype(np.uint64)),
         reduce_fn=heavy,
@@ -4476,41 +4294,27 @@ def q2_min_cost_supplier(sf_dir: str, ptype: str = "ECONOMY",
     end, on the (tiny) winner set only."""
     part = _read(sf_dir, "part",
                  ["p_partkey", "p_name", "p_type"]).to_pandas()
-    part = part[part["p_type"] == ptype].sort_values("p_partkey")
-    part_ref = ray.put((part["p_partkey"].to_numpy(),
-                        part["p_name"].to_numpy()))
-
+    part = part[part["p_type"] == ptype][["p_partkey", "p_name"]]
     nat = _region_nations(sf_dir, region)
     supp = _read(sf_dir, "supplier",
                  ["s_suppkey", "s_name", "s_nationkey"]).to_pandas() \
         .merge(nat, left_on="s_nationkey", right_on="n_nationkey") \
-        .sort_values("s_suppkey")
-    supp_ref = ray.put((supp["s_suppkey"].to_numpy(),
-                        supp["s_name"].to_numpy(),
-                        supp["n_name"].to_numpy()))
+        [["s_suppkey", "s_name", "n_name"]]
 
     def pair_min(df: pd.DataFrame) -> pd.DataFrame:
         return (df.groupby(["p_partkey", "s_suppkey"], sort=False)["cost_cents"]
                 .min().reset_index())
 
-    class PairCost:
-        def __init__(self):
-            self.pk, _ = ray.get(part_ref)
-            self.sk, _, _ = ray.get(supp_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            pk = t["l_partkey"].to_numpy()
-            sk = t["l_suppkey"].to_numpy()
-            ok = _member_mask(self.pk, pk) & _member_mask(self.sk, sk)
-            cents = pc.round(pc.multiply(t["l_extendedprice"],
-                                         pa.scalar(100.0))) \
-                .cast(pa.int64()).to_numpy()
-            g = pair_min(pd.DataFrame({"p_partkey": pk[ok],
-                                       "s_suppkey": sk[ok],
-                                       "cost_cents": cents[ok]}))
-            return pa.table({"p_partkey": pa.array(g["p_partkey"], type=pa.int64()),
-                             "s_suppkey": pa.array(g["s_suppkey"], type=pa.int64()),
-                             "cost_cents": pa.array(g["cost_cents"], type=pa.int64())})
+    def pair_cost(t: pa.Table) -> pa.Table:
+        cents = pc.round(pc.multiply(t["l_extendedprice"],
+                                     pa.scalar(100.0))) \
+            .cast(pa.int64()).to_numpy()
+        g = pair_min(pd.DataFrame({"p_partkey": t["l_partkey"].to_numpy(),
+                                   "s_suppkey": t["l_suppkey"].to_numpy(),
+                                   "cost_cents": cents}))
+        return pa.table({"p_partkey": pa.array(g["p_partkey"], type=pa.int64()),
+                         "s_suppkey": pa.array(g["s_suppkey"], type=pa.int64()),
+                         "cost_cents": pa.array(g["cost_cents"], type=pa.int64())})
 
     def tie_winners(t: pa.Table) -> pa.Table:
         df = pair_min(t.to_pandas())
@@ -4524,35 +4328,22 @@ def q2_min_cost_supplier(sf_dir: str, ptype: str = "ECONOMY",
 
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_suppkey", "l_extendedprice"])
+    li = lookup_join(li, part.rename(columns={"p_partkey": "l_partkey"}),
+                     on=["l_partkey"], cfg=DedupConfig(), how="semi")
+    li = lookup_join(li, supp.rename(columns={"s_suppkey": "l_suppkey"}),
+                     on=["l_suppkey"], cfg=DedupConfig(), how="semi")
     winners = hash_grouped_reduce(
-        li.map_batches(PairCost, batch_format="pyarrow", concurrency=(1, 4)),
+        li.map_batches(pair_cost, batch_format="pyarrow"),
         key_hash=lambda t: H.splitmix64(
             t["p_partkey"].to_numpy().astype(np.uint64)),
         reduce_fn=tie_winners,
         num_parts=32,
     )
 
-    class Attach:
-        def __init__(self):
-            self.pk, self.pname = ray.get(part_ref)
-            self.sk, self.sname, self.nname = ray.get(supp_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            pk = t["p_partkey"].to_numpy()
-            sk = t["s_suppkey"].to_numpy()
-            ppos = np.clip(np.searchsorted(self.pk, pk), 0, len(self.pk) - 1)
-            spos = np.clip(np.searchsorted(self.sk, sk), 0, len(self.sk) - 1)
-            return pa.table({
-                "p_partkey": t["p_partkey"],
-                "p_name": pa.array(self.pname[ppos].tolist(), pa.string()),
-                "s_suppkey": t["s_suppkey"],
-                "s_name": pa.array(self.sname[spos].tolist(), pa.string()),
-                "n_name": pa.array(self.nname[spos].tolist(), pa.string()),
-                "cost_cents": t["cost_cents"],
-            })
-
-    return winners.map_batches(Attach, batch_format="pyarrow",
-                               concurrency=(1, 2))
+    named = lookup_join(winners, part, on=["p_partkey"], cfg=DedupConfig())
+    return lookup_join(named, supp, on=["s_suppkey"], cfg=DedupConfig()) \
+        .select_columns(["p_partkey", "p_name", "s_suppkey", "s_name",
+                         "n_name", "cost_cents"])
 
 
 Q2_MIN_COST_SUPPLIER_SQL = """

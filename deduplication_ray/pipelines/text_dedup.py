@@ -21,19 +21,10 @@ from deduplication_ray.state import unionfind
 def text_signatures(
     ds: ray.data.Dataset, cfg: DedupConfig, id_col: str = "doc_id", text_col: str = "text"
 ) -> ray.data.Dataset:
-    if cfg.sig_concurrency is None:  # task mode: state ships in the closure
-        return ds.map_batches(
-            CaptionSignatures(cfg, id_col, text_col),
-            batch_format="pyarrow",
-            batch_size=cfg.text_batch_size,
-        )
     return ds.map_batches(
-        CaptionSignatures,
-        fn_constructor_kwargs={"cfg": cfg, "id_col": id_col, "text_col": text_col},
+        CaptionSignatures(cfg, id_col, text_col),
         batch_format="pyarrow",
         batch_size=cfg.text_batch_size,
-        concurrency=cfg.sig_concurrency,
-        num_cpus=1,
     )
 
 

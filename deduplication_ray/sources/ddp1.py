@@ -110,6 +110,9 @@ def dedup_encode(
     """
     if len(blocks) <= LOCAL_ENCODE_MAX_BLOCKS:
         return _dedup_encode_local(blocks)
+    from deduplication_ray.config import DedupConfig
+    from deduplication_ray.stages.join import lookup_join
+
     ds = blocks_to_dataset(blocks)
     firsts = ds.groupby(["key1", "key2"]).aggregate(
         Min("block_idx", alias_name="first_idx")
@@ -118,38 +121,15 @@ def dedup_encode(
     # small by construction (that's why dedup compresses), so rank on driver
     fdf = firsts.to_pandas().sort_values("first_idx").reset_index(drop=True)
     fdf["id"] = np.arange(len(fdf), dtype=np.int64)
-    import ray
 
-    id_map = ray.put(fdf)
-
-    class AttachIds:
-        def __init__(self):
-            df = ray.get(id_map)
-            comp = H.hash_u64_pair(
-                df["key1"].to_numpy().view(np.uint64),
-                df["key2"].to_numpy().view(np.uint64),
-            )
-            order = np.argsort(comp)
-            self.keys = comp[order]
-            self.ids = df["id"].to_numpy()[order]
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            comp = H.hash_u64_pair(
-                t["key1"].to_numpy().view(np.uint64),
-                t["key2"].to_numpy().view(np.uint64),
-            )
-            pos = np.searchsorted(self.keys, comp)
-            return pa.table({
-                "block_idx": t["block_idx"],
-                "id": self.ids[pos],
-            })
-
-    # DISTRIBUTED sort by stream position, then stream the id sequence out
-    # in order — the driver never materializes the assignment table, it only
-    # concatenates already-sorted id batches (4 bytes/block) for the
+    # ids attach by the broadcast probe on the exact (key1, key2) pair;
+    # then a DISTRIBUTED sort by stream position streams the id sequence
+    # out in order — the caller never materializes the assignment table, it
+    # only concatenates already-sorted id batches (4 bytes/block) for the
     # sequential container write
-    assigned = ds.map_batches(AttachIds, batch_format="pyarrow",
-                              concurrency=(1, 4)).sort("block_idx")
+    assigned = lookup_join(ds, fdf[["key1", "key2", "id"]],
+                           on=["key1", "key2"], cfg=DedupConfig()) \
+        .select_columns(["block_idx", "id"]).sort("block_idx")
     parts = [b["id"].to_numpy()
              for b in assigned.iter_batches(batch_format="pyarrow")]
     block_ids = (np.concatenate(parts) if parts

@@ -252,8 +252,7 @@ def apply_noise(img: np.ndarray, noise_seed: int) -> np.ndarray:
 class RenderImages:
     """map_batches callable: spec rows -> final fixture rows.
 
-    Stateless math but class-shaped so the fixture pipeline exercises the
-    same actor-pool pattern as the real signature stages.
+    Stateless math but class-shaped like the real signature stages.
     """
 
     def __init__(self, phash_size: int = 32, phash_lowfreq: int = 8):

@@ -1,11 +1,11 @@
-"""Batched image-embedding inference: the actor-pool model-scoring stage
-for the image payload.
+"""Batched image-embedding inference: the model-scoring stage for the
+image payload.
 
 The "model" is a fixed seeded random projection of the 32x32 grayscale
 plane (Johnson-Lindenstrauss random-projection embedding — public
 technique): honest in a sandbox with no trained vision models, and the
 Ray-side plumbing is exactly what a real encoder needs — weights
-materialized ONCE per actor in ``__init__``, per-batch decode + one
+materialized ONCE per task at the first batch, per-batch decode + one
 batched matmul in ``__call__``, a ``list<float>`` output column that
 feeds every downstream embedding operator (ANN top-k, SemDeDup,
 outliers). Swap ``ImageEmbed._project`` for a real forward pass and
@@ -26,22 +26,25 @@ from deduplication_ray.functions import codecs as C
 
 
 class ImageEmbed:
-    """Actor-pool stage: (image_id, bytes, w, h, fmt) -> (image_id,
+    """Task stage: (image_id, bytes, w, h, fmt) -> (image_id,
     embedding list<float32>). L2-normalized, so cosine == dot."""
 
     def __init__(self, cfg: DedupConfig | None = None, dim: int = 64,
                  size: int = 32, seed: int | None = None):
-        cfg = cfg or DedupConfig()
-        self.size = size
-        rng = np.random.default_rng(seed if seed is not None else cfg.seed)
-        # once per actor: the projection "weights" (size^2 x dim)
-        self.w = rng.standard_normal((size * size, dim)).astype(np.float32) \
-            / np.float32(size)
+        self.size, self.dim = size, dim
+        self.seed = seed if seed is not None else (cfg or DedupConfig()).seed
+        self.w = None
 
     def _project(self, planes: np.ndarray) -> np.ndarray:
         """The model forward pass — the extension point: replace this ONE
         batched matmul with a real encoder and the stage contract
         (decode -> batch -> normalized vectors) is unchanged."""
+        if self.w is None:
+            # once per task: the projection "weights" (size^2 x dim)
+            rng = np.random.default_rng(self.seed)
+            self.w = rng.standard_normal(
+                (self.size * self.size, self.dim)).astype(np.float32) \
+                / np.float32(self.size)
         emb = planes @ self.w
         norm = np.linalg.norm(emb, axis=1, keepdims=True)
         return emb / np.maximum(norm, 1e-12)
@@ -65,16 +68,10 @@ class ImageEmbed:
 
 
 def embed_images(ds, cfg: DedupConfig | None = None, dim: int = 64,
-                 concurrency=(1, 4), batch_size: int = 256):
-    """input table -> (image_id, embedding) via the actor-pool stage."""
-    return ds.map_batches(
-        ImageEmbed,
-        fn_constructor_kwargs={"cfg": cfg, "dim": dim},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+                 batch_size: int = 256):
+    """input table -> (image_id, embedding) via the ImageEmbed stage."""
+    return ds.map_batches(ImageEmbed(cfg, dim), batch_format="pyarrow",
+                          batch_size=batch_size)
 
 
 EMBED_COLUMNS = ["image_id", "bytes", "w", "h", "fmt"]  # prune at the read

@@ -95,6 +95,16 @@ def _block_key_hashes(tbl, on: list[str]) -> np.ndarray:
     return _key_hashes(tbl, on)
 
 
+def _nonempty_blocks(ds: ray.data.Dataset) -> ray.data.Dataset | None:
+    """``ds`` materialized with its empty blocks dropped (None if all are
+    empty). Ray's hash-shuffle join takes each side's schema from that
+    side's first block: an empty first block leaves every partition that
+    gets no rows from that side schema-less, and the join fails."""
+    refs = [ref for bundle in ds.materialize().iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks if meta.num_rows]
+    return ray.data.from_arrow_refs(refs) if refs else None
+
+
 def _resolve_small(small) -> pa.Table:
     """The broadcast payload is either a driver-built pa.Table (tiny/empty
     lookups) or a LIST OF BLOCK REFS (the normal path): the lookup's blocks
@@ -173,6 +183,9 @@ class _GatherMerge:
                 eq = pc.fill_null(pc.equal(t[k], right_k), False)
                 matched &= eq.to_numpy(zero_copy_only=False).astype(bool)
 
+        if self.how in ("semi", "anti"):
+            return t.filter(pa.array(matched if self.how == "semi"
+                                     else ~matched))
         if self.how == "inner":
             t_out = t.filter(pa.array(matched))
             gidx = pa.array(cand[matched], pa.int64())
@@ -194,14 +207,20 @@ def lookup_join(
 ) -> ray.data.Dataset:
     """ds JOIN lookup ON on — broadcast when lookup is small, else shuffle.
 
-    ``how``: 'inner' or 'left'. Output columns: ds columns + lookup's
-    non-key columns (caller guarantees no name collisions).
+    ``how``: 'inner' or 'left' output the ds columns + lookup's non-key
+    columns (caller guarantees no name collisions). 'semi' / 'anti' keep
+    the ds rows whose key does / does not occur in lookup and append
+    nothing: lookup is projected to its keys, and a duplicated lookup key
+    never duplicates a ds row. A null key matches nothing.
     """
+    keys_only = how in ("semi", "anti")
     small_refs: list | None = None
     if isinstance(lookup, pd.DataFrame):
-        small = pa.Table.from_pandas(lookup, preserve_index=False)
+        small = pa.Table.from_pandas(lookup[on] if keys_only else lookup,
+                                     preserve_index=False)
     else:
-        lookup = lookup.materialize()
+        lookup = (lookup.select_columns(list(on)) if keys_only
+                  else lookup).materialize()
         n = lookup_rows if lookup_rows is not None else lookup.count()
         if broadcast_ok(lookup, cfg, rows=n):
             if n > 0:
@@ -246,9 +265,13 @@ def lookup_join(
                         arrow_schema = arrow_schema.append(left.field(c))
                 small = arrow_schema.empty_table()
         else:
-            join_type = "inner" if how == "inner" else "left_outer"
-            return ds.join(
-                lookup,
+            probe = _nonempty_blocks(ds)
+            if probe is None:  # an empty probe side joins to nothing
+                return ds
+            join_type = {"inner": "inner", "left": "left_outer",
+                         "semi": "left_semi", "anti": "left_anti"}[how]
+            return probe.join(
+                _nonempty_blocks(lookup),
                 join_type=join_type,
                 num_partitions=cfg.num_partitions,
                 on=tuple(on),
@@ -278,7 +301,8 @@ def lookup_join(
             _GatherMerge(ref, list(on), how), batch_format="pyarrow")
 
     ref = ray.put(payload)
-    pa_join_type = "inner" if how == "inner" else "left outer"
+    pa_join_type = {"inner": "inner", "left": "left outer",
+                    "semi": "left semi", "anti": "left anti"}[how]
 
     class Merge:
         """Task-mode broadcast merge: the lookup lives in the object store

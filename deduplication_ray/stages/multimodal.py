@@ -1,7 +1,7 @@
 """Multimodal column stages: opaque binary payloads + typed metadata.
 
 The engine treats image/audio/video as ``binary`` columns with metadata
-columns (fmt, w, h / sample_rate / fps), processed by actor-pool
+columns (fmt, w, h / sample_rate / fps), processed by task-mode
 ``map_batches`` stages. Self-contained decoders are REAL: raw / png / qrgb
 / baseline-sequential jpg images (functions/codecs.py, functions/jpeg.py)
 and RIFF/WAVE integer- and IEEE-float-PCM audio (``decode_wav`` below, pure
@@ -142,7 +142,7 @@ class AudioFrameFeatures:
     def __init__(self, window: int = 1024, fallback_rate: int = 16000):
         self.window = window
         self.fallback_rate = fallback_rate
-        # Hann window (built once per actor): without it, spectral leakage
+        # Hann window (built once per stage): without it, spectral leakage
         # from the rectangular window drags a pure tone's centroid far off
         # its frequency
         self.hann = np.hanning(window)
@@ -328,27 +328,6 @@ def encode_wav(pcm: np.ndarray, rate: int, bits: int = 16,
     return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
 
 
-def audio_subfingerprints(pcm: np.ndarray, rate: int, window: int,
-                          n_bands: int = 16) -> np.ndarray:
-    """Per-frame 16-bit spectral sub-fingerprints (uint64 array).
-
-    Frames of ``window`` samples at hop window//2, log-spaced band energies
-    (300 Hz .. min(rate/2, 4 kHz)), bit m = sign of the adjacent-band energy
-    difference E[t,m] - E[t,m+1] — the spectral SHAPE per frame. This is the
-    Haitsma-Kalker band-energy-sign family (ISMIR 2002, "A Highly Robust
-    Audio Fingerprinting System") without HK's extra time differential:
-    for sparse spectra (few tones, most bands near the noise floor) the
-    double differential is noise-dominated (measured ~4 bit flips/frame
-    under 8-bit requantization vs ~0.2 for shape bits), while shape signs
-    stay gain-invariant and flip only where adjacent bands have near-equal
-    energy. Temporal variation (AM, onsets) still changes the shape frame
-    to frame, so shingles of consecutive sub-fingerprints carry temporal
-    structure for exact-match LSH.
-    """
-    spec, freqs = _audio_spectrogram(pcm, rate, window)
-    return _band_sign_bits(spec, freqs, rate, n_bands)
-
-
 def _audio_spectrogram(pcm: np.ndarray, rate: int,
                        window: int) -> tuple[np.ndarray, np.ndarray]:
     """Hann-windowed power spectrogram at hop window//2: (frames x bins)."""
@@ -364,7 +343,15 @@ def _audio_spectrogram(pcm: np.ndarray, rate: int,
 
 def _band_sign_bits(spec: np.ndarray, freqs: np.ndarray, rate: int,
                     n_bands: int) -> np.ndarray:
-    """Adjacent-band energy-sign bits per frame -> one uint64 per frame."""
+    """Adjacent-band energy-sign bits per frame -> one uint64 per frame.
+
+    Log-spaced band energies (300 Hz .. min(rate/2, 4 kHz)), bit m = sign of
+    E[t,m] - E[t,m+1] — the spectral SHAPE per frame: the Haitsma-Kalker
+    band-energy-sign family (ISMIR 2002) without HK's extra time
+    differential, which is noise-dominated on sparse spectra (measured ~4
+    bit flips/frame under 8-bit requantization vs ~0.2 for shape bits).
+    Shape signs are gain-invariant; shingles of consecutive frames carry
+    the temporal structure for exact-match LSH."""
     hi = min(rate / 2.0, 4000.0)
     edges = np.geomspace(300.0, hi, n_bands + 2)
     which = np.searchsorted(edges, freqs) - 1  # band index per fft bin

@@ -5,8 +5,8 @@ compressor.c:105-114``): where the reference probes a heap dictionary per
 block, the graft computes *keys* per row — exact content keys plus three
 near-dup signatures — and lets groupby shuffles do the matching. All state
 (MinHash permutation coefficients, SimHash hyperplanes, DCT basis) is built
-once per actor in ``__init__`` from the config seed (the actor-pool analog of
-``dict_init``, ``dictionary.c:8-19``).
+once per stage instance in ``__init__`` from the config seed and ships with
+each task (the analog of ``dict_init``, ``dictionary.c:8-19``).
 
 Input batch:  image_id, bytes, w, h, fmt, caption, phash (zero-copy Arrow).
 Output batch: image_id, ck (16-byte exact content key), cap_hash (normalized-
@@ -55,7 +55,7 @@ class ComputeSignatures:
         self.cfg = cfg
         self.mh_a, self.mh_b = H.make_minhash_perms(cfg.num_perm, cfg.seed)
         self.planes = H.make_simhash_planes(cfg.simhash_bits, cfg.simhash_dim, cfg.seed)
-        self.dct = C.dct_matrix(cfg.phash_size)  # warm the cache once per actor
+        self.dct = C.dct_matrix(cfg.phash_size)  # warm the cache once per stage
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         cfg = self.cfg

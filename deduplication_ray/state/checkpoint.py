@@ -190,12 +190,10 @@ class CheckpointedRun:
 
         ``fn(files) -> Dataset`` computes the stage output for a file subset.
 
-        CAUTION: groups execute concurrently (up to 8 threads). If ``fn``
-        builds an ACTOR-POOL map_batches stage, each concurrent group pins
-        >= min_pool actors x 1 CPU; on a small session the pools can hold
-        every CPU while the groups' read/write TASKS starve — a livelock.
-        Prefer stateless task-mode stages inside sharded fns (see
-        DedupConfig.sig_concurrency).
+        Groups execute concurrently (up to 8 threads), so ``fn`` must build
+        task-mode map stages only: an actor pool per group pins CPUs that
+        the groups' read/write tasks need, and on a small session that
+        livelocks.
         """
         import threading
         import time as _time

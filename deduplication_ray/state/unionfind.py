@@ -233,7 +233,10 @@ def connected_components(
     ``compute().materialize()`` + ``checkpoint_cb`` step, so a checkpointed
     run can time and persist each round's compute as one stage.
     ``resume=(k, labels_rk)`` continues the distributed rounds after round
-    k. ``edge_rows`` is the known row count of ``edges`` (skips counting).
+    k; on the local tier a resumed round 0 is the final labels (every
+    config field is in the checkpoint's config hash, so it can only be
+    ``local_components``' output) and is returned as is. ``edge_rows`` is
+    the known row count of ``edges`` (skips counting).
     """
     from deduplication_ray.stages.tuning import apply_context_tuning, ensure_blocks
 
@@ -246,7 +249,9 @@ def connected_components(
     if edge_rows is None:
         edges = edges.materialize()
         edge_rows = edges.count()
-    if resume is None and edge_rows <= cfg.local_uf_limit:
+    if edge_rows <= cfg.local_uf_limit:
+        if resume is not None:
+            return resume[1]
         return run_round(0, lambda: local_components(edges))
     eb = ensure_blocks(bidirectional(edges), cfg.num_partitions).materialize()
     if resume is None:

@@ -57,7 +57,7 @@ def tiny_run(ray_session, tiny_fixture):
 
     run_dir = "/tmp/dedup_ray_test_run"
     shutil.rmtree(run_dir, ignore_errors=True)
-    cfg = DedupConfig(num_partitions=4, sig_concurrency=2)
+    cfg = DedupConfig(num_partitions=4)
     metrics = image_dedup.run_pipeline(f"{tiny_fixture}/data", run_dir, cfg)
     return run_dir, cfg, metrics
 

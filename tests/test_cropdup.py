@@ -71,7 +71,7 @@ def test_crop_dup_pipeline_recovers_planted_crops(ray_session, crop_fixture,
     from deduplication_ray.pipelines import cropdup
     from deduplication_ray.sources import storage
 
-    cfg = DedupConfig(num_partitions=4, sig_concurrency=2)
+    cfg = DedupConfig(num_partitions=4)
     ds = storage.read_table(f"{crop_fixture}/data")
     pairs = cropdup.run_crop_dup(ds, cfg).to_pandas()
     truth = storage.read_table(f"{crop_fixture}/truth_pairs").to_pandas()
@@ -132,7 +132,7 @@ def test_pipeline_with_crop_channel_clusters_crops(ray_session, crop_fixture):
 
     run_dir = "/tmp/dedup_ray_test_croprun"
     _sh.rmtree(run_dir, ignore_errors=True)
-    cfg = DedupConfig(num_partitions=4, sig_concurrency=2, crop_channel=True)
+    cfg = DedupConfig(num_partitions=4, crop_channel=True)
     image_dedup.run_pipeline(f"{crop_fixture}/data", run_dir, cfg)
     clusters = storage.read_table(f"{run_dir}/clusters").to_pandas()
     lab = dict(zip(clusters["image_id"], clusters["cluster_id"]))

@@ -61,7 +61,7 @@ def test_permutation_metamorphic_clusters(ray_session, tiny_fixture, tmp_path):
     )
     from deduplication_ray.state import unionfind
 
-    cfg = DedupConfig(num_partitions=4, sig_concurrency=2)
+    cfg = DedupConfig(num_partitions=4)
     base = load_parquet_dir(f"{tiny_fixture}/data").head(300)
     shuffled = base.sample(frac=1.0, random_state=7).reset_index(drop=True)
 

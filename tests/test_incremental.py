@@ -136,7 +136,6 @@ def test_ingest_refuses_mismatched_base_config(ray_session, incremental_run,
 
     _, cfg, _ = tiny_run
     other = DedupConfig(num_partitions=cfg.num_partitions,
-                        sig_concurrency=cfg.sig_concurrency,
                         shingle_k=cfg.shingle_k + 1)
     with pytest.raises(ValueError, match="not comparable"):
         ingest_delta(BASE_RUN, SPLIT_BASE, SPLIT_DELTA,
@@ -635,7 +634,7 @@ def test_delete_then_ingest_never_resurrects(ray_session, tiny_fixture,
     from deduplication_ray.sources import storage
 
     run_dir, _, _ = tiny_run
-    cfg = DedupConfig(num_partitions=4, sig_concurrency=2)
+    cfg = DedupConfig(num_partitions=4)
     orig = storage.read_table(f"{run_dir}/clusters").to_pandas()
     deleted = set(orig.image_id.iloc[10:25])
 

@@ -173,7 +173,7 @@ def test_flagship_pipeline_over_jpeg_fixture(ray_session):
     fixtures.generate(fix, 400, seed=11, fmts=("jpg", "png", "raw"))
     data = load_parquet_dir(f"{fix}/data")
     assert (data["fmt"] == "jpg").sum() > 60  # the fixture really plants jpg
-    cfg = DedupConfig(num_partitions=4, sig_concurrency=2)
+    cfg = DedupConfig(num_partitions=4)
     image_dedup.run_pipeline(f"{fix}/data", run_dir, cfg)
     pred = load_parquet_dir(f"{run_dir}/clusters")
     truth = load_parquet_dir(f"{fix}/truth")

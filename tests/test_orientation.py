@@ -75,7 +75,7 @@ def test_rot_dup_pipeline_recovers_planted_rotations(ray_session,
     from deduplication_ray.pipelines import orientation
     from deduplication_ray.sources import storage
 
-    cfg = DedupConfig(num_partitions=4, sig_concurrency=2)
+    cfg = DedupConfig(num_partitions=4)
     ds = storage.read_table(f"{rot_fixture}/data")
     pairs = orientation.run_rot_dup(ds, cfg).to_pandas()
     truth = storage.read_table(f"{rot_fixture}/truth_pairs").to_pandas()
@@ -137,8 +137,7 @@ def test_pipeline_with_orientation_channel_clusters_rotations(ray_session,
 
     run_dir = "/tmp/dedup_ray_test_rotrun"
     _sh.rmtree(run_dir, ignore_errors=True)
-    cfg = DedupConfig(num_partitions=4, sig_concurrency=2,
-                      orientation_channel=True)
+    cfg = DedupConfig(num_partitions=4, orientation_channel=True)
     image_dedup.run_pipeline(f"{rot_fixture}/data", run_dir, cfg)
     clusters = storage.read_table(f"{run_dir}/clusters").to_pandas()
     lab = dict(zip(clusters["image_id"], clusters["cluster_id"]))
@@ -166,8 +165,7 @@ def test_incremental_ingest_with_orientation_channel(ray_session,
     from deduplication_ray.pipelines.incremental import ingest_delta
     from tests.conftest import load_parquet_dir
 
-    cfg = DedupConfig(num_partitions=4, sig_concurrency=2,
-                      orientation_channel=True)
+    cfg = DedupConfig(num_partitions=4, orientation_channel=True)
     tbl = pads.dataset(
         [f"{rot_fixture}/data/{f}" for f in os.listdir(f"{rot_fixture}/data")
          if f.endswith(".parquet")]).to_table()
@@ -217,8 +215,7 @@ def test_merge_runs_with_orientation_channel(ray_session, rot_fixture,
     from deduplication_ray.pipelines.incremental import merge_runs
     from tests.conftest import load_parquet_dir
 
-    cfg = DedupConfig(num_partitions=4, sig_concurrency=2,
-                      orientation_channel=True)
+    cfg = DedupConfig(num_partitions=4, orientation_channel=True)
     tbl = pads.dataset(
         [f"{rot_fixture}/data/{f}" for f in os.listdir(f"{rot_fixture}/data")
          if f.endswith(".parquet")]).to_table()

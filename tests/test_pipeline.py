@@ -127,6 +127,8 @@ def test_resume_mid_unionfind(tiny_run, tiny_fixture, ray_session):
     m = image_dedup.run_pipeline(f"{tiny_fixture}/data", partial_dir, cfg)
     assert "signatures" in m["stages_resumed"]
     assert "labels_r0" in m["stages_resumed"]
+    # the local tier's labels_r0 is final: resume runs no hash-min round
+    assert "labels_r1" not in m["stages_executed"]
     resumed = load_parquet_dir(f"{partial_dir}/clusters").sort_values("image_id")
     pd.testing.assert_frame_equal(full.reset_index(drop=True),
                                   resumed.reset_index(drop=True))
@@ -207,7 +209,7 @@ def test_stale_config_strict_refuses_default_recomputes(tiny_run, tiny_fixture, 
     copy_dir = "/tmp/dedup_ray_test_staleconf"
     shutil.rmtree(copy_dir, ignore_errors=True)
     shutil.copytree(run_dir, copy_dir)
-    other = DedupConfig(num_partitions=4, sig_concurrency=2, jaccard_tau=0.77)
+    other = DedupConfig(num_partitions=4, jaccard_tau=0.77)
     with pytest.raises(RuntimeError, match="refusing to resume"):
         image_dedup.run_pipeline(f"{tiny_fixture}/data", copy_dir, other,
                                  strict_resume=True)
@@ -254,7 +256,7 @@ def test_image_join_tier_matches_broadcast(tiny_fixture, ray_session,
     from deduplication_ray.pipelines import image_dedup
     from tests.conftest import deadline
 
-    cfg = DedupConfig(num_partitions=8, sig_concurrency=2)
+    cfg = DedupConfig(num_partitions=8)
     out = {}
     with deadline(300):
         for name, c in (("bcast", cfg),
@@ -418,7 +420,7 @@ def test_salting_path_on_oversized_bucket(ray_session):
     from deduplication_ray.stages import lsh
     from deduplication_ray.pipelines.text_dedup import text_signatures
 
-    cfg = DedupConfig(num_partitions=4, sig_concurrency=2, bucket_cap=16)
+    cfg = DedupConfig(num_partitions=4, bucket_cap=16)
     n_hot, n_bg = 80, 40
     import numpy as np
 
@@ -679,8 +681,7 @@ def test_image_pipeline_recall_with_oph_signatures(tiny_fixture, ray_session):
 
     run_dir = "/tmp/dedup_ray_test_run_oph"
     shutil.rmtree(run_dir, ignore_errors=True)
-    cfg = DedupConfig(num_partitions=4, sig_concurrency=2,
-                      signature_mode="oph")
+    cfg = DedupConfig(num_partitions=4, signature_mode="oph")
     image_dedup.run_pipeline(f"{tiny_fixture}/data", run_dir, cfg)
     pred = load_parquet_dir(f"{run_dir}/clusters")
     m = pair_metrics(pred, _truth(tiny_fixture))
@@ -699,7 +700,7 @@ def test_modality_agreement_report(tiny_fixture, ray_session):
 
     df = modality_agreement(
         storage.read_table(f"{tiny_fixture}/data"),
-        DedupConfig(num_partitions=4, sig_concurrency=2))
+        DedupConfig(num_partitions=4))
     r = df.iloc[0]
     assert r["only_a"] == 0 and r["only_b"] == 0
     assert r["pairs_agree"] > 0

@@ -206,7 +206,8 @@ def test_rows_only_queries_execute(entry_mod):
 
 
 def test_model_score_matches_serial_and_partition_invariant(ray_session):
-    """The actor-pool inference stage must emit EXACTLY what one serial
+    """The inference stage — as tasks, and as an actor pool in the explicit
+    ``concurrency`` leg — must emit EXACTLY what one serial
     pass over the whole table emits (construct-once weights, per-row
     reduceat — nothing may depend on batch composition), at any partition
     count, and the labels must be non-degenerate."""
@@ -1196,3 +1197,92 @@ def test_global_reductions_partition_invariant(entry_mod, ray_session):
     tb = R.q_events_type_transitions(SF_DIR, num_buckets=32).to_pandas() \
         .sort_values(["prev_type", "next_type"]).reset_index(drop=True)
     assert ta.equals(tb)
+
+
+ONE_CPU_SCRIPT = r"""
+import logging, sys
+import pandas as pd, pyarrow as pa, ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+logging.getLogger("ray.data").setLevel(logging.ERROR)
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+import __ray_entry__ as E
+sf, out_dir, names = sys.argv[1], sys.argv[2], sys.argv[3:]
+qs = E.queries()
+for name in names:
+    res = qs[name](sf)
+    if isinstance(res, pa.Table):
+        res = res.to_pandas()
+    elif hasattr(res, "to_pandas"):
+        res = res.to_pandas()
+    pd.DataFrame(res).to_parquet(f"{out_dir}/{name}.parquet")
+ray.shutdown()
+"""
+
+
+def test_headline_queries_in_one_cpu_session(entry_mod, tmp_path):
+    """The bench.py headline queries finish in a ``num_cpus=1`` session: no
+    map stage holds the only CPU as an actor while the read tasks feeding
+    it wait. Each result equals its DuckDB oracle; the model score equals
+    one serial pass; the LSH dedup equals the same query in this
+    (8-CPU) session."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    import pyarrow.parquet as pq
+
+    from deduplication_ray.pipelines.docops import _DocClassifier
+
+    sf = os.path.join(os.path.dirname(SF_DIR), "sf0.01")
+    names = ["broadcast_join", "top_revenue_orders", "doc_lsh_dedup",
+             "ann_topk", "doc_model_score"]
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", ONE_CPU_SCRIPT, sf, str(tmp_path), *names],
+        cwd=repo, env=dict(os.environ, PYTHONPATH=repo),
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=180)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("headline queries did not finish in 180 s at num_cpus=1")
+    assert proc.returncode == 0, err.decode()[-2000:]
+
+    def got(name):
+        return _canon(pd.read_parquet(tmp_path / f"{name}.parquet"))
+
+    con = duckdb.connect()
+    for t in TABLES:
+        con.execute(f"CREATE VIEW {t} AS SELECT * "
+                    f"FROM read_parquet('{sf}/{t}.parquet')")
+    oq = entry_mod.oracle_sql()
+    for name in ("broadcast_join", "top_revenue_orders", "ann_topk"):
+        pd.testing.assert_frame_equal(
+            got(name), _canon(con.execute(oq[name]).fetchdf()),
+            check_dtype=False, obj=name)
+    docs = pq.read_table(f"{sf}/documents.parquet", columns=["doc_id", "text"])
+    pd.testing.assert_frame_equal(
+        got("doc_model_score"),
+        _canon(_DocClassifier(seed=42)(docs).to_pandas()), check_dtype=False)
+    pd.testing.assert_frame_equal(
+        got("doc_lsh_dedup"),
+        _canon(_to_pandas(entry_mod.queries()["doc_lsh_dedup"](sf))),
+        check_dtype=False)
+
+
+def test_package_has_no_actor_pools():
+    """Every map stage runs as tasks: no source file of the package passes
+    ``concurrency=`` (a fixed actor pool) or reads ``sig_concurrency``."""
+    import pathlib
+
+    pkg = pathlib.Path(__file__).resolve().parents[1] / "deduplication_ray"
+    hits = [f"{p.relative_to(pkg.parent)}:{i}"
+            for p in sorted(pkg.rglob("*.py"))
+            for i, line in enumerate(p.read_text().splitlines(), 1)
+            if "concurrency=" in line or "sig_concurrency" in line]
+    assert not hits, hits

@@ -83,3 +83,71 @@ def test_lookup_join_fuzz_vs_duckdb(ray_session, seed):
         f"{'LEFT ' if how == 'left' else ''}JOIN small USING (k)").arrow()
     assert _rows(fuzz_collect(out)) == _rows(oracle), \
         f"seed={seed} how={how} n={n} m={m}"
+
+
+def _semi_tables(rng, n: int, m: int, dup_lookup: bool):
+    """Probe rows with ~10% null keys; lookup keys with nulls and, when
+    ``dup_lookup``, repeated keys (the hash-join path), else distinct keys
+    (the gather path)."""
+    k = rng.integers(0, 25, n)
+    big = pa.table({
+        "k": pa.array([int(v) if rng.random() > 0.1 else None for v in k],
+                      pa.int64()),
+        "x": pa.array(rng.integers(-9, 9, n), pa.int64()),
+    })
+    lk = (rng.integers(0, 25, m) if dup_lookup
+          else rng.permutation(25)[:min(m, 25)])
+    small = pa.table({
+        "k": pa.array([int(v) for v in lk] + [None], pa.int64()),
+        "y": pa.array(rng.integers(100, 200, len(lk) + 1), pa.int64()),
+    })
+    return big, small
+
+
+@pytest.mark.parametrize("how", ["semi", "anti"])
+@pytest.mark.parametrize("seed", range(4))
+def test_lookup_join_semi_anti_vs_duckdb(ray_session, how, seed):
+    """semi/anti keep the probe rows whose key does / does not occur in the
+    lookup (EXISTS / NOT EXISTS: a null key matches nothing), append no
+    column, never duplicate a row on duplicate lookup keys, and give the
+    same rows on the shuffle fallback (``broadcast_limit=0``)."""
+    rng = np.random.default_rng(4000 + seed)
+    n, m = int(rng.choice([1, 64, 300])), int(rng.choice([1, 12, 50]))
+    big, small = _semi_tables(rng, n, m, dup_lookup=seed % 2 == 0)
+    con = duckdb.connect()
+    con.register("big", big)
+    con.register("small", small)
+    oracle = con.execute(
+        f"SELECT k, x FROM big WHERE {'NOT ' if how == 'anti' else ''}"
+        "EXISTS (SELECT 1 FROM small WHERE small.k = big.k)").arrow()
+    ctx = f"seed={seed} how={how} n={n} m={m}"
+    # 4 join partitions: Ray's hash-shuffle join reserves memory per
+    # aggregator, and the default 32 do not fit a small host's memory
+    for cfg in (DedupConfig(),
+                DedupConfig(broadcast_limit=0, num_partitions=4)):
+        out = fuzz_collect(lookup_join(fuzz_blocks(rng, big),
+                                       fuzz_blocks(rng, small), on=["k"],
+                                       cfg=cfg, how=how))
+        if out is not None:
+            assert sorted(out.column_names) == ["k", "x"], ctx
+        assert _rows(out) == _rows(oracle), \
+            f"{ctx} broadcast_limit={cfg.broadcast_limit}"
+    # a pandas lookup is broadcast as one table (pandas holds
+    # no null int64, and a null lookup key matches nothing anyway)
+    small_df = small.filter(small["k"].is_valid()).to_pandas()
+    out = fuzz_collect(lookup_join(fuzz_blocks(rng, big), small_df,
+                                   on=["k"], cfg=DedupConfig(), how=how))
+    assert _rows(out) == _rows(oracle), f"{ctx} pandas lookup"
+
+
+@pytest.mark.parametrize("how", ["semi", "anti"])
+def test_lookup_join_semi_anti_empty_lookup(ray_session, how):
+    """An empty lookup matches nothing: semi keeps no row, anti keeps all."""
+    rng = np.random.default_rng(5)
+    big, _ = _semi_tables(rng, 40, 1, dup_lookup=True)
+    empty = pa.table({"k": pa.array([], pa.int64()),
+                      "y": pa.array([], pa.int64())})
+    for lookup in (fuzz_blocks(rng, empty), empty.to_pandas()):
+        out = fuzz_collect(lookup_join(fuzz_blocks(rng, big), lookup,
+                                       on=["k"], cfg=DedupConfig(), how=how))
+        assert _rows(out) == (_rows(big) if how == "anti" else [])
