@@ -81,7 +81,7 @@ def main() -> None:
     # here so each barrier's scaling is visible)
     b2 = stage("ensure_blocks", lambda: ensure_blocks(
         buckets, cfg.num_partitions).materialize())
-    idx_ref, total_multi = stage(
+    idx_ref = stage(
         "multi_bucket_index", lambda: lsh.multi_bucket_index(b2, cfg))
     tagged = stage("tag", lambda: b2.map_batches(
         lsh._KeyTaggerIdx(idx_ref, cfg.bucket_cap, cfg.gram_sample_drop_df),

@@ -85,22 +85,16 @@ def hash_bytes_array(arr: pa.Array | pa.ChunkedArray,
     n_rows = len(offsets) - 1
     lens = offsets[1:] - offsets[:-1]
 
-    # WORD-wise hashing: copy each row into an 8-byte-aligned padded buffer
-    # (a per-ROW python loop of slice memcpys — row counts are small; it is
-    # the per-BYTE vector ops that dominate on ~5KB image payloads), then all
-    # mixing runs over u64 words: 8x fewer vector elements than byte-wise.
-    # Each word is hashed with its row-relative position (order-aware), rows
-    # combine by commutative segment sum, byte length is mixed in last so
-    # zero-padding is unambiguous.
+    # WORD-wise hashing: copy each row into an 8-byte-aligned padded buffer,
+    # then all mixing runs over u64 words: 8x fewer vector elements than
+    # byte-wise. Each word is hashed with its row-relative position
+    # (order-aware), rows combine by commutative segment sum, byte length is
+    # mixed in last so zero-padding is unambiguous.
     word_counts = ((lens + 7) >> 3).astype(np.int64)
     word_starts = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(word_counts, out=word_starts[1:])
     padded = np.zeros(int(word_starts[-1]) * 8, dtype=np.uint8)
-    for i in range(n_rows):
-        length = lens[i]
-        if length:
-            d = word_starts[i] * 8
-            padded[d : d + length] = buf[offsets[i] : offsets[i] + length]
+    _copy_rows_padded(buf, offsets, lens, word_starts[:-1] * 8, padded)
     words = padded.view(U64)
 
     rel = (
@@ -119,6 +113,32 @@ def hash_bytes_array(arr: pa.Array | pa.ChunkedArray,
     with np.errstate(over="ignore"):
         seg = seg + lens.astype(U64) * _MIX1
     return splitmix64(seg)
+
+
+# Rows up to this many bytes are copied by one gather/scatter over all of
+# them (ids, tokens: the per-row slice loop was 70% of the pair kernel on
+# text); longer rows (image payloads) keep one slice memcpy each, where the
+# per-byte index arrays would cost more than the per-row Python overhead.
+_SCATTER_MAX_ROW_BYTES = 256
+
+
+def _copy_rows_padded(buf: np.ndarray, offsets: np.ndarray, lens: np.ndarray,
+                      dst_starts: np.ndarray, padded: np.ndarray) -> None:
+    """``padded[dst_starts[i]:][:lens[i]] = buf[offsets[i]:][:lens[i]]``
+    for every row i."""
+    short = lens <= _SCATTER_MAX_ROW_BYTES
+    s_lens = lens[short]
+    total = int(s_lens.sum())
+    if total:
+        # byte k of the short rows: its row's start plus its rank in the row
+        ends = np.cumsum(s_lens)
+        rank = np.arange(total, dtype=np.int64) - np.repeat(ends - s_lens,
+                                                            s_lens)
+        padded[np.repeat(dst_starts[short], s_lens) + rank] = \
+            buf[np.repeat(offsets[:-1][short], s_lens) + rank]
+    for i in np.flatnonzero(~short):
+        d, o, length = dst_starts[i], offsets[i], lens[i]
+        padded[d : d + length] = buf[o : o + length]
 
 
 def _arrow_flat_buffer(arr: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:

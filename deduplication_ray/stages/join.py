@@ -82,7 +82,7 @@ def _as_arrow_block(tbl) -> pa.Table:
     return pa.Table.from_pandas(tbl, preserve_index=False)
 
 
-@ray.remote(num_cpus=0.5)
+@ray.remote
 def _block_key_hashes(tbl, on: list[str]) -> np.ndarray:
     """Per-block key hashes for the broadcast index — runs where the block
     lives; only the u64 array travels to the driver. Empty blocks may carry

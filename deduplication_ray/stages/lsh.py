@@ -10,7 +10,8 @@ bucket super-linear. Defusal is two-phase:
 
 1. ``multi_bucket_index``: count rows per (band, bucket) — per-block partial
    counts merged by a hash-partitioned reduce. Only multi-member buckets
-   survive, as sorted per-partition blocks that stay in the object store.
+   survive, as sorted per-partition blocks that stay in the object store;
+   the driver keeps the non-empty ones by block metadata alone.
 2. ``_KeyTaggerIdx`` probes that index per batch: rows of singleton buckets
    are DROPPED, and rows of hot buckets (count > ``cfg.bucket_cap``) get
    ``salt = hash(image_id) % ceil(count / cap)``. Per salted sub-bucket the
@@ -21,8 +22,11 @@ bucket super-linear. Defusal is two-phase:
 Pair emission (T9): ``slim_pairs_from_buckets`` is the one way any engine
 turns bucket rows into pairs. ``_pair_tagged_table_slim`` all-pairs cold
 buckets and stars + ambassadors hot ones, emitting pairs as 64-bit id
-hashes. The star anchor is the min id hash (deterministic; parallel-safe
-analog of first-occurrence ids, ``compressor.c:109-113``). Exact identity
+hashes; a tagged stream of at most ``cfg.local_pairs_limit`` rows (its
+block-metadata count) runs it once on the driver, a larger one runs it
+sharded by bucket hash. The star anchor is the min id hash
+(deterministic; parallel-safe analog of first-occurrence ids,
+``compressor.c:109-113``). Exact identity
 rides the same stream (``BAND_EXACT``: bucket = content key). Pairs are
 deduped once (``dedupe_slim_pairs``) and resolved back to ids against the
 signature table once (``verify.resolve_and_verify_pairs``).
@@ -217,25 +221,19 @@ def _pixel_pair_keep(band: np.ndarray, ph_a, ph_b, sh_a, sh_b, cfg: DedupConfig)
     return keep
 
 
-@ray.remote(num_cpus=0.25)
-def _block_multi_sum(tbl: pa.Table) -> int:
-    """Total multi-bucket member rows in one index block — the only thing
-    the driver reads per block."""
-    return int(tbl["n"].to_numpy().sum()) if tbl.num_rows else 0
-
-
 def multi_bucket_index(buckets: ray.data.Dataset, cfg: DedupConfig):
     """DISTRIBUTED multi-bucket index: the (composite key, count) table of
     multi-member buckets stays in the object store as hash-partitioned,
-    per-partition-SORTED blocks; the driver reads only (partition id, row
-    sum) per block, so no O(|multi buckets|) driver-serial collect +
-    argsort + re-put (240MB / ~2s at 600k rows) grows with the corpus.
+    per-partition-SORTED blocks; the driver reads only the block metadata
+    (row counts) to drop empty blocks, so no O(|multi buckets|)
+    driver-serial collect + argsort + re-put (240MB / ~2s at 600k rows)
+    grows with the corpus, and no helper task runs per block.
     Partial counts are per block (``np.unique`` inside map_batches — each
     distinct key crosses the wire once per block, pre-counted) and merged
     by ``hash_grouped_reduce`` (sort + reduceat once per partition; Ray's
-    own aggregate costs ~10us per distinct group). Returns (ray handle for
-    _KeyTaggerIdx, total multi-bucket rows) or (None, 0) when there are no
-    multi buckets."""
+    own aggregate costs ~10us per distinct group). Returns the ray handle
+    for _KeyTaggerIdx, or None when there are no multi buckets (every
+    index row has ``n >= 2``, so a block with rows holds multi buckets)."""
     from deduplication_ray.stages.groupred import hash_grouped_reduce
 
     n_parts = 2 * cfg.num_partitions
@@ -273,13 +271,9 @@ def multi_bucket_index(buckets: ray.data.Dataset, cfg: DedupConfig):
     multi = hash_grouped_reduce(
         partials, lambda t: t["comp"].to_numpy().view(np.uint64), merge,
         n_parts).materialize()
-    refs = [r for r in multi.to_arrow_refs()]
-    sums = ray.get([_block_multi_sum.remote(r) for r in refs])
-    total = sum(sums)
-    if total == 0:
-        return None, 0
-    keep = [r for r, s in zip(refs, sums) if s > 0]
-    return ray.put((keep, n_parts)), total
+    keep = [ref for bundle in multi.iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks if meta.num_rows]
+    return ray.put((keep, n_parts)) if keep else None
 
 
 class _KeyTaggerIdx:
@@ -569,8 +563,8 @@ def slim_pairs_from_buckets(
     Size dispatch: a small tagged set (dup candidates only) pairs faster in
     one driver-local numpy pass than through distributed barriers; above
     ``cfg.local_pairs_limit`` the SAME kernel runs sharded by bucket hash.
-    The dispatch reads the multi-bucket row total the index already summed,
-    so no extra count() execution."""
+    The tagged stream is materialized once and the dispatch reads its row
+    count from the block metadata, so no extra execution."""
     from deduplication_ray.stages.tuning import apply_context_tuning, ensure_blocks
 
     def empty() -> ray.data.Dataset:
@@ -579,25 +573,25 @@ def slim_pairs_from_buckets(
 
     apply_context_tuning()
     buckets = ensure_blocks(buckets, cfg.num_partitions).materialize()
-    idx_ref, total_multi = multi_bucket_index(buckets, cfg)
+    idx_ref = multi_bucket_index(buckets, cfg)
     if idx_ref is None:
         return empty()
+    # Materialized before either tier: the row count for the dispatch is
+    # block metadata, and letting the tagging map fuse into the sort-based
+    # groupby re-plans it INTO the exchange, which under backpressure
+    # measured +22s on the 8-CPU leg and +3s at 32 CPUs (600k rows).
     tagged = buckets.map_batches(
         _KeyTaggerIdx(idx_ref, cfg.bucket_cap, cfg.gram_sample_drop_df),
         batch_format="pyarrow",
-    )
-    if total_multi <= cfg.local_pairs_limit:
-        tbls = [t for t in tagged.iter_batches(batch_format="pyarrow")
+    ).materialize()
+    if tagged.count() <= cfg.local_pairs_limit:
+        tbls = [t for t in tagged.iter_batches(batch_size=None,
+                                               batch_format="pyarrow")
                 if t.num_rows]
         if not tbls:
             return empty()
         return ray.data.from_arrow(_pair_tagged_table_slim(
             pa.concat_tables(tbls, promote_options="default"), cfg))
-    # Materialize the tagged stream before the pairing exchange: letting
-    # the tagging map fuse into the sort-based groupby re-plans it INTO the
-    # exchange, which under backpressure measured +22s on the 8-CPU leg and
-    # +3s at 32 CPUs (600k rows).
-    tagged = tagged.materialize()
     n_parts = max(cfg.num_partitions * 4, 8)
 
     def add_part(t: pa.Table) -> pa.Table:

@@ -32,6 +32,48 @@ def test_hash_bytes_array_identity_and_slices():
     assert H.hash_bytes_array(pa.array(["ab"]))[0] != H.hash_bytes_array(pa.array(["ba"]))[0]
 
 
+def _per_row_copy(buf, offsets, lens, dst_starts, padded):
+    """The per-row slice loop ``hash_bytes_array`` used before the scatter."""
+    for i in range(len(lens)):
+        length = lens[i]
+        if length:
+            d = dst_starts[i]
+            padded[d : d + length] = buf[offsets[i] : offsets[i] + length]
+
+
+def test_hash_bytes_array_scatter_matches_per_row_copy(monkeypatch):
+    """The vectorized short-row copy gives bit-identical hashes to the
+    per-row loop: empty rows, nulls (also one whose slot spans bytes),
+    sliced, large_string and chunked input, rows on both sides of the
+    cutoff, seeds 0 and 1."""
+    rng = np.random.default_rng(5)
+    cut = H._SCATTER_MAX_ROW_BYTES
+    lengths = [0, 1, 7, 8, 9, 15, 16, 17, cut - 1, cut, cut + 1, 5000, 0, 3]
+    lengths += rng.integers(0, 2 * cut, 200).tolist()
+    rows = ["".join(chr(33 + c) for c in rng.integers(0, 90, n))
+            for n in lengths]
+    rows[4] = rows[20] = None
+    base = pa.array(rows)
+    # a null whose slot still spans 5 bytes (Arrow leaves them unspecified)
+    raw = pa.array(["abc", "defgh", "ij"])
+    null_span = pa.Array.from_buffers(
+        pa.string(), 3, [pa.array([True, False, True]).buffers()[1],
+                         *raw.buffers()[1:]])
+    cases = [base, base.slice(3, 150), base.cast(pa.large_string()),
+             base.cast(pa.large_string()).slice(1),
+             pa.chunked_array([base.slice(0, 90), base.slice(90)]),
+             pa.array([b"\x00" * n for n in lengths], pa.binary()),
+             null_span, pa.array([], pa.string()), pa.array(["", ""])]
+    for seed in (0, 1):
+        got = [H.hash_bytes_array(c, seed=seed) for c in cases]
+        with monkeypatch.context() as m:
+            m.setattr(H, "_copy_rows_padded", _per_row_copy)
+            want = [H.hash_bytes_array(c, seed=seed) for c in cases]
+        for c, g, w in zip(cases, got, want):
+            assert g.dtype == np.uint64 and len(g) == len(c)
+            assert (g == w).all(), c.type
+
+
 def test_shingles_and_minhash():
     arr = pa.array(["hello world", "hello world", "hello worldX", "hi", ""])
     sh, offs = H.shingle_window_hashes(arr, 5)

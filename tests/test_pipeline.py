@@ -224,7 +224,8 @@ def test_stale_config_strict_refuses_default_recomputes(tiny_run, tiny_fixture, 
 def test_partitioned_pairing_matches_local(tiny_run, ray_session):
     """The distributed (bucket-sharded) pairing kernel must emit exactly the
     deduped slim pair set of the driver-local kernel on the same
-    signatures."""
+    signatures — also at a partition count where most multi-bucket index
+    blocks are empty and are dropped by their metadata row count."""
     import dataclasses
 
     from deduplication_ray.sources import storage
@@ -233,8 +234,9 @@ def test_partitioned_pairing_matches_local(tiny_run, ray_session):
     run_dir, cfg, _ = tiny_run
     sigs = storage.read_table(f"{run_dir}/signatures")
 
-    def pairs(c):
-        buckets = sigs.map_batches(lsh.ExplodeBands(c), batch_format="pyarrow",
+    def pairs(c, families=("minhash", "phash", "simhash")):
+        buckets = sigs.map_batches(lsh.ExplodeBands(c, families),
+                                   batch_format="pyarrow",
                                    batch_size=c.text_batch_size)
         df = lsh.dedupe_slim_pairs(lsh.slim_pairs_from_buckets(buckets, c),
                                    c).to_pandas()
@@ -243,6 +245,34 @@ def test_partitioned_pairing_matches_local(tiny_run, ray_session):
     local = pairs(cfg)
     assert len(local) > 0
     assert local == pairs(dataclasses.replace(cfg, local_pairs_limit=0))
+    # the exact family has 24 multi-bucket rows on this fixture: over 96
+    # index partitions (48 reducer blocks) 31 of the 48 blocks are empty
+    exact = pairs(cfg, ("exact",))
+    assert len(exact) > 0
+    sparse = dataclasses.replace(cfg, num_partitions=48)
+    assert exact == pairs(sparse, ("exact",))
+    assert exact == pairs(dataclasses.replace(sparse, local_pairs_limit=0),
+                          ("exact",))
+
+
+def test_all_singleton_buckets_give_no_index_and_no_pairs(ray_session):
+    """A bucket stream with no bucket holding two rows has no multi-bucket
+    index (every index block is empty) and pairs nothing."""
+    import pyarrow as pa
+    import ray.data
+
+    from deduplication_ray.config import DedupConfig
+    from deduplication_ray.stages import lsh
+
+    n = 64
+    buckets = ray.data.from_arrow(pa.table({
+        "band": pa.array([0] * n, pa.int64()),
+        "bucket": pa.array(range(n), pa.int64()),
+        "salt": pa.array([-1] * n, pa.int64()),
+        "image_id": pa.array([f"id{i}" for i in range(n)], pa.string())}))
+    cfg = DedupConfig(num_partitions=4)
+    assert lsh.multi_bucket_index(buckets, cfg) is None
+    assert lsh.slim_pairs_from_buckets(buckets, cfg).count() == 0
 
 
 def test_image_join_tier_matches_broadcast(tiny_fixture, ray_session,

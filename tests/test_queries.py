@@ -1286,3 +1286,39 @@ def test_package_has_no_actor_pools():
             for i, line in enumerate(p.read_text().splitlines(), 1)
             if "concurrency=" in line or "sig_concurrency" in line]
     assert not hits, hits
+
+
+def test_package_tasks_request_whole_cpus():
+    """Every task the package submits asks for at least one CPU, so a
+    session runs at most one task worker per CPU: no ``ray.remote(...)`` or
+    ``.options(...)`` passes ``num_cpus`` below 1. A zero-CPU ACTOR class
+    stays allowed (``state/index.DedupIndexShard``: reserving CPU for the
+    shards can deadlock the tasks that call them)."""
+    import ast
+    import pathlib
+
+    pkg = pathlib.Path(__file__).resolve().parents[1] / "deduplication_ray"
+    hits = []
+    for p in sorted(pkg.rglob("*.py")):
+        tree = ast.parse(p.read_text())
+        actor_decorators = {id(d) for node in ast.walk(tree)
+                            if isinstance(node, ast.ClassDef)
+                            for d in node.decorator_list}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in actor_decorators:
+                continue
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else \
+                getattr(f, "id", None)
+            if name not in ("remote", "options"):
+                continue
+            for kw in node.keywords:
+                if kw.arg != "num_cpus":
+                    continue
+                try:
+                    whole = ast.literal_eval(kw.value) >= 1
+                except ValueError:  # not a literal: cannot be shown whole
+                    whole = False
+                if not whole:
+                    hits.append(f"{p.relative_to(pkg.parent)}:{node.lineno}")
+    assert not hits, hits
