@@ -472,9 +472,8 @@ def run_scaling() -> dict:
     def one(ncpu: int) -> dict:
         env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu))
         # PIN the leg to ncpu physical cores: ray.init(num_cpus=n) bounds
-        # only logical task slots — fractional-CPU actors (shuffle
-        # aggregators at 0.25) and write tasks still fan out over every
-        # host core, silently deflating the lo leg's wall time (measured
+        # only logical task slots, not the cores its processes run on;
+        # unpinned, the lo leg's wall time was silently deflated (measured
         # 11% at 4 CPUs / 600k rows). OS affinity makes each leg an honest
         # n-core machine, which is what the N-vs-4N criterion models.
         pin = (["taskset", "-c", f"0-{ncpu - 1}"]

@@ -2,9 +2,10 @@
 flagship. Every engine turns bucket rows into edges one way: slim id-hash
 pairs -> pair dedupe -> ``verify.resolve_and_verify_pairs``, which resolves
 both pair endpoints against the signature table by a broadcast gather
-inside the broadcast tier (``join.broadcast_ok``) and by two hash joins on
-the id hash above it. Benches and pins run the broadcast gather; the
-10^12-row story rests on the join tier. This script runs the SAME planted
+inside the broadcast tier (``join.broadcast_ok``) and by two shuffle joins
+(``join.shuffle_join``) on the id hash above it. Benches and pins run the
+broadcast gather; the 10^12-row story rests on the join tier. This script
+runs the SAME planted
 flagship twice — default config (broadcast gather) and
 ``broadcast_limit=0`` (every lookup and the resolve forced onto the join
 tier) — asserts the cluster outputs are IDENTICAL row-for-row, and records

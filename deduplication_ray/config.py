@@ -162,7 +162,7 @@ class DedupConfig:
     num_partitions: int = 32      # hash-join / groupby partition count
     broadcast_limit: int = 1_000_000  # lookup rows <= this -> broadcast join
                                       # (ray.put + per-batch merge); above ->
-                                      # hash-partitioned Dataset.join
+                                      # join.shuffle_join (sort shuffle)
     local_pairs_limit: int = 200_000  # tagged multi-bucket rows (metadata
                                         # count of the materialized tagged
                                         # stream) <= this -> single-pass

@@ -1603,7 +1603,7 @@ def q_semi_join_bloom(sf_dir: str, n_bits: int = 1 << 20):
     commutative-merge shape as the HLL sketch. Probe: stateless map_batches,
     vectorized k-probe per batch. Confirm: the Bloom survivors (true matches
     + ~0.8% false positives) go through the size-dispatched lookup_join
-    against the key Dataset — broadcast here, hash-shuffle above
+    against the key Dataset — broadcast here, ``shuffle_join`` above
     ``cfg.broadcast_limit``."""
     from deduplication_ray.functions import sketch as SK
 

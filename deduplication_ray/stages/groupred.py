@@ -11,11 +11,11 @@ small-int part key, and run ONE vectorized ``reduce_fn`` per partition
 (sort + ``np.add.reduceat`` / pandas groupby), which handles all of its
 groups at once.
 
-Ray's aggregate stays the right tool for LOW-cardinality groupbys (the
-relational queries' 6-way aggregates) where partial combining shrinks the
-shuffle; this helper is for the group-per-row regime. Contract: every row
-of a key lands wholly in one partition (guaranteed by hashing the key), and
-``reduce_fn`` must not depend on cross-partition state.
+Shuffle joins run here too (``join.shuffle_join``). Ray's aggregate stays
+the right tool for LOW-cardinality groupbys (the relational queries' 6-way
+aggregates) where partial combining shrinks the shuffle; this helper is for
+the group-per-row regime. Contract: every row of a key lands wholly in one
+partition (hashing the key guarantees it); ``reduce_fn`` keeps no state.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ _PART_COL = "__part"
 
 
 def hash_grouped_reduce(
-    ds: ray.data.Dataset,
+    ds: ray.data.Dataset | list[ray.data.Dataset],
     key_hash: Callable[[pa.Table], np.ndarray],
     reduce_fn: Callable[[pa.Table], pa.Table],
     num_parts: int,
@@ -41,7 +41,9 @@ def hash_grouped_reduce(
 
     ``key_hash`` returns a uint64 array (one hash per row); ``reduce_fn``
     receives the partition's rows (part column already dropped) and reduces
-    every group it contains in one vectorized pass."""
+    every group it contains in one vectorized pass. A list of datasets is
+    reduced as their union, each tagged first: the tag fuses into its
+    upstream map, where after the union it would be a stage of its own."""
     n_parts = max(int(num_parts), 1)
 
     def add_part(t: pa.Table) -> pa.Table:
@@ -52,5 +54,8 @@ def hash_grouped_reduce(
     def red(t: pa.Table) -> pa.Table:
         return reduce_fn(t.drop_columns([_PART_COL]))
 
-    return ds.map_batches(add_part, batch_format="pyarrow", batch_size=None) \
-        .groupby(_PART_COL).map_groups(red, batch_format="pyarrow")
+    first, *rest = [d.map_batches(add_part, batch_format="pyarrow",
+                                  batch_size=None)
+                    for d in (ds if isinstance(ds, list) else [ds])]
+    tagged = first.union(*rest) if rest else first
+    return tagged.groupby(_PART_COL).map_groups(red, batch_format="pyarrow")

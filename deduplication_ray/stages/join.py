@@ -1,20 +1,15 @@
-"""Size-dispatched joins: broadcast map-side merge vs hash-partitioned join.
+"""Size-dispatched joins: broadcast map-side gather vs shuffle join.
 
 Every metadata join in this engine (edge <- signature attach, star-edge
 min-id attach, label propagation, cluster finalize) has a 'lookup' side that
 is usually far smaller than a worker's heap: broadcast it once with
-``ray.put`` and pandas-merge per batch — no shuffle, no aggregator actors.
-Above ``cfg.broadcast_limit`` rows the same call transparently falls back to
-``Dataset.join`` (hash-partitioned) — that is the 10^12-row path.
-
-Why this exists (measured, single node, 32 CPUs, 8k-row metadata): a DAG
-unioning several ``Dataset.join`` operators spawns num_partitions aggregator
-actors PER JOIN (102 observed), which time-slice the machine and turn a
-~40s stage into 10+ minutes. Broadcast merges collapse all of that for the
-small side while keeping the shuffle join available when it's genuinely
-needed. This mirrors the reference's decode gather (R17,
-``/root/reference/src/compressor.c:320-339``): the dictionary is the small
-side, broadcast everywhere.
+``ray.put`` and gather (unique keys) or Arrow-join (duplicate keys) per
+batch — no shuffle. Above ``cfg.broadcast_limit`` rows the same call
+transparently falls back to ``shuffle_join`` — that is the 10^12-row path:
+one sort-shuffle exchange keyed by a key-hash partition, then one Arrow C++
+hash join per partition, with no aggregator actors and no per-partition
+memory reservation. The broadcast tier mirrors the reference's decode
+gather (R17): the dictionary is the small side, broadcast everywhere.
 """
 
 from __future__ import annotations
@@ -28,6 +23,8 @@ import ray
 import ray.data
 
 from deduplication_ray.config import DedupConfig
+from deduplication_ray.stages.groupred import hash_grouped_reduce
+from deduplication_ray.stages.tuning import ensure_blocks
 
 
 # bytes guard: broadcast payloads are SHARED plasma blocks (every task maps
@@ -35,8 +32,8 @@ from deduplication_ray.config import DedupConfig
 # keep one lookup within a worker heap's mmap budget; the row guard
 # (cfg.broadcast_limit) is what keeps 10^12-row tables off the broadcast
 # tier. 512MB silently pushed the 600k-row signature attach onto the
-# aggregator-actor join (measured cliff); 2GB keeps every sub-limit lookup
-# on the gather path.
+# shuffle tier (measured cliff); 2GB keeps every sub-limit lookup on the
+# gather path.
 MAX_BROADCAST_BYTES = 2 * 1024 * 1024 * 1024
 
 
@@ -95,14 +92,36 @@ def _block_key_hashes(tbl, on: list[str]) -> np.ndarray:
     return _key_hashes(tbl, on)
 
 
-def _nonempty_blocks(ds: ray.data.Dataset) -> ray.data.Dataset | None:
-    """``ds`` materialized with its empty blocks dropped (None if all are
-    empty). Ray's hash-shuffle join takes each side's schema from that
-    side's first block: an empty first block leaves every partition that
-    gets no rows from that side schema-less, and the join fails."""
-    refs = [ref for bundle in ds.materialize().iter_internal_ref_bundles()
+def _arrow_schema(ds: ray.data.Dataset) -> pa.Schema | None:
+    """``ds.schema()`` as a pa.Schema; None when a fully empty dataset has
+    none (a lazy ``ds`` runs up to its first block, the rest is cancelled).
+    Arrow blocks only: Ray types a pandas string column as ``object``, a
+    TypeError here (``_rows_schema`` reads a materialized side's blocks)."""
+    s = ds.schema()
+    if s is None:
+        return None
+    if isinstance(s.base_schema, pa.Schema):
+        return s.base_schema
+    return pa.schema([pa.field(nm, tp) for nm, tp in zip(s.names, s.types)])
+
+
+@ray.remote
+def _block_arrow_schema(tbl) -> pa.Schema:
+    return _as_arrow_block(tbl).schema
+
+
+def _rows_schema(ds: ray.data.Dataset) -> pa.Schema | None:
+    """The unified Arrow schema of a MATERIALIZED ``ds``'s non-empty blocks
+    (None if it has no rows). Empty blocks may carry a stale or null-typed
+    schema and pandas blocks report numpy dtypes, so each non-empty block
+    reports its own Arrow schema where it lives; only schemas travel."""
+    refs = [ref for bundle in ds.iter_internal_ref_bundles()
             for ref, meta in bundle.blocks if meta.num_rows]
-    return ray.data.from_arrow_refs(refs) if refs else None
+    if not refs:
+        return None
+    return pa.unify_schemas(
+        ray.get([_block_arrow_schema.remote(r) for r in refs]),
+        promote_options="permissive")
 
 
 def _resolve_small(small) -> pa.Table:
@@ -121,6 +140,22 @@ def _resolve_small(small) -> pa.Table:
         return (_as_arrow_block(ray.get(small[0])).slice(0, 0)
                 if small else pa.table({}))
     return pa.concat_tables(blocks, promote_options="default")
+
+
+def _empty_joined(t: pa.Table, small: pa.Table) -> pa.Table:
+    """The joined schema for an empty probe batch: empty batches carry
+    null-typed columns, which the Arrow join kernel rejects; they take the
+    lookup's type (else string), and the lookup's columns are appended."""
+    cols = {}
+    for f in t.schema:
+        typ = f.type
+        if pa.types.is_null(typ):
+            typ = (small.schema.field(f.name).type
+                   if f.name in small.column_names else pa.string())
+        cols[f.name] = pa.array([], typ)
+    for f in small.schema:
+        cols.setdefault(f.name, pa.array([], f.type))
+    return pa.table(cols)
 
 
 class _GatherMerge:
@@ -146,17 +181,7 @@ class _GatherMerge:
         non_key = [c for c in small.column_names if c not in self.on]
 
         if t.num_rows == 0:
-            cols: dict = {}
-            for f in t.schema:
-                typ = f.type
-                if pa.types.is_null(typ):
-                    typ = (small.schema.field(f.name).type
-                           if f.name in small.column_names else pa.string())
-                cols[f.name] = pa.array([], typ)
-            for c in non_key:
-                if c not in cols:
-                    cols[c] = pa.array([], small.schema.field(c).type)
-            return pa.table(cols)
+            return _empty_joined(t, small)
 
         for i, f in enumerate(t.schema):
             if pa.types.is_null(f.type) and f.name in small.column_names:
@@ -235,12 +260,7 @@ def lookup_join(
                       else np.zeros(0, np.uint64))
                 small = None
             else:
-                schema = lookup.schema()
-                arrow_schema = getattr(schema, "base_schema", None)
-                if arrow_schema is None and schema is not None:
-                    arrow_schema = pa.schema(
-                        [pa.field(nm, tp) for nm, tp in zip(schema.names, schema.types)]
-                    )
+                arrow_schema = _arrow_schema(lookup)
                 left = getattr(ds.schema(), "base_schema", None)
                 if arrow_schema is None:
                     # a FULLY empty dataset can lose its schema entirely
@@ -265,17 +285,24 @@ def lookup_join(
                         arrow_schema = arrow_schema.append(left.field(c))
                 small = arrow_schema.empty_table()
         else:
-            probe = _nonempty_blocks(ds)
-            if probe is None:  # an empty probe side joins to nothing
+            # materialized: a lazy probe's schema() would run its plan up
+            # to the first block, ALL of it above a shuffle (two chained
+            # 240k x 60k joins: 6.9 s vs 4.5 s at 8 buckets, 4 CPUs)
+            ds = ds.materialize()
+            left = _rows_schema(ds)
+            if left is None:  # an empty probe joins to nothing
                 return ds
-            join_type = {"inner": "inner", "left": "left_outer",
-                         "semi": "left_semi", "anti": "left_anti"}[how]
-            return probe.join(
-                _nonempty_blocks(lookup),
-                join_type=join_type,
-                num_partitions=cfg.num_partitions,
-                on=tuple(on),
-            )
+            # the lookup's keys take the probe's types (string vs
+            # large_string), as on the broadcast tier: shuffle_join's pad
+            # casts every block to these schemas
+            right = pa.schema([left.field(f.name) if f.name in on else f
+                               for f in _rows_schema(lookup)])
+            # the sort shuffle emits one block per INPUT block: 64-block
+            # sides at 8 partitions gave 128 (60k x 60k: 8.5 s vs 1.3 s split)
+            n = cfg.num_partitions
+            return shuffle_join(ensure_blocks(ds, n), ensure_blocks(lookup, n),
+                                list(on), how, num_buckets=n,
+                                left_schema=left, right_schema=right)
 
     if small_refs is None:
         small = small.combine_chunks()
@@ -319,19 +346,7 @@ def lookup_join(
                 self.lookup = _resolve_small(ray.get(ref)).combine_chunks()
             right = self.lookup
             if t.num_rows == 0:
-                # empty batches carry null-typed columns, which the Arrow
-                # join kernel rejects — emit the joined schema directly
-                cols: dict = {}
-                for f in t.schema:
-                    typ = f.type
-                    if pa.types.is_null(typ):
-                        typ = (right.schema.field(f.name).type
-                               if f.name in right.column_names else pa.string())
-                    cols[f.name] = pa.array([], typ)
-                for f in right.schema:
-                    if f.name not in cols:
-                        cols[f.name] = pa.array([], f.type)
-                return pa.table(cols)
+                return _empty_joined(t, right)
             # align types (string vs large_string, residual null-typed
             # columns from earlier outer joins) for the Arrow join kernel
             for i, f in enumerate(t.schema):
@@ -358,38 +373,35 @@ def shuffle_join(
     left_schema: pa.Schema | None = None,
     right_schema: pa.Schema | None = None,
 ) -> ray.data.Dataset:
-    """Hash-co-partitioned shuffle join for two LARGE sides (neither fits a
-    broadcast): outer joins included, which ``lookup_join`` does not cover.
+    """Hash-co-partitioned shuffle join: the join for two LARGE sides
+    (neither fits a broadcast), outer joins included, and ``lookup_join``'s
+    tier above ``broadcast_limit``. 'semi' / 'anti' keep the left rows whose
+    key does / does not occur on the right, with the left columns only; a
+    duplicated right key never duplicates a left row.
 
     Plan: pad each side to the combined schema (typed nulls, zero-copy for
-    the real columns), tag the side, union the two streams, bucket every row
-    by a key hash, and run ONE Arrow C++ join per bucket inside
-    ``groupby(bucket).map_groups`` — the single all-to-all carries each row
-    exactly once, and per-bucket memory is |rows|/num_buckets per side.
+    the real columns), tag the side, union the two streams, and run ONE
+    Arrow C++ join per key-hash partition through ``hash_grouped_reduce``
+    — the single all-to-all carries each row exactly once, and
+    per-partition memory is |rows|/num_buckets per side. Padding also gives
+    every block, empty or stale-schema'd, the full typed schema.
     Key-skew caveat: a single key lands in one bucket; salt upstream if one
     key dominates (same discipline as the LSH hot-bucket path).
     """
-    def _schema(ds, override: pa.Schema | None) -> pa.Schema:
-        if override is not None:
-            return override
-        s = ds.schema()
-        if s is None:
-            # a lazy side that produced zero blocks (e.g. a fully-filtered
-            # read feeding map_batches) has no derivable schema
-            raise ValueError(
-                "shuffle_join: side has no derivable schema (empty lazy "
-                "dataset) — pass left_schema/right_schema explicitly")
-        base = getattr(s, "base_schema", None)
-        if base is not None:
-            return base
-        return pa.schema([pa.field(nm, tp) for nm, tp in zip(s.names, s.types)])
-
-    ls, rs = _schema(left, left_schema), _schema(right, right_schema)
+    ls = left_schema or _arrow_schema(left)
+    rs = right_schema or _arrow_schema(right)
+    if ls is None or rs is None:
+        # a lazy side that produced zero blocks (e.g. a fully-filtered
+        # read feeding map_batches) has no derivable schema
+        raise ValueError(
+            "shuffle_join: side has no derivable schema (empty lazy "
+            "dataset) — pass left_schema/right_schema explicitly")
     for k in on:
         if ls.field(k).type != rs.field(k).type:
             raise TypeError(f"join key {k}: {ls.field(k).type} != {rs.field(k).type}")
     l_cols = list(ls.names)
-    r_extra = [f.name for f in rs if f.name not in on]
+    r_extra = ([] if how in ("semi", "anti")
+               else [f.name for f in rs if f.name not in on])
     combined = list(ls) + [rs.field(c) for c in r_extra]
 
     # NOTE: schema() peeks at the first block without pinning either side in
@@ -406,16 +418,12 @@ def shuffle_join(
                     cols[f.name] = col.cast(f.type) if col.type != f.type else col
                 else:
                     cols[f.name] = pa.nulls(n, f.type)
-            out = pa.table(cols)
-            b = (_key_hashes(out, on) % np.uint64(num_buckets)).astype(np.int64)
-            return (out.append_column("__side", pa.array(np.full(n, side, np.int8)))
-                    .append_column("__bucket", pa.array(b)))
+            return pa.table(cols).append_column(
+                "__side", pa.array(np.full(n, side, np.int8)))
         return fn
 
-    unioned = (left.map_batches(pad(0), batch_format="pyarrow")
-               .union(right.map_batches(pad(1), batch_format="pyarrow")))
-
     pa_how = {"inner": "inner", "left": "left outer",
+              "semi": "left semi", "anti": "left anti",
               "full outer": "full outer", "full_outer": "full outer"}[how]
 
     def join_bucket(g: pa.Table) -> pa.Table:
@@ -426,5 +434,7 @@ def shuffle_join(
         out = lt.join(rt, keys=on, join_type=pa_how)
         return out.select(l_cols + r_extra)
 
-    return unioned.groupby("__bucket").map_groups(
-        join_bucket, batch_format="pyarrow")
+    return hash_grouped_reduce(
+        [left.map_batches(pad(0), batch_format="pyarrow"),
+         right.map_batches(pad(1), batch_format="pyarrow")],
+        lambda t: _key_hashes(t, on), join_bucket, num_buckets)

@@ -1,18 +1,13 @@
 """Ray Data execution tuning applied by pipeline entry points.
 
-Two empirically-load-bearing knobs (single-node measurements, 8k-row probe):
-
-* ``min_hash_shuffle_aggregator_wait_time_in_s`` defaults to 300s — a join
-  whose aggregator actors cannot all be placed immediately (other pools
-  holding CPUs) sits IDLE for up to five minutes. 2s keeps correctness
-  (fewer aggregators, same result) and removes the stalls.
+* ``apply_context_tuning`` makes ``fsspec``'s HTTP filesystem import safe
+  under concurrent path resolution (see ``_stub_fsspec_http``). The
+  package's shuffles all run on the default sort shuffle, so no
+  ``DataContext`` setting is changed.
 * Shuffle parallelism follows the INPUT block count: a groupby over a
   2-block dataset runs 2 reducers no matter how many CPUs exist (observed
   14.7s vs 3.2s after repartition(32) on identical data). ``ensure_blocks``
   repartitions shuffle inputs to >= the configured partition count.
-
-Mutating the global DataContext from library code is deliberate and
-idempotent: these are execution-engine settings, not query semantics.
 """
 
 from __future__ import annotations
@@ -22,17 +17,6 @@ import ray.data
 
 def apply_context_tuning() -> None:
     _stub_fsspec_http()
-    from ray.data import DataContext
-
-    ctx = DataContext.get_current()
-    ctx.min_hash_shuffle_aggregator_wait_time_in_s = 2
-    # Each Dataset.join spawns num_partitions aggregator actors; a DAG that
-    # unions several joins therefore requests ~100 actor CPUs and the map
-    # stages starve (observed: 102 aggregators time-slicing 32 CPUs, 64% idle
-    # machine). Aggregators are I/O-light until finalize, so reserve a
-    # fraction of a CPU each and let finalize oversubscribe briefly.
-    ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = 0.25
-    ctx.hash_aggregate_operator_actor_num_cpus_per_partition_override = 0.25
 
 
 def _stub_fsspec_http() -> None:

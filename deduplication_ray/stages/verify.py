@@ -279,10 +279,7 @@ def _resolve_by_join(pairs: ray.data.Dataset, sig: ray.data.Dataset,
         return side.rename_columns(
             {"idh": key, **{c: f"{c}_{name}" for c in ["image_id", *cols]}})
 
-    # two hash joins live in one lazy plan stalled for minutes at
-    # num_partitions=8 where either alone takes seconds: the first join
-    # finishes before the second starts
-    e = lookup_join(pairs, renamed("ah", "src"), on=["ah"], cfg=cfg).materialize()
+    e = lookup_join(pairs, renamed("ah", "src"), on=["ah"], cfg=cfg)
     e = lookup_join(e, renamed("bh", "dst"), on=["bh"], cfg=cfg)
     return e.map_batches(
         lambda t: _verified_slim(t, accept, _attached_col(t, lists)),

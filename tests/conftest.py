@@ -105,12 +105,16 @@ def fuzz_canon(t, names=None) -> list[tuple]:
 
 def fuzz_collect(ds):
     """Concatenated non-empty result blocks of a Dataset, or None if the
-    result is empty (empty blocks may carry a degenerate schema)."""
+    result is empty (empty blocks may carry a degenerate schema). The plan
+    is materialized first: on a lazy plan ``to_arrow_refs`` asks for the
+    schema after the run, which re-runs the plan up to its first block and
+    then cancels the rest of its tasks."""
     import pyarrow as pa
 
     import ray
 
-    tables = [t for t in (ray.get(r) for r in ds.to_arrow_refs())
+    tables = [t for t in (ray.get(r)
+                          for r in ds.materialize().to_arrow_refs())
               if t.num_rows]
     if not tables:
         return None

@@ -5,7 +5,7 @@ only exercise the key/type shapes those queries happen to have. This fuzzes
 the operator itself: random row counts (including empty sides), skewed key
 distributions (many-to-many fan-out), single- and multi-column keys, null
 VALUES (null keys are out of contract — SQL nulls never match anyway), and
-all three join types, against DuckDB as the oracle; plus bucket-count
+all five join types, against DuckDB as the oracle; plus bucket-count
 invariance (1 vs 7 vs 32 buckets must be a no-op on the result). Key arity
 and join type are drawn from coprime seed residues so every (arity, how)
 combination occurs."""
@@ -18,7 +18,11 @@ from deduplication_ray.stages.join import shuffle_join
 
 from conftest import fuzz_blocks, fuzz_canon, fuzz_collect
 
-HOWS = {"inner": "INNER", "left": "LEFT", "full outer": "FULL"}
+# semi / anti keep the left rows whose key does / does not occur on the
+# right (EXISTS / NOT EXISTS), left columns only, one row per left row
+# however often its key repeats on the right
+HOWS = {"inner": "INNER", "left": "LEFT", "full outer": "FULL",
+        "semi": "", "anti": "NOT "}
 
 
 def _rand_table(rng, prefix: str, keys: list[str], n: int) -> pa.Table:
@@ -38,15 +42,15 @@ def _rand_table(rng, prefix: str, keys: list[str], n: int) -> pa.Table:
     return pa.table(cols)
 
 
-@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("seed", range(15))
 def test_shuffle_join_fuzz_vs_duckdb(ray_session, seed):
     rng = np.random.default_rng(1000 + seed)
-    keys = ["k1", "k2"] if seed % 2 == 0 else ["k1"]   # coprime with % 3
+    keys = ["k1", "k2"] if seed % 2 == 0 else ["k1"]   # coprime with % 5
     nl = int(rng.choice([0, 1, 17, 230]))
     nr = int(rng.choice([0, 1, 23, 180]))
     lt = _rand_table(rng, "l", keys, nl)
     rt = _rand_table(rng, "r", keys, nr)
-    how = list(HOWS)[seed % 3]
+    how = list(HOWS)[seed % 5]
 
     mine = fuzz_collect(shuffle_join(fuzz_blocks(rng, lt),
                                      fuzz_blocks(rng, rt),
@@ -55,15 +59,22 @@ def test_shuffle_join_fuzz_vs_duckdb(ray_session, seed):
     con = duckdb.connect()
     con.register("l", lt)
     con.register("r", rt)
-    names = list(lt.column_names) + ["r_v", "r_s"]
-    sql = (f"SELECT {', '.join(names)} FROM l {HOWS[how]} JOIN r "
-           f"USING ({', '.join(keys)})")
+    if how in ("semi", "anti"):
+        names = list(lt.column_names)
+        match = " AND ".join(f"r.{k} = l.{k}" for k in keys)
+        sql = (f"SELECT * FROM l WHERE {HOWS[how]}"
+               f"EXISTS (SELECT 1 FROM r WHERE {match})")
+    else:
+        names = list(lt.column_names) + ["r_v", "r_s"]
+        sql = (f"SELECT {', '.join(names)} FROM l {HOWS[how]} JOIN r "
+               f"USING ({', '.join(keys)})")
     oracle = con.execute(sql).arrow()
     ctx = f"seed={seed} how={how} keys={keys} nl={nl} nr={nr}"
     if mine is None:
         assert oracle.num_rows == 0, ctx
         return
-    oracle = oracle.cast(mine.select(names).schema)
+    assert mine.column_names == names, ctx
+    oracle = oracle.cast(mine.schema)
     assert fuzz_canon(mine, names) == fuzz_canon(oracle, names), ctx
 
 

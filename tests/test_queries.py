@@ -618,9 +618,10 @@ def test_grouped_quantile_sketch_rank_error(entry_mod, con, ray_session):
     assert (m["p50_est"] == m["p50"]).all()
 
 
-def test_lookup_join_distributed_fallback_parity(ray_session):
-    """lookup_join with broadcast_limit=0 (forced hash-join fallback) must
-    equal the broadcast path, for inner and left joins, nulls included."""
+def test_lookup_join_distributed_fallback_parity(ray_session, monkeypatch):
+    """lookup_join with broadcast_limit=0 (forced shuffle fallback, default
+    32 partitions) must equal the broadcast path, for inner, left, semi and
+    anti joins, nulls included, without calling Ray's Dataset.join."""
     import dataclasses
 
     import pyarrow as pa
@@ -628,7 +629,12 @@ def test_lookup_join_distributed_fallback_parity(ray_session):
 
     from deduplication_ray.config import DedupConfig
     from deduplication_ray.stages.join import lookup_join
+    from tests.conftest import deadline
 
+    def no_dataset_join(*args, **kwargs):
+        raise AssertionError("lookup_join must not call Ray's Dataset.join")
+
+    monkeypatch.setattr(ray.data.Dataset, "join", no_dataset_join)
     big = ray.data.from_arrow(pa.table({
         "k": pa.array([1, 2, 2, 3, 5, 7], pa.int64()),
         "a": pa.array(["x1", "x2", "x2b", "x3", "x5", "x7"]),
@@ -637,11 +643,13 @@ def test_lookup_join_distributed_fallback_parity(ray_session):
         "k": pa.array([2, 3, 4], pa.int64()),
         "b": pa.array([20, 30, 40], pa.int64()),
     }))
-    cfg = DedupConfig(num_partitions=4)
+    cfg = DedupConfig()
     cfg0 = dataclasses.replace(cfg, broadcast_limit=0)
-    for how in ("inner", "left"):
+    for how in ("inner", "left", "semi", "anti"):
         bcast = lookup_join(big, look, on=["k"], cfg=cfg, how=how).to_pandas()
-        dist = lookup_join(big, look, on=["k"], cfg=cfg0, how=how).to_pandas()
+        with deadline(120):
+            dist = lookup_join(big, look, on=["k"], cfg=cfg0,
+                               how=how).to_pandas()
         bcast = bcast.sort_values(["k", "a"]).reset_index(drop=True)
         dist = dist[bcast.columns].sort_values(["k", "a"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(bcast, dist, check_dtype=False)

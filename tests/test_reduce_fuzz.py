@@ -9,11 +9,13 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+import ray.data
+
 from deduplication_ray.config import DedupConfig
 from deduplication_ray.pipelines.relational import _keyed_reduce
 from deduplication_ray.stages.join import lookup_join
 
-from conftest import fuzz_blocks, fuzz_canon, fuzz_collect
+from conftest import deadline, fuzz_blocks, fuzz_canon, fuzz_collect
 
 
 def _rows(ds_or_table) -> list[tuple]:
@@ -85,6 +87,10 @@ def test_lookup_join_fuzz_vs_duckdb(ray_session, seed):
         f"seed={seed} how={how} n={n} m={m}"
 
 
+def _no_dataset_join(*args, **kwargs):
+    raise AssertionError("lookup_join must not call Ray's Dataset.join")
+
+
 def _semi_tables(rng, n: int, m: int, dup_lookup: bool):
     """Probe rows with ~10% null keys; lookup keys with nulls and, when
     ``dup_lookup``, repeated keys (the hash-join path), else distinct keys
@@ -106,11 +112,15 @@ def _semi_tables(rng, n: int, m: int, dup_lookup: bool):
 
 @pytest.mark.parametrize("how", ["semi", "anti"])
 @pytest.mark.parametrize("seed", range(4))
-def test_lookup_join_semi_anti_vs_duckdb(ray_session, how, seed):
+def test_lookup_join_semi_anti_vs_duckdb(ray_session, monkeypatch, how,
+                                        seed):
     """semi/anti keep the probe rows whose key does / does not occur in the
     lookup (EXISTS / NOT EXISTS: a null key matches nothing), append no
     column, never duplicate a row on duplicate lookup keys, and give the
-    same rows on the shuffle fallback (``broadcast_limit=0``)."""
+    same rows on the shuffle fallback (``broadcast_limit=0``, the default
+    partition count), which runs on ``shuffle_join``, never on Ray's
+    ``Dataset.join``."""
+    monkeypatch.setattr(ray.data.Dataset, "join", _no_dataset_join)
     rng = np.random.default_rng(4000 + seed)
     n, m = int(rng.choice([1, 64, 300])), int(rng.choice([1, 12, 50]))
     big, small = _semi_tables(rng, n, m, dup_lookup=seed % 2 == 0)
@@ -121,13 +131,11 @@ def test_lookup_join_semi_anti_vs_duckdb(ray_session, how, seed):
         f"SELECT k, x FROM big WHERE {'NOT ' if how == 'anti' else ''}"
         "EXISTS (SELECT 1 FROM small WHERE small.k = big.k)").arrow()
     ctx = f"seed={seed} how={how} n={n} m={m}"
-    # 4 join partitions: Ray's hash-shuffle join reserves memory per
-    # aggregator, and the default 32 do not fit a small host's memory
-    for cfg in (DedupConfig(),
-                DedupConfig(broadcast_limit=0, num_partitions=4)):
-        out = fuzz_collect(lookup_join(fuzz_blocks(rng, big),
-                                       fuzz_blocks(rng, small), on=["k"],
-                                       cfg=cfg, how=how))
+    for cfg in (DedupConfig(), DedupConfig(broadcast_limit=0)):
+        with deadline(120):
+            out = fuzz_collect(lookup_join(fuzz_blocks(rng, big),
+                                           fuzz_blocks(rng, small), on=["k"],
+                                           cfg=cfg, how=how))
         if out is not None:
             assert sorted(out.column_names) == ["k", "x"], ctx
         assert _rows(out) == _rows(oracle), \
@@ -151,3 +159,42 @@ def test_lookup_join_semi_anti_empty_lookup(ray_session, how):
         out = fuzz_collect(lookup_join(fuzz_blocks(rng, big), lookup,
                                        on=["k"], cfg=DedupConfig(), how=how))
         assert _rows(out) == (_rows(big) if how == "anti" else [])
+
+
+@pytest.mark.parametrize("how", ["inner", "left", "semi", "anti"])
+def test_lookup_join_fallback_edge_probes(ray_session, monkeypatch, how):
+    """The shuffle fallback (``broadcast_limit=0``, 32 partitions) gives the
+    broadcast tier's rows for a probe whose first block is empty, for an
+    all-empty probe, for pandas blocks (whose schema reports numpy dtypes)
+    and for a ``string`` probe key against a ``large_string`` lookup key
+    (the lookup's keys take the probe's type)."""
+    monkeypatch.setattr(ray.data.Dataset, "join", _no_dataset_join)
+    rng = np.random.default_rng(6)
+    big, small = _semi_tables(rng, 60, 12, dup_lookup=True)
+    as_str = lambda t, typ: t.set_column(  # noqa: E731
+        0, "k", t["k"].cast(pa.string()).cast(typ))
+    probes = {
+        "first block empty": (
+            lambda: ray.data.from_arrow([big.slice(0, 0), big.slice(0, 25),
+                                         big.slice(25)]), small),
+        "all empty": (lambda: ray.data.from_arrow(big.slice(0, 0)), small),
+        "pandas blocks": (  # string keys: object dtype in pandas
+            lambda: fuzz_blocks(rng, as_str(big, pa.string())).map_batches(
+                lambda df: df, batch_format="pandas"),
+            as_str(small, pa.string())),
+        "string vs large_string": (
+            lambda: fuzz_blocks(rng, as_str(big, pa.string())),
+            as_str(small, pa.large_string())),
+    }
+    for name, (probe, lookup) in probes.items():
+        outs = []
+        for cfg in (DedupConfig(), DedupConfig(broadcast_limit=0)):
+            with deadline(120):
+                outs.append(_rows(fuzz_collect(lookup_join(
+                    probe(), fuzz_blocks(rng, lookup), on=["k"], cfg=cfg,
+                    how=how))))
+        assert outs[0] == outs[1], f"{name} how={how}"
+        if name == "all empty":
+            assert outs[1] == []
+        else:
+            assert outs[1], f"{name} how={how}: no rows on either tier"
