@@ -452,13 +452,13 @@ def _audio_fixture_query(sf_dir: str):
 def _modal_incremental_query(kind: str):
     """Incremental VIDEO/AUDIO ingest on the modal fixture: dedup an
     every-5th-row delta against a checkpointed base run
-    (``run_modal_pipeline``), returning the full clusters table. Rows-only
+    (``run_checkpointed``), returning the full clusters table. Rows-only
     check; exact equality with a from-scratch run is asserted in
     tests/test_incremental.py::test_modal_ingest_matches_full_run."""
     def q(sf_dir: str):
         """Incremental modal ingest on the video/audio fixture: dedup an
         every-5th-row delta against a checkpointed base run
-        (``run_modal_pipeline``) — delta-only decode, base signatures
+        (``run_checkpointed``) — delta-only decode, base signatures
         re-keyed, base star edges. Rows-only check; exact equality with a
         from-scratch run is asserted in tests/test_incremental.py."""
         import os
@@ -470,7 +470,7 @@ def _modal_incremental_query(kind: str):
 
         from deduplication_ray.config import DedupConfig
         from deduplication_ray.pipelines.incremental import (
-            ingest_delta_modal, run_modal_pipeline)
+            ingest_delta, run_checkpointed)
         from deduplication_ray.sources import fixtures, storage
 
         n, seed = 400, FIXTURE_SEED
@@ -497,9 +497,9 @@ def _modal_incremental_query(kind: str):
                     pq.write_table(t.slice(i * step, step),
                                    f"{root}/{name}/part-{i}.parquet")
             open(f"{root}/split_done", "w").close()
-        run_modal_pipeline(f"{root}/base", f"{root}/base_run", cfg, kind=kind)
-        ingest_delta_modal(f"{root}/base_run", f"{root}/delta",
-                           f"{root}/inc_run", cfg, kind=kind)
+        run_checkpointed(f"{root}/base", f"{root}/base_run", cfg, mode=kind)
+        ingest_delta(f"{root}/base_run", None, f"{root}/delta",
+                     f"{root}/inc_run", cfg, mode=kind)
         return storage.read_table(f"{root}/inc_run/clusters")
     return q
 
@@ -507,7 +507,7 @@ def _modal_incremental_query(kind: str):
 def _embedding_incremental_query(sf_dir: str):
     """Incremental SEMANTIC (embedding) ingest: a vector delta with planted
     near-identical cross pairs deduplicated against a checkpointed embedding
-    base run (``run_modal_pipeline(kind='embedding')``). Rows-only check;
+    base run (``run_checkpointed(mode='embedding')``). Rows-only check;
     exact equality with a from-scratch run is asserted in
     tests/test_incremental.py::test_embedding_ingest_matches_full_run."""
     import os
@@ -518,7 +518,7 @@ def _embedding_incremental_query(sf_dir: str):
 
     from deduplication_ray.config import DedupConfig
     from deduplication_ray.pipelines.incremental import (
-        ingest_delta_modal, run_modal_pipeline)
+        ingest_delta, run_checkpointed)
     from deduplication_ray.sources import storage
 
     cfg = DedupConfig(num_partitions=8)
@@ -546,10 +546,10 @@ def _embedding_incremental_query(sf_dir: str):
                 pq.write_table(t.slice(i * step, step),
                                f"{root}/{name}/part-{i}.parquet")
         open(f"{root}/split_done", "w").close()
-    run_modal_pipeline(f"{root}/base", f"{root}/base_run", cfg,
-                       kind="embedding")
-    ingest_delta_modal(f"{root}/base_run", f"{root}/delta", f"{root}/inc_run",
-                       cfg, kind="embedding")
+    run_checkpointed(f"{root}/base", f"{root}/base_run", cfg,
+                     mode="embedding")
+    ingest_delta(f"{root}/base_run", None, f"{root}/delta", f"{root}/inc_run",
+                 cfg, mode="embedding")
     return storage.read_table(f"{root}/inc_run/clusters")
 
 

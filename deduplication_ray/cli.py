@@ -94,10 +94,10 @@ def main(argv: list[str] | None = None) -> int:
                        choices=("image", "text", "video", "audio",
                                 "embedding"),
                        default="image",
-                       help="'text' runs the checkpointed caption-only "
-                            "engine over a (doc_id, text) table; 'video' / "
-                            "'audio' / 'embedding' run the checkpointed "
-                            "modal engines over (id, bytes|vector) tables")
+                       help="'image' runs image_dedup.run_pipeline; 'text' "
+                            "((doc_id, text) tables) and 'video' / 'audio' "
+                            "/ 'embedding' ((id, bytes|vector) tables) run "
+                            "incremental.run_checkpointed")
         s.add_argument("--num-cpus", type=int, default=None)
         s.add_argument("--jaccard-threshold", type=float, default=None,
                        dest="jaccard_threshold",
@@ -126,10 +126,10 @@ def main(argv: list[str] | None = None) -> int:
     s.add_argument("--mode",
                    choices=("image", "text", "video", "audio", "embedding"),
                    default="image",
-                   help="'text' ingests (doc_id, text) tables against a "
-                        "run_text_pipeline base; 'video'/'audio'/'embedding' "
-                        "ingest modal deltas against a run_modal_pipeline "
-                        "base")
+                   help="engine of the base run (incremental.ingest_delta): "
+                        "'image' ingests against an image_dedup.run_pipeline "
+                        "base, the other modes against a "
+                        "run_checkpointed base of the same mode")
     s.add_argument("--num-cpus", type=int, default=None)
     s.add_argument("--jaccard-threshold", type=float, default=None,
                    dest="jaccard_threshold",
@@ -404,30 +404,18 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.cmd in ("run", "resume"):
         ray = _session(args.num_cpus)
-        mode = getattr(args, "mode", "image")
-        if mode == "text":
-            from deduplication_ray.pipelines.text_dedup import run_text_pipeline
+        if args.mode == "image":
+            from deduplication_ray.pipelines.image_dedup import run_pipeline
 
-            metrics = run_text_pipeline(
-                args.input, args.out, _cfg_from_args(args),
-                strict_resume=(args.cmd == "resume"))
-            print(json.dumps(metrics))
-            ray.shutdown()
-            return 0
-        if mode in ("video", "audio", "embedding"):
+            metrics = run_pipeline(args.input, args.out, _cfg_from_args(args),
+                                   strict_resume=(args.cmd == "resume"))
+        else:
             from deduplication_ray.pipelines.incremental import (
-                run_modal_pipeline)
+                run_checkpointed)
 
-            metrics = run_modal_pipeline(
-                args.input, args.out, _cfg_from_args(args), kind=mode,
+            metrics = run_checkpointed(
+                args.input, args.out, _cfg_from_args(args), mode=args.mode,
                 strict_resume=(args.cmd == "resume"))
-            print(json.dumps(metrics))
-            ray.shutdown()
-            return 0
-        from deduplication_ray.pipelines.image_dedup import run_pipeline
-
-        metrics = run_pipeline(args.input, args.out, _cfg_from_args(args),
-                               strict_resume=(args.cmd == "resume"))
         print(json.dumps(metrics))
         ray.shutdown()
         return 0
@@ -505,49 +493,28 @@ def main(argv: list[str] | None = None) -> int:
         ray.shutdown()
         return 0
 
-    if args.cmd == "ingest":
+    if args.cmd in ("ingest", "merge"):
+        from deduplication_ray.pipelines.incremental import (
+            engine_kit, ingest_delta, merge_runs)
+
+        cfg = _cfg_from_args(args)
+        inputs = ([args.base_input] if args.cmd == "ingest"
+                  else [args.input_a, args.input_b])
+        # validate BEFORE booting a Ray session — the check needs nothing
+        # from it: image and text bucket streams re-read input captions
+        if engine_kit(args.mode, cfg)["caps_of"] and not all(inputs):
+            flags = ("--base-input" if args.cmd == "ingest"
+                     else "--input-a/--input-b")
+            raise SystemExit(f"{flags} required for mode={args.mode}")
         ray = _session(args.num_cpus)
-        if args.mode in ("video", "audio", "embedding"):
-            from deduplication_ray.pipelines.incremental import (
-                ingest_delta_modal)
-
-            metrics = ingest_delta_modal(
-                args.base_run.split(","), args.delta_input, args.out,
-                _cfg_from_args(args), kind=args.mode)
+        if args.cmd == "ingest":
+            metrics = ingest_delta(
+                args.base_run.split(","),
+                args.base_input.split(",") if args.base_input else None,
+                args.delta_input, args.out, cfg, mode=args.mode)
         else:
-            from deduplication_ray.pipelines.incremental import ingest_delta
-
-            if not args.base_input:
-                raise SystemExit("--base-input is required for "
-                                 f"mode={args.mode}")
-            metrics = ingest_delta(args.base_run.split(","),
-                                   args.base_input.split(","),
-                                   args.delta_input, args.out,
-                                   _cfg_from_args(args), mode=args.mode)
-        print(json.dumps(metrics))
-        ray.shutdown()
-        return 0
-
-    if args.cmd == "merge":
-        modal = args.mode in ("video", "audio", "embedding")
-        if not modal and not (args.input_a and args.input_b):
-            # validate BEFORE booting a Ray session — the check needs nothing
-            # from it
-            raise SystemExit("--input-a/--input-b are required for "
-                             f"mode={args.mode}")
-        ray = _session(args.num_cpus)
-        if modal:
-            from deduplication_ray.pipelines.incremental import (
-                merge_runs_modal)
-
-            metrics = merge_runs_modal(args.run_a, args.run_b, args.out,
-                                       _cfg_from_args(args), kind=args.mode)
-        else:
-            from deduplication_ray.pipelines.incremental import merge_runs
-
             metrics = merge_runs(args.run_a, args.input_a, args.run_b,
-                                 args.input_b, args.out,
-                                 _cfg_from_args(args), mode=args.mode)
+                                 args.input_b, args.out, cfg, mode=args.mode)
         print(json.dumps(metrics))
         ray.shutdown()
         return 0

@@ -48,10 +48,7 @@ import ray.data
 
 from deduplication_ray.config import DedupConfig
 from deduplication_ray.functions import hashing as H
-from deduplication_ray.pipelines.image_dedup import finalize_clusters
-from deduplication_ray.stages import verify
 from deduplication_ray.stages.multimodal import AudioSignatures, shingle_hashes
-from deduplication_ray.state import unionfind
 
 
 def audio_signatures(ds: ray.data.Dataset, cfg: DedupConfig,
@@ -205,15 +202,6 @@ def audio_dedup_clusters(ds: ray.data.Dataset,
                          cfg: DedupConfig | None = None,
                          id_col: str = "audio_id") -> ray.data.Dataset:
     """(audio_id, bytes[WAV]) -> clusters(audio_id, cluster_id)."""
-    cfg = cfg or DedupConfig()
-    from deduplication_ray.stages.tuning import apply_context_tuning
+    from deduplication_ray.pipelines.incremental import engine_clusters
 
-    apply_context_tuning()
-    sigs = audio_signatures(ds, cfg, id_col).materialize()
-    vedges = verify.pair_and_verify(
-        sigs.map_batches(_ExplodeShingles(cfg), batch_format="pyarrow"),
-        verify.DeferredSignatureIndex(sigs, cfg), cfg,
-        accept=audio_accept(cfg))
-    return finalize_clusters(sigs.select_columns(["image_id"]),
-                             unionfind.connected_components(vedges, cfg),
-                             cfg, id_col)
+    return engine_clusters("audio", ds, cfg, id_col)

@@ -1,15 +1,24 @@
-"""Incremental ingest: dedup a NEW delta of rows against an existing
-deduplicated corpus without recomputing the corpus.
+"""Checkpointed lineage for every engine: full runs, incremental ingest
+of a delta against a finished run, and merges of two finished runs — one
+driver each for image, text, video, audio and embedding data.
 
-This is the daily-crawl shape of a 100 TB pipeline: the base corpus was
-deduplicated once (``pipelines/image_dedup.run_pipeline``, checkpointed
-signatures + clusters under ``base_run_dir``); a delta arrives and must be
-(a) deduplicated against itself and (b) linked against the base — without
-re-decoding a single base image.
+``engine_kit`` holds what differs per engine (input projection, signature
+function, bucket stream, pairing config, verify accept); the drivers
+``run_checkpointed`` (text / video / audio / embedding full runs; image
+runs are ``image_dedup.run_pipeline``), ``ingest_delta`` and
+``merge_runs`` are otherwise one plan, and ``engine_clusters`` is
+``run_checkpointed``'s plan with nothing persisted (the lazy video and
+audio pipelines).
+
+Ingest is the daily-crawl shape of a 100 TB pipeline: the base corpus was
+deduplicated once (checkpointed signatures + clusters under
+``base_run_dir``); a delta arrives and must be (a) deduplicated against
+itself and (b) linked against the base — without re-decoding a single
+base row.
 
 Work is delta-bounded at every expensive stage:
 
-- **Signatures** (image decode, the dominant cost) run on delta rows only;
+- **Signatures** (decode, the dominant cost) run on delta rows only;
   base signatures are read from the base run's checkpoint.
 - **Candidate generation** re-keys base *signatures* into the full run's
   bucket stream — every family, the exact content-key family included
@@ -20,8 +29,8 @@ Work is delta-bounded at every expensive stage:
   vectorized ``searchsorted`` probe. Buckets untouched by the delta never
   emit a row.
   (At 10^12 rows one would checkpoint the bucket index instead of re-keying
-  — the swap point is ``_bucket_stream``; re-keying costs one linear scan
-  of the signature table, which measured ~2% of a full run.)
+  — the swap point is the kit's ``buckets``; re-keying costs one linear
+  scan of the signature table, which measured ~2% of a full run.)
 - **Old-old pairs are never re-verified**: after pair dedupe and before the
   resolve, a slim pair must touch at least one delta id (probe of the
   broadcast sorted delta id hashes). Connectivity among base rows is
@@ -44,6 +53,8 @@ blocks.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -58,32 +69,11 @@ from deduplication_ray.stages import lsh, verify
 from deduplication_ray.state.checkpoint import CheckpointedRun
 
 
-def _bucket_stream(sigs: ray.data.Dataset, captions: ray.data.Dataset,
-                   cfg: DedupConfig, families: tuple[str, ...]
-                   ) -> ray.data.Dataset:
-    """Every candidate family's (band, bucket, salt, image_id, ph, sh) rows
-    for one corpus side — the same stream the full run's
-    ``image_dedup.verified_edges`` pairs, exact content key included
-    (``families``: ``image_dedup.PIXEL_FAMILIES`` or
-    ``text_dedup.TEXT_FAMILIES``)."""
-    from deduplication_ray.stages.substring import substring_buckets
-
-    b = sigs.map_batches(lsh.ExplodeBands(cfg, families=families),
-                         batch_format="pyarrow",
-                         batch_size=cfg.text_batch_size)
-    return b.union(substring_buckets(captions, cfg))
-
-
-def _bucket_key(t: pa.Table) -> np.ndarray:
-    return H.hash_u64_pair(t["band"].to_numpy().view(np.uint64),
-                           t["bucket"].to_numpy().view(np.uint64))
-
-
 def _collect_keys(buckets: ray.data.Dataset) -> np.ndarray:
     """Distinct composite bucket keys, pre-deduped per batch before the
     bounded driver collect (|delta| x bands u64s at most)."""
     def keys(t: pa.Table) -> pa.Table:
-        k = np.unique(_bucket_key(t))
+        k = np.unique(lsh.bucket_key(t))
         return pa.table({"k": pa.array(H.bitcast_u64_to_i64(k), pa.int64())})
 
     parts = list(buckets.map_batches(keys, batch_format="pyarrow")
@@ -101,7 +91,7 @@ class _MatchingKeys:
 
     def __init__(self, ref, key_fn=None):
         self.ref = ref
-        self.key_fn = key_fn or _bucket_key
+        self.key_fn = key_fn or lsh.bucket_key
         self._keys = None
 
     def __call__(self, t: pa.Table) -> pa.Table:
@@ -268,23 +258,30 @@ def _id_hashes(ids) -> np.ndarray:
     return np.unique(H.hash_bytes_array(ids))
 
 
-def _bounded_edges(new_b: ray.data.Dataset, old_b: ray.data.Dataset,
-                   sigs: ray.data.Dataset, cfg: DedupConfig, side_ref,
-                   mode: str, **verify_kw) -> ray.data.Dataset:
+def _bounded_edges(kit: dict, new_sigs: ray.data.Dataset, new_inputs,
+                   old_sigs: ray.data.Dataset, old_inputs, side_ref,
+                   mode: str) -> ray.data.Dataset:
     """The delta-bounded verified-edge plan of ingest and merge: the NEW
     side's occupied bucket keys are collected (bounded: |new| x bands) and
     broadcast, the OLD side's bucket stream keeps only rows in those
     buckets — so every shared bucket is seen in full and salts exactly as
     in a from-scratch run — and the slim pairs are side-filtered
     (``_SideFilter(side_ref, mode)``) BEFORE the resolve, so pairs the
-    input runs already adjudicated are never verified. ``sigs`` holds both
-    sides' signatures; ``verify_kw`` goes to ``verify.pair_and_verify``."""
-    new_b = new_b.materialize()
+    input runs already adjudicated are never verified. Image runs add the
+    delta-bounded orientation/crop channel edges under the same filter."""
+    new_b = kit["buckets"](new_sigs, new_inputs).materialize()
     keys_ref = ray.put(_collect_keys(new_b))
-    old_b = old_b.map_batches(_MatchingKeys(keys_ref), batch_format="pyarrow")
-    return verify.pair_and_verify(
-        new_b.union(old_b), verify.DeferredSignatureIndex(sigs, cfg), cfg,
-        pair_filter=_SideFilter(side_ref, mode), **verify_kw)
+    old_b = kit["buckets"](old_sigs, old_inputs).map_batches(
+        _MatchingKeys(keys_ref), batch_format="pyarrow")
+    side = _SideFilter(side_ref, mode)
+    ve = kit["verify"](new_b.union(old_b), new_sigs.union(old_sigs), side)
+    ch = (_channel_edges_delta(new_sigs, old_sigs, kit["edge_cfg"])
+          if kit["has_pixels"] else None)
+    if ch is not None:
+        # channel pairs are pre-verified (min-Hamming in-bucket); the same
+        # side filter keeps the bounding
+        ve = ve.union(ch.map_batches(side, batch_format="pyarrow"))
+    return ve
 
 
 def _assert_disjoint_ids(sigs_a: ray.data.Dataset, ids_ref,
@@ -316,41 +313,119 @@ def _assert_disjoint_ids(sigs_a: ray.data.Dataset, ids_ref,
             "(e.g. prefix ids per source) before merging")
 
 
-def _engine_mode_kit(mode: str, cfg: DedupConfig, id_col: str,
-                     text_col: str) -> dict:
-    """Image/text mode plumbing shared by ``ingest_delta`` and
-    ``merge_runs``: signature fn, caption source, the full run's candidate
-    families and verification flag. Mode changes nothing else — the
-    delta-bounding machinery is identical."""
-    if mode == "text":
-        from deduplication_ray.pipelines.text_dedup import (
-            TEXT_FAMILIES, as_engine_table, text_signatures)
+def engine_kit(mode: str, cfg: DedupConfig, id_col: str | None = None,
+               text_col: str = "text") -> dict:
+    """What differs per engine (image|text|video|audio|embedding); every
+    other step of the drivers below is one plan for all five:
 
-        def sig_fn(path):
-            ds = storage.read_table(path, columns=[id_col, text_col])
-            return text_signatures(as_engine_table(ds, id_col, text_col),
-                                   cfg, "image_id", "caption")
-
-        def caps_of(path):
-            return as_engine_table(
-                storage.read_table(path, columns=[id_col, text_col]),
-                id_col, text_col)
-
-        return {"sig_fn": sig_fn, "caps_of": caps_of,
-                "families": TEXT_FAMILIES, "has_pixels": False}
+    - ``columns`` / ``sig``: the input projection and the signature
+      function over the projected Dataset;
+    - ``buckets(sigs, inputs)``: the full run's bucket stream — image and
+      text union the caption L-gram family read from the ``inputs`` paths,
+      video/audio/embedding explode their signatures only;
+    - ``edge_cfg``: the config used for PAIRING (video swaps the pHash
+      Hamming gate for its frame radius, embedding the SimHash one for the
+      generous ``emb_hamming_t``);
+    - ``accept`` / ``has_pixels`` for the verify, wrapped with the pairing
+      in ``verify(buckets, sigs, pair_filter=None)``;
+    - ``id_col``: the default id column."""
+    kit = {"columns": None, "caps_of": None, "edge_cfg": cfg,
+           "accept": None, "has_pixels": False}
     if mode == "image":
         from deduplication_ray.pipelines.image_dedup import (
             PIXEL_FAMILIES, compute_signatures)
 
-        def sig_fn(path):
-            return compute_signatures(storage.read_table(path), cfg)
+        kit.update(
+            id_col="image_id", families=PIXEL_FAMILIES, has_pixels=True,
+            sig=lambda ds: compute_signatures(ds, cfg),
+            caps_of=lambda p: storage.read_table(
+                p, columns=["image_id", "caption"]))
+    elif mode == "text":
+        from deduplication_ray.pipelines.text_dedup import (
+            TEXT_FAMILIES, as_engine_table, text_signatures)
 
-        def caps_of(path):
-            return storage.read_table(path, columns=["image_id", "caption"])
+        id_col = id_col or "doc_id"
+        kit.update(
+            id_col=id_col, families=TEXT_FAMILIES, columns=[id_col, text_col],
+            sig=lambda ds: text_signatures(
+                as_engine_table(ds, id_col, text_col), cfg,
+                "image_id", "caption"),
+            caps_of=lambda p: as_engine_table(
+                storage.read_table(p, columns=[id_col, text_col]),
+                id_col, text_col))
+    elif mode == "video":
+        from deduplication_ray.pipelines import video_dedup as V
 
-        return {"sig_fn": sig_fn, "caps_of": caps_of,
-                "families": PIXEL_FAMILIES, "has_pixels": True}
-    raise ValueError(f"unknown mode {mode!r} (expected image|text)")
+        id_col = id_col or "video_id"
+        kit.update(
+            id_col=id_col, explode=V._ExplodeFrameBands(cfg),
+            sig=lambda ds: V.video_signatures(ds, cfg, id_col),
+            edge_cfg=dataclasses.replace(
+                cfg, phash_hamming_t=cfg.video_frame_hamming_t),
+            accept=V.video_accept(cfg))
+    elif mode == "audio":
+        from deduplication_ray.pipelines import audio_dedup as A
+
+        id_col = id_col or "audio_id"
+        kit.update(
+            id_col=id_col, explode=A._ExplodeShingles(cfg),
+            sig=lambda ds: A.audio_signatures(ds, cfg, id_col),
+            accept=A.audio_accept(cfg))
+    elif mode == "embedding":
+        from deduplication_ray.pipelines import ann
+
+        id_col = id_col or "vec_id"
+        kit.update(
+            id_col=id_col, columns=[id_col, "embedding"],
+            explode=ann.explode_emb_bands,
+            # ids zero-padded to 12 digits so lexicographic min == numeric
+            # min through the string-keyed union-find
+            sig=lambda ds: ds.map_batches(
+                ann.EmbSig(cfg, id_col, pad=True),
+                batch_format="pyarrow", batch_size=4096),
+            edge_cfg=dataclasses.replace(
+                cfg, simhash_hamming_t=cfg.emb_hamming_t),
+            accept=ann.embedding_accept(cfg.emb_cos_min))
+    else:
+        raise ValueError(f"unknown mode {mode!r} "
+                         "(expected image|text|video|audio|embedding)")
+
+    def buckets(sigs: ray.data.Dataset, inputs=None) -> ray.data.Dataset:
+        if kit["caps_of"] is None:
+            return sigs.map_batches(kit["explode"], batch_format="pyarrow")
+        from deduplication_ray.stages.substring import substring_buckets
+
+        caps = kit["caps_of"](inputs[0])
+        for p in inputs[1:]:
+            caps = caps.union(kit["caps_of"](p))
+        return sigs.map_batches(
+            lsh.ExplodeBands(cfg, families=kit["families"]),
+            batch_format="pyarrow", batch_size=cfg.text_batch_size,
+        ).union(substring_buckets(caps, cfg))
+
+    def verify_(b: ray.data.Dataset, sigs: ray.data.Dataset,
+                pair_filter=None) -> ray.data.Dataset:
+        return verify.pair_and_verify(
+            b, verify.DeferredSignatureIndex(sigs, cfg), kit["edge_cfg"],
+            accept=kit["accept"], has_pixels=kit["has_pixels"],
+            pair_filter=pair_filter)
+
+    kit.update(buckets=buckets, verify=verify_)
+    return kit
+
+
+def _caption_inputs(kit: dict, cfg: DedupConfig, paths, arg: str,
+                    what: str) -> list | None:
+    """The input table dir(s) an image/text bucket stream re-reads captions
+    from, as a list (required there); None for the modes whose bucket
+    stream reads signatures only."""
+    if kit["caps_of"] is None:
+        return None
+    if not paths:
+        raise ValueError(f"{what} needs {arg}: the caption L-gram family "
+                         "re-reads the input text")
+    _check_no_suffix_array(cfg, what)
+    return [paths] if isinstance(paths, str) else list(paths)
 
 
 def _base_star_edges(clusters: ray.data.Dataset) -> ray.data.Dataset:
@@ -368,14 +443,78 @@ def _base_star_edges(clusters: ray.data.Dataset) -> ray.data.Dataset:
     return clusters.map_batches(stars, batch_format="pyarrow")
 
 
+def run_checkpointed(input_path: str, run_dir: str,
+                     cfg: DedupConfig | None = None, mode: str = "text",
+                     id_col: str | None = None, text_col: str = "text",
+                     strict_resume: bool = False) -> dict:
+    """Checkpointed text / video / audio / embedding dedup run — the
+    base-run producer for ``ingest_delta`` and ``merge_runs`` in those
+    modes (image runs are ``image_dedup.run_pipeline``): signatures,
+    verified_edges (pairs built and verified inside the one stage) and the
+    union-find rounds persist under ``run_dir`` with config-hash lineage;
+    clusters are written in the engine-canonical (image_id, cluster_id)
+    shape. The edge plan is the kit's, as in the lazy ``engine_clusters``.
+    Returns stage metrics."""
+    from deduplication_ray.pipelines.image_dedup import checkpointed_clusters
+    from deduplication_ray.stages.tuning import apply_context_tuning
+
+    if mode == "image":
+        raise ValueError("image runs are image_dedup.run_pipeline")
+    cfg = cfg or DedupConfig()
+    kit = engine_kit(mode, cfg, id_col, text_col)
+    apply_context_tuning()
+    run = CheckpointedRun(run_dir, cfg, strict_resume=strict_resume)
+
+    sigs = run.run_stage(
+        "signatures",
+        lambda: kit["sig"](storage.read_table(input_path,
+                                              columns=kit["columns"])),
+        ["input"])
+
+    def build_and_verify() -> ray.data.Dataset:
+        ve = kit["verify"](kit["buckets"](sigs, [input_path]), sigs)
+        if cfg.use_suffix_array and kit["caps_of"] is not None:
+            from deduplication_ray.stages.substring import suffix_array_edges
+
+            # trusted 'substr' cross-check edges, as in
+            # image_dedup.verified_edges
+            ve = ve.union(suffix_array_edges(kit["caps_of"](input_path), cfg)
+                          .select_columns(["src", "dst", "kind"]))
+        return ve
+
+    vedges = run.run_stage("verified_edges", build_and_verify, ["signatures"])
+
+    checkpointed_clusters(run, vedges, sigs.select_columns(["image_id"]), cfg)
+    return run.finish(("signatures", "verified_edges", "clusters"))
+
+
+def engine_clusters(mode: str, ds: ray.data.Dataset,
+                    cfg: DedupConfig | None = None,
+                    id_col: str | None = None) -> ray.data.Dataset:
+    """Lazy (id, payload) -> clusters(id_col, cluster_id) for the video and
+    audio engines: ``run_checkpointed``'s plan with nothing persisted."""
+    from deduplication_ray.pipelines.image_dedup import finalize_clusters
+    from deduplication_ray.stages.tuning import apply_context_tuning
+    from deduplication_ray.state import unionfind
+
+    cfg = cfg or DedupConfig()
+    kit = engine_kit(mode, cfg, id_col)
+    apply_context_tuning()
+    sigs = kit["sig"](ds).materialize()
+    vedges = kit["verify"](kit["buckets"](sigs), sigs)
+    return finalize_clusters(sigs.select_columns(["image_id"]),
+                             unionfind.connected_components(vedges, cfg),
+                             cfg, kit["id_col"])
+
+
 def ingest_delta(
     base_run_dir: str | list[str],
-    base_input_path: str | list[str],
+    base_input_path: str | list[str] | None,
     delta_input_path: str,
     out_run_dir: str,
     cfg: DedupConfig | None = None,
     mode: str = "image",
-    id_col: str = "doc_id",
+    id_col: str | None = None,
     text_col: str = "text",
 ) -> dict:
     """Dedup ``delta_input_path`` against the finished base run; write a full
@@ -390,27 +529,24 @@ def ingest_delta(
     its own ingest, so nothing is ever recomputed); base clusters come from
     the MOST RECENT run, whose clusters table already covers all prior ids.
 
-    ``mode``: 'image' (default — full pixel+caption engine) or 'text'
-    ((doc_id, text) tables deduplicated by the caption-only engine; base
-    runs come from ``text_dedup.run_text_pipeline``). Mode only changes
-    the signature function, the exact-dup key (single cap_hash vs the
-    128-bit (ck1, ck2) content pair) and the verification families — the
-    delta-bounding machinery is identical."""
+    ``mode`` picks the engine (``engine_kit``): 'image' (default, base runs
+    from ``image_dedup.run_pipeline``), or 'text' / 'video' / 'audio' /
+    'embedding' (base runs from ``run_checkpointed``). ``base_input_path``
+    is required for image and text, whose bucket stream re-reads the base
+    captions; the other modes read only the base run dirs and pass None.
+    The delta-bounding machinery is the same for every mode."""
     from deduplication_ray.pipelines.image_dedup import checkpointed_clusters
     from deduplication_ray.stages.tuning import apply_context_tuning
 
     cfg = cfg or DedupConfig()
-    _check_no_suffix_array(cfg, "incremental ingest")
+    kit = engine_kit(mode, cfg, id_col, text_col)
+    base_inputs = _caption_inputs(kit, cfg, base_input_path,
+                                  "base_input_path", "incremental ingest")
     apply_context_tuning()
     run = CheckpointedRun(out_run_dir, cfg)
 
-    kit = _engine_mode_kit(mode, cfg, id_col, text_col)
-    sig_fn, caps_of = kit["sig_fn"], kit["caps_of"]
-
     base_runs = ([base_run_dir] if isinstance(base_run_dir, str)
                  else list(base_run_dir))
-    base_inputs = ([base_input_path] if isinstance(base_input_path, str)
-                   else list(base_input_path))
     _check_sig_config(base_runs, cfg, "incremental ingest")
     base_sigs = storage.read_table(f"{base_runs[0]}/signatures")
     for r in base_runs[1:]:
@@ -419,34 +555,14 @@ def ingest_delta(
 
     delta_sigs = run.run_stage(
         "signatures",
-        lambda: sig_fn(delta_input_path),
-        ["input"],
-    )
-
-    def delta_caps() -> ray.data.Dataset:
-        return caps_of(delta_input_path)
-
-    def base_caps() -> ray.data.Dataset:
-        ds = caps_of(base_inputs[0])
-        for p in base_inputs[1:]:
-            ds = ds.union(caps_of(p))
-        return ds
+        lambda: kit["sig"](storage.read_table(delta_input_path,
+                                              columns=kit["columns"])),
+        ["input"])
 
     def build_and_verify() -> ray.data.Dataset:
-        ids_ref = ray.put(_id_hashes(_collect_ids(delta_sigs)))
-        ve = _bounded_edges(
-            _bucket_stream(delta_sigs, delta_caps(), cfg, kit["families"]),
-            _bucket_stream(base_sigs, base_caps(), cfg, kit["families"]),
-            delta_sigs.union(base_sigs), cfg, ids_ref, "touches",
-            has_pixels=kit["has_pixels"])
-        ch = (_channel_edges_delta(delta_sigs, base_sigs, cfg)
-              if mode == "image" else None)
-        if ch is not None:
-            # channel pairs are pre-verified (min-Hamming in-bucket); the
-            # same touches filter keeps the delta bounding
-            ve = ve.union(ch.map_batches(_SideFilter(ids_ref, mode="touches"),
-                                         batch_format="pyarrow"))
-        return ve
+        return _bounded_edges(
+            kit, delta_sigs, [delta_input_path], base_sigs, base_inputs,
+            ray.put(_id_hashes(_collect_ids(delta_sigs))), "touches")
 
     vedges = run.run_stage("verified_edges", build_and_verify, ["signatures"])
 
@@ -459,13 +575,13 @@ def ingest_delta(
 
 def merge_runs(
     run_a_dir: str,
-    input_a: str,
+    input_a: str | None,
     run_b_dir: str,
-    input_b: str,
+    input_b: str | None,
     out_run_dir: str,
     cfg: DedupConfig | None = None,
     mode: str = "image",
-    id_col: str = "doc_id",
+    id_col: str | None = None,
     text_col: str = "text",
 ) -> dict:
     """Merge TWO finished dedup runs into one clusters table WITHOUT
@@ -475,29 +591,30 @@ def merge_runs(
     distributed and content-aware).
 
     Both sides' signatures come straight from their run checkpoints (the
-    expensive decode/MinHash work is never repeated; only the narrow
-    caption columns are re-read for the substring L-gram family). Candidate
-    generation mirrors ``ingest_delta`` with run B playing the delta: B's
-    occupied bucket keys are collected (bounded by |B| x bands — pass the
-    SMALLER run as B) and broadcast, A's re-keyed bucket stream is filtered
-    to the co-occupied buckets, and edge generation sees the full bucket
-    content for every shared bucket (so salting decisions match a
-    from-scratch run). Only CROSS edges (exactly one endpoint in B) are
-    verified; within-A / within-B connectivity enters as trusted star edges
-    from each run's clusters checkpoint. Result equals the from-scratch run
-    over A+B (asserted in tests/test_incremental.py); both preconditions —
-    a shared DedupConfig and disjoint ids between the runs — are guarded
-    with loud errors."""
+    expensive decode/MinHash work is never repeated). Image and text merges
+    re-read only the narrow caption columns of ``input_a`` / ``input_b``
+    for the substring L-gram family; video, audio and embedding merges read
+    only the two run dirs (pass None). Candidate generation mirrors
+    ``ingest_delta`` with run B playing the delta: B's occupied bucket keys
+    are collected (bounded by |B| x bands — pass the SMALLER run as B) and
+    broadcast, A's re-keyed bucket stream is filtered to the co-occupied
+    buckets, and edge generation sees the full bucket content for every
+    shared bucket (so salting decisions match a from-scratch run). Only
+    CROSS edges (exactly one endpoint in B) are verified; within-A /
+    within-B connectivity enters as trusted star edges from each run's
+    clusters checkpoint. Result equals the from-scratch run over A+B
+    (asserted in tests/test_incremental.py); both preconditions — a shared
+    DedupConfig and disjoint ids between the runs — are guarded with loud
+    errors."""
     from deduplication_ray.pipelines.image_dedup import checkpointed_clusters
     from deduplication_ray.stages.tuning import apply_context_tuning
 
     cfg = cfg or DedupConfig()
-    _check_no_suffix_array(cfg, "merge_runs")
+    kit = engine_kit(mode, cfg, id_col, text_col)
+    inputs_a = _caption_inputs(kit, cfg, input_a, "input_a", "merge_runs")
+    inputs_b = _caption_inputs(kit, cfg, input_b, "input_b", "merge_runs")
     apply_context_tuning()
     run = CheckpointedRun(out_run_dir, cfg)
-
-    kit = _engine_mode_kit(mode, cfg, id_col, text_col)
-    caps_of = kit["caps_of"]
 
     _check_sig_config((run_a_dir, run_b_dir), cfg, "merge")
     sigs_a = storage.read_table(f"{run_a_dir}/signatures")
@@ -509,22 +626,11 @@ def merge_runs(
     _assert_disjoint_ids(sigs_a, ray.put(ids_b), "merge_runs")
     side_ref = ray.put(_id_hashes(ids_b))
 
-    def build_and_verify() -> ray.data.Dataset:
-        ve = _bounded_edges(
-            _bucket_stream(sigs_b, caps_of(input_b), cfg, kit["families"]),
-            _bucket_stream(sigs_a, caps_of(input_a), cfg, kit["families"]),
-            sigs_a.union(sigs_b), cfg, side_ref, "crosses",
-            has_pixels=kit["has_pixels"])
-        # channel edges (B-bounded, run B playing the delta); within-side
-        # channel connectivity is already inside each run's clusters
-        ch = (_channel_edges_delta(sigs_b, sigs_a, cfg)
-              if mode == "image" else None)
-        if ch is not None:
-            ve = ve.union(ch.map_batches(_SideFilter(side_ref, mode="crosses"),
-                                         batch_format="pyarrow"))
-        return ve
-
-    vedges = run.run_stage("verified_edges", build_and_verify, ["input"])
+    vedges = run.run_stage(
+        "verified_edges",
+        lambda: _bounded_edges(kit, sigs_b, inputs_b, sigs_a, inputs_a,
+                               side_ref, "crosses"),
+        ["input"])
 
     all_edges = vedges.union(_base_star_edges(clusters_a)) \
         .union(_base_star_edges(clusters_b))
@@ -532,208 +638,6 @@ def merge_runs(
         clusters_b.select_columns(["image_id"]))
     checkpointed_clusters(run, all_edges, ids, cfg)
     return run.finish(("verified_edges", "clusters"))
-
-
-# ------------------------------------------------- video / audio modalities
-
-def _modal_kit(kind: str, cfg: DedupConfig) -> dict:
-    """Modality plumbing for the checkpointed + incremental video/audio/
-    embedding paths: signature fn, bucket-stream fn, the config used for
-    PAIRING (video swaps the pHash Hamming gate for its frame radius,
-    embeddings swap in the generous ``emb_hamming_t`` SimHash radius —
-    exactly as the lazy pipelines do) and the verify ``accept``. Candidate
-    and verify semantics are the lazy pipelines' own functions — one
-    implementation, so the plans cannot drift."""
-    import dataclasses
-
-    if kind == "video":
-        from deduplication_ray.pipelines import video_dedup as V
-
-        return {
-            "sig": lambda path, id_col: V.video_signatures(
-                storage.read_table(path), cfg, id_col),
-            "buckets": lambda sigs: sigs.map_batches(
-                V._ExplodeFrameBands(cfg), batch_format="pyarrow"),
-            "edge_cfg": V.pairing_config(cfg),
-            "accept": V.video_accept(cfg),
-            "id_col": "video_id",
-        }
-    if kind == "audio":
-        from deduplication_ray.pipelines import audio_dedup as A
-
-        return {
-            "sig": lambda path, id_col: A.audio_signatures(
-                storage.read_table(path), cfg, id_col),
-            "buckets": lambda sigs: sigs.map_batches(
-                A._ExplodeShingles(cfg), batch_format="pyarrow"),
-            "edge_cfg": cfg,
-            "accept": A.audio_accept(cfg),
-            "id_col": "audio_id",
-        }
-    if kind == "embedding":
-        from deduplication_ray.pipelines import ann
-
-        return {
-            # ids zero-padded to 12 digits so lexicographic min == numeric
-            # min through the string-keyed union-find
-            "sig": lambda path, id_col: storage.read_table(
-                path, columns=[id_col, "embedding"]).map_batches(
-                    ann.EmbSig(cfg, id_col, pad=True),
-                    batch_format="pyarrow", batch_size=4096),
-            "buckets": lambda sigs: sigs.map_batches(
-                ann.explode_emb_bands, batch_format="pyarrow"),
-            "edge_cfg": dataclasses.replace(
-                cfg, simhash_hamming_t=cfg.emb_hamming_t),
-            "accept": ann.embedding_accept(cfg.emb_cos_min),
-            "id_col": "vec_id",
-        }
-    raise ValueError(
-        f"unknown modal kind {kind!r} (expected video|audio|embedding)")
-
-
-def run_modal_pipeline(input_path: str, run_dir: str,
-                       cfg: DedupConfig | None = None, kind: str = "video",
-                       id_col: str | None = None,
-                       strict_resume: bool = False) -> dict:
-    """Checkpointed video/audio/embedding dedup run — the base-run producer
-    for ``ingest_delta_modal``, mirroring ``run_text_pipeline``: signatures,
-    verified_edges (pairs built and verified inside the one stage, as in
-    ``run_pipeline``) and per-round union-find labels all persist under
-    ``run_dir`` with config-hash lineage; clusters are written in the
-    engine-canonical (image_id, cluster_id) shape. Same DAG as the lazy
-    ``video_dedup_clusters`` / ``audio_dedup_clusters``."""
-    from deduplication_ray.pipelines.image_dedup import checkpointed_clusters
-    from deduplication_ray.stages.tuning import apply_context_tuning
-
-    cfg = cfg or DedupConfig()
-    kit = _modal_kit(kind, cfg)
-    id_col = id_col or kit["id_col"]
-    apply_context_tuning()
-    run = CheckpointedRun(run_dir, cfg, strict_resume=strict_resume)
-
-    sigs = run.run_stage(
-        "signatures", lambda: kit["sig"](input_path, id_col), ["input"])
-
-    def build_and_verify() -> ray.data.Dataset:
-        return verify.pair_and_verify(
-            kit["buckets"](sigs), verify.DeferredSignatureIndex(sigs, cfg),
-            kit["edge_cfg"], accept=kit["accept"])
-
-    vedges = run.run_stage("verified_edges", build_and_verify, ["signatures"])
-
-    checkpointed_clusters(run, vedges, sigs.select_columns(["image_id"]), cfg)
-    return run.finish(("signatures", "verified_edges", "clusters"))
-
-
-def merge_runs_modal(
-    run_a_dir: str,
-    run_b_dir: str,
-    out_run_dir: str,
-    cfg: DedupConfig | None = None,
-    kind: str = "video",
-) -> dict:
-    """Merge two finished ``run_modal_pipeline`` runs (video / audio /
-    embedding) into one clusters table — the modal twin of ``merge_runs``,
-    and the cheapest of the family: modal candidates need no raw media at
-    all (signatures come from both checkpoints; the substring caption
-    family does not exist here), so the merge reads ONLY the two run dirs.
-    Run B's occupied bucket keys bound the candidate space (pass the
-    smaller run as B); only CROSS-run edges are verified; within-run
-    connectivity enters as trusted star edges from both clusters
-    checkpoints. Result equals a from-scratch run over A+B
-    (tests/test_incremental.py::test_modal_merge_matches_full_run)."""
-    from deduplication_ray.pipelines.image_dedup import checkpointed_clusters
-    from deduplication_ray.stages.tuning import apply_context_tuning
-
-    cfg = cfg or DedupConfig()
-    kit = _modal_kit(kind, cfg)
-    apply_context_tuning()
-    run = CheckpointedRun(out_run_dir, cfg)
-
-    _check_sig_config((run_a_dir, run_b_dir), cfg, "merge")
-    sigs_a = storage.read_table(f"{run_a_dir}/signatures")
-    sigs_b = storage.read_table(f"{run_b_dir}/signatures")
-    clusters_a = storage.read_table(f"{run_a_dir}/clusters")
-    clusters_b = storage.read_table(f"{run_b_dir}/clusters")
-
-    ids_b = _collect_ids(sigs_b)
-    _assert_disjoint_ids(sigs_a, ray.put(ids_b), "merge_runs_modal")
-
-    def build_and_verify() -> ray.data.Dataset:
-        return _bounded_edges(
-            kit["buckets"](sigs_b), kit["buckets"](sigs_a),
-            sigs_a.union(sigs_b), kit["edge_cfg"],
-            ray.put(_id_hashes(ids_b)), "crosses", accept=kit["accept"])
-
-    vedges = run.run_stage("verified_edges", build_and_verify, ["input"])
-
-    all_edges = vedges.union(_base_star_edges(clusters_a)) \
-        .union(_base_star_edges(clusters_b))
-    ids = clusters_a.select_columns(["image_id"]).union(
-        clusters_b.select_columns(["image_id"]))
-    checkpointed_clusters(run, all_edges, ids, cfg)
-    return run.finish(("signatures", "verified_edges", "clusters"))
-
-
-def ingest_delta_modal(
-    base_run_dir: str | list[str],
-    delta_input_path: str,
-    out_run_dir: str,
-    cfg: DedupConfig | None = None,
-    kind: str = "video",
-    id_col: str | None = None,
-) -> dict:
-    """Delta-bounded video/audio/embedding ingest against finished
-    ``run_modal_pipeline`` base runs — the modal twin of ``ingest_delta``:
-
-    - decode/DCT/FFT runs on DELTA rows only; base frame signatures come
-      from the base runs' checkpoints (chained day-2+ ingest: pass every
-      prior run as a list, signatures union, clusters from the last),
-    - base signatures are re-keyed into bucket rows (pure hash math, no
-      media bytes) and filtered to DELTA-OCCUPIED buckets via the broadcast
-      sorted-key probe,
-    - old-old edges are dropped (``_SideFilter(mode='touches')``); base
-      connectivity re-enters as trusted star edges from the base clusters
-      checkpoint,
-    - result equals a from-scratch run over base+delta (asserted in
-      tests/test_incremental.py), by the same argument as the image mode:
-      delta-occupied buckets see identical membership hence identical
-      salting/pairing, untouched buckets were adjudicated by the base run.
-    """
-    from deduplication_ray.pipelines.image_dedup import checkpointed_clusters
-    from deduplication_ray.stages.tuning import apply_context_tuning
-
-    cfg = cfg or DedupConfig()
-    kit = _modal_kit(kind, cfg)
-    id_col = id_col or kit["id_col"]
-    apply_context_tuning()
-    run = CheckpointedRun(out_run_dir, cfg)
-
-    base_runs = ([base_run_dir] if isinstance(base_run_dir, str)
-                 else list(base_run_dir))
-    _check_sig_config(base_runs, cfg, "incremental ingest")
-    base_sigs = storage.read_table(f"{base_runs[0]}/signatures")
-    for r in base_runs[1:]:
-        base_sigs = base_sigs.union(storage.read_table(f"{r}/signatures"))
-    base_clusters = storage.read_table(f"{base_runs[-1]}/clusters")
-
-    delta_sigs = run.run_stage(
-        "signatures", lambda: kit["sig"](delta_input_path, id_col), ["input"])
-
-    def build_and_verify() -> ray.data.Dataset:
-        return _bounded_edges(
-            kit["buckets"](delta_sigs), kit["buckets"](base_sigs),
-            delta_sigs.union(base_sigs), kit["edge_cfg"],
-            ray.put(_id_hashes(_collect_ids(delta_sigs))), "touches",
-            accept=kit["accept"])
-
-    vedges = run.run_stage("verified_edges", build_and_verify, ["signatures"])
-
-    ids = base_clusters.select_columns(["image_id"]).union(
-        delta_sigs.select_columns(["image_id"]))
-    checkpointed_clusters(
-        run, vedges.union(_base_star_edges(base_clusters)), ids, cfg)
-    return run.finish(("signatures", "verified_edges", "clusters"))
 
 
 def delete_ids(

@@ -31,20 +31,6 @@ def text_signatures(
 TEXT_FAMILIES = ("minhash", "exact")
 
 
-def text_edge_dag(caps: "ray.data.Dataset", sigs: "ray.data.Dataset",
-                  cfg: DedupConfig) -> "ray.data.Dataset":
-    """The text candidate/verify DAG over a CANONICAL (image_id, caption)
-    table: the image pipeline's ``verified_edges`` over MinHash band
-    buckets + the exact caption family (cap_hash) + substring L-gram
-    buckets, Jaccard-verified. ONE implementation shared by the lazy
-    ``text_dedup_clusters`` and the checkpointed ``run_text_pipeline`` so
-    the two plans cannot drift."""
-    from deduplication_ray.pipelines.image_dedup import verified_edges
-
-    return verified_edges(sigs, cfg, caps, families=TEXT_FAMILIES,
-                          has_pixels=False)
-
-
 def text_dedup_clusters(
     ds: ray.data.Dataset,
     cfg: DedupConfig | None = None,
@@ -54,19 +40,17 @@ def text_dedup_clusters(
 ) -> ray.data.Dataset:
     """(id, text) table -> clusters(id_col, cluster_id) via the full engine."""
     cfg = cfg or DedupConfig()
-    from deduplication_ray.pipelines.image_dedup import finalize_clusters
+    from deduplication_ray.pipelines.image_dedup import (finalize_clusters,
+                                                         verified_edges)
     from deduplication_ray.stages.tuning import apply_context_tuning
 
     apply_context_tuning()
     caps = as_engine_table(ds, id_col, text_col)
     sigs = text_signatures(caps, cfg, "image_id", "caption").materialize()
-    if with_substring:
-        vedges = text_edge_dag(caps, sigs, cfg)
-    else:
-        from deduplication_ray.pipelines.image_dedup import verified_edges
-
-        vedges = verified_edges(sigs, cfg, families=TEXT_FAMILIES,
-                                has_pixels=False)
+    # MinHash band buckets + the exact caption family (cap_hash) [+ the
+    # substring L-gram buckets of ``caps``], Jaccard-verified
+    vedges = verified_edges(sigs, cfg, caps if with_substring else None,
+                            families=TEXT_FAMILIES, has_pixels=False)
 
     ids = ds.select_columns([id_col]).map_batches(
         lambda t: pa.table({"image_id": t[id_col].cast(pa.string())}),
@@ -92,35 +76,13 @@ def run_text_pipeline(input_path: str, run_dir: str,
                       cfg: DedupConfig | None = None,
                       id_col: str = "doc_id", text_col: str = "text",
                       strict_resume: bool = False) -> dict:
-    """Checkpointed text dedup run: same DAG as ``text_dedup_clusters`` but
-    every stage persists under ``run_dir`` with lineage (signatures,
-    verified_edges, union-find rounds, clusters) — a killed run resumes, and
-    the signature/cluster checkpoints feed
+    """Checkpointed text dedup run (``incremental.run_checkpointed`` in
+    text mode): every stage persists under ``run_dir`` with lineage
+    (signatures, verified_edges, union-find rounds, clusters) — a killed
+    run resumes, and the signature/cluster checkpoints feed
     ``incremental.ingest_delta(mode='text')`` exactly like the image run's
     feed the image ingest. Returns stage metrics."""
-    from deduplication_ray.pipelines.image_dedup import checkpointed_clusters
-    from deduplication_ray.sources import storage
-    from deduplication_ray.stages.tuning import apply_context_tuning
-    from deduplication_ray.state.checkpoint import CheckpointedRun
+    from deduplication_ray.pipelines.incremental import run_checkpointed
 
-    cfg = cfg or DedupConfig()
-    apply_context_tuning()
-    run = CheckpointedRun(run_dir, cfg, strict_resume=strict_resume)
-
-    def caps() -> ray.data.Dataset:
-        return as_engine_table(
-            storage.read_table(input_path, columns=[id_col, text_col]),
-            id_col, text_col)
-
-    sigs = run.run_stage(
-        "signatures",
-        lambda: text_signatures(caps(), cfg, "image_id", "caption"),
-        ["input"])
-
-    def build() -> ray.data.Dataset:
-        return text_edge_dag(caps(), sigs, cfg)
-
-    vedges = run.run_stage("verified_edges", build, ["signatures"])
-
-    checkpointed_clusters(run, vedges, sigs.select_columns(["image_id"]), cfg)
-    return run.finish(("signatures", "verified_edges", "clusters"))
+    return run_checkpointed(input_path, run_dir, cfg, "text", id_col,
+                            text_col, strict_resume)

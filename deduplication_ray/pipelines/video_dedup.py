@@ -28,8 +28,6 @@ requirement with the container decode done by our own VSQ1 codec
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -38,10 +36,8 @@ import ray.data
 
 from deduplication_ray.config import DedupConfig
 from deduplication_ray.functions import hashing as H
-from deduplication_ray.pipelines.image_dedup import finalize_clusters
-from deduplication_ray.stages import lsh, verify
+from deduplication_ray.stages import lsh
 from deduplication_ray.stages.multimodal import VideoSignatures
-from deduplication_ray.state import unionfind
 
 
 def video_signatures(ds: ray.data.Dataset, cfg: DedupConfig,
@@ -146,25 +142,10 @@ def video_accept(cfg: DedupConfig):
     return accept
 
 
-def pairing_config(cfg: DedupConfig) -> DedupConfig:
-    """The emission-time Hamming gate must use the VIDEO frame radius, not
-    the still-image one: swapped in for the pairing pass."""
-    return dataclasses.replace(cfg, phash_hamming_t=cfg.video_frame_hamming_t)
-
-
 def video_dedup_clusters(ds: ray.data.Dataset,
                          cfg: DedupConfig | None = None,
                          id_col: str = "video_id") -> ray.data.Dataset:
     """(video_id, bytes[VSQ1]) -> clusters(video_id, cluster_id)."""
-    cfg = cfg or DedupConfig()
-    from deduplication_ray.stages.tuning import apply_context_tuning
+    from deduplication_ray.pipelines.incremental import engine_clusters
 
-    apply_context_tuning()
-    sigs = video_signatures(ds, cfg, id_col).materialize()
-    vedges = verify.pair_and_verify(
-        sigs.map_batches(_ExplodeFrameBands(cfg), batch_format="pyarrow"),
-        verify.DeferredSignatureIndex(sigs, cfg), pairing_config(cfg),
-        accept=video_accept(cfg))
-    return finalize_clusters(sigs.select_columns(["image_id"]),
-                             unionfind.connected_components(vedges, cfg),
-                             cfg, id_col)
+    return engine_clusters("video", ds, cfg, id_col)

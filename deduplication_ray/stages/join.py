@@ -93,10 +93,10 @@ def _block_key_hashes(tbl, on: list[str]) -> np.ndarray:
 
 
 def _arrow_schema(ds: ray.data.Dataset) -> pa.Schema | None:
-    """``ds.schema()`` as a pa.Schema; None when a fully empty dataset has
-    none (a lazy ``ds`` runs up to its first block, the rest is cancelled).
-    Arrow blocks only: Ray types a pandas string column as ``object``, a
-    TypeError here (``_rows_schema`` reads a materialized side's blocks)."""
+    """A MATERIALIZED ``ds``'s ``schema()`` as a pa.Schema; None when a
+    fully empty dataset has none. Arrow blocks only: Ray types a pandas
+    string column as ``object``, a TypeError here (``_rows_schema`` reads
+    the non-empty blocks' own Arrow schemas)."""
     s = ds.schema()
     if s is None:
         return None
@@ -388,14 +388,24 @@ def shuffle_join(
     Key-skew caveat: a single key lands in one bucket; salt upstream if one
     key dominates (same discipline as the LSH hot-bucket path).
     """
-    ls = left_schema or _arrow_schema(left)
-    rs = right_schema or _arrow_schema(right)
+    # a side without a schema is materialized once and its schema read
+    # from its blocks: a lazy side's schema() would run its plan up to the
+    # first block (all of it above a shuffle), cancel the rest and leave
+    # the join to run it again; pandas blocks type a string column as
+    # ``object``, which only the blocks' own Arrow schemas resolve
+    ls, rs = left_schema, right_schema
+    if ls is None:
+        left = left.materialize()
+        ls = _rows_schema(left) or _arrow_schema(left)
+    if rs is None:
+        right = right.materialize()
+        rs = _rows_schema(right) or _arrow_schema(right)
     if ls is None or rs is None:
-        # a lazy side that produced zero blocks (e.g. a fully-filtered
-        # read feeding map_batches) has no derivable schema
+        # a side that produced zero blocks (e.g. a fully-filtered read
+        # feeding map_batches) has no derivable schema
         raise ValueError(
-            "shuffle_join: side has no derivable schema (empty lazy "
-            "dataset) — pass left_schema/right_schema explicitly")
+            "shuffle_join: side has no derivable schema (empty dataset) — "
+            "pass left_schema/right_schema explicitly")
     for k in on:
         if ls.field(k).type != rs.field(k).type:
             raise TypeError(f"join key {k}: {ls.field(k).type} != {rs.field(k).type}")
@@ -404,10 +414,6 @@ def shuffle_join(
                else [f.name for f in rs if f.name not in on])
     combined = list(ls) + [rs.field(c) for c in r_extra]
 
-    # NOTE: schema() peeks at the first block without pinning either side in
-    # the object store; each side is consumed exactly once by the pad+union
-    # pass below, so a full materialize() here would only double peak plasma
-    # footprint for the advertised two-LARGE-sides case.
     def pad(side: int):
         def fn(t: pa.Table) -> pa.Table:
             n = t.num_rows

@@ -551,6 +551,12 @@ def _pair_tagged_table_slim(tbl: pa.Table, cfg: DedupConfig) -> pa.Table:
     })
 
 
+def bucket_key(t: pa.Table) -> np.ndarray:
+    """The 64-bit composite key of bucket rows' (band, bucket)."""
+    return H.hash_u64_pair(t["band"].to_numpy().view(np.uint64),
+                           t["bucket"].to_numpy().view(np.uint64))
+
+
 def slim_pairs_from_buckets(
     buckets: ray.data.Dataset, cfg: DedupConfig
 ) -> ray.data.Dataset:
@@ -592,26 +598,16 @@ def slim_pairs_from_buckets(
             return empty()
         return ray.data.from_arrow(_pair_tagged_table_slim(
             pa.concat_tables(tbls, promote_options="default"), cfg))
+    from deduplication_ray.stages.groupred import hash_grouped_reduce
+
     n_parts = max(cfg.num_partitions * 4, 8)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        comp = H.hash_u64_pair(
-            t["band"].to_numpy().view(np.uint64),
-            t["bucket"].to_numpy().view(np.uint64),
-        )
-        return t.append_column(
-            "part", pa.array((comp % np.uint64(n_parts)).astype(np.int64)))
-
-    def pair_part(t: pa.Table) -> pa.Table:
-        return _pair_tagged_table_slim(t, cfg)
-
     # every bucket (and its salted sub-buckets + ambassadors) lands wholly
     # in one partition; materialized because every caller feeds the pairs
     # into a second hash-grouped shuffle (the pair dedupe), and chaining the
     # two lazily measured ~13 s of pure overhead at 60k docs
-    return tagged.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("part").map_groups(pair_part, batch_format="pyarrow") \
-        .materialize()
+    return hash_grouped_reduce(
+        tagged, bucket_key, lambda t: _pair_tagged_table_slim(t, cfg),
+        n_parts).materialize()
 
 
 def dedupe_slim_pairs(pairs: ray.data.Dataset, cfg: DedupConfig) -> ray.data.Dataset:

@@ -245,7 +245,7 @@ def test_modal_ingest_matches_full_run(ray_session, tmp_path, kind):
     from deduplication_ray.config import DedupConfig
     from deduplication_ray.pipelines.audio_dedup import audio_dedup_clusters
     from deduplication_ray.pipelines.incremental import (
-        ingest_delta_modal, run_modal_pipeline)
+        ingest_delta, run_checkpointed)
     from deduplication_ray.pipelines.video_dedup import video_dedup_clusters
     from deduplication_ray.sources import fixtures, storage
 
@@ -268,10 +268,10 @@ def test_modal_ingest_matches_full_run(ray_session, tmp_path, kind):
 
     cfg = DedupConfig(num_partitions=4)
     p = lambda n: str(tmp_path / n)  # noqa: E731
-    run_modal_pipeline(p("base"), p("base_run"), cfg, kind=kind)
-    metrics = ingest_delta_modal(p("base_run"), p("delta"), p("inc_run"),
-                                 cfg, kind=kind)
-    run_modal_pipeline(p("full"), p("full_run"), cfg, kind=kind)
+    run_checkpointed(p("base"), p("base_run"), cfg, mode=kind)
+    metrics = ingest_delta(p("base_run"), None, p("delta"), p("inc_run"),
+                           cfg, mode=kind)
+    run_checkpointed(p("full"), p("full_run"), cfg, mode=kind)
 
     inc = storage.read_table(f"{tmp_path}/inc_run/clusters").to_pandas() \
         .sort_values("image_id").reset_index(drop=True)
@@ -303,7 +303,7 @@ def test_embedding_ingest_matches_full_run(ray_session, tmp_path):
 
     from deduplication_ray.config import DedupConfig
     from deduplication_ray.pipelines.incremental import (
-        ingest_delta_modal, run_modal_pipeline)
+        ingest_delta, run_checkpointed)
     from deduplication_ray.sources import storage
 
     rng = np.random.default_rng(11)
@@ -333,10 +333,10 @@ def test_embedding_ingest_matches_full_run(ray_session, tmp_path):
 
     cfg = DedupConfig(num_partitions=4)
     p = lambda s: str(tmp_path / s)  # noqa: E731
-    run_modal_pipeline(p("base"), p("base_run"), cfg, kind="embedding")
-    metrics = ingest_delta_modal(p("base_run"), p("delta"), p("inc_run"),
-                                 cfg, kind="embedding")
-    run_modal_pipeline(p("full"), p("full_run"), cfg, kind="embedding")
+    run_checkpointed(p("base"), p("base_run"), cfg, mode="embedding")
+    metrics = ingest_delta(p("base_run"), None, p("delta"), p("inc_run"),
+                           cfg, mode="embedding")
+    run_checkpointed(p("full"), p("full_run"), cfg, mode="embedding")
 
     inc = storage.read_table(f"{tmp_path}/inc_run/clusters").to_pandas() \
         .sort_values("image_id").reset_index(drop=True)
@@ -441,21 +441,23 @@ def test_merge_runs_text_mode(ray_session, tmp_path):
     assert (merged["cluster_id"].values == full["cluster_id"].values).all()
 
 
-@pytest.mark.parametrize("kind", ["video", "embedding"])
+@pytest.mark.parametrize("kind", ["video", "audio", "embedding"])
 def test_modal_merge_matches_full_run(ray_session, tmp_path, kind):
-    """Two finished modal runs merged via merge_runs_modal equal the
+    """Two finished modal runs merged via merge_runs equal the
     from-scratch run over both halves — reading ONLY the two run dirs (no
     media, no signature recompute)."""
     import numpy as np
 
     from deduplication_ray.config import DedupConfig
     from deduplication_ray.pipelines.incremental import (
-        merge_runs_modal, run_modal_pipeline)
+        merge_runs, run_checkpointed)
     from deduplication_ray.sources import fixtures, storage
 
-    if kind == "video":
+    if kind in ("video", "audio"):
         fix = tmp_path / "fix"
-        fixtures.generate_videos(str(fix), 200, seed=9)
+        gen = (fixtures.generate_videos if kind == "video"
+               else fixtures.generate_audios)
+        gen(str(fix), 200, seed=9)
         tbl = pads.dataset(
             [f"{fix}/data/{f}" for f in os.listdir(f"{fix}/data")
              if f.endswith(".parquet")]).to_table()
@@ -484,10 +486,11 @@ def test_modal_merge_matches_full_run(ray_session, tmp_path, kind):
 
     cfg = DedupConfig(num_partitions=4)
     p = lambda s: str(tmp_path / s)  # noqa: E731
-    run_modal_pipeline(p("a"), p("run_a"), cfg, kind=kind)
-    run_modal_pipeline(p("b"), p("run_b"), cfg, kind=kind)
-    merge_runs_modal(p("run_a"), p("run_b"), p("merged"), cfg, kind=kind)
-    run_modal_pipeline(p("full"), p("full_run"), cfg, kind=kind)
+    run_checkpointed(p("a"), p("run_a"), cfg, mode=kind)
+    run_checkpointed(p("b"), p("run_b"), cfg, mode=kind)
+    merge_runs(p("run_a"), None, p("run_b"), None, p("merged"), cfg,
+               mode=kind)
+    run_checkpointed(p("full"), p("full_run"), cfg, mode=kind)
 
     merged = storage.read_table(p("merged") + "/clusters").to_pandas() \
         .sort_values("image_id").reset_index(drop=True)
@@ -507,7 +510,7 @@ def test_merge_runs_refuses_overlapping_ids(ray_session, tmp_path):
 
     from deduplication_ray.config import DedupConfig
     from deduplication_ray.pipelines.incremental import (
-        merge_runs_modal, run_modal_pipeline)
+        merge_runs, run_checkpointed)
 
     n, d = 60, 16
     rng = np.random.default_rng(3)
@@ -521,11 +524,11 @@ def test_merge_runs_refuses_overlapping_ids(ray_session, tmp_path):
     for name in ("a", "b"):
         os.makedirs(tmp_path / name)
         pq.write_table(tbl, f"{tmp_path}/{name}/part-0.parquet")
-        run_modal_pipeline(str(tmp_path / name), str(tmp_path / f"run_{name}"),
-                           cfg, kind="embedding")
+        run_checkpointed(str(tmp_path / name), str(tmp_path / f"run_{name}"),
+                         cfg, mode="embedding")
     with _pytest.raises(ValueError, match="disjoint ids"):
-        merge_runs_modal(str(tmp_path / "run_a"), str(tmp_path / "run_b"),
-                         str(tmp_path / "merged"), cfg, kind="embedding")
+        merge_runs(str(tmp_path / "run_a"), None, str(tmp_path / "run_b"),
+                   None, str(tmp_path / "merged"), cfg, mode="embedding")
 
 
 def test_delete_ids_propagates_deletion(ray_session, tiny_fixture, tiny_run,
@@ -663,3 +666,94 @@ def test_delete_then_ingest_never_resurrects(ray_session, tiny_fixture,
     delta_ids = set(storage.read_table(delta_dir, columns=["image_id"])
                     .to_pandas().image_id)
     assert set(final.image_id) == (set(orig.image_id) - deleted) | delta_ids
+
+
+def test_cli_modal_run_ingest_merge_match_library(ray_session, tmp_path,
+                                                  capsys, monkeypatch):
+    """`cli run` / `ingest` / `merge --mode embedding` each make the one
+    library call: the row counts they print equal those of
+    ``run_checkpointed`` / ``ingest_delta`` / ``merge_runs`` on the same
+    inputs, and a merge reports rows for the stages it runs only."""
+    import json
+    import types
+
+    import numpy as np
+
+    from deduplication_ray import cli
+    from deduplication_ray.config import DedupConfig
+    from deduplication_ray.pipelines.incremental import (
+        ingest_delta, merge_runs, run_checkpointed)
+
+    # the commands run in this session; cli's ray.shutdown() must not end it
+    monkeypatch.setattr(cli, "_session",
+                        lambda n: types.SimpleNamespace(shutdown=lambda: None))
+    rng = np.random.default_rng(4)
+    n, d = 120, 16
+    m = rng.standard_normal((n, d)).astype(np.float32)
+    m[1::2][:20] = m[0::2][:20] + 0.01 * rng.standard_normal(
+        (20, d)).astype(np.float32)
+    tbl = pa.table({"vec_id": pa.array(range(n), pa.int64()),
+                    "embedding": pa.array([v.tolist() for v in m],
+                                          type=pa.list_(pa.float32()))})
+    p = lambda s: str(tmp_path / s)  # noqa: E731
+    for name, t in (("a", tbl.slice(0, 80)), ("b", tbl.slice(80))):
+        os.makedirs(p(name))
+        pq.write_table(t, f"{p(name)}/part-0.parquet")
+
+    def cli_rows(*argv) -> dict:
+        assert cli.main([*argv, "--mode", "embedding",
+                         "--num-partitions", "4"]) == 0
+        return json.loads(capsys.readouterr().out.strip()
+                          .splitlines()[-1])["rows"]
+
+    cfg = DedupConfig(num_partitions=4)
+    lib = {"run": run_checkpointed(p("a"), p("lib_a"), cfg,
+                                   mode="embedding")["rows"],
+           "run_b": run_checkpointed(p("b"), p("lib_b"), cfg,
+                                     mode="embedding")["rows"],
+           "ingest": ingest_delta(p("lib_a"), None, p("b"), p("lib_inc"),
+                                  cfg, mode="embedding")["rows"],
+           "merge": merge_runs(p("lib_a"), None, p("lib_b"), None,
+                               p("lib_merged"), cfg,
+                               mode="embedding")["rows"]}
+    got = {"run": cli_rows("run", "--input", p("a"), "--out", p("cli_a")),
+           "run_b": cli_rows("run", "--input", p("b"), "--out", p("cli_b")),
+           "ingest": cli_rows("ingest", "--base-run", p("cli_a"),
+                              "--delta-input", p("b"), "--out",
+                              p("cli_inc")),
+           "merge": cli_rows("merge", "--run-a", p("cli_a"), "--run-b",
+                             p("cli_b"), "--out", p("cli_merged"))}
+    assert got == lib
+    assert lib["merge"]["clusters"] == lib["ingest"]["clusters"] == n
+    assert set(lib["merge"]) == {"verified_edges", "clusters"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--base-run", "r", "--delta-input", "d", "--out", "o"],
+    ["merge", "--run-a", "a", "--input-a", "ia", "--run-b", "b",
+     "--out", "o"],
+])
+def test_cli_missing_caption_input_exits_before_session(monkeypatch, argv):
+    """Image `ingest` without --base-input and image `merge` without both
+    inputs exit before any Ray session starts."""
+    from deduplication_ray import cli
+
+    def no_session(n):
+        raise AssertionError("Ray session started before validation")
+
+    monkeypatch.setattr(cli, "_session", no_session)
+    with pytest.raises(SystemExit, match="required for mode=image"):
+        cli.main(argv)
+
+
+def test_caption_modes_require_inputs(tmp_path):
+    """Image and text bucket streams re-read the input captions: an ingest
+    or merge without them raises before any stage runs."""
+    from deduplication_ray.pipelines.incremental import (ingest_delta,
+                                                         merge_runs)
+
+    with pytest.raises(ValueError, match="needs base_input_path"):
+        ingest_delta("r", None, "d", str(tmp_path / "o"), mode="text")
+    with pytest.raises(ValueError, match="needs input_b"):
+        merge_runs("a", "ia", "b", None, str(tmp_path / "o"))
+    assert not os.listdir(tmp_path)

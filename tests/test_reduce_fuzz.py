@@ -198,3 +198,21 @@ def test_lookup_join_fallback_edge_probes(ray_session, monkeypatch, how):
             assert outs[1] == []
         else:
             assert outs[1], f"{name} how={how}: no rows on either tier"
+
+
+def test_shuffle_join_pandas_string_side_without_schema(ray_session):
+    """A side passed without a schema is read from its blocks: a side of
+    pandas blocks with a string column (typed ``object`` by Ray's schema)
+    joins like its Arrow twin."""
+    from deduplication_ray.stages.join import shuffle_join
+
+    l = ray.data.range(40).map_batches(
+        lambda df: df.assign(s=df["id"].astype(str)),
+        batch_format="pandas").materialize()
+    r = ray.data.range(40).map_batches(
+        lambda df: df.assign(v=df["id"] * 2), batch_format="pandas")
+    with deadline(120):
+        out = fuzz_collect(shuffle_join(l, r, ["id"], "inner", 4))
+    assert sorted(zip(out["id"].to_pylist(), out["s"].to_pylist(),
+                      out["v"].to_pylist())) == [
+        (i, str(i), 2 * i) for i in range(40)]
