@@ -1,6 +1,6 @@
 """Per-stage wall profile of the text engine at one CPU width — the FUSED
 slim-pair path, i.e. the plan `text_dedup_clusters` actually executes
-(`image_dedup.verified_edges` in the broadcast tier), with the slim-pair chain broken
+(`incremental.engine_kit`'s `edges` in the broadcast tier), with the slim-pair chain broken
 into its sub-barriers. Each stage is materialized with a wall timer in plan
 order, in a fresh Ray session at ``RAY_GRAFT_CPUS``.
 

@@ -14,24 +14,31 @@ The reference exposes ``dedup_bin c|d``; the graft exposes:
 
 ``run`` and ``resume`` are the same code path — resume is what ``run`` does
 when the run dir already holds complete, config-matching checkpoints (the
-separate verb exists for operator clarity). All commands own their Ray
-session (``ray job submit``-compatible: they also run under an existing
-cluster address if RAY_ADDRESS is set to one).
+separate verb exists for operator clarity). A command reuses a live Ray
+session and leaves it running (so ``cli.main`` can be called in-process);
+otherwise it starts its own and shuts it down when done
+(``ray job submit``-compatible: it also runs under an existing cluster
+address if RAY_ADDRESS is set to one).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
 
+@contextlib.contextmanager
 def _session(num_cpus: int | None):
+    """The verb's Ray session: a live session is reused and left running;
+    one started here is shut down when the verb is done."""
     import logging
 
     import ray
 
-    if not ray.is_initialized():
+    started = not ray.is_initialized()
+    if started:
         kwargs = dict(include_dashboard=False, ignore_reinit_error=True,
                       logging_level="ERROR")
         if num_cpus:
@@ -41,7 +48,11 @@ def _session(num_cpus: int | None):
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
-    return ray
+    try:
+        yield
+    finally:
+        if started:
+            ray.shutdown()
 
 
 def _cfg_from_args(args) -> "DedupConfig":
@@ -82,6 +93,78 @@ def _cfg_from_args(args) -> "DedupConfig":
     return DedupConfig(**overrides)
 
 
+def _query(args) -> int:
+    """The ``query`` verb, inside its Ray session."""
+    import __ray_entry__ as entry
+
+    qs = entry.queries()
+    if args.name is None:
+        checked = set(entry.oracle_sql())
+        for name in sorted(qs):
+            tag = "sql-checked" if name in checked else "rows-only"
+            print(f"{name}  [{tag}]")
+        return 0
+    if args.name not in qs:
+        print(f"unknown query {args.name!r}; run with no name to list",
+              file=sys.stderr)
+        return 2
+    res = qs[args.name](args.sf_dir)
+    if args.dest is not None:
+        if args.partition_by:
+            from deduplication_ray.sources import storage
+
+            if not hasattr(res, "write_parquet"):
+                import ray.data as rd
+
+                res = rd.from_pandas(res.to_pandas()
+                                     if hasattr(res, "to_pandas")
+                                     else res)
+            storage.write_partitioned(res, args.dest,
+                                      by=args.partition_by.split(","))
+            print(json.dumps({"query": args.name, "rows": res.count(),
+                              "dest": args.dest,
+                              "partition_by": args.partition_by}))
+            return 0
+        if hasattr(res, "write_parquet"):  # Dataset
+            res.write_parquet(args.dest)
+            n = res.count()
+        else:  # driver-side pandas/Arrow result (e.g. top_terms)
+            import os
+
+            import pyarrow as pa
+            import pyarrow.parquet as pq
+
+            tbl = (res if isinstance(res, pa.Table)
+                   else pa.Table.from_pandas(res, preserve_index=False))
+            os.makedirs(args.dest, exist_ok=True)
+            pq.write_table(tbl, os.path.join(args.dest, "part-0.parquet"))
+            n = tbl.num_rows
+        print(json.dumps({"query": args.name, "rows": n,
+                          "dest": args.dest}))
+    else:
+        if hasattr(res, "write_parquet"):  # Dataset: bounded preview —
+            # ONE bounded execution: fetch limit+1 rows (streaming limit
+            # stops the executor early; no full materialize — a result
+            # bigger than the object store must not be pinned for a
+            # 20-row preview). Exact row count is printed only when the
+            # result fits inside the limit; a truncated preview reports
+            # rows=null rather than re-executing the whole query.
+            df = res.limit(args.limit + 1).to_pandas()
+            truncated = len(df) > args.limit
+            df = df.head(args.limit)
+            n = None if truncated else len(df)
+        else:  # already a driver-side pandas/Arrow result (bounded)
+            df = res.to_pandas() if hasattr(res, "to_pandas") else res
+            n, truncated = len(df), False
+        print(df.head(20).to_string())
+        print(json.dumps({"query": args.name, "rows": n,
+                          "preview_limit": args.limit,
+                          "truncated": truncated}))
+    if args.stats and hasattr(res, "stats"):
+        print(res.stats())
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(prog="deduplication_ray")
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -94,10 +177,10 @@ def main(argv: list[str] | None = None) -> int:
                        choices=("image", "text", "video", "audio",
                                 "embedding"),
                        default="image",
-                       help="'image' runs image_dedup.run_pipeline; 'text' "
-                            "((doc_id, text) tables) and 'video' / 'audio' "
-                            "/ 'embedding' ((id, bytes|vector) tables) run "
-                            "incremental.run_checkpointed")
+                       help="engine of incremental.run_checkpointed: "
+                            "'image' (image+caption tables), 'text' "
+                            "((doc_id, text) tables), 'video' / 'audio' / "
+                            "'embedding' ((id, bytes|vector) tables)")
         s.add_argument("--num-cpus", type=int, default=None)
         s.add_argument("--jaccard-threshold", type=float, default=None,
                        dest="jaccard_threshold",
@@ -127,9 +210,8 @@ def main(argv: list[str] | None = None) -> int:
                    choices=("image", "text", "video", "audio", "embedding"),
                    default="image",
                    help="engine of the base run (incremental.ingest_delta): "
-                        "'image' ingests against an image_dedup.run_pipeline "
-                        "base, the other modes against a "
-                        "run_checkpointed base of the same mode")
+                        "every mode ingests against a run_checkpointed "
+                        "base of the same mode")
     s.add_argument("--num-cpus", type=int, default=None)
     s.add_argument("--jaccard-threshold", type=float, default=None,
                    dest="jaccard_threshold",
@@ -328,170 +410,84 @@ def main(argv: list[str] | None = None) -> int:
 
         sys.path.insert(0, os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))))  # repo root: __ray_entry__ lives there
-        ray = _session(args.num_cpus)
-        import __ray_entry__ as entry
-
-        qs = entry.queries()
-        if args.name is None:
-            checked = set(entry.oracle_sql())
-            for name in sorted(qs):
-                tag = "sql-checked" if name in checked else "rows-only"
-                print(f"{name}  [{tag}]")
-            ray.shutdown()
-            return 0
-        if args.name not in qs:
-            print(f"unknown query {args.name!r}; run with no name to list",
-                  file=sys.stderr)
-            ray.shutdown()
-            return 2
-        res = qs[args.name](args.sf_dir)
-        if args.dest is not None:
-            if args.partition_by:
-                from deduplication_ray.sources import storage
-
-                if not hasattr(res, "write_parquet"):
-                    import ray.data as rd
-
-                    res = rd.from_pandas(res.to_pandas()
-                                         if hasattr(res, "to_pandas")
-                                         else res)
-                storage.write_partitioned(res, args.dest,
-                                          by=args.partition_by.split(","))
-                print(json.dumps({"query": args.name, "rows": res.count(),
-                                  "dest": args.dest,
-                                  "partition_by": args.partition_by}))
-                ray.shutdown()
-                return 0
-            if hasattr(res, "write_parquet"):  # Dataset
-                res.write_parquet(args.dest)
-                n = res.count()
-            else:  # driver-side pandas/Arrow result (e.g. top_terms)
-                import os
-
-                import pyarrow as pa
-                import pyarrow.parquet as pq
-
-                tbl = (res if isinstance(res, pa.Table)
-                       else pa.Table.from_pandas(res, preserve_index=False))
-                os.makedirs(args.dest, exist_ok=True)
-                pq.write_table(tbl, os.path.join(args.dest, "part-0.parquet"))
-                n = tbl.num_rows
-            print(json.dumps({"query": args.name, "rows": n,
-                              "dest": args.dest}))
-        else:
-            if hasattr(res, "write_parquet"):  # Dataset: bounded preview —
-                # ONE bounded execution: fetch limit+1 rows (streaming limit
-                # stops the executor early; no full materialize — a result
-                # bigger than the object store must not be pinned for a
-                # 20-row preview). Exact row count is printed only when the
-                # result fits inside the limit; a truncated preview reports
-                # rows=null rather than re-executing the whole query.
-                df = res.limit(args.limit + 1).to_pandas()
-                truncated = len(df) > args.limit
-                df = df.head(args.limit)
-                n = None if truncated else len(df)
-            else:  # already a driver-side pandas/Arrow result (bounded)
-                df = res.to_pandas() if hasattr(res, "to_pandas") else res
-                n, truncated = len(df), False
-            print(df.head(20).to_string())
-            print(json.dumps({"query": args.name, "rows": n,
-                              "preview_limit": args.limit,
-                              "truncated": truncated}))
-        if args.stats and hasattr(res, "stats"):
-            print(res.stats())
-        ray.shutdown()
-        return 0
+        with _session(args.num_cpus):
+            return _query(args)
 
     if args.cmd in ("run", "resume"):
-        ray = _session(args.num_cpus)
-        if args.mode == "image":
-            from deduplication_ray.pipelines.image_dedup import run_pipeline
+        from deduplication_ray.pipelines.incremental import run_checkpointed
 
-            metrics = run_pipeline(args.input, args.out, _cfg_from_args(args),
-                                   strict_resume=(args.cmd == "resume"))
-        else:
-            from deduplication_ray.pipelines.incremental import (
-                run_checkpointed)
-
-            metrics = run_checkpointed(
+        with _session(args.num_cpus):
+            print(json.dumps(run_checkpointed(
                 args.input, args.out, _cfg_from_args(args), mode=args.mode,
-                strict_resume=(args.cmd == "resume"))
-        print(json.dumps(metrics))
-        ray.shutdown()
-        return 0
+                strict_resume=(args.cmd == "resume"))))
+            return 0
 
     if args.cmd == "embed":
-        ray = _session(args.num_cpus)
-        from deduplication_ray.sources import storage
-        from deduplication_ray.stages.imgembed import embed_images
+        with _session(args.num_cpus):
+            from deduplication_ray.sources import storage
+            from deduplication_ray.stages.imgembed import embed_images
 
-        from deduplication_ray.stages.imgembed import EMBED_COLUMNS
+            from deduplication_ray.stages.imgembed import EMBED_COLUMNS
 
-        emb = embed_images(storage.read_table(args.input,
-                                              columns=EMBED_COLUMNS),
-                           dim=args.dim)
-        storage.write_table(emb, args.out)
-        n = storage.read_table(args.out).count()
-        print(json.dumps({"rows": n, "dim": args.dim, "out": args.out}))
-        ray.shutdown()
-        return 0
+            emb = embed_images(storage.read_table(args.input,
+                                                  columns=EMBED_COLUMNS),
+                               dim=args.dim)
+            storage.write_table(emb, args.out)
+            n = storage.read_table(args.out).count()
+            print(json.dumps({"rows": n, "dim": args.dim, "out": args.out}))
+            return 0
 
     if args.cmd == "validate":
-        ray = _session(args.num_cpus)
-        from deduplication_ray.pipelines.evaluate import validate_run
+        with _session(args.num_cpus):
+            from deduplication_ray.pipelines.evaluate import validate_run
 
-        report = validate_run(args.input, args.out, sample=args.sample)
-        print(json.dumps(report))
-        ray.shutdown()
-        return 0 if report["ok"] else 1
+            report = validate_run(args.input, args.out, sample=args.sample)
+            print(json.dumps(report))
+            return 0 if report["ok"] else 1
 
     if args.cmd == "compare":
-        ray = _session(args.num_cpus)
-        from deduplication_ray.pipelines.evaluate import cluster_agreement
-        from deduplication_ray.sources import storage
+        with _session(args.num_cpus):
+            from deduplication_ray.pipelines.evaluate import cluster_agreement
+            from deduplication_ray.sources import storage
 
-        a = storage.read_table(f"{args.run_a}/clusters")
-        b = storage.read_table(f"{args.run_b}/clusters")
-        report = cluster_agreement(a, b, id_col="image_id",
-                                   cluster_col="cluster_id")
-        print(json.dumps(report.to_dict("records")[0]))
-        ray.shutdown()
-        return 0
+            a = storage.read_table(f"{args.run_a}/clusters")
+            b = storage.read_table(f"{args.run_b}/clusters")
+            report = cluster_agreement(a, b, id_col="image_id",
+                                       cluster_col="cluster_id")
+            print(json.dumps(report.to_dict("records")[0]))
+            return 0
 
     if args.cmd == "curate":
-        ray = _session(args.num_cpus)
-        from deduplication_ray.pipelines.curate import curate_documents
+        with _session(args.num_cpus):
+            from deduplication_ray.pipelines.curate import curate_documents
 
-        print(json.dumps(curate_documents(
-            args.sf_dir, args.out,
-            remove_dup_spans=args.remove_dup_spans)))
-        ray.shutdown()
-        return 0
+            print(json.dumps(curate_documents(
+                args.sf_dir, args.out,
+                remove_dup_spans=args.remove_dup_spans)))
+            return 0
 
     if args.cmd == "compact":
-        ray = _session(args.num_cpus)
-        from deduplication_ray.sources.storage import compact_table
+        with _session(args.num_cpus):
+            from deduplication_ray.sources.storage import compact_table
 
-        print(json.dumps(compact_table(args.input, args.out,
-                                       target_rows_per_file=args.target_rows)))
-        ray.shutdown()
-        return 0
+            print(json.dumps(compact_table(
+                args.input, args.out, target_rows_per_file=args.target_rows)))
+            return 0
 
     if args.cmd == "delete":
-        ray = _session(args.num_cpus)
-        from deduplication_ray.config import DedupConfig
-        from deduplication_ray.pipelines.incremental import delete_ids
+        with _session(args.num_cpus):
+            from deduplication_ray.config import DedupConfig
+            from deduplication_ray.pipelines.incremental import delete_ids
 
-        if args.ids.startswith("@"):
-            with open(args.ids[1:]) as f:
-                ids = [ln.strip() for ln in f if ln.strip()]
-        else:
-            ids = args.ids.split(",")
-        metrics = delete_ids(args.base_run, args.base_input, ids, args.out,
-                             _cfg_from_args(args), id_col=args.id_col)
-        print(json.dumps(metrics))
-        ray.shutdown()
-        return 0
+            if args.ids.startswith("@"):
+                with open(args.ids[1:]) as f:
+                    ids = [ln.strip() for ln in f if ln.strip()]
+            else:
+                ids = args.ids.split(",")
+            metrics = delete_ids(args.base_run, args.base_input, ids, args.out,
+                                 _cfg_from_args(args), id_col=args.id_col)
+            print(json.dumps(metrics))
+            return 0
 
     if args.cmd in ("ingest", "merge"):
         from deduplication_ray.pipelines.incremental import (
@@ -506,54 +502,52 @@ def main(argv: list[str] | None = None) -> int:
             flags = ("--base-input" if args.cmd == "ingest"
                      else "--input-a/--input-b")
             raise SystemExit(f"{flags} required for mode={args.mode}")
-        ray = _session(args.num_cpus)
-        if args.cmd == "ingest":
-            metrics = ingest_delta(
-                args.base_run.split(","),
-                args.base_input.split(",") if args.base_input else None,
-                args.delta_input, args.out, cfg, mode=args.mode)
-        else:
-            metrics = merge_runs(args.run_a, args.input_a, args.run_b,
-                                 args.input_b, args.out, cfg, mode=args.mode)
-        print(json.dumps(metrics))
-        ray.shutdown()
-        return 0
+        with _session(args.num_cpus):
+            if args.cmd == "ingest":
+                metrics = ingest_delta(
+                    args.base_run.split(","),
+                    args.base_input.split(",") if args.base_input else None,
+                    args.delta_input, args.out, cfg, mode=args.mode)
+            else:
+                metrics = merge_runs(args.run_a, args.input_a, args.run_b,
+                                     args.input_b, args.out, cfg,
+                                     mode=args.mode)
+            print(json.dumps(metrics))
+            return 0
 
     if args.cmd == "reconstruct":
-        ray = _session(args.num_cpus)
-        from deduplication_ray.pipelines.image_dedup import reconstruct
+        with _session(args.num_cpus):
+            from deduplication_ray.pipelines.image_dedup import reconstruct
 
-        ds = reconstruct(args.out)
-        ds.write_parquet(args.dest)
-        print(json.dumps({"rows": ds.count(), "dest": args.dest}))
-        ray.shutdown()
-        return 0
+            ds = reconstruct(args.out)
+            ds.write_parquet(args.dest)
+            print(json.dumps({"rows": ds.count(), "dest": args.dest}))
+            return 0
 
     if args.cmd == "compress":
-        ray = _session(None)
-        from deduplication_ray.sources.ddp1 import compress_file
+        with _session(None):
+            from deduplication_ray.sources.ddp1 import compress_file
 
-        summary = compress_file(args.infile, args.outfile, args.width, args.block)
-        print(json.dumps(summary))
-        ray.shutdown()
-        return 0
+            summary = compress_file(args.infile, args.outfile, args.width,
+                                    args.block)
+            print(json.dumps(summary))
+            return 0
 
     if args.cmd == "decompress":
-        ray = _session(None)
-        from deduplication_ray.sources.ddp1 import decompress_file
+        with _session(None):
+            from deduplication_ray.sources.ddp1 import decompress_file
 
-        decompress_file(args.infile, args.outfile)
-        ray.shutdown()
-        return 0
+            decompress_file(args.infile, args.outfile)
+            return 0
 
     if args.cmd == "fixture":
-        ray = _session(args.num_cpus)
-        from deduplication_ray.sources.fixtures import generate
+        with _session(args.num_cpus):
+            from deduplication_ray.sources.fixtures import generate
 
-        generate(args.out, args.rows, seed=args.seed)
-        print(json.dumps({"out": args.out, "rows": args.rows, "seed": args.seed}))
-        ray.shutdown()
-        return 0
+            generate(args.out, args.rows, seed=args.seed)
+            print(json.dumps({"out": args.out, "rows": args.rows,
+                              "seed": args.seed}))
+            return 0
 
     return 1
 

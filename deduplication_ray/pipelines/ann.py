@@ -17,6 +17,8 @@ via the same bucket machinery (a 'semantic dedup' detector).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -389,15 +391,13 @@ class EmbSig:
     """(id, embedding) rows -> the embedding signature table
     (image_id, simhash, vec): 64-bit sign-random-projection SimHash over the
     NORMALIZED vector (bucketing key) plus the normalized vector itself as a
-    packed f64 blob (exact-cosine verification payload). ``pad`` zero-pads
-    ids to 12 digits so lexicographic min == numeric min through the
-    string-keyed union-find (the checkpointed/incremental path)."""
+    packed f64 blob (exact-cosine verification payload). Ids are zero-padded
+    to 12 digits so lexicographic min == numeric min through the
+    string-keyed union-find."""
 
-    def __init__(self, cfg: DedupConfig, id_col: str = "vec_id",
-                 pad: bool = False):
+    def __init__(self, cfg: DedupConfig, id_col: str = "vec_id"):
         self.cfg = cfg
         self.id_col = id_col
-        self.pad = pad
         self.planes = None  # built lazily at first batch (needs dim)
 
     def __call__(self, t: pa.Table) -> pa.Table:
@@ -408,20 +408,17 @@ class EmbSig:
             self.planes = H.make_simhash_planes(64, m.shape[1], self.cfg.seed)
         sh = H.simhash_from_features(m, self.planes)
         ids = t[self.id_col].cast(pa.string())
-        if self.pad:
-            # the padded key must preserve numeric order lexicographically:
-            # an id wider than the pad (or negative) would silently elect a
-            # wrong (non-numeric-min) representative — refuse loudly
-            width = pc.max(pc.utf8_length(ids)).as_py() or 0
-            if width > 12 or bool(pc.any(
-                    pc.starts_with(ids, "-")).as_py()):
-                raise ValueError(
-                    f"{self.id_col} values must be non-negative and at most "
-                    "12 digits for the zero-padded union-find key "
-                    f"(saw width {width}); renumber ids or widen the pad")
-            ids = pc.utf8_lpad(ids, 12, "0")
+        # the padded key must preserve numeric order lexicographically:
+        # an id wider than the pad (or negative) would silently elect a
+        # wrong (non-numeric-min) representative — refuse loudly
+        width = pc.max(pc.utf8_length(ids)).as_py() or 0
+        if width > 12 or bool(pc.any(pc.starts_with(ids, "-")).as_py()):
+            raise ValueError(
+                f"{self.id_col} values must be non-negative and at most "
+                "12 digits for the zero-padded union-find key "
+                f"(saw width {width}); renumber ids or widen the pad")
         return pa.table({
-            "image_id": ids,
+            "image_id": pc.utf8_lpad(ids, 12, "0"),
             "simhash": pa.array(H.bitcast_u64_to_i64(sh), pa.int64()),
             "vec": H.pack_u64_rows(m.astype(np.float64).view(np.uint64)),
         })
@@ -473,28 +470,24 @@ def embedding_dup_pairs(
 
     Size-dispatched like every lookup in this engine: corpora up to
     ``exact_limit`` vectors run the exact broadcast-matmul all-pairs path
-    (oracle-identical at any threshold); above it, SimHash
+    (oracle-identical at any threshold); above it, the embedding engine's
+    edge plan (``incremental.engine_kit('embedding')``): SimHash
     (sign-random-projection) multi-index bucketing over the normalized
-    embeddings feeds the shared bucket->edge machinery (cold all-pairs, hot
-    salting), with candidates verified by exact cosine via a signature join
-    carrying the normalized vector as a binary blob.
+    embeddings within the generous ``cfg.emb_hamming_t`` radius, the shared
+    bucket->edge machinery (cold all-pairs, hot salting), and candidates
+    verified by exact cosine >= ``cos_min`` via a signature join carrying
+    the normalized vector as a binary blob.
     """
-    from deduplication_ray.stages import verify  # shared machinery
+    from deduplication_ray.pipelines.incremental import engine_kit
 
-    # generous early-filter radius: cos >= 0.98 pairs can sit at simhash
-    # Hamming ~8-12; exact cosine check below is the real gate
-    cfg = cfg or DedupConfig(num_partitions=8, simhash_hamming_t=20)
+    cfg = cfg or DedupConfig(num_partitions=8)
     ds = storage.read_table(f"{sf_dir}/{table}.parquet", columns=[id_col, "embedding"])
     if ds.count() <= exact_limit:
         return _embedding_dup_pairs_exact(ds, id_col, cos_min)
 
-    sigs = ds.map_batches(EmbSig(cfg, id_col), batch_format="pyarrow",
-                          batch_size=4096).materialize()
-
-    verified = verify.pair_and_verify(
-        sigs.map_batches(explode_emb_bands, batch_format="pyarrow"),
-        verify.DeferredSignatureIndex(sigs, cfg), cfg,
-        accept=embedding_accept(cos_min))
+    kit = engine_kit("embedding", dataclasses.replace(cfg, emb_cos_min=cos_min),
+                     id_col)
+    sigs = kit["sig"](ds).materialize()
 
     def to_int_pairs(t: pa.Table) -> pa.Table:
         # integer (src,dst) with src < dst NUMERICALLY — the resolve emits
@@ -503,7 +496,7 @@ def embedding_dup_pairs(
         b = t["dst"].cast(pa.int64()).to_numpy()
         return pa.table({"src": np.minimum(a, b), "dst": np.maximum(a, b)})
 
-    return verified.map_batches(to_int_pairs, batch_format="pyarrow")
+    return kit["edges"](sigs).map_batches(to_int_pairs, batch_format="pyarrow")
 
 
 def embedding_dup_pairs_sql(cos_min: float = 0.98) -> str:
@@ -524,7 +517,6 @@ def _unpack_f32(col) -> np.ndarray:
     n = len(offs) - 1
     if n == 0:
         return np.empty((0, 0), dtype=np.float32)
-    width = (offs[1] - offs[0])
     return buf[offs[0]: offs[-1]].view(np.float64).astype(np.float32).reshape(n, -1)
 
 

@@ -136,30 +136,3 @@ def run_crop_dup(input_ds: ray.data.Dataset, cfg: DedupConfig,
     near-dup pairs."""
     return crop_dup_pairs(compute_window_signatures(input_ds, cfg),
                           cfg, max_hamming=max_hamming)
-
-
-def crop_edges_from_signatures(sigs: ray.data.Dataset,
-                               cfg: DedupConfig) -> ray.data.Dataset:
-    """Signature columns wh0..wh5 + wvalid (emitted by ``stages/signatures``
-    when ``cfg.crop_channel``) -> pre-verified (src, dst, kind='window')
-    edges for the main pipeline's union-find (min valid-window Hamming IS
-    the verification)."""
-    def prep(t: pa.Table) -> pa.Table:
-        cols = {"image_id": t["image_id"]}
-        for k in range(N_WINDOWS):
-            cols[f"h{k}"] = t[f"wh{k}"]
-        cols["valid"] = t["wvalid"]
-        return pa.table(cols)
-
-    pairs = banded_multihash_pairs(
-        sigs.map_batches(prep, batch_format="pyarrow"), cfg,
-        n_hashes=N_WINDOWS, max_hamming=cfg.crop_hamming_t)
-
-    def to_edges(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "src": t["id_a"],
-            "dst": t["id_b"],
-            "kind": pa.array(["window"] * t.num_rows, pa.string()),
-        })
-
-    return pairs.map_batches(to_edges, batch_format="pyarrow")

@@ -1,6 +1,13 @@
 """Flagship pipeline: near-duplicate detection + clustering over an
 image+caption table (BASELINE.json north rule).
 
+``run_pipeline`` is the engines' one checkpointed driver,
+``incremental.run_checkpointed``, in image mode; its verified edges are the
+one edge plan of ``incremental.engine_kit``. This module keeps the image
+pieces of that plan (the signature stage, the cluster tail) and the
+image-only operators around it (tier funnel, modality agreement,
+representative elections, ``reconstruct``).
+
 Stage DAG (each boundary is a checkpoint, see state/checkpoint.py):
 
   input parquet (image_id, bytes, w, h, fmt, caption, phash)
@@ -10,6 +17,7 @@ Stage DAG (each boundary is a checkpoint, see state/checkpoint.py):
     |   exact content key, caption L-grams) -> tag + salt -> slim id-hash
     |   pairs -> pair dedupe -> resolve signatures (broadcast gather, or
     |   hash joins above the broadcast tier) + verify (Hamming/Jaccard)
+    |   [+ opt-in suffix-array / orientation / crop channel edges]
   verified_edges (src, dst, kind)     [candidate pairs are never written]
     | checkpointed_clusters: connected_components (one local pass, or
     |   hash-min rounds checkpointed as labels_r{k}) -> finalize: left-join
@@ -27,8 +35,6 @@ per-row invariants instead of byte equality.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pyarrow as pa
@@ -51,48 +57,6 @@ def compute_signatures(input_ds: ray.data.Dataset, cfg: DedupConfig) -> ray.data
 
 
 PIXEL_FAMILIES = ("minhash", "phash", "simhash", "exact")
-
-
-def verified_edges(
-    signatures: ray.data.Dataset,
-    cfg: DedupConfig,
-    captions: ray.data.Dataset | None = None,
-    substr_buckets: ray.data.Dataset | None = None,
-    families: tuple[str, ...] = PIXEL_FAMILIES,
-    has_pixels: bool = True,
-) -> ray.data.Dataset:
-    """The verified-edge stage of the image AND text pipelines:
-    candidate pairs -> pair dedupe -> resolve + verify, emitting
-    (src, dst, kind).
-
-    One bucket stream carries every candidate family (MinHash bands, pHash /
-    SimHash multi-index bands, the exact content-key family, the L-gram
-    substring family of ``captions``) so bucket stats, hot detection and
-    salting run exactly once. Pairs exchange as 18-byte (id-hash, id-hash,
-    prio, sc) rows; the signature resolve is a broadcast gather against the
-    signature index inside the broadcast tier and a hash-join resolve above
-    it (``verify.pair_and_verify``). ``substr_buckets`` replaces
-    the substring family built from ``captions`` when it was prefetched
-    (already materialized: the union reuses its blocks). With
-    ``cfg.use_suffix_array`` the suffix-array edges, trusted 'substr' by
-    construction, join after the verify."""
-    from deduplication_ray.stages.substring import (substring_buckets,
-                                                    suffix_array_edges)
-
-    sig_idx = verify.DeferredSignatureIndex(signatures, cfg)
-    buckets = signatures.map_batches(
-        lsh.ExplodeBands(cfg, families=families),
-        batch_format="pyarrow", batch_size=cfg.text_batch_size,
-    )
-    if substr_buckets is None and captions is not None:
-        substr_buckets = substring_buckets(captions, cfg)
-    if substr_buckets is not None:
-        buckets = buckets.union(substr_buckets)
-    ve = verify.pair_and_verify(buckets, sig_idx, cfg, has_pixels=has_pixels)
-    if cfg.use_suffix_array and captions is not None:
-        ve = ve.union(suffix_array_edges(captions, cfg)
-                      .select_columns(["src", "dst", "kind"]))
-    return ve
 
 
 def finalize_clusters(
@@ -164,155 +128,22 @@ def run_pipeline(
     input_path: str,
     run_dir: str,
     cfg: DedupConfig | None = None,
-    input_ds: ray.data.Dataset | None = None,
     strict_resume: bool = False,
 ) -> dict:
-    """Execute (or resume) the full dedup DAG; returns stage metrics.
+    """Execute (or resume) the full image dedup DAG
+    (``incremental.run_checkpointed`` in image mode); returns stage
+    metrics.
 
-    Outputs under run_dir: signatures/ verified_edges/ labels_r{k}/
-    clusters/ representatives/, each with a lineage manifest, and the run
-    manifest carrying the returned metrics.
+    Outputs under run_dir: signatures/ (one group_k per input-shard group
+    when ``input_path`` is a directory) verified_edges/ labels_r{k}/ clusters/ representatives/, each with a
+    lineage manifest, and the run manifest carrying the returned metrics.
     ``strict_resume`` (the CLI ``resume`` verb) refuses stale-config
     checkpoints; the default recomputes them.
     """
-    cfg = cfg or DedupConfig()
-    from deduplication_ray.stages.tuning import apply_context_tuning
+    from deduplication_ray.pipelines.incremental import run_checkpointed
 
-    apply_context_tuning()
-    run = CheckpointedRun(run_dir, cfg, strict_resume=strict_resume)
-
-    def read_input() -> ray.data.Dataset:
-        if input_ds is not None:
-            return input_ds
-        return storage.read_table(input_path)
-
-    # Overlap the gram-fingerprint bucket build (captions only — independent
-    # of the signature stage) with the signature decode below: the two
-    # largest map stages otherwise run back-to-back with a barrier between
-    # them, and the multi-core legs idle through each other's straggler
-    # tails. A 1-core run is unaffected (work serializes either way); at 4+
-    # cores the overlap fills the barrier gaps.
-    _substr_prefetch: dict = {}
-    _substr_thread = None
-    if not run.is_complete("verified_edges"):
-        import threading
-
-        from deduplication_ray.stages.substring import substring_buckets
-
-        def _read_captions_early() -> ray.data.Dataset:
-            if input_ds is not None:
-                return input_ds.select_columns(["image_id", "caption"])
-            return storage.read_table(input_path,
-                                      columns=["image_id", "caption"])
-
-        def _prefetch() -> None:
-            try:
-                _substr_prefetch["ds"] = substring_buckets(
-                    _read_captions_early(), cfg).materialize()
-            except BaseException as exc:  # surfaced on join in make_vedges
-                _substr_prefetch["err"] = exc
-
-        _substr_thread = threading.Thread(target=_prefetch, daemon=True)
-        _substr_thread.start()
-
-    if input_ds is None and os.path.isdir(input_path):
-        # partition-level lineage: signatures computed per input-shard group,
-        # each group committed atomically — a killed run resumes at the first
-        # unfinished shard group (T14)
-        files = storage.dataset_files(input_path)
-        sigs = run.run_stage_sharded(
-            "signatures",
-            files,
-            lambda fs: compute_signatures(storage.read_table(fs), cfg),
-            upstream=["input"],
-        )
-    else:
-        sigs = run.run_stage(
-            "signatures", lambda: compute_signatures(read_input(), cfg), ["input"]
-        )
-
-    def read_captions() -> ray.data.Dataset:
-        # substring passes need ONLY (image_id, caption): prune at the read
-        # so the edges stage never re-scans the image payload bytes
-        if input_ds is not None:
-            return input_ds.select_columns(["image_id", "caption"])
-        return storage.read_table(input_path, columns=["image_id", "caption"])
-
-    # edges are built AND verified inside one checkpoint stage: the raw
-    # candidate stream is transient (only verified survivors are worth a
-    # checkpoint write), which drops one full materialize+write+re-read
-    # barrier from every run
-    def make_vedges() -> ray.data.Dataset:
-        pre_sb = None
-        if _substr_thread is not None:
-            _substr_thread.join()
-            if "err" in _substr_prefetch:
-                raise _substr_prefetch["err"]
-            pre_sb = _substr_prefetch.get("ds")
-        ve = verified_edges(sigs, cfg, read_captions(), substr_buckets=pre_sb)
-        # opt-in extra pixel-identity channels: their pairs are already
-        # verified by construction (min relative-orientation / valid-window
-        # Hamming), so they join AFTER the pHash/SimHash verify — which
-        # would reject them, that blindness being the point. Duplicate
-        # edges across channels are harmless to min-label propagation.
-        if cfg.orientation_channel:
-            from deduplication_ray.pipelines.orientation import (
-                orientation_edges_from_signatures)
-
-            ve = ve.union(orientation_edges_from_signatures(sigs, cfg))
-        if cfg.crop_channel:
-            from deduplication_ray.pipelines.cropdup import (
-                crop_edges_from_signatures)
-
-            ve = ve.union(crop_edges_from_signatures(sigs, cfg))
-        return ve
-
-    vedges = run.run_stage("verified_edges", make_vedges, ["signatures"])
-
-    if cfg.skip_undecodable:
-        # dropped-undecodable rows must not resurface as singleton clusters:
-        # the id universe is what SURVIVED the signature stage
-        ids = sigs.select_columns(["image_id"])
-    else:
-        ids = storage.read_table(input_path, columns=["image_id"]) \
-            if input_ds is None else input_ds.select_columns(["image_id"])
-    # union-find with per-round checkpoints (mid-shuffle resume)
-    clusters = checkpointed_clusters(
-        run, vedges, ids, cfg, edge_rows=run.rows("verified_edges"))
-
-    # representatives: one row per cluster (min image_id IS the cluster_id) —
-    # semi-join the full input on cluster_id == image_id (R12 analog)
-    def reps() -> ray.data.Dataset:
-        from deduplication_ray.functions import hashing as H
-        from deduplication_ray.stages.groupred import hash_grouped_reduce
-        from deduplication_ray.stages.join import lookup_join
-
-        schema = pa.schema([("cluster_id", pa.string()),
-                            ("cluster_size", pa.int64())])
-
-        def red(t: pa.Table) -> pa.Table:
-            df = t.to_pandas()
-            out = df.groupby("cluster_id", sort=False).size() \
-                .rename("cluster_size").reset_index()
-            # explicit schema: empty frames round-trip to Arrow null type
-            return pa.Table.from_pandas(out, preserve_index=False).cast(schema)
-
-        # group-per-row cardinality (mostly singleton clusters): hash-
-        # partitioned vectorized reduce, not Ray aggregate
-        reps_ids = hash_grouped_reduce(
-            clusters.select_columns(["cluster_id"]),
-            lambda t: H.hash_bytes_array(
-                t["cluster_id"].combine_chunks().cast(pa.string())),
-            red,
-            cfg.num_partitions,
-        ).rename_columns({"cluster_id": "image_id"})
-        full = read_input()
-        return lookup_join(full, reps_ids, on=["image_id"], cfg=cfg)
-
-    representatives = run.run_stage("representatives", reps, ["clusters"])
-
-    return run.finish(("signatures", "verified_edges", "clusters",
-                       "representatives"))
+    return run_checkpointed(input_path, run_dir, cfg, "image",
+                            strict_resume=strict_resume)
 
 
 def _channel_clusters(
@@ -322,11 +153,16 @@ def _channel_clusters(
     has_pixels: bool = True,
 ) -> ray.data.Dataset:
     """Clusters over ONE candidate-family slice of the shared bucket stream:
-    ``verified_edges`` with ``ExplodeBands(families=...)`` emitting only the
-    selected families, so the others never exist. The exact family keys on
-    the content key ``(ck1, ck2)`` when ``sigs`` carries it, else on
-    ``cap_hash``."""
-    ve = verified_edges(sigs, cfg, families=families, has_pixels=has_pixels)
+    ``ExplodeBands(families=...)`` emits only the selected families, so the
+    others never exist, and ``verify.pair_and_verify`` pairs and verifies
+    them. The exact family keys on the content key ``(ck1, ck2)`` when
+    ``sigs`` carries it, else on ``cap_hash``."""
+    buckets = sigs.map_batches(lsh.ExplodeBands(cfg, families=families),
+                               batch_format="pyarrow",
+                               batch_size=cfg.text_batch_size)
+    ve = verify.pair_and_verify(
+        buckets, verify.DeferredSignatureIndex(sigs, cfg), cfg,
+        has_pixels=has_pixels)
     return finalize_clusters(sigs.select_columns(["image_id"]),
                              unionfind.connected_components(ve, cfg), cfg)
 

@@ -3,12 +3,13 @@ of a delta against a finished run, and merges of two finished runs — one
 driver each for image, text, video, audio and embedding data.
 
 ``engine_kit`` holds what differs per engine (input projection, signature
-function, bucket stream, pairing config, verify accept); the drivers
-``run_checkpointed`` (text / video / audio / embedding full runs; image
-runs are ``image_dedup.run_pipeline``), ``ingest_delta`` and
-``merge_runs`` are otherwise one plan, and ``engine_clusters`` is
-``run_checkpointed``'s plan with nothing persisted (the lazy video and
-audio pipelines).
+function, caption projection, pairing config, verify accept) and the one
+verified-edge plan, ``edges``, that every run below builds its edges with:
+the full-run driver ``run_checkpointed`` (every mode;
+``image_dedup.run_pipeline`` and ``text_dedup.run_text_pipeline`` are its
+image and text entries), ``ingest_delta`` and ``merge_runs`` (the same
+plan, delta-bounded), and ``engine_clusters``, ``run_checkpointed``'s plan
+with nothing persisted (the lazy text, video and audio pipelines).
 
 Ingest is the daily-crawl shape of a 100 TB pipeline: the base corpus was
 deduplicated once (checkpointed signatures + clusters under
@@ -54,6 +55,8 @@ blocks.
 from __future__ import annotations
 
 import dataclasses
+import os
+import threading
 
 import numpy as np
 import pyarrow as pa
@@ -69,11 +72,13 @@ from deduplication_ray.stages import lsh, verify
 from deduplication_ray.state.checkpoint import CheckpointedRun
 
 
-def _collect_keys(buckets: ray.data.Dataset) -> np.ndarray:
-    """Distinct composite bucket keys, pre-deduped per batch before the
-    bounded driver collect (|delta| x bands u64s at most)."""
+def _collect_keys(buckets: ray.data.Dataset, key_fn=lsh.bucket_key
+                  ) -> np.ndarray:
+    """Distinct u64 bucket keys (``key_fn`` over a batch; default the
+    (band, bucket) composite), pre-deduped per batch before the bounded
+    driver collect (|delta| x bands u64s at most)."""
     def keys(t: pa.Table) -> pa.Table:
-        k = np.unique(lsh.bucket_key(t))
+        k = np.unique(key_fn(t))
         return pa.table({"k": pa.array(H.bitcast_u64_to_i64(k), pa.int64())})
 
     parts = list(buckets.map_batches(keys, batch_format="pyarrow")
@@ -139,18 +144,24 @@ class _SideFilter:
         return t.filter(pa.array(s ^ d if self.mode == "crosses" else s | d))
 
 
-def _channel_edges_delta(delta_sigs: ray.data.Dataset,
-                         base_sigs: ray.data.Dataset,
-                         cfg: DedupConfig) -> ray.data.Dataset | None:
-    """Delta-bounded orientation/crop channel edges (opt-in via
-    ``cfg.orientation_channel`` / ``cfg.crop_channel``): the delta's channel
-    band keys are collected once (bounded: |delta| x K x 4 u64s) and the
-    base's channel buckets are probed against them — the same bounding
-    discipline as the main bucket stream, so base pixels are never decoded
-    and base rows outside delta-occupied buckets never pair. Returns None
-    when neither channel is on. Requires base signatures written under the
-    same config (hence carrying the channel columns — enforced by
-    ``_check_sig_config``)."""
+def _channel_edges(sigs: ray.data.Dataset, cfg: DedupConfig,
+                   old_sigs: ray.data.Dataset | None = None
+                   ) -> ray.data.Dataset | None:
+    """The opt-in pixel-identity channel edges of image runs
+    (``cfg.orientation_channel`` / ``cfg.crop_channel``; None when neither
+    is on): the signature columns oh0..oh7 / wh0..wh5 + wvalid are banded
+    by the shared multihash machinery, whose in-bucket min Hamming over
+    relative orientations / valid windows IS the verification. The edges
+    (kind 'orient' / 'window') therefore join after the pHash/SimHash
+    verify, which would reject them — that blindness is the point.
+    Duplicate edges across channels are harmless to min-label propagation.
+
+    With ``old_sigs`` (ingest/merge) the plan is key-bounded like the main
+    bucket stream: the new side's channel band keys are collected once
+    (|new| x K x 4 u64s) and the old side's channel buckets are probed
+    against them, so old pixels are never decoded and old rows outside
+    new-occupied buckets never pair. ``old_sigs`` must be written under the
+    same config (hence carry the channel columns — ``_check_sig_config``)."""
     from deduplication_ray.pipelines.multihash import (
         multihash_buckets, multihash_pairs_from_buckets)
 
@@ -178,33 +189,22 @@ def _channel_edges_delta(delta_sigs: ray.data.Dataset,
             return pa.table(cols)
 
         specs.append((prep_c, N_WINDOWS, cfg.crop_hamming_t, "window"))
-    if not specs:
-        return None
 
     def bkeys_u64(t: pa.Table) -> np.ndarray:
         return t["bkey"].to_numpy().view(np.uint64)
 
     out = None
     for prep, K, thr, kind in specs:
-        db = multihash_buckets(
-            delta_sigs.map_batches(prep, batch_format="pyarrow"),
-            K).materialize()
+        def channel_buckets(s: ray.data.Dataset, _prep=prep, _K=K):
+            return multihash_buckets(
+                s.map_batches(_prep, batch_format="pyarrow"), _K)
 
-        def keyrows(t: pa.Table) -> pa.Table:
-            return pa.table({"k": pa.array(np.unique(t["bkey"].to_numpy()),
-                                           pa.int64())})
-
-        parts = list(db.map_batches(keyrows, batch_format="pyarrow")
-                     .iter_batches(batch_format="pyarrow", batch_size=None))
-        allk = (np.unique(pa.concat_tables(
-            parts, promote_options="default")["k"].to_numpy()
-            .view(np.uint64)) if parts else np.empty(0, np.uint64))
-        ref = ray.put(allk)
-        bb = multihash_buckets(
-            base_sigs.map_batches(prep, batch_format="pyarrow"),
-            K).map_batches(_MatchingKeys(ref, key_fn=bkeys_u64),
-                           batch_format="pyarrow")
-        pairs = multihash_pairs_from_buckets(db.union(bb), cfg, K, thr)
+        b = channel_buckets(sigs)
+        if old_sigs is not None:
+            b = b.materialize()
+            ref = ray.put(_collect_keys(b, bkeys_u64))
+            b = b.union(channel_buckets(old_sigs).map_batches(
+                _MatchingKeys(ref, key_fn=bkeys_u64), batch_format="pyarrow"))
 
         def to_edges(t: pa.Table, _kind=kind) -> pa.Table:
             return pa.table({
@@ -213,7 +213,8 @@ def _channel_edges_delta(delta_sigs: ray.data.Dataset,
                 "kind": pa.array([_kind] * t.num_rows, pa.string()),
             })
 
-        e = pairs.map_batches(to_edges, batch_format="pyarrow")
+        e = multihash_pairs_from_buckets(b, cfg, K, thr).map_batches(
+            to_edges, batch_format="pyarrow")
         out = e if out is None else out.union(e)
     return out
 
@@ -258,32 +259,6 @@ def _id_hashes(ids) -> np.ndarray:
     return np.unique(H.hash_bytes_array(ids))
 
 
-def _bounded_edges(kit: dict, new_sigs: ray.data.Dataset, new_inputs,
-                   old_sigs: ray.data.Dataset, old_inputs, side_ref,
-                   mode: str) -> ray.data.Dataset:
-    """The delta-bounded verified-edge plan of ingest and merge: the NEW
-    side's occupied bucket keys are collected (bounded: |new| x bands) and
-    broadcast, the OLD side's bucket stream keeps only rows in those
-    buckets — so every shared bucket is seen in full and salts exactly as
-    in a from-scratch run — and the slim pairs are side-filtered
-    (``_SideFilter(side_ref, mode)``) BEFORE the resolve, so pairs the
-    input runs already adjudicated are never verified. Image runs add the
-    delta-bounded orientation/crop channel edges under the same filter."""
-    new_b = kit["buckets"](new_sigs, new_inputs).materialize()
-    keys_ref = ray.put(_collect_keys(new_b))
-    old_b = kit["buckets"](old_sigs, old_inputs).map_batches(
-        _MatchingKeys(keys_ref), batch_format="pyarrow")
-    side = _SideFilter(side_ref, mode)
-    ve = kit["verify"](new_b.union(old_b), new_sigs.union(old_sigs), side)
-    ch = (_channel_edges_delta(new_sigs, old_sigs, kit["edge_cfg"])
-          if kit["has_pixels"] else None)
-    if ch is not None:
-        # channel pairs are pre-verified (min-Hamming in-bucket); the same
-        # side filter keeps the bounding
-        ve = ve.union(ch.map_batches(side, batch_format="pyarrow"))
-    return ve
-
-
 def _assert_disjoint_ids(sigs_a: ray.data.Dataset, ids_ref,
                          what: str) -> None:
     """Merging requires globally unique ids: an id present on BOTH sides
@@ -320,39 +295,45 @@ def engine_kit(mode: str, cfg: DedupConfig, id_col: str | None = None,
 
     - ``columns`` / ``sig``: the input projection and the signature
       function over the projected Dataset;
-    - ``buckets(sigs, inputs)``: the full run's bucket stream — image and
-      text union the caption L-gram family read from the ``inputs`` paths,
-      video/audio/embedding explode their signatures only;
+    - ``caps_of`` / ``captions(paths)``: the (image_id, caption) projection
+      of an input Dataset / of the input tables at ``paths``, whose L-gram
+      substring family joins the bucket stream — image and text only (None
+      for video/audio/embedding, whose buckets come from signatures alone);
     - ``edge_cfg``: the config used for PAIRING (video swaps the pHash
       Hamming gate for its frame radius, embedding the SimHash one for the
       generous ``emb_hamming_t``);
-    - ``accept`` / ``has_pixels`` for the verify, wrapped with the pairing
-      in ``verify(buckets, sigs, pair_filter=None)``;
+    - ``accept`` / ``has_pixels`` for the verify;
+    - ``edges(sigs, caps=None, substr=None, old=None, side=None)``: the one
+      verified-edge plan (below), which every full run, lazy plan, ingest
+      and merge builds its edges with;
     - ``id_col``: the default id column."""
     kit = {"columns": None, "caps_of": None, "edge_cfg": cfg,
-           "accept": None, "has_pixels": False}
+           "accept": None, "has_pixels": False, "explode_batch": None}
     if mode == "image":
         from deduplication_ray.pipelines.image_dedup import (
             PIXEL_FAMILIES, compute_signatures)
 
         kit.update(
-            id_col="image_id", families=PIXEL_FAMILIES, has_pixels=True,
+            id_col="image_id", has_pixels=True,
+            explode=lsh.ExplodeBands(cfg, families=PIXEL_FAMILIES),
+            explode_batch=cfg.text_batch_size,
             sig=lambda ds: compute_signatures(ds, cfg),
-            caps_of=lambda p: storage.read_table(
-                p, columns=["image_id", "caption"]))
+            cap_columns=["image_id", "caption"],
+            caps_of=lambda ds: ds.select_columns(["image_id", "caption"]))
     elif mode == "text":
         from deduplication_ray.pipelines.text_dedup import (
             TEXT_FAMILIES, as_engine_table, text_signatures)
 
         id_col = id_col or "doc_id"
         kit.update(
-            id_col=id_col, families=TEXT_FAMILIES, columns=[id_col, text_col],
+            id_col=id_col, columns=[id_col, text_col],
+            explode=lsh.ExplodeBands(cfg, families=TEXT_FAMILIES),
+            explode_batch=cfg.text_batch_size,
             sig=lambda ds: text_signatures(
                 as_engine_table(ds, id_col, text_col), cfg,
                 "image_id", "caption"),
-            caps_of=lambda p: as_engine_table(
-                storage.read_table(p, columns=[id_col, text_col]),
-                id_col, text_col))
+            cap_columns=[id_col, text_col],
+            caps_of=lambda ds: as_engine_table(ds, id_col, text_col))
     elif mode == "video":
         from deduplication_ray.pipelines import video_dedup as V
 
@@ -378,10 +359,8 @@ def engine_kit(mode: str, cfg: DedupConfig, id_col: str | None = None,
         kit.update(
             id_col=id_col, columns=[id_col, "embedding"],
             explode=ann.explode_emb_bands,
-            # ids zero-padded to 12 digits so lexicographic min == numeric
-            # min through the string-keyed union-find
             sig=lambda ds: ds.map_batches(
-                ann.EmbSig(cfg, id_col, pad=True),
+                ann.EmbSig(cfg, id_col),
                 batch_format="pyarrow", batch_size=4096),
             edge_cfg=dataclasses.replace(
                 cfg, simhash_hamming_t=cfg.emb_hamming_t),
@@ -390,27 +369,75 @@ def engine_kit(mode: str, cfg: DedupConfig, id_col: str | None = None,
         raise ValueError(f"unknown mode {mode!r} "
                          "(expected image|text|video|audio|embedding)")
 
-    def buckets(sigs: ray.data.Dataset, inputs=None) -> ray.data.Dataset:
+    def captions(paths) -> ray.data.Dataset | None:
         if kit["caps_of"] is None:
-            return sigs.map_batches(kit["explode"], batch_format="pyarrow")
+            return None
+        caps = None
+        for p in [paths] if isinstance(paths, str) else paths:
+            c = kit["caps_of"](storage.read_table(
+                p, columns=kit["cap_columns"]))
+            caps = c if caps is None else caps.union(c)
+        return caps
+
+    def buckets(sigs: ray.data.Dataset, caps=None,
+                substr=None) -> ray.data.Dataset:
         from deduplication_ray.stages.substring import substring_buckets
 
-        caps = kit["caps_of"](inputs[0])
-        for p in inputs[1:]:
-            caps = caps.union(kit["caps_of"](p))
-        return sigs.map_batches(
-            lsh.ExplodeBands(cfg, families=kit["families"]),
-            batch_format="pyarrow", batch_size=cfg.text_batch_size,
-        ).union(substring_buckets(caps, cfg))
+        b = sigs.map_batches(kit["explode"], batch_format="pyarrow",
+                             batch_size=kit["explode_batch"])
+        if substr is None and caps is not None:
+            substr = substring_buckets(caps, cfg)
+        return b if substr is None else b.union(substr)
 
-    def verify_(b: ray.data.Dataset, sigs: ray.data.Dataset,
-                pair_filter=None) -> ray.data.Dataset:
-        return verify.pair_and_verify(
-            b, verify.DeferredSignatureIndex(sigs, cfg), kit["edge_cfg"],
-            accept=kit["accept"], has_pixels=kit["has_pixels"],
-            pair_filter=pair_filter)
+    def edges(sigs: ray.data.Dataset, caps=None, substr=None, old=None,
+              side=None) -> ray.data.Dataset:
+        """sigs [+ the captions ``caps``] -> verified (src, dst, kind).
 
-    kit.update(buckets=buckets, verify=verify_)
+        One bucket stream carries every candidate family (the kit's
+        exploded signature bands, plus the caption L-gram family of
+        ``caps``, or ``substr`` when that stream was prefetched — already
+        materialized, the union reuses its blocks), so bucket stats, hot
+        detection and salting run exactly once; pairs are deduped,
+        [``side``-filtered] and verified against a
+        ``verify.DeferredSignatureIndex`` (``verify.pair_and_verify``).
+        ``cfg.use_suffix_array`` adds the suffix-array edges of ``caps``
+        (trusted 'substr' by construction) and image runs add the channel
+        edges (``_channel_edges``), both after the verify.
+
+        ``old=(old_sigs, old_caps)`` makes it the delta-bounded plan of
+        ingest and merge: the NEW side's occupied bucket keys are collected
+        (bounded: |new| x bands) and broadcast, the OLD side's bucket
+        stream keeps only rows in those buckets — so every shared bucket is
+        seen in full and salts exactly as in a from-scratch run — and the
+        slim pairs (and channel edges) pass ``side`` (a ``_SideFilter``)
+        BEFORE the resolve, so pairs the input runs already adjudicated are
+        never verified."""
+        b = buckets(sigs, caps, substr)
+        old_sigs = None
+        if old is not None:
+            old_sigs, old_caps = old
+            b = b.materialize()
+            keys_ref = ray.put(_collect_keys(b))
+            b = b.union(buckets(old_sigs, old_caps).map_batches(
+                _MatchingKeys(keys_ref), batch_format="pyarrow"))
+        ve = verify.pair_and_verify(
+            b, verify.DeferredSignatureIndex(
+                sigs if old is None else sigs.union(old_sigs), cfg),
+            kit["edge_cfg"], accept=kit["accept"],
+            has_pixels=kit["has_pixels"], pair_filter=side)
+        if cfg.use_suffix_array and caps is not None:
+            from deduplication_ray.stages.substring import suffix_array_edges
+
+            ve = ve.union(suffix_array_edges(caps, cfg)
+                          .select_columns(["src", "dst", "kind"]))
+        ch = (_channel_edges(sigs, kit["edge_cfg"], old_sigs)
+              if kit["has_pixels"] else None)
+        if ch is not None:
+            ve = ve.union(ch if side is None else
+                          ch.map_batches(side, batch_format="pyarrow"))
+        return ve
+
+    kit.update(captions=captions, edges=edges)
     return kit
 
 
@@ -443,68 +470,139 @@ def _base_star_edges(clusters: ray.data.Dataset) -> ray.data.Dataset:
     return clusters.map_batches(stars, batch_format="pyarrow")
 
 
+def _representatives(clusters: ray.data.Dataset, input_path: str,
+                     cfg: DedupConfig,
+                     id_col: str = "image_id") -> ray.data.Dataset:
+    """One input row per cluster (its cluster_id IS its min member id)
+    with its ``cluster_size`` (R12 analog): cluster sizes by a hash-
+    partitioned vectorized reduce (group-per-row cardinality — mostly
+    singleton clusters — so not Ray aggregate), then a lookup join of the
+    full input table on ``id_col``."""
+    from deduplication_ray.stages.groupred import hash_grouped_reduce
+    from deduplication_ray.stages.join import lookup_join
+
+    schema = pa.schema([("cluster_id", pa.string()),
+                        ("cluster_size", pa.int64())])
+
+    def red(t: pa.Table) -> pa.Table:
+        df = t.to_pandas()
+        out = (df.groupby("cluster_id", sort=False).size()
+               .rename("cluster_size").reset_index())
+        # explicit schema: empty frames round-trip to Arrow null type
+        return pa.Table.from_pandas(out, preserve_index=False).cast(schema)
+
+    sizes = hash_grouped_reduce(
+        clusters.select_columns(["cluster_id"]),
+        lambda t: H.hash_bytes_array(
+            t["cluster_id"].combine_chunks().cast(pa.string())),
+        red, cfg.num_partitions).rename_columns({"cluster_id": id_col})
+    return lookup_join(storage.read_table(input_path), sizes, on=[id_col],
+                       cfg=cfg)
+
+
 def run_checkpointed(input_path: str, run_dir: str,
                      cfg: DedupConfig | None = None, mode: str = "text",
                      id_col: str | None = None, text_col: str = "text",
                      strict_resume: bool = False) -> dict:
-    """Checkpointed text / video / audio / embedding dedup run — the
-    base-run producer for ``ingest_delta`` and ``merge_runs`` in those
-    modes (image runs are ``image_dedup.run_pipeline``): signatures,
-    verified_edges (pairs built and verified inside the one stage) and the
-    union-find rounds persist under ``run_dir`` with config-hash lineage;
-    clusters are written in the engine-canonical (image_id, cluster_id)
-    shape. The edge plan is the kit's, as in the lazy ``engine_clusters``.
-    Returns stage metrics."""
+    """Checkpointed full run of every engine — the base-run producer for
+    ``ingest_delta`` and ``merge_runs``. Stages, each persisted under
+    ``run_dir`` with config-hash lineage:
+
+    - ``signatures``: per input-shard group when ``input_path`` is a
+      directory (``run_stage_sharded``: a killed run resumes at the first
+      unfinished group);
+    - ``verified_edges``: the kit's edge plan, pairs built and verified
+      inside the one stage (candidate pairs are never written);
+    - ``labels_r{k}`` / ``clusters``: ``checkpointed_clusters`` over the
+      signatures' ids, in the engine-canonical (image_id, cluster_id)
+      shape;
+    - ``representatives`` (image only): one input row per cluster.
+
+    ``strict_resume`` (the CLI ``resume`` verb) refuses stale-config
+    checkpoints; the default recomputes them. Returns stage metrics."""
     from deduplication_ray.pipelines.image_dedup import checkpointed_clusters
+    from deduplication_ray.stages.substring import substring_buckets
     from deduplication_ray.stages.tuning import apply_context_tuning
 
-    if mode == "image":
-        raise ValueError("image runs are image_dedup.run_pipeline")
     cfg = cfg or DedupConfig()
     kit = engine_kit(mode, cfg, id_col, text_col)
     apply_context_tuning()
     run = CheckpointedRun(run_dir, cfg, strict_resume=strict_resume)
 
-    sigs = run.run_stage(
-        "signatures",
-        lambda: kit["sig"](storage.read_table(input_path,
-                                              columns=kit["columns"])),
-        ["input"])
+    # Overlap the caption L-gram bucket build (captions only — independent
+    # of the signature stage) with the signature decode below: the two
+    # largest map stages otherwise run back-to-back with a barrier between
+    # them, and the multi-core legs idle through each other's straggler
+    # tails. A 1-core run is unaffected (work serializes either way); at 4+
+    # cores the overlap fills the barrier gaps.
+    substr: dict = {}
+    prefetch = None
+    if kit["caps_of"] is not None and not run.is_complete("verified_edges"):
+        def _prefetch() -> None:
+            try:
+                substr["ds"] = substring_buckets(
+                    kit["captions"](input_path), cfg).materialize()
+            except BaseException as exc:  # re-raised by make_edges
+                substr["err"] = exc
 
-    def build_and_verify() -> ray.data.Dataset:
-        ve = kit["verify"](kit["buckets"](sigs, [input_path]), sigs)
-        if cfg.use_suffix_array and kit["caps_of"] is not None:
-            from deduplication_ray.stages.substring import suffix_array_edges
+        prefetch = threading.Thread(target=_prefetch, daemon=True)
+        prefetch.start()
 
-            # trusted 'substr' cross-check edges, as in
-            # image_dedup.verified_edges
-            ve = ve.union(suffix_array_edges(kit["caps_of"](input_path), cfg)
-                          .select_columns(["src", "dst", "kind"]))
-        return ve
+    def signatures(path) -> ray.data.Dataset:
+        return kit["sig"](storage.read_table(path, columns=kit["columns"]))
 
-    vedges = run.run_stage("verified_edges", build_and_verify, ["signatures"])
+    if os.path.isdir(input_path):
+        sigs = run.run_stage_sharded(
+            "signatures", storage.dataset_files(input_path), signatures,
+            upstream=["input"])
+    else:
+        sigs = run.run_stage("signatures", lambda: signatures(input_path),
+                             ["input"])
 
-    checkpointed_clusters(run, vedges, sigs.select_columns(["image_id"]), cfg)
-    return run.finish(("signatures", "verified_edges", "clusters"))
+    def make_edges() -> ray.data.Dataset:
+        if prefetch is not None:
+            prefetch.join()
+            if "err" in substr:
+                raise substr["err"]
+        return kit["edges"](sigs, kit["captions"](input_path),
+                            substr.get("ds"))
+
+    vedges = run.run_stage("verified_edges", make_edges, ["signatures"])
+    clusters = checkpointed_clusters(
+        run, vedges, sigs.select_columns(["image_id"]), cfg,
+        edge_rows=run.rows("verified_edges"))
+    stages = ("signatures", "verified_edges", "clusters")
+    if mode == "image":
+        run.run_stage("representatives",
+                      lambda: _representatives(clusters, input_path, cfg),
+                      ["clusters"])
+        stages += ("representatives",)
+    return run.finish(stages)
 
 
 def engine_clusters(mode: str, ds: ray.data.Dataset,
                     cfg: DedupConfig | None = None,
-                    id_col: str | None = None) -> ray.data.Dataset:
-    """Lazy (id, payload) -> clusters(id_col, cluster_id) for the video and
-    audio engines: ``run_checkpointed``'s plan with nothing persisted."""
+                    id_col: str | None = None,
+                    text_col: str = "text") -> ray.data.Dataset:
+    """Lazy (id, payload) -> clusters(id_col, cluster_id) of every engine:
+    ``run_checkpointed``'s plan with nothing persisted. Image and text
+    take the caption L-gram family from ``ds`` itself."""
     from deduplication_ray.pipelines.image_dedup import finalize_clusters
     from deduplication_ray.stages.tuning import apply_context_tuning
     from deduplication_ray.state import unionfind
 
     cfg = cfg or DedupConfig()
-    kit = engine_kit(mode, cfg, id_col)
+    kit = engine_kit(mode, cfg, id_col, text_col)
     apply_context_tuning()
     sigs = kit["sig"](ds).materialize()
-    vedges = kit["verify"](kit["buckets"](sigs), sigs)
-    return finalize_clusters(sigs.select_columns(["image_id"]),
-                             unionfind.connected_components(vedges, cfg),
-                             cfg, kit["id_col"])
+    caps = kit["caps_of"](ds) if kit["caps_of"] is not None else None
+    # ids from the caption projection where there is one: streamed from
+    # the input read, while a projection of the materialized signature
+    # blocks raised text_planted's peak PSS by ~14% over 12 calls (4 CPUs)
+    ids = (sigs if caps is None else caps).select_columns(["image_id"])
+    return finalize_clusters(
+        ids, unionfind.connected_components(kit["edges"](sigs, caps), cfg),
+        cfg, kit["id_col"])
 
 
 def ingest_delta(
@@ -529,9 +627,9 @@ def ingest_delta(
     its own ingest, so nothing is ever recomputed); base clusters come from
     the MOST RECENT run, whose clusters table already covers all prior ids.
 
-    ``mode`` picks the engine (``engine_kit``): 'image' (default, base runs
-    from ``image_dedup.run_pipeline``), or 'text' / 'video' / 'audio' /
-    'embedding' (base runs from ``run_checkpointed``). ``base_input_path``
+    ``mode`` picks the engine (``engine_kit``): 'image' (default), 'text',
+    'video', 'audio' or 'embedding', against a ``run_checkpointed`` base
+    run of the same mode. ``base_input_path``
     is required for image and text, whose bucket stream re-reads the base
     captions; the other modes read only the base run dirs and pass None.
     The delta-bounding machinery is the same for every mode."""
@@ -560,9 +658,11 @@ def ingest_delta(
         ["input"])
 
     def build_and_verify() -> ray.data.Dataset:
-        return _bounded_edges(
-            kit, delta_sigs, [delta_input_path], base_sigs, base_inputs,
-            ray.put(_id_hashes(_collect_ids(delta_sigs))), "touches")
+        side = _SideFilter(ray.put(_id_hashes(_collect_ids(delta_sigs))),
+                           "touches")
+        return kit["edges"](delta_sigs, kit["captions"](delta_input_path),
+                            old=(base_sigs, kit["captions"](base_inputs)),
+                            side=side)
 
     vedges = run.run_stage("verified_edges", build_and_verify, ["signatures"])
 
@@ -628,8 +728,9 @@ def merge_runs(
 
     vedges = run.run_stage(
         "verified_edges",
-        lambda: _bounded_edges(kit, sigs_b, inputs_b, sigs_a, inputs_a,
-                               side_ref, "crosses"),
+        lambda: kit["edges"](sigs_b, kit["captions"](inputs_b),
+                             old=(sigs_a, kit["captions"](inputs_a)),
+                             side=_SideFilter(side_ref, "crosses")),
         ["input"])
 
     all_edges = vedges.union(_base_star_edges(clusters_a)) \
@@ -672,12 +773,8 @@ def delete_ids(
     column (the image fixture's shape); text callers pass
     ``base_input=None`` — text runs keep no representative payloads.
     """
-    import pyarrow as pa
-
-    from deduplication_ray.functions import hashing as H
     from deduplication_ray.stages.groupred import hash_grouped_reduce
     from deduplication_ray.stages.join import lookup_join
-    from deduplication_ray.state.checkpoint import CheckpointedRun
 
     cfg = cfg or DedupConfig()
     dels = pa.array(sorted({str(x) for x in deleted}), pa.string())
@@ -731,27 +828,11 @@ def delete_ids(
     clusters_out = run.run_stage("clusters", relabel, ["signatures"])
 
     if base_input is not None:
-        def reps() -> ray.data.Dataset:
-            schema = pa.schema([("cluster_id", pa.string()),
-                                ("cluster_size", pa.int64())])
-
-            def red(t: pa.Table) -> pa.Table:
-                df = t.to_pandas()
-                out = (df.groupby("cluster_id", sort=False).size()
-                       .rename("cluster_size").reset_index())
-                return pa.Table.from_pandas(out, preserve_index=False) \
-                    .cast(schema)
-
-            sizes = hash_grouped_reduce(
-                clusters_out.select_columns(["cluster_id"]),
-                lambda t: H.hash_bytes_array(
-                    t["cluster_id"].combine_chunks().cast(pa.string())),
-                red, cfg.num_partitions) \
-                .rename_columns({"cluster_id": member_col})
-            full = storage.read_table(base_input)
-            return lookup_join(full, sizes, on=[member_col], cfg=cfg)
-
-        run.run_stage("representatives", reps, ["clusters"])
+        run.run_stage(
+            "representatives",
+            lambda: _representatives(clusters_out, base_input, cfg,
+                                     member_col),
+            ["clusters"])
 
     return run.finish(("signatures", "clusters", "representatives"),
                       deleted_ids=len(dels))

@@ -109,33 +109,3 @@ def run_rot_dup(input_ds: ray.data.Dataset, cfg: DedupConfig,
     orientation-invariant near-dup pairs."""
     return rot_dup_pairs(compute_orientation_signatures(input_ds, cfg),
                          cfg, max_hamming=max_hamming)
-
-
-def orientation_edges_from_signatures(sigs: ray.data.Dataset,
-                                      cfg: DedupConfig) -> ray.data.Dataset:
-    """Signature columns oh0..oh7 (emitted by ``stages/signatures`` when
-    ``cfg.orientation_channel``) -> pre-verified (src, dst, kind='orient')
-    edges for the main pipeline's union-find. These edges bypass the pHash/
-    SimHash verify stage by construction: the min relative-orientation
-    Hamming IS their verification."""
-    def prep(t: pa.Table) -> pa.Table:
-        cols = {"image_id": t["image_id"]}
-        for k in range(N_ORIENT):
-            cols[f"h{k}"] = t[f"oh{k}"]
-        cols["valid"] = pa.array(
-            np.full(t.num_rows, (1 << N_ORIENT) - 1, np.int64))
-        return pa.table(cols)
-
-    pairs = banded_multihash_pairs(
-        sigs.map_batches(prep, batch_format="pyarrow"), cfg,
-        n_hashes=N_ORIENT, max_hamming=cfg.orientation_hamming_t)
-
-    def to_edges(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "src": t["id_a"].combine_chunks().cast(pa.string())
-            if isinstance(t["id_a"], pa.ChunkedArray) else t["id_a"],
-            "dst": t["id_b"],
-            "kind": pa.array(["orient"] * t.num_rows, pa.string()),
-        })
-
-    return pairs.map_batches(to_edges, batch_format="pyarrow")

@@ -1,7 +1,10 @@
 """Text near-dup pipeline: the flagship DAG specialized to (id, text) tables.
 
 Same engine as image_dedup minus the pixel path — used for the ``documents``
-testdata table and as ``__ray_entry__.entry()``'s flagship run. Exercises:
+testdata table and as ``__ray_entry__.entry()``'s flagship run. Both entry
+points are the text mode of ``incremental``: ``text_dedup_clusters`` is
+``engine_clusters`` (lazy) and ``run_text_pipeline`` is ``run_checkpointed``
+(checkpointed), over the one edge plan of ``engine_kit``:
 CaptionSignatures -> one bucket stream (exact caption key + MinHash-LSH
 bands + substring L-grams) -> slim pairs -> Jaccard verification ->
 union-find -> clusters.
@@ -15,7 +18,6 @@ import ray.data
 
 from deduplication_ray.config import DedupConfig
 from deduplication_ray.stages.signatures import CaptionSignatures
-from deduplication_ray.state import unionfind
 
 
 def text_signatures(
@@ -36,28 +38,12 @@ def text_dedup_clusters(
     cfg: DedupConfig | None = None,
     id_col: str = "doc_id",
     text_col: str = "text",
-    with_substring: bool = True,
 ) -> ray.data.Dataset:
-    """(id, text) table -> clusters(id_col, cluster_id) via the full engine."""
-    cfg = cfg or DedupConfig()
-    from deduplication_ray.pipelines.image_dedup import (finalize_clusters,
-                                                         verified_edges)
-    from deduplication_ray.stages.tuning import apply_context_tuning
+    """(id, text) table -> clusters(id_col, cluster_id) via the full engine
+    (``incremental.engine_clusters`` in text mode)."""
+    from deduplication_ray.pipelines.incremental import engine_clusters
 
-    apply_context_tuning()
-    caps = as_engine_table(ds, id_col, text_col)
-    sigs = text_signatures(caps, cfg, "image_id", "caption").materialize()
-    # MinHash band buckets + the exact caption family (cap_hash) [+ the
-    # substring L-gram buckets of ``caps``], Jaccard-verified
-    vedges = verified_edges(sigs, cfg, caps if with_substring else None,
-                            families=TEXT_FAMILIES, has_pixels=False)
-
-    ids = ds.select_columns([id_col]).map_batches(
-        lambda t: pa.table({"image_id": t[id_col].cast(pa.string())}),
-        batch_format="pyarrow",
-    )
-    return finalize_clusters(ids, unionfind.connected_components(vedges, cfg),
-                             cfg, id_col)
+    return engine_clusters("text", ds, cfg, id_col, text_col)
 
 
 def as_engine_table(ds: ray.data.Dataset, id_col: str = "doc_id",
@@ -78,10 +64,10 @@ def run_text_pipeline(input_path: str, run_dir: str,
                       strict_resume: bool = False) -> dict:
     """Checkpointed text dedup run (``incremental.run_checkpointed`` in
     text mode): every stage persists under ``run_dir`` with lineage
-    (signatures, verified_edges, union-find rounds, clusters) — a killed
-    run resumes, and the signature/cluster checkpoints feed
-    ``incremental.ingest_delta(mode='text')`` exactly like the image run's
-    feed the image ingest. Returns stage metrics."""
+    (signatures per input-shard group, verified_edges, union-find rounds,
+    clusters) — a killed run resumes, and the signature/cluster checkpoints
+    feed ``incremental.ingest_delta(mode='text')`` exactly like the image
+    run's feed the image ingest. Returns stage metrics."""
     from deduplication_ray.pipelines.incremental import run_checkpointed
 
     return run_checkpointed(input_path, run_dir, cfg, "text", id_col,

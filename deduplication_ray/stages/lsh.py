@@ -39,7 +39,6 @@ import pyarrow as pa
 
 import ray
 import ray.data
-from ray.data.aggregate import Count
 
 from deduplication_ray.config import DedupConfig
 from deduplication_ray.functions import hashing as H
@@ -175,32 +174,6 @@ class ExplodeBands:
                 "sh": sh,
             }
         )
-
-
-def bucket_stats(buckets: ray.data.Dataset) -> ray.data.Dataset:
-    """(band, bucket) -> row count. groupby-count with built-in partial agg."""
-    return buckets.groupby(["band", "bucket"]).aggregate(Count(alias_name="n"))
-
-
-def hot_bucket_map(stats: ray.data.Dataset, cap: int) -> dict[tuple[int, int], int]:
-    """Tiny driver-side dict of hot buckets -> salt count (broadcast later).
-
-    Filtering happens distributed (vectorized predicate inside map_batches);
-    only the over-cap survivors — by construction a minuscule fraction —
-    reach the driver.
-    """
-    import pyarrow.compute as pc
-
-    hot = stats.map_batches(
-        lambda t: t.filter(pc.greater(t["n"], cap)), batch_format="pyarrow"
-    )
-    out: dict[tuple[int, int], int] = {}
-    for b in hot.iter_batches(batch_format="pyarrow"):
-        for band, bucket, n in zip(
-            b["band"].to_pylist(), b["bucket"].to_pylist(), b["n"].to_pylist()
-        ):
-            out[(band, bucket)] = int(np.ceil(n / cap))
-    return out
 
 
 def _pixel_pair_keep(band: np.ndarray, ph_a, ph_b, sh_a, sh_b, cfg: DedupConfig) -> np.ndarray:

@@ -54,12 +54,7 @@ def test_permutation_metamorphic_clusters(ray_session, tiny_fixture, tmp_path):
     import ray.data
 
     from deduplication_ray.config import DedupConfig
-    from deduplication_ray.pipelines.image_dedup import (
-        compute_signatures,
-        finalize_clusters,
-        verified_edges,
-    )
-    from deduplication_ray.state import unionfind
+    from deduplication_ray.pipelines.incremental import engine_clusters
 
     cfg = DedupConfig(num_partitions=4)
     base = load_parquet_dir(f"{tiny_fixture}/data").head(300)
@@ -67,10 +62,7 @@ def test_permutation_metamorphic_clusters(ray_session, tiny_fixture, tmp_path):
 
     def clusters_of(df: pd.DataFrame) -> pd.Series:
         ds = ray.data.from_arrow(pa.Table.from_pandas(df, preserve_index=False)).repartition(4)
-        sigs = compute_signatures(ds, cfg).materialize()
-        ve = verified_edges(sigs, cfg, ds).materialize()
-        labels = unionfind.connected_components(ve, cfg)
-        out = finalize_clusters(ds.select_columns(["image_id"]), labels, cfg).to_pandas()
+        out = engine_clusters("image", ds, cfg).to_pandas()
         return out.sort_values("image_id").set_index("image_id")["cluster_id"]
 
     c1 = clusters_of(base)

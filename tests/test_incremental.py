@@ -675,7 +675,6 @@ def test_cli_modal_run_ingest_merge_match_library(ray_session, tmp_path,
     ``run_checkpointed`` / ``ingest_delta`` / ``merge_runs`` on the same
     inputs, and a merge reports rows for the stages it runs only."""
     import json
-    import types
 
     import numpy as np
 
@@ -684,9 +683,7 @@ def test_cli_modal_run_ingest_merge_match_library(ray_session, tmp_path,
     from deduplication_ray.pipelines.incremental import (
         ingest_delta, merge_runs, run_checkpointed)
 
-    # the commands run in this session; cli's ray.shutdown() must not end it
-    monkeypatch.setattr(cli, "_session",
-                        lambda n: types.SimpleNamespace(shutdown=lambda: None))
+    # the commands run in (and leave running) this test session
     rng = np.random.default_rng(4)
     n, d = 120, 16
     m = rng.standard_normal((n, d)).astype(np.float32)
@@ -744,6 +741,43 @@ def test_cli_missing_caption_input_exits_before_session(monkeypatch, argv):
     monkeypatch.setattr(cli, "_session", no_session)
     with pytest.raises(SystemExit, match="required for mode=image"):
         cli.main(argv)
+
+
+CLI_SESSION_SCRIPT = """
+import sys
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
+
+from deduplication_ray import cli
+
+src, out = sys.argv[1], sys.argv[2]
+pq.write_table(pa.table({"x": list(range(10))}), f"{src}/part-0.parquet")
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR")
+assert cli.main(["compact", "--input", src, "--out", out]) == 0
+assert ray.is_initialized(), "cli.main ended the caller's Ray session"
+assert ray.cluster_resources()["CPU"] == 2, ray.cluster_resources()
+ray.shutdown()
+"""
+
+
+def test_cli_main_keeps_callers_session(tmp_path):
+    """An in-process ``cli.main`` verb runs in the caller's live Ray session
+    and leaves it running, with its CPU count unchanged (run in a fresh
+    interpreter: the caller's session is a 2-CPU one)."""
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    (tmp_path / "src").mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_SESSION_SCRIPT, str(tmp_path / "src"),
+         str(tmp_path / "out")],
+        cwd=repo, env=dict(os.environ, PYTHONPATH=repo),
+        capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()[-2000:]
 
 
 def test_caption_modes_require_inputs(tmp_path):

@@ -196,6 +196,54 @@ def test_resume_mid_signatures_shards(tiny_run, tiny_fixture, ray_session):
                                   resumed.reset_index(drop=True))
 
 
+def test_resume_mid_signatures_shards_text(ray_session, tmp_path):
+    """A text run over 9 input files (two shard groups of 8) killed after
+    ``signatures/group_0`` committed recomputes only the later group and
+    ends with the full run's clusters."""
+    import pyarrow.parquet as pq
+
+    from deduplication_ray.config import DedupConfig
+    from deduplication_ray.pipelines.text_dedup import run_text_pipeline
+    from deduplication_ray.sources import storage
+
+    src = pq.read_table("/root/testdata/sf0.001/documents.parquet") \
+        .select(["doc_id", "text"])
+    data = tmp_path / "docs"
+    data.mkdir()
+    step = (src.num_rows + 8) // 9
+    for i in range(9):
+        pq.write_table(src.slice(i * step, step), f"{data}/part-{i}.parquet")
+    files = storage.dataset_files(str(data))
+    assert len(files) == 9
+
+    cfg = DedupConfig(num_partitions=4, sa_batch_size=1024)
+    full_dir = str(tmp_path / "full_run")
+    run_text_pipeline(str(data), full_dir, cfg)
+    full = load_parquet_dir(f"{full_dir}/clusters").sort_values("image_id")
+
+    partial_dir = str(tmp_path / "partial_run")
+    os.makedirs(f"{partial_dir}/signatures")
+    shutil.copytree(f"{full_dir}/signatures/group_0",
+                    f"{partial_dir}/signatures/group_0")
+    storage.write_manifest(f"{partial_dir}/signatures", {
+        "stage": "signatures", "config_hash": cfg.config_hash(),
+        "upstream": ["input"], "shards_done": files[:8], "complete": False,
+    })
+    g0 = f"{partial_dir}/signatures/group_0"
+    before = {f: os.stat(f"{g0}/{f}").st_mtime_ns for f in os.listdir(g0)}
+    m = run_text_pipeline(str(data), partial_dir, cfg)
+    assert "signatures" in m["stages_resumed"]
+    assert {f: os.stat(f"{g0}/{f}").st_mtime_ns
+            for f in os.listdir(g0)} == before  # group 0 not recomputed
+    assert sorted(d for d in os.listdir(f"{partial_dir}/signatures")
+                  if d.startswith("group_")) == ["group_0", "group_1"]
+    resumed = load_parquet_dir(f"{partial_dir}/clusters").sort_values(
+        "image_id")
+    assert len(resumed) == src.num_rows
+    pd.testing.assert_frame_equal(full.reset_index(drop=True),
+                                  resumed.reset_index(drop=True))
+
+
 def test_stale_config_strict_refuses_default_recomputes(tiny_run, tiny_fixture, ray_session):
     """Explicit ``resume`` refuses checkpoints from a different config (the
     R15 header re-validation analog); a default ``run`` treats them as a
@@ -465,15 +513,25 @@ def test_salting_path_on_oversized_bucket(ray_session):
     })
     ds = ray.data.from_pandas(rows).repartition(4)
 
-    # (a) the hot map must fire for the duplicated caption's buckets
+    # (a) the pipeline's tagger (multi-bucket index + _KeyTaggerIdx) must
+    # salt the duplicated caption's buckets across >= n_hot / cap salts
     sigs = text_signatures(ds, cfg).materialize()
-    buckets = sigs.map_batches(lsh.ExplodeBands(cfg), batch_format="pyarrow")
-    hot = lsh.hot_bucket_map(lsh.bucket_stats(buckets), cfg.bucket_cap)
+    buckets = sigs.map_batches(lsh.ExplodeBands(cfg),
+                               batch_format="pyarrow").materialize()
+    idx_ref = lsh.multi_bucket_index(buckets, cfg)
+    assert idx_ref is not None
+    tagged = buckets.map_batches(
+        lsh._KeyTaggerIdx(idx_ref, cfg.bucket_cap, cfg.gram_sample_drop_df),
+        batch_format="pyarrow")
+    salts = np.concatenate([
+        t["salt"].to_numpy() for t in tagged.iter_batches(
+            batch_format="pyarrow", batch_size=None)])
+    hot = salts[salts >= 0]
     assert len(hot) > 0
-    assert max(hot.values()) >= n_hot // cfg.bucket_cap
+    assert len(np.unique(hot)) >= n_hot // cfg.bucket_cap
 
     # (b) end-to-end: one cluster for the hot rows, singletons for background
-    clusters = text_dedup_clusters(ds, cfg, with_substring=False).to_pandas()
+    clusters = text_dedup_clusters(ds, cfg).to_pandas()
     hot_ids = set(rows["doc_id"][:n_hot])
     hot_clusters = clusters[clusters["doc_id"].isin(hot_ids)]["cluster_id"].unique()
     assert len(hot_clusters) == 1
