@@ -1,7 +1,7 @@
 """Per-stage wall profile of the text engine at one CPU width — the FUSED
 slim-pair path, i.e. the plan `text_dedup_clusters` actually executes
 (`incremental.engine_kit`'s `edges` in the broadcast tier), with the slim-pair chain broken
-into its sub-barriers. Each stage is materialized with a wall timer in plan
+at its barriers. Each stage is materialized with a wall timer in plan
 order, in a fresh Ray session at ``RAY_GRAFT_CPUS``.
 
 Earlier rounds profiled the pre-fuse STRING path (kept in
@@ -37,12 +37,8 @@ def main() -> None:
 
     DataContext.get_current().enable_progress_bars = False
 
-    import numpy as np
-    import pyarrow as pa
-
     import bench
     from deduplication_ray.config import DedupConfig
-    from deduplication_ray.functions import hashing as H
     from deduplication_ray.pipelines.text_dedup import (as_engine_table,
                                                         text_signatures)
     from deduplication_ray.sources import storage
@@ -76,29 +72,12 @@ def main() -> None:
         lsh.ExplodeBands(cfg, families=("minhash", "exact")),
         batch_format="pyarrow", batch_size=cfg.text_batch_size).union(
             substring_buckets(caps, cfg)).materialize())
-    # the slim-pair chain, decomposed at its internal barriers (production
-    # runs slim_pairs_from_buckets + dedupe_slim_pairs; sub-steps inlined
-    # here so each barrier's scaling is visible)
+    # the slim-pair chain at its barriers (production runs
+    # slim_pairs_from_buckets + dedupe_slim_pairs)
     b2 = stage("ensure_blocks", lambda: ensure_blocks(
         buckets, cfg.num_partitions).materialize())
-    idx_ref = stage(
-        "multi_bucket_index", lambda: lsh.multi_bucket_index(b2, cfg))
-    tagged = stage("tag", lambda: b2.map_batches(
-        lsh._KeyTaggerIdx(idx_ref, cfg.bucket_cap, cfg.gram_sample_drop_df),
-        batch_format="pyarrow").materialize())
-    n_parts = max(cfg.num_partitions * 4, 8)
-
-    def add_part(tb: pa.Table) -> pa.Table:
-        comp = H.hash_u64_pair(tb["band"].to_numpy().view(np.uint64),
-                               tb["bucket"].to_numpy().view(np.uint64))
-        return tb.append_column(
-            "part", pa.array((comp % np.uint64(n_parts)).astype(np.int64)))
-
-    pairs = stage("pair_exchange", lambda: tagged
-                  .map_batches(add_part, batch_format="pyarrow")
-                  .groupby("part").map_groups(
-                      lambda tb: lsh._pair_tagged_table_slim(tb, cfg),
-                      batch_format="pyarrow").materialize())
+    pairs = stage("pair_exchange",
+                  lambda: lsh.slim_pairs_from_buckets(b2, cfg))
     ve = stage("dedupe_resolve_verify", lambda: verify.
                resolve_and_verify_pairs(
                    lsh.dedupe_slim_pairs(pairs, cfg), deferred.get(), cfg,

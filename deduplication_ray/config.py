@@ -163,11 +163,6 @@ class DedupConfig:
     broadcast_limit: int = 1_000_000  # lookup rows <= this -> broadcast join
                                       # (ray.put + per-batch merge); above ->
                                       # join.shuffle_join (sort shuffle)
-    local_pairs_limit: int = 200_000  # tagged multi-bucket rows (metadata
-                                        # count of the materialized tagged
-                                        # stream) <= this -> single-pass
-                                        # local pairing; above -> the same
-                                        # kernel sharded by bucket hash
     local_uf_limit: int = 2_000_000   # verified edges <= this -> one-pass
                                         # local union-find; above -> the
                                         # distributed hash-min rounds

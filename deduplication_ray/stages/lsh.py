@@ -6,30 +6,26 @@ distributed replacement for the reference's single mutable dictionary probe
 meet in a bucket instead of scanning a shared index.
 
 Skew story (T8): one stock phrase shared by a large row population drives one
-bucket super-linear. Defusal is two-phase:
-
-1. ``multi_bucket_index``: count rows per (band, bucket) — per-block partial
-   counts merged by a hash-partitioned reduce. Only multi-member buckets
-   survive, as sorted per-partition blocks that stay in the object store;
-   the driver keeps the non-empty ones by block metadata alone.
-2. ``_KeyTaggerIdx`` probes that index per batch: rows of singleton buckets
-   are DROPPED, and rows of hot buckets (count > ``cfg.bucket_cap``) get
-   ``salt = hash(image_id) % ceil(count / cap)``. Per salted sub-bucket the
-   min-id row is linked star-wise, and the sub-bucket minima are all-paired
-   per (band, bucket), which re-connects the salts. Connectivity of a
-   true-duplicate bucket is preserved; no task ever all-pairs a hot bucket.
+bucket super-linear. Pairing is ONE shuffle keyed on the (band, bucket)
+hash, so each partition holds every row of its buckets and learns their
+sizes itself, as the reference does from its one dictionary probe.
+Per partition, ``_tag_buckets`` counts each bucket (``np.unique``): rows of
+singleton buckets are DROPPED, and rows of hot buckets (count >
+``cfg.bucket_cap``) get ``salt = hash(image_id) % ceil(count / cap)``. Per
+salted sub-bucket the min-id row is linked star-wise, and the sub-bucket
+minima are all-paired per (band, bucket), which re-connects the salts.
+Connectivity of a true-duplicate bucket is preserved; no task ever
+all-pairs a hot bucket.
 
 Pair emission (T9): ``slim_pairs_from_buckets`` is the one way any engine
-turns bucket rows into pairs. ``_pair_tagged_table_slim`` all-pairs cold
-buckets and stars + ambassadors hot ones, emitting pairs as 64-bit id
-hashes; a tagged stream of at most ``cfg.local_pairs_limit`` rows (its
-block-metadata count) runs it once on the driver, a larger one runs it
-sharded by bucket hash. The star anchor is the min id hash
-(deterministic; parallel-safe analog of first-occurrence ids,
-``compressor.c:109-113``). Exact identity
-rides the same stream (``BAND_EXACT``: bucket = content key). Pairs are
-deduped once (``dedupe_slim_pairs``) and resolved back to ids against the
-signature table once (``verify.resolve_and_verify_pairs``).
+turns bucket rows into pairs. In the same partition,
+``_pair_tagged_table_slim`` all-pairs cold buckets and stars + ambassadors
+hot ones, emitting pairs as 64-bit id hashes. The star anchor is the min
+id hash (deterministic; parallel-safe analog of first-occurrence ids,
+``compressor.c:109-113``). Exact identity rides the same stream
+(``BAND_EXACT``: bucket = content key). Pairs are deduped once
+(``dedupe_slim_pairs``) and resolved back to ids against the signature
+table once (``verify.resolve_and_verify_pairs``).
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-import ray
 import ray.data
 
 from deduplication_ray.config import DedupConfig
@@ -94,8 +89,8 @@ class ExplodeBands:
     Emits every candidate family in one pass over the signature table:
     MinHash LSH bands (caption near-dup), pHash multi-index bands and SimHash
     multi-index bands (pixel near-dup) when those columns are present.
-    salt starts at 0; hot-bucket salting is a separate tagging pass
-    (``_KeyTaggerIdx``) so signatures are read once.
+    salt starts at 0; hot buckets are salted after the bucket-key shuffle
+    (``_tag_buckets``), where each bucket's size is known.
     """
 
     def __init__(self, cfg: DedupConfig,
@@ -194,152 +189,6 @@ def _pixel_pair_keep(band: np.ndarray, ph_a, ph_b, sh_a, sh_b, cfg: DedupConfig)
     return keep
 
 
-def multi_bucket_index(buckets: ray.data.Dataset, cfg: DedupConfig):
-    """DISTRIBUTED multi-bucket index: the (composite key, count) table of
-    multi-member buckets stays in the object store as hash-partitioned,
-    per-partition-SORTED blocks; the driver reads only the block metadata
-    (row counts) to drop empty blocks, so no O(|multi buckets|)
-    driver-serial collect + argsort + re-put (240MB / ~2s at 600k rows)
-    grows with the corpus, and no helper task runs per block.
-    Partial counts are per block (``np.unique`` inside map_batches — each
-    distinct key crosses the wire once per block, pre-counted) and merged
-    by ``hash_grouped_reduce`` (sort + reduceat once per partition; Ray's
-    own aggregate costs ~10us per distinct group). Returns the ray handle
-    for _KeyTaggerIdx, or None when there are no multi buckets (every
-    index row has ``n >= 2``, so a block with rows holds multi buckets)."""
-    from deduplication_ray.stages.groupred import hash_grouped_reduce
-
-    n_parts = 2 * cfg.num_partitions
-
-    def partial(t: pa.Table) -> pa.Table:
-        comp = H.hash_u64_pair(
-            t["band"].to_numpy().view(np.uint64),
-            t["bucket"].to_numpy().view(np.uint64))
-        uniq, cnt = np.unique(comp, return_counts=True)
-        return pa.table({
-            "comp": pa.array(H.bitcast_u64_to_i64(uniq), pa.int64()),
-            "n": pa.array(cnt.astype(np.int64)),
-        })
-
-    def merge(t: pa.Table) -> pa.Table:
-        comp = t["comp"].to_numpy().view(np.uint64)
-        ns = t["n"].to_numpy()
-        order = np.argsort(comp, kind="stable")
-        comp, ns = comp[order], ns[order]
-        starts = np.nonzero(np.concatenate([[True], comp[1:] != comp[:-1]]))[0]
-        totals = np.add.reduceat(ns, starts)
-        keep = totals >= 2
-        ck = comp[starts][keep]
-        # the part id travels as a COLUMN: map_groups may pack several
-        # groups' outputs into one block, so block-level part attribution
-        # is not possible — the tagger splits blocks by this column
-        return pa.table({
-            "comp": pa.array(H.bitcast_u64_to_i64(ck), pa.int64()),
-            "n": pa.array(totals[keep].astype(np.int64)),
-            "part": pa.array((ck % np.uint64(n_parts)).astype(np.int64)),
-        })
-
-    partials = buckets.map_batches(partial, batch_format="pyarrow",
-                                   batch_size=None, zero_copy_batch=True)
-    multi = hash_grouped_reduce(
-        partials, lambda t: t["comp"].to_numpy().view(np.uint64), merge,
-        n_parts).materialize()
-    keep = [ref for bundle in multi.iter_internal_ref_bundles()
-            for ref, meta in bundle.blocks if meta.num_rows]
-    return ray.put((keep, n_parts)) if keep else None
-
-
-class _KeyTaggerIdx:
-    """Vectorized (band, bucket) membership + salt assignment against the
-    DISTRIBUTED multi-bucket index: per task, ray.get the index blocks
-    (plasma-local, zero-copy) and probe each batch partition-wise — comp %%
-    n_parts routes to that partition's sorted key array. Rows in no multi
-    bucket are DROPPED; rows in hot buckets (count > cap) get salt =
-    hash(image_id) %% ceil(count/cap); cold multi rows get salt = -1.
-    Gram-sample rows (BAND_GRAM_SAMPLE) in buckets above ``gram_drop_df``
-    members are dropped outright — stopword shingles carry no containment
-    signal and star-linking them would emit bucket-size spurious
-    candidates."""
-
-    def __init__(self, ref, cap: int, gram_drop_df: int):
-        self._ref = ref
-        self._cap = cap
-        self._gram_drop_df = gram_drop_df
-        self.keys = None
-
-    def _ensure(self):
-        if self.keys is not None:
-            return
-        refs, n_parts = ray.get(self._ref)
-        blocks = ray.get(list(refs))
-        segs: list[list] = [[] for _ in range(n_parts)]
-        cnt_segs: list[list] = [[] for _ in range(n_parts)]
-        for b in blocks:
-            if b.num_rows == 0:
-                continue
-            k = b["comp"].to_numpy().view(np.uint64)
-            n = b["n"].to_numpy()
-            p = b["part"].to_numpy()
-            # one block may pack SEVERAL groups' (contiguous, sorted)
-            # outputs — split on the part column's run boundaries
-            bounds = np.concatenate(
-                [[0], np.flatnonzero(p[1:] != p[:-1]) + 1, [len(p)]])
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                segs[p[lo]].append(k[lo:hi])
-                cnt_segs[p[lo]].append(n[lo:hi])
-        keys: list = [None] * n_parts
-        counts: list = [None] * n_parts
-        for p in range(n_parts):
-            if not segs[p]:
-                continue
-            k = np.concatenate(segs[p])
-            n = np.concatenate(cnt_segs[p])
-            if len(segs[p]) > 1 and np.any(k[1:] < k[:-1]):
-                order = np.argsort(k, kind="stable")
-                k, n = k[order], n[order]
-            keys[p], counts[p] = k, n
-        self.keys = keys
-        self.counts = counts
-        self.n_parts = np.uint64(n_parts)
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        self._ensure()
-        nrows = t.num_rows
-        if nrows == 0:
-            return t.slice(0, 0)
-        band = t["band"].to_numpy()
-        bucket = t["bucket"].to_numpy()
-        comp = H.hash_u64_pair(band.view(np.uint64), bucket.view(np.uint64))
-        part = (comp % self.n_parts).astype(np.int64)
-        keep = np.zeros(nrows, dtype=bool)
-        cnt = np.zeros(nrows, dtype=np.int64)
-        for p in np.unique(part):
-            ks = self.keys[p]
-            if ks is None or len(ks) == 0:
-                continue
-            m = part == p
-            pos = np.minimum(np.searchsorted(ks, comp[m]), len(ks) - 1)
-            found = ks[pos] == comp[m]
-            keep[m] = found
-            c = np.zeros(found.shape, np.int64)
-            c[found] = self.counts[p][pos[found]]
-            cnt[m] = c
-        keep &= ~((band == BAND_GRAM_SAMPLE) & (cnt > self._gram_drop_df))
-        if not np.any(keep):
-            return t.slice(0, 0)
-        t = t.filter(pa.array(keep))
-        cnt = cnt[keep]
-        n_salts = np.where(cnt > self._cap, -(-cnt // self._cap), 0)
-        salt = np.full(t.num_rows, -1, dtype=np.int64)
-        hot = n_salts > 0
-        if hot.any():
-            idh = H.hash_bytes_array(
-                t["image_id"].combine_chunks().filter(pa.array(hot)))
-            salt[hot] = (idh % n_salts[hot].astype(np.uint64)).astype(np.int64)
-        return t.set_column(
-            t.column_names.index("salt"), "salt", pa.array(salt, pa.int64()))
-
-
 def id_hash_rows(t: pa.Table, cols: tuple[str, ...] = ()) -> pa.Table:
     """``cols`` of ``t`` + its ``image_id`` (as string) + the 64-bit id
     hash ``idh`` that the pair kernel identifies rows by."""
@@ -396,8 +245,50 @@ def raise_on_id_collision(sorted_ids, same: np.ndarray) -> None:
             f"{hi[i].as_py()!r} share one hash")
 
 
+def _pair_rows(t: pa.Table) -> pa.Table:
+    """Bucket rows -> the columns the pairing kernel reads: the bucket key
+    ``comp``, ``band``, the id hash ``idh`` and the pixel hashes, if any.
+    Projected before the bucket-key shuffle, so the shuffle moves no id
+    strings (measured 7-8 s instead of 12 s, and no spill, at 40k docs on 4
+    CPUs) and every key and id is hashed once."""
+    import pyarrow.compute as pc
+
+    # an id sits on many bucket rows: hash each distinct id once
+    ids = pc.dictionary_encode(t["image_id"].combine_chunks())
+    idh = H.hash_bytes_array(ids.dictionary)[ids.indices.to_numpy()]
+    return pa.table({
+        "comp": pa.array(H.bitcast_u64_to_i64(bucket_key(t)), pa.int64()),
+        "band": t["band"],
+        "idh": pa.array(H.bitcast_u64_to_i64(idh), pa.int64()),
+        **{c: t[c] for c in ("ph", "sh") if c in t.column_names}})
+
+
+def _tag_buckets(t: pa.Table, cfg: DedupConfig) -> pa.Table:
+    """Size and salt the buckets of ``_pair_rows`` that hold EVERY row of
+    each of their (band, bucket)s — one partition of the bucket-key
+    shuffle, or a whole stream. Rows of singleton buckets are DROPPED; the
+    rest get a ``salt`` column: hash(image_id) % ceil(count/cap) in hot
+    buckets (count > cap), -1 elsewhere. Gram-sample rows
+    (BAND_GRAM_SAMPLE) in buckets above ``cfg.gram_sample_drop_df`` members
+    are dropped outright — stopword shingles carry no containment signal
+    and star-linking them would emit bucket-size spurious candidates."""
+    _, inv, cnt = np.unique(t["comp"].to_numpy(), return_inverse=True,
+                            return_counts=True)
+    cnt = cnt[inv.ravel()]
+    band = t["band"].to_numpy()
+    keep = (cnt >= 2) & ~((band == BAND_GRAM_SAMPLE)
+                          & (cnt > cfg.gram_sample_drop_df))
+    t, cnt = t.filter(pa.array(keep)), cnt[keep]
+    idh = t["idh"].to_numpy().view(np.uint64)
+    salt = np.full(t.num_rows, -1, dtype=np.int64)
+    hot = cnt > cfg.bucket_cap
+    n_salts = -(-cnt[hot] // cfg.bucket_cap)
+    salt[hot] = (idh[hot] % n_salts.astype(np.uint64)).astype(np.int64)
+    return t.append_column("salt", pa.array(salt, pa.int64()))
+
+
 def _pair_tagged_table_slim(tbl: pa.Table, cfg: DedupConfig) -> pa.Table:
-    """The pairing kernel over tagged multi-bucket rows: cold-bucket
+    """The pairing kernel over ``_tag_buckets``' rows: cold-bucket
     all-pairs (with emission-time pixel Hamming filtering), hot sub-bucket
     stars + ambassador all-pairs re-linking the salt shards. Pure numpy;
     pair INDEX arrays are generated per bucket-size class and filtered at
@@ -422,11 +313,9 @@ def _pair_tagged_table_slim(tbl: pa.Table, cfg: DedupConfig) -> pa.Table:
     if tbl.num_rows == 0:
         return empty
     band = tbl["band"].to_numpy()
-    bucket = tbl["bucket"].to_numpy()
     salt = tbl["salt"].to_numpy()
-    idh = H.hash_bytes_array(
-        tbl["image_id"].combine_chunks()
-        if isinstance(tbl["image_id"], pa.ChunkedArray) else tbl["image_id"])
+    comp = tbl["comp"].to_numpy().view(np.uint64)
+    idh = tbl["idh"].to_numpy().view(np.uint64)
     has_px = "ph" in tbl.column_names
     ph = tbl["ph"].to_numpy() if has_px else np.zeros(len(band), np.int64)
     sh = tbl["sh"].to_numpy() if has_px else np.zeros(len(band), np.int64)
@@ -469,7 +358,6 @@ def _pair_tagged_table_slim(tbl: pa.Table, cfg: DedupConfig) -> pa.Table:
             out_b.append(np.maximum(ha, hb))
             out_band.append(band[ra][keep])
 
-    comp = H.hash_u64_pair(band.view(np.uint64), bucket.view(np.uint64))
     with np.errstate(over="ignore"):
         comp_salt = H.hash_u64_pair(comp, salt.view(np.uint64))
 
@@ -533,54 +421,32 @@ def bucket_key(t: pa.Table) -> np.ndarray:
 def slim_pairs_from_buckets(
     buckets: ray.data.Dataset, cfg: DedupConfig
 ) -> ray.data.Dataset:
-    """The one pairing stage: stats -> tag -> SLIM pairing kernel, pairs
-    exchanged as materialized (ah, bh, prio, sc) id-hash rows. Callers
-    follow with ``dedupe_slim_pairs`` + ``verify.resolve_and_verify_pairs``.
-    An id may repeat across bucket rows (video frames do); it never pairs
-    with itself.
-
-    Size dispatch: a small tagged set (dup candidates only) pairs faster in
-    one driver-local numpy pass than through distributed barriers; above
-    ``cfg.local_pairs_limit`` the SAME kernel runs sharded by bucket hash.
-    The tagged stream is materialized once and the dispatch reads its row
-    count from the block metadata, so no extra execution."""
+    """The one pairing stage: ONE shuffle on the bucket key, then per
+    partition ``_tag_buckets`` -> SLIM pairing kernel, pairs exchanged as
+    materialized (ah, bh, prio, sc) id-hash rows. Callers follow with
+    ``dedupe_slim_pairs`` + ``verify.resolve_and_verify_pairs``. An id may
+    repeat across bucket rows (video frames do); it never pairs with
+    itself. Every bucket (and so its salted sub-buckets + ambassadors)
+    lands wholly in one partition, so the partition's own counts are the
+    bucket sizes: no counting pass runs before the shuffle."""
+    from deduplication_ray.stages.groupred import hash_grouped_reduce
     from deduplication_ray.stages.tuning import apply_context_tuning, ensure_blocks
 
-    def empty() -> ray.data.Dataset:
-        return ray.data.from_arrow(_pair_tagged_table_slim(
-            pa.table({"band": pa.array([], pa.int64())}), cfg))
+    def pair_partition(t: pa.Table) -> pa.Table:
+        return _pair_tagged_table_slim(_tag_buckets(t, cfg), cfg)
 
     apply_context_tuning()
-    buckets = ensure_blocks(buckets, cfg.num_partitions).materialize()
-    idx_ref = multi_bucket_index(buckets, cfg)
-    if idx_ref is None:
-        return empty()
-    # Materialized before either tier: the row count for the dispatch is
-    # block metadata, and letting the tagging map fuse into the sort-based
-    # groupby re-plans it INTO the exchange, which under backpressure
-    # measured +22s on the 8-CPU leg and +3s at 32 CPUs (600k rows).
-    tagged = buckets.map_batches(
-        _KeyTaggerIdx(idx_ref, cfg.bucket_cap, cfg.gram_sample_drop_df),
-        batch_format="pyarrow",
-    ).materialize()
-    if tagged.count() <= cfg.local_pairs_limit:
-        tbls = [t for t in tagged.iter_batches(batch_size=None,
-                                               batch_format="pyarrow")
-                if t.num_rows]
-        if not tbls:
-            return empty()
-        return ray.data.from_arrow(_pair_tagged_table_slim(
-            pa.concat_tables(tbls, promote_options="default"), cfg))
-    from deduplication_ray.stages.groupred import hash_grouped_reduce
-
-    n_parts = max(cfg.num_partitions * 4, 8)
-    # every bucket (and its salted sub-buckets + ambassadors) lands wholly
-    # in one partition; materialized because every caller feeds the pairs
-    # into a second hash-grouped shuffle (the pair dedupe), and chaining the
-    # two lazily measured ~13 s of pure overhead at 60k docs
+    # the bucket stream is read once, so it streams into the projection
+    # (held through the shuffle, it made a 4-CPU session's 400 MB object
+    # store spill on 1,500 docs); the pairs are materialized because every
+    # caller feeds them into a second hash-grouped shuffle (the pair
+    # dedupe), and chaining the two lazily measured ~13 s of pure overhead
+    # at 60k docs
     return hash_grouped_reduce(
-        tagged, bucket_key, lambda t: _pair_tagged_table_slim(t, cfg),
-        n_parts).materialize()
+        ensure_blocks(buckets, cfg.num_partitions).map_batches(
+            _pair_rows, batch_format="pyarrow", batch_size=None),
+        lambda t: t["comp"].to_numpy().view(np.uint64), pair_partition,
+        max(cfg.num_partitions * 4, 8)).materialize()
 
 
 def dedupe_slim_pairs(pairs: ray.data.Dataset, cfg: DedupConfig) -> ray.data.Dataset:

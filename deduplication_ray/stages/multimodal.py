@@ -1,13 +1,13 @@
-"""Multimodal column stages: opaque binary payloads + typed metadata.
+"""Multimodal signature stages: opaque binary payloads + typed metadata.
 
-The engine treats image/audio/video as ``binary`` columns with metadata
-columns (fmt, w, h / sample_rate / fps), processed by task-mode
-``map_batches`` stages. Self-contained decoders are REAL: raw / png / qrgb
-/ baseline-sequential jpg images (functions/codecs.py, functions/jpeg.py)
-and RIFF/WAVE integer- and IEEE-float-PCM audio (``decode_wav`` below, pure
-numpy+struct). Only codecs that genuinely require absent libraries
-(progressive JPEG, MP3/AAC, H.264) are stubbed behind an import-try +
-``NotImplementedError`` — clearly marked stub boundaries.
+The video and audio engines treat a clip as one ``binary`` column value
+and turn it into one signature row per clip in a task-mode
+``map_batches`` stage (``VideoSignatures``, ``AudioSignatures``). Their
+decoders are REAL: VSQ1 video containers (functions/codecs.py) and
+RIFF/WAVE integer- and IEEE-float-PCM audio (``decode_wav`` below, pure
+numpy+struct). Only containers that genuinely require absent libraries
+(MP4/H.264, MP3/AAC inside WAV) raise ``NotImplementedError`` — clearly
+marked stub boundaries.
 """
 
 from __future__ import annotations
@@ -18,61 +18,6 @@ import pyarrow as pa
 from deduplication_ray.config import DedupConfig
 from deduplication_ray.functions import codecs as C
 from deduplication_ray.functions import hashing as H
-
-try:  # real JPEG/general decode only if Pillow happens to exist (it doesn't here)
-    from PIL import Image as _PIL_Image  # noqa: F401
-
-    HAVE_PIL = True
-except ImportError:
-    HAVE_PIL = False
-
-
-class DecodeImages:
-    """binary+fmt -> decoded thumbnail features (grayscale SxS as binary).
-
-    Real for raw/png/qrgb/jpg (baseline sequential); progressive JPEG and
-    other library-bound formats raise NotImplementedError unless Pillow is
-    importable (stub boundary, clearly marked).
-    """
-
-    def __init__(self, cfg: DedupConfig | None = None, thumb: int = 32):
-        self.cfg = cfg or DedupConfig()
-        self.thumb = thumb
-
-    def decode_one(self, data: bytes, fmt: str, w: int, h: int) -> np.ndarray:
-        if fmt in ("raw", "png", "qrgb", "jpg"):  # jpg: pure-numpy baseline
-            return C.decode_image(data, fmt, w, h)  # decoder, functions/jpeg.py
-        if HAVE_PIL:
-            import io
-
-            return np.asarray(_PIL_Image.open(io.BytesIO(data)).convert("RGB"))
-        raise NotImplementedError(
-            f"decoder for fmt={fmt!r} requires an image library not present "
-            "in this environment (stubbed; raw/png/qrgb are self-contained)"
-        )
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        fmts = t["fmt"].to_pylist()
-        ws, hs = t["w"].to_numpy(), t["h"].to_numpy()
-        payload = t["bytes"].combine_chunks() if isinstance(t["bytes"], pa.ChunkedArray) else t["bytes"]
-        # zero-copy slices into the Arrow value buffer (as_py() copied every
-        # payload); decode itself is inherently per-row
-        pbuf, poffs = H._arrow_flat_buffer(payload)
-        out = np.empty((n, self.thumb * self.thumb), dtype=np.uint8)
-        for i in range(n):
-            img = self.decode_one(pbuf[poffs[i]:poffs[i + 1]],
-                                  fmts[i], int(ws[i]), int(hs[i]))
-            g = C.resize_area(C.to_grayscale(img), self.thumb)
-            out[i] = np.clip(g, 0, 255).astype(np.uint8).ravel()
-        blob = pa.BinaryArray.from_buffers(
-            pa.binary(), n,
-            [None,
-             pa.array(np.arange(n + 1, dtype=np.int32) * (self.thumb ** 2)).buffers()[1],
-             pa.py_buffer(out.tobytes())],
-        )
-        return pa.table({"image_id": t["image_id"], "thumb": blob,
-                         "thumb_size": pa.array(np.full(n, self.thumb, np.int32))})
 
 
 def decode_wav(data: bytes) -> tuple[np.ndarray, int]:
@@ -127,114 +72,6 @@ def decode_wav(data: bytes) -> tuple[np.ndarray, int]:
     if channels and channels > 1:
         x = x[: len(x) // channels * channels].reshape(-1, channels).mean(axis=1)
     return x, int(rate)
-
-
-class AudioFrameFeatures:
-    """Audio stage: WAV binary column -> per-window spectral features.
-
-    The WAV/PCM decode is REAL (``decode_wav``); per window of ``window``
-    samples it emits RMS, zero-crossing rate, and spectral centroid (Hz,
-    via one batched rfft per file). Payloads that are not RIFF/WAVE fall
-    back to raw little-endian int16 PCM at ``fallback_rate`` — the
-    documented contract for headerless streams. Per-file work (header parse
-    + rfft) is inherent; the per-window math is vectorized."""
-
-    def __init__(self, window: int = 1024, fallback_rate: int = 16000):
-        self.window = window
-        self.fallback_rate = fallback_rate
-        # Hann window (built once per stage): without it, spectral leakage
-        # from the rectangular window drags a pure tone's centroid far off
-        # its frequency
-        self.hann = np.hanning(window)
-
-    def _decode(self, data: bytes) -> tuple[np.ndarray, int]:
-        if data[:4] == b"RIFF":
-            return decode_wav(data)
-        usable = (len(data) // 2) * 2
-        return (np.frombuffer(data[:usable], dtype="<i2").astype(np.float32)
-                / 32768.0, self.fallback_rate)
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        payload = t["bytes"].combine_chunks() if isinstance(t["bytes"], pa.ChunkedArray) else t["bytes"]
-        ids, widx, rms_all, zcr_all, cent_all, rates = [], [], [], [], [], []
-        for i in range(t.num_rows):
-            pcm, rate = self._decode(payload[i].as_py())
-            nw = len(pcm) // self.window
-            if nw == 0:
-                continue
-            w = pcm[: nw * self.window].reshape(nw, self.window).astype(np.float64)
-            rms = np.sqrt((w ** 2).mean(axis=1))
-            zcr = (np.diff(np.signbit(w), axis=1) != 0).mean(axis=1)
-            spec = np.abs(np.fft.rfft(w * self.hann, axis=1))
-            freqs = np.fft.rfftfreq(self.window, d=1.0 / rate)
-            cent = (spec * freqs).sum(axis=1) / np.maximum(spec.sum(axis=1), 1e-12)
-            ids.append(np.repeat(t["audio_id"][i].as_py(), nw))
-            widx.append(np.arange(nw, dtype=np.int64))
-            rms_all.append(rms)
-            zcr_all.append(zcr)
-            cent_all.append(cent)
-            rates.append(np.full(nw, rate, dtype=np.int64))
-        if not ids:
-            return pa.table({"audio_id": pa.array([], pa.string()),
-                             "window": pa.array([], pa.int64()),
-                             "rms": pa.array([], pa.float64()),
-                             "zcr": pa.array([], pa.float64()),
-                             "centroid_hz": pa.array([], pa.float64()),
-                             "sample_rate": pa.array([], pa.int64())})
-        return pa.table({
-            "audio_id": pa.array(np.concatenate(ids), pa.string()),
-            "window": pa.array(np.concatenate(widx)),
-            "rms": pa.array(np.concatenate(rms_all)),
-            "zcr": pa.array(np.concatenate(zcr_all)),
-            "centroid_hz": pa.array(np.concatenate(cent_all)),
-            "sample_rate": pa.array(np.concatenate(rates)),
-        })
-
-
-class VideoFrameSample:
-    """Video stage: VSQ1 binary column -> sampled decoded frames + features.
-
-    The VSQ1 container decode is REAL (``codecs.encode_vseq`` /
-    ``decode_vseq_frames`` — raw/png/qrgb frames, pure numpy+zlib): every
-    k-th frame is decoded to pixels (skipped frames are seeked over via
-    per-frame length headers, so cost ∝ sampled frames) and emits a 64-bit
-    pHash + mean luma per sampled frame — the inputs a video near-dup pass
-    buckets on. External containers (MP4/H.264) would need ffmpeg/PyAV
-    (absent): non-VSQ1 payloads raise NotImplementedError — that is the
-    single remaining stub boundary, clearly marked.
-    """
-
-    def __init__(self, every_k: int = 30):
-        self.k = every_k
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        payload = t["bytes"].combine_chunks() if isinstance(t["bytes"], pa.ChunkedArray) else t["bytes"]
-        pbuf, poffs = H._arrow_flat_buffer(payload)
-        vids, fidx, gray = [], [], []
-        for i in range(t.num_rows):
-            data = pbuf[poffs[i]:poffs[i + 1]].tobytes()
-            if data[:4] != C.VSQ1_MAGIC:
-                raise NotImplementedError(
-                    "video decode for non-VSQ1 containers requires "
-                    "ffmpeg/PyAV, not present in this environment")
-            vid = t["video_id"][i].as_py()
-            for f, px in C.decode_vseq_frames(data, self.k):
-                vids.append(vid)
-                fidx.append(f)
-                gray.append(C.resize_area(C.to_grayscale(px), 32))
-        if not vids:
-            return pa.table({"video_id": pa.array([], pa.string()),
-                             "frame": pa.array([], pa.int64()),
-                             "phash": pa.array([], pa.int64()),
-                             "mean_luma": pa.array([], pa.float64())})
-        g = np.stack(gray)
-        ph = C.phash64_batch(g)
-        return pa.table({
-            "video_id": pa.array(vids, pa.string()),
-            "frame": pa.array(fidx, pa.int64()),
-            "phash": pa.array(H.bitcast_u64_to_i64(ph), pa.int64()),
-            "mean_luma": pa.array(g.reshape(len(g), -1).mean(axis=1)),
-        })
 
 
 class VideoSignatures:

@@ -4,52 +4,8 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from deduplication_ray.functions import codecs as C
-from deduplication_ray.stages.multimodal import (
-    AudioFrameFeatures,
-    DecodeImages,
-    VideoFrameSample,
-)
-
-
-def _img_batch():
-    rng = np.random.default_rng(0)
-    imgs = [rng.integers(0, 256, (40, 40, 3), dtype=np.uint8) for _ in range(3)]
-    return pa.table({
-        "image_id": ["a", "b", "c"],
-        "bytes": [C.encode_png(imgs[0]), C.encode_raw(imgs[1]), C.encode_qrgb(imgs[2])],
-        "fmt": ["png", "raw", "qrgb"],
-        "w": pa.array([40, 40, 40], pa.int32()),
-        "h": pa.array([40, 40, 40], pa.int32()),
-    }), imgs
-
-
-def test_decode_images_thumbnails():
-    batch, imgs = _img_batch()
-    out = DecodeImages(thumb=16)(batch)
-    assert out.num_rows == 3
-    t0 = np.frombuffer(out["thumb"][0].as_py(), dtype=np.uint8).reshape(16, 16)
-    expect = np.clip(C.resize_area(C.to_grayscale(imgs[0]), 16), 0, 255).astype(np.uint8)
-    assert (t0 == expect).all()
-
-
-def test_decode_images_stub_raises_for_missing_codec():
-    batch, _ = _img_batch()
-    bad = batch.set_column(batch.column_names.index("fmt"), "fmt",
-                           pa.array(["jpeg", "raw", "raw"]))
-    from deduplication_ray.stages import multimodal
-
-    if not multimodal.HAVE_PIL:
-        with pytest.raises(NotImplementedError, match="jpeg"):
-            DecodeImages()(bad)
-
-
-def test_audio_frame_features_stub():
-    pcm = (np.sin(np.linspace(0, 100, 5000)) * 10000).astype(np.int16).tobytes()
-    t = pa.table({"audio_id": ["x"], "bytes": [pcm]})
-    out = AudioFrameFeatures(window=1024)(t)
-    assert out.num_rows == len(pcm) // 2 // 1024
-    assert (np.array(out["rms"]) > 0).all()
+from deduplication_ray.config import DedupConfig
+from deduplication_ray.stages.multimodal import VideoSignatures
 
 
 def _make_frames(n=10, w=48, h=32, seed=7):
@@ -82,26 +38,28 @@ def test_video_frame_sample_real_decode():
     frames = _make_frames(n=10)
     payload = C.encode_vseq(frames, fps=30, fmt="png")
     t = pa.table({"video_id": ["v"], "bytes": [payload]})
-    out = VideoFrameSample(every_k=3)(t)
-    assert out["frame"].to_pylist() == [0, 3, 6, 9]
+    sig = VideoSignatures(DedupConfig(video_every_k=3))
+    out = sig(t)
+    assert out["n_frames"].to_pylist() == [10]
+    # frames 0, 3, 6, 9 are sampled
+    assert len(out["frame_phashes"][0]) == 4
     # pHash of a sampled frame matches hashing the decoded frame directly
-    import numpy as _np
     ph0 = int(C.phash64(frames[0]))
-    got0 = int(_np.uint64(out["phash"][0].as_py()))
+    got0 = int(np.uint64(out["frame_phashes"][0][0].as_py()))
     assert got0 == ph0
     # identical videos -> identical per-frame hashes; a different video differs
     other = C.encode_vseq(_make_frames(seed=99), fps=30, fmt="png")
     t2 = pa.table({"video_id": ["v", "w"], "bytes": [payload, other]})
-    out2 = VideoFrameSample(every_k=3)(t2)
-    d = {(r["video_id"], r["frame"]): r["phash"] for r in out2.to_pylist()}
-    assert d[("v", 0)] == out["phash"][0].as_py()
-    assert d[("w", 0)] != d[("v", 0)]
+    out2 = sig(t2)
+    d = {r["image_id"]: r["frame_phashes"] for r in out2.to_pylist()}
+    assert d["v"] == out["frame_phashes"][0].as_py()
+    assert d["w"][0] != d["v"][0]
 
 
 def test_video_non_vseq_raises():
     t = pa.table({"video_id": ["v"], "bytes": [b"\x00\x00\x00\x20ftypmp42" * 4]})
     with pytest.raises(NotImplementedError, match="VSQ1"):
-        VideoFrameSample()(t)
+        VideoSignatures()(t)
 
 
 def _make_wav(freq_hz=440.0, rate=16000, seconds=1.0, bits=16, channels=1,
@@ -135,21 +93,6 @@ def test_decode_wav_real_pcm():
         assert len(x) == 16000
         # 0.5-amplitude sine: RMS = 0.5/sqrt(2)
         assert abs(np.sqrt((x.astype(np.float64) ** 2).mean()) - 0.3536) < 0.01
-
-
-def test_audio_features_spectral_centroid_tracks_tone():
-    wav_lo = _make_wav(freq_hz=440.0)
-    wav_hi = _make_wav(freq_hz=3000.0)
-    t = pa.table({"audio_id": ["lo", "hi"], "bytes": [wav_lo, wav_hi]})
-    out = AudioFrameFeatures(window=1024)(t).to_pandas()
-    lo = out[out.audio_id == "lo"]
-    hi = out[out.audio_id == "hi"]
-    # centroid of a pure tone sits at the tone frequency (+- bin width)
-    assert abs(lo.centroid_hz.mean() - 440) < 40
-    assert abs(hi.centroid_hz.mean() - 3000) < 40
-    # ZCR of a sine = 2f/rate
-    assert abs(lo.zcr.mean() - 2 * 440 / 16000) < 0.01
-    assert (lo.sample_rate == 16000).all()
 
 
 def test_audio_wav_compressed_format_raises():

@@ -270,11 +270,14 @@ def test_stale_config_strict_refuses_default_recomputes(tiny_run, tiny_fixture, 
 
 
 def test_partitioned_pairing_matches_local(tiny_run, ray_session):
-    """The distributed (bucket-sharded) pairing kernel must emit exactly the
-    deduped slim pair set of the driver-local kernel on the same
-    signatures — also at a partition count where most multi-bucket index
-    blocks are empty and are dropped by their metadata row count."""
+    """The distributed (bucket-sharded) pairing stage must emit exactly the
+    deduped slim pair set of the driver-local oracle — the tagger and the
+    kernel over the whole concatenated bucket stream — on the same
+    signatures; also at a partition count where most partitions of the
+    bucket shuffle hold no multi-member bucket."""
     import dataclasses
+
+    import pyarrow as pa
 
     from deduplication_ray.sources import storage
     from deduplication_ray.stages import lsh
@@ -282,45 +285,57 @@ def test_partitioned_pairing_matches_local(tiny_run, ray_session):
     run_dir, cfg, _ = tiny_run
     sigs = storage.read_table(f"{run_dir}/signatures")
 
+    def as_set(df):
+        return set(zip(df["ah"].tolist(), df["bh"].tolist(),
+                       df["prio"].tolist()))
+
     def pairs(c, families=("minhash", "phash", "simhash")):
         buckets = sigs.map_batches(lsh.ExplodeBands(c, families),
                                    batch_format="pyarrow",
                                    batch_size=c.text_batch_size)
-        df = lsh.dedupe_slim_pairs(lsh.slim_pairs_from_buckets(buckets, c),
-                                   c).to_pandas()
-        return set(zip(df["ah"], df["bh"], df["prio"]))
+        got = as_set(lsh.dedupe_slim_pairs(
+            lsh.slim_pairs_from_buckets(buckets, c), c).to_pandas())
+        whole = pa.concat_tables(list(buckets.iter_batches(
+            batch_size=None, batch_format="pyarrow")))
+        assert got == as_set(lsh._pair_tagged_table_slim(
+            lsh._tag_buckets(lsh._pair_rows(whole), c), c).to_pandas())
+        return got
 
-    local = pairs(cfg)
-    assert len(local) > 0
-    assert local == pairs(dataclasses.replace(cfg, local_pairs_limit=0))
-    # the exact family has 24 multi-bucket rows on this fixture: over 96
-    # index partitions (48 reducer blocks) 31 of the 48 blocks are empty
+    assert len(pairs(cfg)) > 0
+    # the exact family has 24 multi-bucket rows on this fixture: over the
+    # 192 pair partitions of num_partitions=48 most hold none of them
     exact = pairs(cfg, ("exact",))
     assert len(exact) > 0
-    sparse = dataclasses.replace(cfg, num_partitions=48)
-    assert exact == pairs(sparse, ("exact",))
-    assert exact == pairs(dataclasses.replace(sparse, local_pairs_limit=0),
+    assert exact == pairs(dataclasses.replace(cfg, num_partitions=48),
                           ("exact",))
 
 
 def test_all_singleton_buckets_give_no_index_and_no_pairs(ray_session):
-    """A bucket stream with no bucket holding two rows has no multi-bucket
-    index (every index block is empty) and pairs nothing."""
+    """A bucket stream with no bucket holding two rows pairs nothing, and
+    neither does a bucket stream with no rows at all."""
     import pyarrow as pa
     import ray.data
 
     from deduplication_ray.config import DedupConfig
-    from deduplication_ray.stages import lsh
+    from deduplication_ray.stages import lsh, verify
 
-    n = 64
-    buckets = ray.data.from_arrow(pa.table({
-        "band": pa.array([0] * n, pa.int64()),
-        "bucket": pa.array(range(n), pa.int64()),
-        "salt": pa.array([-1] * n, pa.int64()),
-        "image_id": pa.array([f"id{i}" for i in range(n)], pa.string())}))
+    def stream(n):
+        return ray.data.from_arrow(pa.table({
+            "band": pa.array([0] * n, pa.int64()),
+            "bucket": pa.array(range(n), pa.int64()),
+            "salt": pa.array([-1] * n, pa.int64()),
+            "image_id": pa.array([f"id{i}" for i in range(n)],
+                                 pa.string())}))
+
     cfg = DedupConfig(num_partitions=4)
-    assert lsh.multi_bucket_index(buckets, cfg) is None
-    assert lsh.slim_pairs_from_buckets(buckets, cfg).count() == 0
+    for n in (64, 0):
+        buckets = stream(n)
+        assert lsh.slim_pairs_from_buckets(buckets, cfg).count() == 0
+        sigs = ray.data.from_arrow(pa.table({
+            "image_id": pa.array([f"id{i}" for i in range(n)], pa.string())}))
+        assert verify.pair_and_verify(
+            buckets, verify.signature_index(sigs, cfg), cfg,
+            accept=verify.keep_all).count() == 0
 
 
 def test_image_join_tier_matches_broadcast(tiny_fixture, ray_session,
@@ -376,9 +391,6 @@ def test_id_hash_collision_fails_loudly(ray_session, monkeypatch):
         return t.select(list(cols)).append_column("image_id", ids) \
             .append_column("idh", pa.array(weak_hash(ids).view(np.int64)))
 
-    monkeypatch.setattr(H, "hash_bytes_array", weak_hash)
-    monkeypatch.setattr(join, "_block_key_hashes", WeakBlockHashes)
-    monkeypatch.setattr(lsh, "id_hash_rows", weak_id_hash_rows)
     cfg = DedupConfig(num_partitions=2)
 
     def buckets(ids):
@@ -391,13 +403,25 @@ def test_id_hash_collision_fails_loudly(ray_session, monkeypatch):
             "ph": pa.array([0] * n, pa.int64()),
             "sh": pa.array([0] * n, pa.int64())}))
 
+    # the pair kernel runs in worker tasks, where only the real hash applies
     p = lsh.slim_pairs_from_buckets(buckets(["v1", "v1", "v2"]),
                                     cfg).to_pandas()
-    h1, h2 = (int(x) for x in weak_hash(pa.array(["v1", "v2"])))
-    assert set(zip(p["ah"], p["bh"])) == {(min(h1, h2), max(h1, h2))}
+    h1, h2 = (int(x) for x in H.bitcast_u64_to_i64(
+        np.sort(H.hash_bytes_array(pa.array(["v1", "v2"])))))
+    assert set(zip(p["ah"], p["bh"])) == {(h1, h2)}
 
+    monkeypatch.setattr(H, "hash_bytes_array", weak_hash)
+    monkeypatch.setattr(join, "_block_key_hashes", WeakBlockHashes)
+    monkeypatch.setattr(lsh, "id_hash_rows", weak_id_hash_rows)
     ids = ["ab", "ba", "zz"]
-    pairs = lsh.slim_pairs_from_buckets(buckets(ids), cfg)
+    # the slim pair the kernel emits under the weak hash: "ab" and "ba"
+    # share one hash, so only the (ab|ba, zz) pair remains
+    hab, hzz = (int(x) for x in weak_hash(pa.array(["ab", "zz"])))
+    pairs = ray.data.from_arrow(pa.table({
+        "ah": pa.array([min(hab, hzz)], pa.int64()),
+        "bh": pa.array([max(hab, hzz)], pa.int64()),
+        "prio": pa.array([lsh.KIND_PRIORITY.index("minhash")], pa.int8()),
+        "sc": pa.array([0], pa.int8())}))
     sigs = ray.data.from_arrow(pa.table({"image_id": pa.array(ids)}))
     with pytest.raises(RuntimeError, match="collision"):
         verify.signature_index(sigs, cfg)
@@ -513,19 +537,17 @@ def test_salting_path_on_oversized_bucket(ray_session):
     })
     ds = ray.data.from_pandas(rows).repartition(4)
 
-    # (a) the pipeline's tagger (multi-bucket index + _KeyTaggerIdx) must
-    # salt the duplicated caption's buckets across >= n_hot / cap salts
+    # (a) the pipeline's per-partition tagger, run over the whole bucket
+    # stream, must salt the duplicated caption's buckets across
+    # >= n_hot / cap salts
+    import pyarrow as pa
+
     sigs = text_signatures(ds, cfg).materialize()
     buckets = sigs.map_batches(lsh.ExplodeBands(cfg),
                                batch_format="pyarrow").materialize()
-    idx_ref = lsh.multi_bucket_index(buckets, cfg)
-    assert idx_ref is not None
-    tagged = buckets.map_batches(
-        lsh._KeyTaggerIdx(idx_ref, cfg.bucket_cap, cfg.gram_sample_drop_df),
-        batch_format="pyarrow")
-    salts = np.concatenate([
-        t["salt"].to_numpy() for t in tagged.iter_batches(
-            batch_format="pyarrow", batch_size=None)])
+    whole = pa.concat_tables(list(buckets.iter_batches(
+        batch_format="pyarrow", batch_size=None)))
+    salts = lsh._tag_buckets(lsh._pair_rows(whole), cfg)["salt"].to_numpy()
     hot = salts[salts >= 0]
     assert len(hot) > 0
     assert len(np.unique(hot)) >= n_hot // cfg.bucket_cap
