@@ -65,7 +65,6 @@ class DedupConfig:
 
     # --- skew defusal (T8) ---
     bucket_cap: int = 64          # max rows per LSH bucket before salting
-    pair_cap: int = 2048          # max emitted pairs per (sub)bucket; above -> anchor star
     gram_sample_drop_df: int = 1024  # gram-sample buckets (BAND_GRAM_SAMPLE:
                                      # containment candidates keyed by a raw
                                      # shingle-gram hash) above this member
@@ -148,9 +147,6 @@ class DedupConfig:
 
     # --- union-find (T12) ---
     max_rounds: int = 12          # hash-min propagation round cap (O(log n) expected)
-
-    # --- lossy-codec invariant ---
-    psnr_min_db: float = 40.0
 
     # --- execution shape ---
     # Every map stage runs as Ray tasks, never as a fixed actor pool: a pool

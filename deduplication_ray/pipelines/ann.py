@@ -436,7 +436,6 @@ def explode_emb_bands(t: pa.Table) -> pa.Table:
     return pa.table({
         "band": band.astype(np.int64),
         "bucket": bucket,
-        "salt": np.zeros(n * 4, dtype=np.int64),
         "image_id": pa.array(np.repeat(t["image_id"].to_pandas().to_numpy(), 4)),
         "ph": np.zeros(n * 4, dtype=np.int64),
         "sh": np.repeat(t["simhash"].to_numpy(), 4),

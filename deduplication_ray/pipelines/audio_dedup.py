@@ -60,7 +60,7 @@ def audio_signatures(ds: ray.data.Dataset, cfg: DedupConfig,
 
 
 class _ExplodeShingles:
-    """signature rows -> (band, bucket, salt, image_id, ph, sh) bucket stream.
+    """signature rows -> (band, bucket, image_id, ph, sh) bucket stream.
 
     One bucket row per shingle of ``audio_shingle`` consecutive window
     sub-fingerprints; band 0 (the pass-through namespace, no emission-time
@@ -94,7 +94,6 @@ class _ExplodeShingles:
         return pa.table({
             "band": np.zeros(n, dtype=np.int64),
             "bucket": pa.array(H.bitcast_u64_to_i64(bucket), pa.int64()),
-            "salt": np.zeros(n, dtype=np.int64),
             "image_id": pa.array(np.repeat(ids_np, counts), pa.string()),
             "ph": np.zeros(n, dtype=np.int64),
             "sh": np.zeros(n, dtype=np.int64),

@@ -17,6 +17,7 @@ from deduplication_ray.config import DedupConfig
 from deduplication_ray.functions import hashing as H
 from deduplication_ray.functions import text as T
 from deduplication_ray.sources import storage
+from deduplication_ray.stages.groupred import hash_grouped_reduce
 
 
 def _docs(sf_dir: str, columns: list[str]) -> ray.data.Dataset:
@@ -205,7 +206,6 @@ def q_doc_simhash_pairs(sf_dir: str, hamming_t: int = 8):
         return pa.table({
             "band": band.astype(np.int64),
             "bucket": bucket,
-            "salt": np.zeros(n * 4, dtype=np.int64),
             "image_id": pa.array(np.repeat(t["image_id"].to_pandas().to_numpy(), 4)),
             "ph": np.zeros(n * 4, dtype=np.int64),
             "sh": np.repeat(t["simhash"].to_numpy(), 4),
@@ -389,7 +389,6 @@ def q_ngram_jaccard_pairs(sf_dir: str, tau: float = 0.6,
                     "band": pa.array(np.full(len(g), lsh.BAND_GRAM_SAMPLE,
                                              np.int64)),
                     "bucket": pa.array(H.bitcast_u64_to_i64(g), pa.int64()),
-                    "salt": pa.array(z),
                     "image_id": pa.array(ids_[d], pa.string()),
                     "ph": pa.array(z),
                     "sh": pa.array(z),
@@ -613,234 +612,44 @@ SELECT query_id, doc_id, jaccard_milli FROM ranked WHERE rn <= {k}
 
 # ------------------------------------ exact set-similarity join (PPJoin-style)
 
-def q_doc_ppjoin_pairs(sf_dir: str, tau_permille: int = 600,
-                       bucket_cap: int = 20_000):
-    """EXACT word-set Jaccard self-join via prefix filtering — the
-    DETERMINISTIC scale path (Vernica, Carey & Li, "Efficient Parallel
-    Set-Similarity Joins Using MapReduce", SIGMOD 2010; public): unlike the
-    MinHash-band candidates of ``q_ngram_jaccard_pairs``, every qualifying
-    pair is found BY CONSTRUCTION, with no sampling miss probability.
-
-    Theory: order all tokens by one global total order (ascending document
-    frequency — rarest first — ties by token hash). If J(A, B) >= tau then
-    A and B must share a token inside each one's PREFIX of length
-    ``n - ceil(tau * n) + 1`` under that order, so grouping prefix tokens
-    finds every qualifying pair; a length filter (min * 1000 >= tau_permille
-    * max) prunes inside each group and exact verification settles the rest.
-
-    Scale shape: token-df pass is vocabulary-bounded (mergeable groupby
-    partials); the rank map broadcasts once via ``ray.put`` (at extreme
-    vocabularies swap in plain hash order — still correct, weaker pruning);
-    the only candidate shuffle carries ~ (1 - tau) of the token stream
-    (rarest-token rows, so buckets are naturally tiny — ``bucket_cap``
-    raises loudly rather than degrade to lossy salting, because this
-    operator's contract is exactness); verification reuses the whole-batch
-    sort-merge gram intersection and the threshold is integer-exact on both
-    engines. Jaccard = exact, thanks to 64-bit token identity (collision
-    odds per pair ~2^-64, same policy as ``hash_bytes_array``)."""
-    from ray.data.aggregate import Count, Sum
-
-    from deduplication_ray.stages.join import lookup_join
-
-    cfg = DedupConfig(num_partitions=8)
-    ds = _docs(sf_dir, ["doc_id", "text"])
-
-    def sig(t: pa.Table) -> pa.Table:
-        flat, offs = _tokens_flat(t["text"])
-        tok = H.hash_bytes_array(flat)
-        n_docs = t.num_rows
-        counts = offs[1:] - offs[:-1]
-        doc_idx = np.repeat(np.arange(n_docs, dtype=np.int64), counts)
-        order = np.lexsort((tok, doc_idx))
-        gs, ds_ = tok[order], doc_idx[order]
-        keep = np.concatenate(
-            [[True], (gs[1:] != gs[:-1]) | (ds_[1:] != ds_[:-1])]) \
-            if len(gs) else np.zeros(0, bool)
-        gu, du = gs[keep], ds_[keep]
-        per_doc = np.bincount(du, minlength=n_docs)
-        boffs = np.concatenate([[0], np.cumsum(per_doc * 8)]).astype(np.int32)
-        blob = pa.BinaryArray.from_buffers(
-            pa.binary(), n_docs,
-            [None, pa.array(boffs).buffers()[1], pa.py_buffer(gu.tobytes())])
-        return pa.table({"doc_id": t["doc_id"],
-                         "toks": blob,
-                         "n": pa.array(per_doc.astype(np.int64))})
-
-    sigs = ds.map_batches(sig, batch_format="pyarrow",
-                          batch_size=cfg.text_batch_size).materialize()
-
-    # global token order: (df asc, token hash asc) -> dense rank, broadcast
-    def df_partial(t: pa.Table) -> pa.Table:
-        flat, lens = _flat_u64(t["toks"])
-        u, c = np.unique(flat, return_counts=True)
-        return pa.table({"tok": pa.array(H.bitcast_u64_to_i64(u)),
-                         "df": pa.array(c.astype(np.int64))})
-
-    vocab = (sigs.map_batches(df_partial, batch_format="pyarrow")
-             .groupby("tok").aggregate(Sum("df", alias_name="df"))
-             .to_pandas())
-    toks = H.bitcast_i64_to_u64(vocab["tok"].to_numpy())
-    dfs = vocab["df"].to_numpy()
-    by_rank = np.lexsort((toks, dfs))
-    rank_of = np.empty(len(toks), np.int64)
-    rank_of[by_rank] = np.arange(len(toks))
-    tok_sorted_order = np.argsort(toks)
-    rank_ref = ray.put((toks[tok_sorted_order], rank_of[tok_sorted_order]))
-
-    class Prefix:
-        def __init__(self):
-            self.tok_sorted = None
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            if self.tok_sorted is None:
-                self.tok_sorted, self.rank = ray.get(rank_ref)
-            flat, lens = _flat_u64(t["toks"])
-            if len(flat) == 0:
-                return pa.table({"bucket": pa.array([], pa.int64()),
-                                 "doc_id": pa.array([], pa.int64()),
-                                 "n": pa.array([], pa.int64())})
-            pos = np.searchsorted(self.tok_sorted, flat)
-            ranks = self.rank[pos]
-            doc = np.repeat(np.arange(t.num_rows, dtype=np.int64), lens)
-            order = np.lexsort((ranks, doc))
-            r_s, d_s = ranks[order], doc[order]
-            # prefix length per doc: n - ceil(tau*n) + 1, integer-exact
-            n = lens.astype(np.int64)
-            p = n - (-(-(tau_permille * n) // 1000)) + 1
-            starts = np.concatenate([[0], np.cumsum(n)])[:-1]
-            within = np.arange(len(r_s), dtype=np.int64) - starts[d_s]
-            m = within < p[d_s]
-            ids = t["doc_id"].to_numpy()
-            return pa.table({
-                "bucket": pa.array(r_s[m]),
-                "doc_id": pa.array(ids[d_s[m]]),
-                "n": pa.array(n[d_s[m]]),
-                "pos": pa.array(within[m])})
-
-    def emit_pairs(g: pa.Table) -> pa.Table:
-        d = g["doc_id"].to_numpy()
-        n = g["n"].to_numpy()
-        pos = g["pos"].to_numpy()
-        k = len(d)
-        if k > bucket_cap:
-            raise ValueError(
-                f"ppjoin prefix bucket of {k} docs exceeds bucket_cap="
-                f"{bucket_cap}; raise tau or the cap (exactness forbids "
-                f"lossy salting here)")
-        if k < 2:
-            return pa.table({"src": pa.array([], pa.int64()),
-                             "dst": pa.array([], pa.int64())})
-        i, j = np.triu_indices(k, 1)
-        a, b = d[i], d[j]
-        keep = (np.minimum(n[i], n[j]) * 1000
-                >= tau_permille * np.maximum(n[i], n[j]))
-        keep &= a != b
-        # positional filter (PPJoin): through a token shared at ordered
-        # positions (pos_i, pos_j), overlap <= min(pos) + 1 + min(tokens
-        # remaining after it on each side); J >= tau needs overlap >=
-        # alpha = ceil(tau/(1+tau) * (n_a+n_b)) — integer-exact. Dropping
-        # an emission is safe: a qualifying pair always passes via SOME
-        # shared prefix token (common-before <= min(pos) keeps the bound
-        # an upper bound for every shared token).
-        nsum = n[i] + n[j]
-        alpha = -(-(tau_permille * nsum) // (1000 + tau_permille))
-        ubound = (np.minimum(pos[i], pos[j]) + 1
-                  + np.minimum(n[i] - pos[i], n[j] - pos[j]) - 1)
-        keep &= ubound >= alpha
-        return pa.table({"src": pa.array(np.minimum(a, b)[keep]),
-                         "dst": pa.array(np.maximum(a, b)[keep])})
-
-    cands = (sigs.map_batches(Prefix(), batch_format="pyarrow")
-             .groupby("bucket").map_groups(emit_pairs,
-                                           batch_format="pyarrow")
-             .groupby(["src", "dst"]).aggregate(Count(alias_name="nb")))
-
-    lean = sigs.select_columns(["doc_id", "toks"])
-    e = lookup_join(cands.drop_columns(["nb"]),
-                    lean.rename_columns({"doc_id": "src", "toks": "t_src"}),
-                    on=["src"], cfg=cfg)
-    e = lookup_join(e, lean.rename_columns({"doc_id": "dst",
-                                            "toks": "t_dst"}),
-                    on=["dst"], cfg=cfg)
-
-    def check(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"src": pa.array([], pa.int64()),
-                             "dst": pa.array([], pa.int64()),
-                             "jaccard_milli": pa.array([], pa.int64())})
-        fa, la = _flat_u64(t["t_src"])
-        fb, lb = _flat_u64(t["t_dst"])
-        npairs = t.num_rows
-        idx = np.arange(npairs, dtype=np.int64)
-        pairs = np.concatenate([np.repeat(idx, la), np.repeat(idx, lb)])
-        grams = np.concatenate([fa, fb])
-        order = np.lexsort((grams, pairs))
-        p_s, g_s = pairs[order], grams[order]
-        dup = (p_s[1:] == p_s[:-1]) & (g_s[1:] == g_s[:-1])
-        inter = np.bincount(p_s[1:][dup], minlength=npairs).astype(np.int64)
-        union = la.astype(np.int64) + lb.astype(np.int64) - inter
-        keep = inter * 1000 >= tau_permille * union
-        t = t.filter(pa.array(keep))
-        return pa.table({
-            "src": t["src"],
-            "dst": t["dst"],
-            "jaccard_milli": pa.array(
-                inter[keep] * 1000 // np.maximum(union[keep], 1)),
-        })
-
-    return e.map_batches(check, batch_format="pyarrow")
-
-
-def doc_ppjoin_pairs_sql(tau_permille: int = 600) -> str:
-    """DuckDB oracle: exact distinct-word-set Jaccard pairs at the same
-    integer threshold, over the same tokenizer as ``_tokens_flat``."""
-    return f"""
-WITH toks AS (
-  SELECT DISTINCT doc_id, tok FROM (
-    SELECT doc_id,
-           unnest(string_split_regex(lower(trim(text)), '\\s+')) AS tok
-    FROM documents)
-), sizes AS (
-  SELECT doc_id, count(*) AS n FROM toks GROUP BY doc_id
-), inter AS (
-  SELECT a.doc_id AS src, b.doc_id AS dst, count(*) AS c
-  FROM toks a JOIN toks b ON a.tok = b.tok AND a.doc_id < b.doc_id
-  GROUP BY 1, 2
-)
-SELECT i.src, i.dst,
-       CAST(i.c * 1000 // (sa.n + sb.n - i.c) AS BIGINT) AS jaccard_milli
-FROM inter i
-JOIN sizes sa ON sa.doc_id = i.src
-JOIN sizes sb ON sb.doc_id = i.dst
-WHERE i.c * 1000 >= {tau_permille} * (sa.n + sb.n - i.c)
-"""
-
-
-def q_doc_weighted_ppjoin_pairs(sf_dir: str, tau_permille: int = 600,
-                                bucket_cap: int = 20_000):
-    """EXACT WEIGHTED-Jaccard self-join via weighted prefix filtering —
-    ``q_doc_ppjoin_pairs`` generalized from sets to multisets:
-    J_w(A, B) = sum(min tf) / sum(max tf) >= tau, deterministic by
-    construction (Bayardo, Ma & Srikant WWW'07 index prefixes for weighted
-    vectors; Xiao et al. PPJoin positional bound, both public).
+def _prefix_filter_join(sf_dir: str, tau_permille: int, bucket_cap: int,
+                        weighted: bool, sim_col: str):
+    """The one prefix-filter self-join kernel behind both PPJoin queries:
+    EXACT weighted Jaccard J_w(A, B) = sum(min tf) / sum(max tf) >= tau
+    over documents as token multisets, or — ``weighted=False`` — plain
+    Jaccard over their DISTINCT token sets, which is the same join with
+    every term frequency set to 1. Deterministic by construction: unlike
+    the MinHash-band candidates of ``q_ngram_jaccard_pairs``, every
+    qualifying pair is found, with no sampling miss probability (Bayardo,
+    Ma & Srikant WWW'07 prefixes; Xiao et al. PPJoin positional bound;
+    Vernica, Carey & Li SIGMOD'10 for the MapReduce shape; all public).
 
     Theory: under one global token order (df asc, hash tiebreak), doc A's
     prefix is its minimal leading distinct tokens whose remaining suffix
-    WEIGHT is < alpha_A = ceil(tau * W_A) (W_A = total token weight): a
-    qualifying pair's FIRST shared token in global order must sit in BOTH
-    prefixes (else overlap <= one suffix's weight < alpha, contradiction),
-    so bucketing prefix tokens finds every qualifying pair. In-bucket
-    prunes, all integer-exact: weight filter min(W)*1000 >= tau*max(W);
-    positional bound min(cumw_before) + min(W - cumw_before) >=
-    alpha_pair = ceil(tau/(1+tau) * (W_A+W_B)) — an upper bound on the
-    true overlap at EVERY shared token, so no qualifying pair is dropped.
+    WEIGHT is < alpha_A = ceil(tau * W_A) (W_A = total token weight; with
+    unit weights the set prefix n - ceil(tau * n) + 1): a qualifying pair's
+    FIRST shared token in global order must sit in BOTH prefixes (else
+    overlap <= one suffix's weight < alpha, contradiction), so bucketing
+    prefix tokens finds every qualifying pair. In-bucket prunes, all
+    integer-exact: weight filter min(W)*1000 >= tau*max(W); positional
+    bound min(cumw_before) + min(W - cumw_before) >= alpha_pair =
+    ceil(tau/(1+tau) * (W_A+W_B)) — an upper bound on the true overlap at
+    EVERY shared token, so no qualifying pair is dropped.
 
-    Scale shape mirrors the unweighted join: vocabulary-bounded df pass,
-    rank map broadcast once, candidate shuffle carries only prefix rows
-    (weight-heavy docs prune MORE aggressively — alpha grows with W),
-    whole-batch sort-merge verification of (token, tf) blobs. bucket_cap
-    raises loudly; exactness forbids lossy salting."""
-    from ray.data.aggregate import Count, Sum
+    Scale shape: the token-df pass is vocabulary-bounded (mergeable groupby
+    partials); the rank map broadcasts once via ``ray.put`` (at extreme
+    vocabularies swap in plain hash order — still correct, weaker
+    pruning); the only candidate shuffle carries prefix rows (rarest
+    tokens first, so buckets are naturally tiny; weight-heavy docs prune
+    MORE — alpha grows with W); ``bucket_cap`` raises loudly rather than
+    degrade to lossy salting, because this operator's contract is
+    exactness; the candidates of all ranks dedupe in one keyed exchange on
+    (src, dst) (a Ray groupby-count there took ~90% of the query at
+    sf0.01); verification is one whole-batch sort-merge over (token, tf)
+    blobs, integer-exact on both engines. Token identity is 64-bit
+    (collision odds per pair ~2^-64, same policy as ``hash_bytes_array``).
+    """
+    from ray.data.aggregate import Sum
 
     from deduplication_ray.stages.join import lookup_join
 
@@ -859,17 +668,18 @@ def q_doc_weighted_ppjoin_pairs(sf_dir: str, tau_permille: int = 600,
             [[True], (gs[1:] != gs[:-1]) | (ds_[1:] != ds_[:-1])]) \
             if len(gs) else np.zeros(0, bool)
         starts = np.flatnonzero(first)
-        tf = np.diff(np.append(starts, len(gs))).astype(np.int64)
+        tf = (np.diff(np.append(starts, len(gs))) if weighted
+              else np.ones(len(starts))).astype(np.int64)
         gu, du = gs[first], ds_[first]
         per_doc = np.bincount(du, minlength=n_docs)
         boffs = np.concatenate([[0], np.cumsum(per_doc * 8)]).astype(np.int32)
+
         def blob(vals: np.ndarray) -> pa.BinaryArray:
             return pa.BinaryArray.from_buffers(
                 pa.binary(), n_docs,
                 [None, pa.array(boffs).buffers()[1],
                  pa.py_buffer(vals.tobytes())])
-        wtot = np.zeros(n_docs, np.int64)
-        np.add.at(wtot, du, tf)
+        wtot = np.bincount(du, weights=tf, minlength=n_docs).astype(np.int64)
         return pa.table({"doc_id": t["doc_id"],
                          "toks": blob(gu),
                          "tfs": blob(tf.astype(np.uint64)),
@@ -878,6 +688,7 @@ def q_doc_weighted_ppjoin_pairs(sf_dir: str, tau_permille: int = 600,
     sigs = ds.map_batches(sig, batch_format="pyarrow",
                           batch_size=cfg.text_batch_size).materialize()
 
+    # global token order: (df asc, token hash asc) -> dense rank, broadcast
     def df_partial(t: pa.Table) -> pa.Table:
         flat, _lens = _flat_u64(t["toks"])
         u, c = np.unique(flat, return_counts=True)
@@ -938,9 +749,9 @@ def q_doc_weighted_ppjoin_pairs(sf_dir: str, tau_permille: int = 600,
         k = len(d)
         if k > bucket_cap:
             raise ValueError(
-                f"weighted ppjoin prefix bucket of {k} docs exceeds "
-                f"bucket_cap={bucket_cap}; raise tau or the cap "
-                f"(exactness forbids lossy salting here)")
+                f"ppjoin prefix bucket of {k} docs exceeds bucket_cap="
+                f"{bucket_cap}; raise tau or the cap (exactness forbids "
+                f"lossy salting here)")
         if k < 2:
             return pa.table({"src": pa.array([], pa.int64()),
                              "dst": pa.array([], pa.int64())})
@@ -957,13 +768,23 @@ def q_doc_weighted_ppjoin_pairs(sf_dir: str, tau_permille: int = 600,
         return pa.table({"src": pa.array(np.minimum(a, b)[keep]),
                          "dst": pa.array(np.maximum(a, b)[keep])})
 
-    cands = (sigs.map_batches(Prefix(), batch_format="pyarrow")
-             .groupby("bucket").map_groups(emit_pairs,
-                                           batch_format="pyarrow")
-             .groupby(["src", "dst"]).aggregate(Count(alias_name="nb")))
+    def unique_pairs(t: pa.Table) -> pa.Table:
+        a, b = t["src"].to_numpy(), t["dst"].to_numpy()
+        o = np.lexsort((b, a))
+        a, b = a[o], b[o]
+        keep = np.concatenate([[True], (a[1:] != a[:-1]) | (b[1:] != b[:-1])])
+        return pa.table({"src": pa.array(a[keep], pa.int64()),
+                         "dst": pa.array(b[keep], pa.int64())})
+
+    # one Ray group per prefix-token rank (a per-key site), then the pairs
+    # of every rank deduped in one keyed exchange
+    cands = hash_grouped_reduce(
+        sigs.map_batches(Prefix(), batch_format="pyarrow")
+        .groupby("bucket").map_groups(emit_pairs, batch_format="pyarrow"),
+        ["src", "dst"], unique_pairs, cfg.num_partitions)
 
     lean = sigs.select_columns(["doc_id", "toks", "tfs"])
-    e = lookup_join(cands.drop_columns(["nb"]),
+    e = lookup_join(cands,
                     lean.rename_columns({"doc_id": "src", "toks": "t_src",
                                          "tfs": "f_src"}),
                     on=["src"], cfg=cfg)
@@ -976,7 +797,7 @@ def q_doc_weighted_ppjoin_pairs(sf_dir: str, tau_permille: int = 600,
         if t.num_rows == 0:
             return pa.table({"src": pa.array([], pa.int64()),
                              "dst": pa.array([], pa.int64()),
-                             "wjaccard_milli": pa.array([], pa.int64())})
+                             sim_col: pa.array([], pa.int64())})
         fa, la = _flat_u64(t["t_src"])
         fb, lb = _flat_u64(t["t_dst"])
         ca = _flat_u64(t["f_src"])[0].view(np.int64)
@@ -989,26 +810,70 @@ def q_doc_weighted_ppjoin_pairs(sf_dir: str, tau_permille: int = 600,
         order = np.lexsort((grams, pairs))
         p_s, g_s, c_s = pairs[order], grams[order], cnts[order]
         dup = (p_s[1:] == p_s[:-1]) & (g_s[1:] == g_s[:-1])
-        inter = np.zeros(npairs, np.int64)
-        m = np.flatnonzero(dup)
-        if len(m):
-            np.add.at(inter, p_s[1:][m],
-                      np.minimum(c_s[1:][m], c_s[:-1][m]))
-        wa = np.zeros(npairs, np.int64)
-        np.add.at(wa, np.repeat(idx, la), ca)
-        wb = np.zeros(npairs, np.int64)
-        np.add.at(wb, np.repeat(idx, lb), cbv)
-        union = wa + wb - inter
+        # integer sums through float64 bincount: exact below 2^53
+        inter = np.bincount(p_s[1:][dup],
+                            weights=np.minimum(c_s[1:], c_s[:-1])[dup],
+                            minlength=npairs).astype(np.int64)
+        wsum = np.bincount(pairs, weights=cnts,
+                           minlength=npairs).astype(np.int64)
+        union = wsum - inter
         keep = inter * 1000 >= tau_permille * union
         t2 = t.filter(pa.array(keep))
         return pa.table({
             "src": t2["src"],
             "dst": t2["dst"],
-            "wjaccard_milli": pa.array(
+            sim_col: pa.array(
                 inter[keep] * 1000 // np.maximum(union[keep], 1)),
         })
 
     return e.map_batches(check, batch_format="pyarrow")
+
+
+def q_doc_ppjoin_pairs(sf_dir: str, tau_permille: int = 600,
+                       bucket_cap: int = 20_000):
+    """EXACT word-set Jaccard self-join via prefix filtering: (src, dst,
+    jaccard_milli) for every doc pair whose DISTINCT-token Jaccard is >=
+    tau_permille / 1000. ``_prefix_filter_join`` with unit term
+    frequencies, so the prefix is the classic n - ceil(tau * n) + 1 tokens
+    and the positional bound min(pos) + min(n - pos)."""
+    return _prefix_filter_join(sf_dir, tau_permille, bucket_cap,
+                               weighted=False, sim_col="jaccard_milli")
+
+
+def doc_ppjoin_pairs_sql(tau_permille: int = 600) -> str:
+    """DuckDB oracle: exact distinct-word-set Jaccard pairs at the same
+    integer threshold, over the same tokenizer as ``_tokens_flat``."""
+    return f"""
+WITH toks AS (
+  SELECT DISTINCT doc_id, tok FROM (
+    SELECT doc_id,
+           unnest(string_split_regex(lower(trim(text)), '\\s+')) AS tok
+    FROM documents)
+), sizes AS (
+  SELECT doc_id, count(*) AS n FROM toks GROUP BY doc_id
+), inter AS (
+  SELECT a.doc_id AS src, b.doc_id AS dst, count(*) AS c
+  FROM toks a JOIN toks b ON a.tok = b.tok AND a.doc_id < b.doc_id
+  GROUP BY 1, 2
+)
+SELECT i.src, i.dst,
+       CAST(i.c * 1000 // (sa.n + sb.n - i.c) AS BIGINT) AS jaccard_milli
+FROM inter i
+JOIN sizes sa ON sa.doc_id = i.src
+JOIN sizes sb ON sb.doc_id = i.dst
+WHERE i.c * 1000 >= {tau_permille} * (sa.n + sb.n - i.c)
+"""
+
+
+def q_doc_weighted_ppjoin_pairs(sf_dir: str, tau_permille: int = 600,
+                                bucket_cap: int = 20_000):
+    """EXACT WEIGHTED-Jaccard self-join — ``q_doc_ppjoin_pairs``
+    generalized from sets to multisets: (src, dst, wjaccard_milli) for
+    every doc pair with J_w = sum(min tf) / sum(max tf) >= tau_permille /
+    1000, through the same ``_prefix_filter_join`` kernel with each
+    token's term frequency as its weight."""
+    return _prefix_filter_join(sf_dir, tau_permille, bucket_cap,
+                               weighted=True, sim_col="wjaccard_milli")
 
 
 def doc_weighted_ppjoin_pairs_sql(tau_permille: int = 600) -> str:
@@ -2508,11 +2373,9 @@ def q_doc_dedup_keep_best(sf_dir: str):
             "kept_quality_milli": t["quality_milli"].cast(pa.int64()),
         }))
 
-    from deduplication_ray.stages.groupred import hash_grouped_reduce
-
     return hash_grouped_reduce(
         joined.map_batches(partial_best, batch_format="pyarrow"),
-        key_hash=lambda t: t["cluster_id"].to_numpy().astype(np.uint64),
+        key_hash=["cluster_id"],
         reduce_fn=_best_per_cluster,
         num_parts=cfg.num_partitions)
 
@@ -3499,13 +3362,6 @@ def q_source_overlap_matrix(sf_dir: str):
             sizes[s] = int(n)
     size_ref = ray.put(sizes)
 
-    def part_of(t: pa.Table) -> pa.Table:
-        hp = H.hash_bytes_array(t["tok"].combine_chunks()
-                                if isinstance(t["tok"], pa.ChunkedArray)
-                                else t["tok"])
-        return t.append_column(
-            "part", pa.array((hp % np.uint64(n_parts)).astype(np.int64)))
-
     def pair_part(t: pa.Table) -> pa.Table:
         tok = t["tok"].combine_chunks() if isinstance(
             t["tok"], pa.ChunkedArray) else t["tok"]
@@ -3549,8 +3405,7 @@ def q_source_overlap_matrix(sf_dir: str):
             "n": pa.array(cnt.astype(np.int64)),
         })
 
-    inter = (dt.map_batches(part_of, batch_format="pyarrow")
-             .groupby("part").map_groups(pair_part, batch_format="pyarrow")
+    inter = (hash_grouped_reduce(dt, ["tok"], pair_part, n_parts)
              .groupby(["src_a", "src_b"]).aggregate(Sum("n",
                                                         alias_name="inter")))
 
@@ -4844,6 +4699,23 @@ ORDER BY tf DESC, tok LIMIT {k}
 
 # ------------------------------------------- duplicated-span annotation (C4)
 
+def _gram_doc_pairs(t: pa.Table, n: int) -> pa.Table:
+    """Distinct (gram hash, doc_id) rows of a batch's word n-grams (docs are
+    whole within a batch, so batch-level dedupe IS global dedupe)."""
+    g, row = _word_grams(t["text"], n)
+    gh = H.hash_bytes_array(g)
+    d = t["doc_id"].to_numpy()[row]
+    order = np.lexsort((gh, d))
+    ghs, dss = gh[order], d[order]
+    keep = np.concatenate([[True], (ghs[1:] != ghs[:-1])
+                           | (dss[1:] != dss[:-1])]) \
+        if len(ghs) else np.zeros(0, bool)
+    return pa.table({
+        "gh": pa.array(H.bitcast_u64_to_i64(ghs[keep]), pa.int64()),
+        "doc_id": pa.array(dss[keep], pa.int64()),
+    })
+
+
 def q_doc_span_dup_flags(sf_dir: str, n: int = 8, drop_permille: int = 300,
                          num_buckets: int = 64):
     """C4/RefinedWeb-style duplicated-span annotation: for every document,
@@ -4867,22 +4739,6 @@ def q_doc_span_dup_flags(sf_dir: str, n: int = 8, drop_permille: int = 300,
 
     ds = _docs(sf_dir, ["doc_id", "text"])
 
-    def gram_doc_pairs(t: pa.Table) -> pa.Table:
-        g, row = _word_grams(t["text"], n)
-        gh = H.hash_bytes_array(g)
-        d = t["doc_id"].to_numpy()[row]
-        order = np.lexsort((gh, d))
-        ghs, dss = gh[order], d[order]
-        keep = np.concatenate([[True], (ghs[1:] != ghs[:-1])
-                               | (dss[1:] != dss[:-1])]) \
-            if len(ghs) else np.zeros(0, bool)
-        gu, du = ghs[keep], dss[keep]
-        return pa.table({
-            "gh": pa.array(H.bitcast_u64_to_i64(gu), pa.int64()),
-            "doc_id": pa.array(du, pa.int64()),
-            "bucket": pa.array((gu % np.uint64(num_buckets)).astype(np.int64)),
-        })
-
     def doc_totals(t: pa.Table) -> pa.Table:
         g, row = _word_grams(t["text"], n)
         gh = H.hash_bytes_array(g)
@@ -4905,8 +4761,9 @@ def q_doc_span_dup_flags(sf_dir: str, n: int = 8, drop_permille: int = 300,
         nd = np.bincount(dinv, weights=dup).astype(np.int64)
         return pa.table({"doc_id": pa.array(ud), "nd": pa.array(nd)})
 
-    dups = (ds.map_batches(gram_doc_pairs, batch_format="pyarrow")
-            .groupby("bucket").map_groups(bucket_dups, batch_format="pyarrow")
+    grams = ds.map_batches(_gram_doc_pairs, fn_args=(n,),
+                           batch_format="pyarrow")
+    dups = (hash_grouped_reduce(grams, ["gh"], bucket_dups, num_buckets)
             .groupby("doc_id").aggregate(Sum("nd", alias_name="n_dup")))
 
     totals = ds.map_batches(doc_totals, batch_format="pyarrow")
@@ -4988,11 +4845,10 @@ def _dup_occurrence_rows(sf_dir: str, n: int, num_buckets: int, ds=None):
     Training Data Makes Language Models Better") at word granularity.
 
     Scale shape: gram strings die at the scan (only (gh, doc, pos) int64
-    triples shuffle — occurrence-bounded wire); ONE bucket shuffle keyed on
-    gram hash, inside which occurrences-per-gram is a vectorized transform
-    and only duplicated occurrences survive. Output carries a doc-hash
-    bucket key so downstream per-doc passes need no second wide shuffle
-    of their own keying decision."""
+    triples shuffle — occurrence-bounded wire); ONE ``hash_grouped_reduce``
+    keyed on gram hash, inside which occurrences-per-gram is a vectorized
+    transform and only duplicated occurrences survive. Downstream per-doc
+    passes exchange the survivors on doc_id the same way."""
     ds = ds if ds is not None else _docs(sf_dir, ["doc_id", "text"])
 
     def occurrences(t: pa.Table) -> pa.Table:
@@ -5003,23 +4859,20 @@ def _dup_occurrence_rows(sf_dir: str, n: int, num_buckets: int, ds=None):
             "gh": pa.array(H.bitcast_u64_to_i64(gh), pa.int64()),
             "doc_id": pa.array(d, pa.int64()),
             "pos": pa.array(pos, pa.int64()),
-            "bucket": pa.array(
-                (gh % np.uint64(num_buckets)).astype(np.int64)),
         })
 
     def dup_only(t: pa.Table) -> pa.Table:
         gh = t["gh"].to_numpy()
         _, inv, cnt = np.unique(gh, return_inverse=True, return_counts=True)
         keep = cnt[inv] >= 2
-        d = t["doc_id"].to_numpy()[keep]
         return pa.table({
-            "doc_id": pa.array(d),
+            "doc_id": pa.array(t["doc_id"].to_numpy()[keep]),
             "pos": pa.array(t["pos"].to_numpy()[keep]),
-            "doc_bucket": pa.array((d % num_buckets).astype(np.int64)),
         })
 
-    return (ds.map_batches(occurrences, batch_format="pyarrow")
-            .groupby("bucket").map_groups(dup_only, batch_format="pyarrow"))
+    return hash_grouped_reduce(
+        ds.map_batches(occurrences, batch_format="pyarrow"), ["gh"],
+        dup_only, num_buckets)
 
 
 def q_doc_dup_spans(sf_dir: str, n: int = 8, num_buckets: int = 64,
@@ -5031,8 +4884,8 @@ def q_doc_dup_spans(sf_dir: str, n: int = 8, num_buckets: int = 64,
     intervals merge — a verbatim 3n-word boilerplate block shared by two
     docs reports as ONE span per doc, not 2n+1 gram hits.
 
-    Scale shape: `_dup_occurrence_rows` spine (one gram-hash bucket
-    shuffle), then one doc-hash-keyed groupby where interval merging is a
+    Scale shape: `_dup_occurrence_rows` spine (one gram-hash exchange),
+    then one doc_id-keyed ``hash_grouped_reduce`` where interval merging is a
     single lexsort + segment-break cumsum — equal-width intervals make the
     island rule one vectorized gap test (next_pos - pos > n)."""
     dup = _dup_occurrence_rows(sf_dir, n, num_buckets, ds=ds)
@@ -5054,8 +4907,7 @@ def q_doc_dup_spans(sf_dir: str, n: int = 8, num_buckets: int = 64,
                          "span_start": pa.array(p[brk]),
                          "span_end": pa.array(p[last] + n)})
 
-    return (dup.groupby("doc_bucket")
-            .map_groups(merge_spans, batch_format="pyarrow"))
+    return hash_grouped_reduce(dup, ["doc_id"], merge_spans, num_buckets)
 
 
 def doc_dup_spans_sql(n: int = 8) -> str:
@@ -5098,8 +4950,8 @@ def q_doc_remove_dup_spans(sf_dir: str, n: int = 8, num_buckets: int = 64,
     space (the corpus's normalized form), n_removed the covered word count.
 
     Scale shape: the spine's dup occurrences aggregate to ONE row per doc
-    (pos lists, |occurrences|-bounded) in a doc-hash groupby, then attach
-    to the corpus through the size-dispatched lookup join; the rewrite is
+    (pos lists, |occurrences|-bounded) in a doc_id-keyed exchange, then
+    attach to the corpus through the size-dispatched lookup join; the rewrite is
     one stateless map_batches — coverage via a diff-array cumsum over the
     batch's flat token stream, kept text rebuilt with a single zero-copy
     ListArray + binary_join (no per-row Python joins). Texts shuffle at
@@ -5128,8 +4980,7 @@ def q_doc_remove_dup_spans(sf_dir: str, n: int = 8, num_buckets: int = 64,
         return pa.table({"doc_id": pa.array(d[brk], pa.int64()),
                          "positions": lists})
 
-    spans = dup.groupby("doc_bucket").map_groups(
-        per_doc, batch_format="pyarrow")
+    spans = hash_grouped_reduce(dup, ["doc_id"], per_doc, num_buckets)
     joined = lookup_join(ds, spans, on=["doc_id"], cfg=DedupConfig(),
                          how="left")
 
@@ -5234,22 +5085,6 @@ def q_edit_distance_pairs(sf_dir: str, n: int = 5, num_buckets: int = 64,
 
     ds = _docs(sf_dir, ["doc_id", "text"])
 
-    def gram_doc_pairs(t: pa.Table) -> pa.Table:
-        g, row = _word_grams(t["text"], n)
-        gh = H.hash_bytes_array(g)
-        d = t["doc_id"].to_numpy()[row]
-        order = np.lexsort((gh, d))
-        ghs, dss = gh[order], d[order]
-        keep = np.concatenate([[True], (ghs[1:] != ghs[:-1])
-                               | (dss[1:] != dss[:-1])]) \
-            if len(ghs) else np.zeros(0, bool)
-        gu, du = ghs[keep], dss[keep]
-        return pa.table({
-            "gh": pa.array(H.bitcast_u64_to_i64(gu), pa.int64()),
-            "doc_id": pa.array(du, pa.int64()),
-            "bucket": pa.array((gu % np.uint64(num_buckets)).astype(np.int64)),
-        })
-
     def bucket_pairs(g: pa.Table) -> pa.Table:
         # Vectorized within-gram all-pairs over the bucket, with the same
         # LOUD cap as PPJoin (docops.py bucket_cap): an exact-candidate
@@ -5298,9 +5133,9 @@ def q_edit_distance_pairs(sf_dir: str, n: int = 5, num_buckets: int = 64,
         return pa.table({"src": pa.array(src[pk], pa.int64()),
                          "dst": pa.array(dst[pk], pa.int64())})
 
-    pairs = (ds.map_batches(gram_doc_pairs, batch_format="pyarrow")
-             .groupby("bucket").map_groups(bucket_pairs,
-                                           batch_format="pyarrow")
+    grams = ds.map_batches(_gram_doc_pairs, fn_args=(n,),
+                           batch_format="pyarrow")
+    pairs = (hash_grouped_reduce(grams, ["gh"], bucket_pairs, num_buckets)
              .groupby(["src", "dst"]).count())
 
     def drop_count(t: pa.Table) -> pa.Table:
@@ -5643,7 +5478,6 @@ def q_doc_ngram_novelty(sf_dir: str):
     over 16-byte rows."""
     from ray.data.aggregate import Sum
 
-    from deduplication_ray.stages.groupred import hash_grouped_reduce
     from deduplication_ray.stages.signatures import normalize_captions
 
     cfg = DedupConfig(num_partitions=8)
@@ -5688,7 +5522,7 @@ def q_doc_ngram_novelty(sf_dir: str):
 
     marked = hash_grouped_reduce(
         pairs,
-        key_hash=lambda t: t["gh"].to_numpy().view(np.uint64),
+        key_hash=["gh"],
         reduce_fn=mark_first,
         num_parts=cfg.num_partitions * 2,
     )

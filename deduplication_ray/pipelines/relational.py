@@ -27,6 +27,7 @@ from ray.data.aggregate import Count, Max, Mean, Min, Sum
 from deduplication_ray.config import DedupConfig
 from deduplication_ray.functions import hashing as H
 from deduplication_ray.sources import storage
+from deduplication_ray.stages.groupred import hash_grouped_reduce
 from deduplication_ray.stages.join import lookup_join
 
 
@@ -151,8 +152,6 @@ def q_top_revenue_orders(sf_dir: str, k: int = 10):
     (columns pruned) — the only driver materializations are O(K) rows.
     """
     from deduplication_ray.functions import hashing as H
-    from deduplication_ray.stages.groupred import hash_grouped_reduce
-
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
 
     def rev(t: pa.Table) -> pa.Table:
@@ -174,8 +173,7 @@ def q_top_revenue_orders(sf_dir: str, k: int = 10):
 
     li_rev = hash_grouped_reduce(
         li.map_batches(rev, batch_format="pyarrow"),
-        key_hash=lambda t: H.splitmix64(
-            t["l_orderkey"].to_numpy().astype(np.uint64)),
+        key_hash=["l_orderkey"],
         reduce_fn=sum_by_key,
         num_parts=32,
     )
@@ -390,23 +388,16 @@ FROM documents GROUP BY text
 
 def q_sessionize(sf_dir: str, gap_minutes: int = 30, num_buckets: int = 32):
     """Session windows over the events stream: per user, a new session starts
-    after a > gap_minutes silence. Scale shape: hash-partition users into
-    ``num_buckets`` buckets (co-locating each user's rows), then ONE
-    vectorized pass per bucket — sort by (user, ts), boundary-aware
-    diff/cumsum across all users at once. No per-user Python call: the work
+    after a > gap_minutes silence. Scale shape: ``hash_grouped_reduce``
+    keyed on user_id co-locates each user's rows in one of ``num_buckets``
+    partitions, then ONE vectorized pandas pass per partition (the user
+    window queries below share this exchange) — sort by (user, ts),
+    boundary-aware diff/cumsum across all users at once. No per-user Python call: the work
     per key is O(1) amortized regardless of user cardinality.
 
     Returns (user_id, session_id, n_events) matching the DuckDB window SQL.
     """
     ds = _read(sf_dir, "events", ["user_id", "ts"])
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        # splitmix-style integer mix so adjacent ids don't collide into
-        # adjacent buckets (user_id is int64 here; strings would hash first)
-        u = t["user_id"].to_numpy().astype(np.uint64)
-        h = (u ^ (u >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
-        return t.append_column(
-            "bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int64)))
 
     def sessionize_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts"], kind="mergesort")
@@ -419,8 +410,8 @@ def q_sessionize(sf_dir: str, gap_minutes: int = 30, num_buckets: int = 32):
                 .rename("n_events").reset_index())
         return out[["user_id", "session_id", "n_events"]]
 
-    return ds.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(sessionize_bucket, batch_format="pandas")
+    return hash_grouped_reduce(ds, ["user_id"], sessionize_bucket, num_buckets,
+                               batch_format="pandas")
 
 
 Q_SESSIONIZE_SQL = """
@@ -675,8 +666,6 @@ def q_grouped_topn(sf_dir: str, n: int = 2):
     never a global sort. Ties broken on o_orderkey ascending to match the
     deterministic SQL window order."""
     from deduplication_ray.functions import hashing as H
-    from deduplication_ray.stages.groupred import hash_grouped_reduce
-
     ds = _read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
 
     def topn(t: pa.Table) -> pa.Table:
@@ -693,8 +682,7 @@ def q_grouped_topn(sf_dir: str, n: int = 2):
     partials = ds.map_batches(topn, batch_format="pyarrow")
     return hash_grouped_reduce(
         partials,
-        key_hash=lambda t: H.splitmix64(
-            t["o_custkey"].to_numpy().astype(np.uint64)),
+        key_hash=["o_custkey"],
         reduce_fn=topn,
         num_parts=32,
     )
@@ -906,12 +894,6 @@ def q_events_lag(sf_dir: str, num_buckets: int = 32):
     per-user Python call."""
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy().astype(np.uint64)
-        h = (u ^ (u >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
-        return t.append_column(
-            "bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int64)))
-
     def lag_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         new_user = g["user_id"].ne(g["user_id"].shift())
@@ -925,8 +907,8 @@ def q_events_lag(sf_dir: str, num_buckets: int = 32):
             "prev_type": prev_type.to_numpy(),
         })
 
-    return ds.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(lag_bucket, batch_format="pandas")
+    return hash_grouped_reduce(ds, ["user_id"], lag_bucket, num_buckets,
+                               batch_format="pandas")
 
 
 Q_EVENTS_LAG_SQL = """
@@ -1008,12 +990,6 @@ def q_events_value_rank(sf_dir: str, num_buckets: int = 32):
     once (rank = position − user-segment start; no per-user call)."""
     ds = _read(sf_dir, "events", ["event_id", "user_id", "value"])
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy().astype(np.uint64)
-        h = (u ^ (u >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
-        return t.append_column(
-            "bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int64)))
-
     def rank_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "value", "event_id"],
                           ascending=[True, False, True], kind="mergesort")
@@ -1030,8 +1006,8 @@ def q_events_value_rank(sf_dir: str, num_buckets: int = 32):
             "value_rank": pos - seg_start + 1,
         })
 
-    return ds.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(rank_bucket, batch_format="pandas")
+    return hash_grouped_reduce(ds, ["user_id"], rank_bucket, num_buckets,
+                               batch_format="pandas")
 
 
 Q_EVENTS_VALUE_RANK_SQL = """
@@ -1057,13 +1033,9 @@ def q_signup_purchase_funnel(sf_dir: str, window_days: int = 7,
     per-user call, no broadcast of per-user state."""
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_in(t["event_type"],
-                              value_set=pa.array(["signup", "purchase"])))
-        u = t["user_id"].to_numpy().astype(np.uint64)
-        h = (u ^ (u >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
-        return t.append_column(
-            "bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int64)))
+    def signup_or_purchase(t: pa.Table) -> pa.Table:
+        return t.filter(pc.is_in(t["event_type"],
+                                 value_set=pa.array(["signup", "purchase"])))
 
     def funnel_bucket(g: pd.DataFrame) -> pd.DataFrame:
         s = (g[g["event_type"] == "signup"].groupby("user_id")["ts"].min()
@@ -1081,8 +1053,9 @@ def q_signup_purchase_funnel(sf_dir: str, window_days: int = 7,
             "converted": np.isin(s.index.to_numpy(), conv).astype("int64"),
         })
 
-    return ds.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(funnel_bucket, batch_format="pandas")
+    return hash_grouped_reduce(
+        ds.map_batches(signup_or_purchase, batch_format="pyarrow"),
+        ["user_id"], funnel_bucket, num_buckets, batch_format="pandas")
 
 
 Q_SIGNUP_PURCHASE_FUNNEL_SQL = """
@@ -1171,12 +1144,6 @@ def q_events_running_total(sf_dir: str, num_buckets: int = 32):
     sort + segment-reset cumsum per bucket over all its users at once."""
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy().astype(np.uint64)
-        h = (u ^ (u >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
-        return t.append_column(
-            "bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int64)))
-
     def running(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         # exact integer cents so the cumulative sum is order-independent
@@ -1196,8 +1163,8 @@ def q_events_running_total(sf_dir: str, num_buckets: int = 32):
             "running_cents": csum - base,
         })
 
-    return ds.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(running, batch_format="pandas")
+    return hash_grouped_reduce(ds, ["user_id"], running, num_buckets,
+                               batch_format="pandas")
 
 
 Q_EVENTS_RUNNING_TOTAL_SQL = """
@@ -1227,12 +1194,6 @@ def q_events_moving_window(sf_dir: str, preceding: int = 3,
     across engines); mean = win_sum_cents / win_n for the consumer."""
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy().astype(np.uint64)
-        h = (u ^ (u >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
-        return t.append_column(
-            "bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int64)))
-
     def moving(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         n = len(g)
@@ -1252,8 +1213,8 @@ def q_events_moving_window(sf_dir: str, preceding: int = 3,
             "win_n": pos - start + 1,
         })
 
-    return ds.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(moving, batch_format="pandas")
+    return hash_grouped_reduce(ds, ["user_id"], moving, num_buckets,
+                               batch_format="pandas")
 
 
 Q_EVENTS_MOVING_WINDOW_SQL = """
@@ -1276,8 +1237,8 @@ def q_events_daily_gapfill(sf_dir: str, num_buckets: int = 32):
     Data lacks (a groupby can only emit observed keys).
 
     Scale shape: per-batch Arrow hash-agg partials collapse events to
-    (user, day, n) rows BEFORE the only shuffle (a user-hash bucket
-    groupby); inside each bucket one vectorized pass over all its users
+    (user, day, n) rows BEFORE the only shuffle (``hash_grouped_reduce``
+    on user_id); inside each bucket one vectorized pass over all its users
     densifies via np.repeat + per-segment aranges and scatters observed
     counts into the grid — no per-user Python. Output size is the sum of
     user spans: a production run over years-long histories would cap the
@@ -1291,12 +1252,9 @@ def q_events_daily_gapfill(sf_dir: str, num_buckets: int = 32):
         g = (pa.table({"user_id": t["user_id"],
                        "day": pa.array(day, pa.int64())})
              .group_by(["user_id", "day"]).aggregate([("day", "count")]))
-        u = g["user_id"].to_numpy().astype(np.uint64)
-        h = (u ^ (u >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
         return pa.table({
             "user_id": g["user_id"], "day": g["day"],
             "n": g["day_count"].cast(pa.int64()),
-            "bucket": pa.array((h % np.uint64(num_buckets)).astype(np.int64)),
         })
 
     def densify(g: pd.DataFrame) -> pd.DataFrame:
@@ -1322,8 +1280,9 @@ def q_events_daily_gapfill(sf_dir: str, num_buckets: int = 32):
             "n_events": out_n,
         })
 
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(densify, batch_format="pandas")
+    return hash_grouped_reduce(
+        ds.map_batches(partial, batch_format="pyarrow"), ["user_id"],
+        densify, num_buckets, batch_format="pandas")
 
 
 Q_EVENTS_DAILY_GAPFILL_SQL = """
@@ -1817,12 +1776,6 @@ def q_events_dedup_window(sf_dir: str, window_min: int = 240,
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
     window_us = np.int64(window_min) * 60 * 1_000_000
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy().astype(np.uint64)
-        h = (u ^ (u >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
-        return t.append_column(
-            "bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int64)))
-
     def dedup_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "event_type", "ts", "event_id"],
                           kind="mergesort")
@@ -1841,8 +1794,8 @@ def q_events_dedup_window(sf_dir: str, window_min: int = 240,
             "is_dup": gap_us <= window_us,
         })
 
-    return ds.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(dedup_bucket, batch_format="pandas")
+    return hash_grouped_reduce(ds, ["user_id"], dedup_bucket, num_buckets,
+                               batch_format="pandas")
 
 
 def events_dedup_window_sql(window_min: int = 240) -> str:
@@ -1912,15 +1865,10 @@ def q_events_session_stats(sf_dir: str, gap_minutes: int = 30,
     session cardinality, never event cardinality."""
     ds = _read(sf_dir, "events", ["user_id", "ts", "value"])
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy().astype(np.uint64)
-        h = (u ^ (u >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
+    def to_cents(t: pa.Table) -> pa.Table:
         cents = pc.round(pc.multiply(t["value"], pa.scalar(100.0))) \
             .cast(pa.int64())
-        return (t.drop_columns(["value"])
-                .append_column("cents", cents)
-                .append_column("bucket", pa.array(
-                    (h % np.uint64(num_buckets)).astype(np.int64))))
+        return t.drop_columns(["value"]).append_column("cents", cents)
 
     def stats_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts"], kind="mergesort")
@@ -1940,8 +1888,9 @@ def q_events_session_stats(sf_dir: str, gap_minutes: int = 30,
         return out[["user_id", "session_id", "n_events",
                     "duration_sec", "value_cents"]]
 
-    return ds.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(stats_bucket, batch_format="pandas")
+    return hash_grouped_reduce(
+        ds.map_batches(to_cents, batch_format="pyarrow"), ["user_id"],
+        stats_bucket, num_buckets, batch_format="pandas")
 
 
 Q_EVENTS_SESSION_STATS_SQL = """
@@ -1983,12 +1932,6 @@ def q_events_funnel_steps(sf_dir: str, window_hours: int = 24,
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
     window = pd.Timedelta(hours=window_hours)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy().astype(np.uint64)
-        h = (u ^ (u >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
-        return t.append_column(
-            "bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int64)))
-
     def funnel_bucket(g: pd.DataFrame) -> pd.DataFrame:
         t_prev = (g[g.event_type == _FUNNEL_STEPS[0]]
                   .groupby("user_id")["ts"].min())
@@ -2007,8 +1950,8 @@ def q_events_funnel_steps(sf_dir: str, window_hours: int = 24,
         return pd.DataFrame({"user_id": users,
                              "steps_completed": steps_done.to_numpy()})
 
-    return ds.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(funnel_bucket, batch_format="pandas")
+    return hash_grouped_reduce(ds, ["user_id"], funnel_bucket, num_buckets,
+                               batch_format="pandas")
 
 
 Q_EVENTS_FUNNEL_STEPS_SQL = f"""
@@ -2053,14 +1996,9 @@ def q_events_retention_cohorts(sf_dir: str, num_buckets: int = 32):
 
     ds = _read(sf_dir, "events", ["user_id", "ts"])
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy().astype(np.uint64)
-        h = (u ^ (u >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
-        day = pc.floor_temporal(t["ts"], unit="day")
-        return pa.table({
-            "user_id": t["user_id"], "day": day,
-            "bucket": pa.array((h % np.uint64(num_buckets)).astype(np.int64)),
-        })
+    def to_day(t: pa.Table) -> pa.Table:
+        return pa.table({"user_id": t["user_id"],
+                         "day": pc.floor_temporal(t["ts"], unit="day")})
 
     def cohort_bucket(g: pd.DataFrame) -> pd.DataFrame:
         d0 = g.groupby("user_id")["day"].transform("min")
@@ -2075,8 +2013,9 @@ def q_events_retention_cohorts(sf_dir: str, num_buckets: int = 32):
         out["n_users"] = out["n_users"].astype("int64")
         return out
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("bucket").map_groups(cohort_bucket, batch_format="pandas")
+    return (hash_grouped_reduce(
+                ds.map_batches(to_day, batch_format="pyarrow"), ["user_id"],
+                cohort_bucket, num_buckets, batch_format="pandas")
             .groupby(["cohort_day", "day_offset"])
             .aggregate(Sum("n_users", alias_name="n_users")))
 
@@ -2186,16 +2125,11 @@ def q_events_value_outliers(sf_dir: str, z: int = 3, num_buckets: int = 32):
     user-hash shuffle as sessionize)."""
     ds = _read(sf_dir, "events", ["event_id", "user_id", "value"])
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy().astype(np.uint64)
-        h = (u ^ (u >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
+    def to_cents(t: pa.Table) -> pa.Table:
         cents = pc.round(pc.multiply(t["value"], pa.scalar(100.0))) \
             .cast(pa.int64())
-        return pa.table({
-            "event_id": t["event_id"], "user_id": t["user_id"],
-            "cents": cents,
-            "bucket": pa.array((h % np.uint64(num_buckets)).astype(np.int64)),
-        })
+        return pa.table({"event_id": t["event_id"], "user_id": t["user_id"],
+                         "cents": cents})
 
     def flag_bucket(g: pd.DataFrame) -> pd.DataFrame:
         x = g["cents"].to_numpy().astype(np.int64)
@@ -2209,8 +2143,9 @@ def q_events_value_outliers(sf_dir: str, z: int = 3, num_buckets: int = 32):
         return pd.DataFrame({"event_id": g["event_id"].to_numpy(),
                              "is_outlier": lhs > rhs})
 
-    return ds.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(flag_bucket, batch_format="pandas")
+    return hash_grouped_reduce(
+        ds.map_batches(to_cents, batch_format="pyarrow"), ["user_id"],
+        flag_bucket, num_buckets, batch_format="pandas")
 
 
 Q_EVENTS_VALUE_OUTLIERS_SQL = """
@@ -2404,16 +2339,11 @@ def q_events_window_funcs(sf_dir: str, tiles: int = 4, num_buckets: int = 32):
     per-user head/tail gather) — no per-row Python."""
     ds = _read(sf_dir, "events", ["event_id", "user_id", "value"])
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy().astype(np.uint64)
-        h = (u ^ (u >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
+    def to_cents(t: pa.Table) -> pa.Table:
         cents = pc.round(pc.multiply(t["value"], pa.scalar(100.0))) \
             .cast(pa.int64())
-        return pa.table({
-            "event_id": t["event_id"], "user_id": t["user_id"],
-            "cents": cents,
-            "bucket": pa.array((h % np.uint64(num_buckets)).astype(np.int64)),
-        })
+        return pa.table({"event_id": t["event_id"], "user_id": t["user_id"],
+                         "cents": cents})
 
     def window_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "cents", "event_id"],
@@ -2436,8 +2366,9 @@ def q_events_window_funcs(sf_dir: str, tiles: int = 4, num_buckets: int = 32):
             "last_cents": last,
         })
 
-    return ds.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(window_bucket, batch_format="pandas")
+    return hash_grouped_reduce(
+        ds.map_batches(to_cents, batch_format="pyarrow"), ["user_id"],
+        window_bucket, num_buckets, batch_format="pandas")
 
 
 Q_EVENTS_WINDOW_FUNCS_SQL = """
@@ -2481,16 +2412,9 @@ def q_user_type_string_agg(sf_dir: str, num_buckets: int = 32):
                ["event_type"].agg(",".join).reset_index())
         return out.rename(columns={"event_type": "types"})
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy().astype(np.uint64)
-        h = (u ^ (u >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
-        return pa.table({
-            "user_id": t["user_id"], "event_type": t["event_type"],
-            "bucket": pa.array((h % np.uint64(num_buckets)).astype(np.int64)),
-        })
-
-    return dedup.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(join_types, batch_format="pandas")
+    return hash_grouped_reduce(
+        dedup.select_columns(["user_id", "event_type"]), ["user_id"],
+        join_types, num_buckets, batch_format="pandas")
 
 
 Q_USER_TYPE_STRING_AGG_SQL = """
@@ -2522,7 +2446,6 @@ def q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
     reads, so dead rows never leave storage."""
     import datetime
 
-    from deduplication_ray.stages.groupred import hash_grouped_reduce
     from deduplication_ray.stages.join import shuffle_join
 
     cut = datetime.datetime(1998, 6, 1)
@@ -2572,8 +2495,7 @@ def q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
 
     li_rev = hash_grouped_reduce(
         li.map_batches(rev_partial, batch_format="pyarrow"),
-        key_hash=lambda t: H.splitmix64(
-            t["l_orderkey"].to_numpy().astype(np.uint64)),
+        key_hash=["l_orderkey"],
         reduce_fn=lambda t: rev_partial_merge(t),
         num_parts=num_buckets,
     )
@@ -2686,12 +2608,9 @@ def q18_big_orders(sf_dir: str, qty_threshold: int = 270,
             "total_qty": pa.array(tot[keep]),
         })
 
-    from deduplication_ray.stages.groupred import hash_grouped_reduce
-
     big = hash_grouped_reduce(
         li.map_batches(qty_partial, batch_format="pyarrow"),
-        key_hash=lambda t: H.splitmix64(
-            t["l_orderkey"].to_numpy().astype(np.uint64)),
+        key_hash=["l_orderkey"],
         reduce_fn=qty_merge,
         num_parts=num_buckets,
     ).to_pandas()  # selectivity-bounded by the HAVING threshold
@@ -2776,8 +2695,9 @@ def q_events_rolling_dau(sf_dir: str, window_days: int = 7,
     user must be counted once per WINDOW, not once per group.
 
     Scale shape: per-batch distinct (user, activity-day) partials collapse
-    the event stream to <= |users| x |days| rows before the only shuffle (a
-    user-hash bucket groupby — a user's whole history lands in one bucket,
+    the event stream to <= |users| x |days| rows before the only shuffle
+    (``hash_grouped_reduce`` on user_id — a user's whole history lands in
+    one bucket,
     so per-day per-bucket distinct-user counts SUM exactly across buckets);
     inside each bucket one vectorized pass expands each activity day to the
     <= 7 window days it serves (np.repeat + tiled offsets), dedupes
@@ -2788,13 +2708,9 @@ def q_events_rolling_dau(sf_dir: str, window_days: int = 7,
 
     def partial(t: pa.Table) -> pa.Table:
         day = (t["ts"].to_numpy().astype("datetime64[D]").astype(np.int64))
-        g = (pa.table({"user_id": t["user_id"],
-                       "day": pa.array(day, pa.int64())})
-             .group_by(["user_id", "day"]).aggregate([]))
-        u = g["user_id"].to_numpy().astype(np.uint64)
-        h = (u ^ (u >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
-        return g.append_column(
-            "bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int64)))
+        return (pa.table({"user_id": t["user_id"],
+                          "day": pa.array(day, pa.int64())})
+                .group_by(["user_id", "day"]).aggregate([]))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["user_id", "day"])
@@ -2816,9 +2732,10 @@ def q_events_rolling_dau(sf_dir: str, window_days: int = 7,
         cnt["mx"] = np.int64(mx)
         return cnt
 
-    parts = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(per_bucket, batch_format="pandas") \
-        .to_pandas()  # bounded: num_buckets x (|days| + window) rows
+    parts = hash_grouped_reduce(
+        ds.map_batches(partial, batch_format="pyarrow"), ["user_id"],
+        per_bucket, num_buckets, batch_format="pandas",
+    ).to_pandas()  # bounded: num_buckets x (|days| + window) rows
     if "day" not in parts.columns or not len(parts):
         return pd.DataFrame({"day": np.empty(0, np.int64),
                              "dau7": np.empty(0, np.int64)})
@@ -3054,8 +2971,6 @@ def _keyed_reduce(ds: ray.data.Dataset, key: str,
                   cols: dict[str, tuple[str, str]],
                   num_parts: int = 32) -> ray.data.Dataset:
     """In-batch partial + hash-partitioned combine by one int64 key."""
-    from deduplication_ray.stages.groupred import hash_grouped_reduce
-
     partial = ds.map_batches(lambda t: _segmented_reduce(t, key, cols),
                              batch_format="pyarrow")
     # re-reduce: partial counts arrive as a column -> combine by summing it
@@ -3063,7 +2978,7 @@ def _keyed_reduce(ds: ray.data.Dataset, key: str,
               for o, (_, op) in cols.items()}
     return hash_grouped_reduce(
         partial,
-        key_hash=lambda t: H.splitmix64(t[key].to_numpy().astype(np.uint64)),
+        key_hash=[key],
         reduce_fn=lambda t: _segmented_reduce(t, key, recols),
         num_parts=num_parts,
     )
@@ -3524,12 +3439,9 @@ def q7_nation_volume(sf_dir: str):
              ["revenue_e4"].sum().reset_index())
         return pa.Table.from_pandas(g, preserve_index=False).cast(schema)
 
-    from deduplication_ray.stages.groupred import hash_grouped_reduce
-
     per_order = hash_grouped_reduce(
         li.map_batches(combine, batch_format="pyarrow"),
-        key_hash=lambda t: H.splitmix64(
-            t["o_orderkey"].to_numpy().astype(np.uint64)),
+        key_hash=["o_orderkey"],
         reduce_fn=combine,
         num_parts=32,
     )
@@ -3578,8 +3490,6 @@ def q_top_event_type_per_user(sf_dir: str):
     aggregation; the argmax is one hash-partitioned per-user reduce over
     the |users|×|types|-bounded count table — the fact stream itself never
     carries strings twice."""
-    from deduplication_ray.stages.groupred import hash_grouped_reduce
-
     ev = _read(sf_dir, "events", ["user_id", "event_type"])
     counts = ev.groupby(["user_id", "event_type"]) \
         .aggregate(Count(alias_name="n_events"))
@@ -3599,8 +3509,7 @@ def q_top_event_type_per_user(sf_dir: str):
 
     return hash_grouped_reduce(
         counts,
-        key_hash=lambda t: H.splitmix64(
-            t["user_id"].to_numpy().astype(np.uint64)),
+        key_hash=["user_id"],
         reduce_fn=argmax,
         num_parts=16,
     )
@@ -3708,7 +3617,6 @@ def q8_market_share(sf_dir: str, part_type: str = "STANDARD",
     through the co-partitioned shuffle join; the customer→region leg rides
     the size-dispatched lookup join; the share is integer floor-division
     permille so the DuckDB oracle hash-matches bit-for-bit."""
-    from deduplication_ray.stages.groupred import hash_grouped_reduce
     from deduplication_ray.stages.join import shuffle_join
 
     part = _read(sf_dir, "part", ["p_partkey"],
@@ -3750,8 +3658,7 @@ def q8_market_share(sf_dir: str, part_type: str = "STANDARD",
 
     per_order = hash_grouped_reduce(
         li.map_batches(combine, batch_format="pyarrow"),
-        key_hash=lambda t: H.splitmix64(
-            t["o_orderkey"].to_numpy().astype(np.uint64)),
+        key_hash=["o_orderkey"],
         reduce_fn=combine,
         num_parts=32,
     )
@@ -3977,15 +3884,12 @@ def q5_local_supplier_volume(sf_dir: str, region: str = "ASIA",
             "revenue_e4": pa.array(_rev_e4(t)),
         }))
 
-    from deduplication_ray.stages.groupred import hash_grouped_reduce
-
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"])
     per_order = hash_grouped_reduce(
         lookup_join(li, supp, on=["l_suppkey"], cfg=DedupConfig())
         .map_batches(supp_leg, batch_format="pyarrow"),
-        key_hash=lambda t: H.splitmix64(
-            t["o_orderkey"].to_numpy().astype(np.uint64)),
+        key_hash=["o_orderkey"],
         reduce_fn=combine,
         num_parts=32,
     )
@@ -4084,15 +3988,12 @@ def q16_supplier_count_by_type(sf_dir: str, excl_brand: str = "Brand#1",
             .drop_duplicates()
         return pa.Table.from_pandas(df, preserve_index=False).cast(schema)
 
-    from deduplication_ray.stages.groupred import hash_grouped_reduce
-
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
     li = lookup_join(li, bad, on=["l_suppkey"], cfg=DedupConfig(), how="anti")
     li = lookup_join(li, part, on=["l_partkey"], cfg=DedupConfig())
     triples = hash_grouped_reduce(
         li.map_batches(dedup_triples, batch_format="pyarrow"),
-        key_hash=lambda t: H.splitmix64(
-            t["l_suppkey"].to_numpy().astype(np.uint64)),
+        key_hash=["l_suppkey"],
         reduce_fn=dedup_triples,
         num_parts=32,
     )
@@ -4142,15 +4043,12 @@ def q20_heavy_share_suppliers(sf_dir: str, name_like: str = "widget",
         win = df.loc[share_den * df["qty"] > tot, "l_suppkey"].unique()
         return pa.table({"s_suppkey": pa.array(np.sort(win), type=pa.int64())})
 
-    from deduplication_ray.stages.groupred import hash_grouped_reduce
-
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_quantity"])
     winners = hash_grouped_reduce(
         lookup_join(li, sel, on=["l_partkey"], cfg=DedupConfig(),
                     how="semi")
         .map_batches(pair_qty, batch_format="pyarrow"),
-        key_hash=lambda t: H.splitmix64(
-            t["l_partkey"].to_numpy().astype(np.uint64)),
+        key_hash=["l_partkey"],
         reduce_fn=heavy,
         num_parts=32,
     ).to_pandas()
@@ -4188,7 +4086,6 @@ def q21_waiting_suppliers(sf_dir: str, late_days: int = 60):
     orderkey-keyed partition then holds every pair of an order, so the
     exists (some other supplier) / not-exists (no other late supplier)
     predicates are one vectorized groupby inside the partition."""
-    from deduplication_ray.stages.groupred import hash_grouped_reduce
     from deduplication_ray.stages.join import shuffle_join
 
     def pair_reduce(t: pa.Table) -> pa.Table:
@@ -4210,8 +4107,7 @@ def q21_waiting_suppliers(sf_dir: str, late_days: int = 60):
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_shipdate"])
     pairs = hash_grouped_reduce(
         li.map_batches(li_prep, batch_format="pyarrow"),
-        key_hash=lambda t: H.splitmix64(
-            t["o_orderkey"].to_numpy().astype(np.uint64)),
+        key_hash=["o_orderkey"],
         reduce_fn=pair_reduce,
         num_parts=32,
     )
@@ -4244,8 +4140,7 @@ def q21_waiting_suppliers(sf_dir: str, late_days: int = 60):
 
     waits = hash_grouped_reduce(
         j.map_batches(lateness, batch_format="pyarrow"),
-        key_hash=lambda t: H.splitmix64(
-            t["o_orderkey"].to_numpy().astype(np.uint64)),
+        key_hash=["o_orderkey"],
         reduce_fn=elect,
         num_parts=32,
     )
@@ -4324,8 +4219,6 @@ def q2_min_cost_supplier(sf_dir: str, ptype: str = "ECONOMY",
                          "s_suppkey": pa.array(win["s_suppkey"], type=pa.int64()),
                          "cost_cents": pa.array(win["cost_cents"], type=pa.int64())})
 
-    from deduplication_ray.stages.groupred import hash_grouped_reduce
-
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_suppkey", "l_extendedprice"])
     li = lookup_join(li, part.rename(columns={"p_partkey": "l_partkey"}),
@@ -4334,8 +4227,7 @@ def q2_min_cost_supplier(sf_dir: str, ptype: str = "ECONOMY",
                      on=["l_suppkey"], cfg=DedupConfig(), how="semi")
     winners = hash_grouped_reduce(
         li.map_batches(pair_cost, batch_format="pyarrow"),
-        key_hash=lambda t: H.splitmix64(
-            t["p_partkey"].to_numpy().astype(np.uint64)),
+        key_hash=["p_partkey"],
         reduce_fn=tie_winners,
         num_parts=32,
     )
@@ -4391,12 +4283,6 @@ def q_events_fill_forward(sf_dir: str, num_buckets: int = 32):
     ds = _read(sf_dir, "events",
                ["event_id", "user_id", "ts", "event_type", "value"])
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy().astype(np.uint64)
-        h = (u ^ (u >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
-        return t.append_column(
-            "bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int64)))
-
     def locf_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         n = len(g)
@@ -4415,8 +4301,8 @@ def q_events_fill_forward(sf_dir: str, num_buckets: int = 32):
         return pd.DataFrame({"event_id": g["event_id"].to_numpy(),
                              "last_purchase_cents": out})
 
-    return ds.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(locf_bucket, batch_format="pandas")
+    return hash_grouped_reduce(ds, ["user_id"], locf_bucket, num_buckets,
+                               batch_format="pandas")
 
 
 Q_EVENTS_FILL_FORWARD_SQL = """
@@ -4448,12 +4334,6 @@ def q_events_type_transitions(sf_dir: str, num_buckets: int = 32):
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy().astype(np.uint64)
-        h = (u ^ (u >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
-        return t.append_column(
-            "bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int64)))
-
     def trans_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         same_user = g["user_id"].eq(g["user_id"].shift())
@@ -4464,8 +4344,8 @@ def q_events_type_transitions(sf_dir: str, num_buckets: int = 32):
         return (out.groupby(["prev_type", "next_type"], as_index=False)
                 .size().rename(columns={"size": "n"}))
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("bucket").map_groups(trans_bucket, batch_format="pandas")
+    return (hash_grouped_reduce(ds, ["user_id"], trans_bucket, num_buckets,
+                                batch_format="pandas")
             .groupby(["prev_type", "next_type"])
             .aggregate(Sum("n", alias_name="n")))
 
@@ -4651,12 +4531,6 @@ def q_peak_concurrent_sessions(sf_dir: str, gap_minutes: int = 30,
     discipline as the distributed zipWithIndex."""
     ds = _read(sf_dir, "events", ["user_id", "ts"])
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy().astype(np.uint64)
-        h = (u ^ (u >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
-        return t.append_column(
-            "bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int64)))
-
     def session_intervals(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts"], kind="mergesort")
         new_user = g["user_id"].ne(g["user_id"].shift())
@@ -4669,10 +4543,9 @@ def q_peak_concurrent_sessions(sf_dir: str, gap_minutes: int = 30,
             "t1": agg["max"].astype("int64"),
         })
 
-    sessions = (ds.map_batches(add_bucket, batch_format="pyarrow")
-                .groupby("bucket")
-                .map_groups(session_intervals, batch_format="pandas")
-                .materialize())
+    sessions = hash_grouped_reduce(ds, ["user_id"], session_intervals,
+                                   num_buckets, batch_format="pandas"
+                                   ).materialize()
     n_sessions = sessions.count()
 
     def boundaries(t: pa.Table) -> pa.Table:
@@ -4767,12 +4640,6 @@ def q_session_type_cooccurrence(sf_dir: str, gap_minutes: int = 30,
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy().astype(np.uint64)
-        h = (u ^ (u >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
-        return t.append_column(
-            "bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int64)))
-
     def cooccur_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts"], kind="mergesort")
         new_user = g["user_id"].ne(g["user_id"].shift())
@@ -4786,8 +4653,7 @@ def q_session_type_cooccurrence(sf_dir: str, gap_minutes: int = 30,
                 .rename(columns={"event_type_x": "type_a",
                                  "event_type_y": "type_b", "size": "n"}))
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("bucket").map_groups(cooccur_bucket,
+    return (hash_grouped_reduce(ds, ["user_id"], cooccur_bucket, num_buckets,
                                           batch_format="pandas")
             .groupby(["type_a", "type_b"])
             .aggregate(Sum("n", alias_name="n_sessions")))

@@ -49,7 +49,7 @@ def video_signatures(ds: ray.data.Dataset, cfg: DedupConfig,
 
 
 class _ExplodeFrameBands:
-    """signature rows -> (band, bucket, salt, image_id, ph, sh) bucket stream.
+    """signature rows -> (band, bucket, image_id, ph, sh) bucket stream.
 
     One bucket row per (sampled frame x 4 pHash 16-bit bands); schema matches
     ``lsh.ExplodeBands`` so the whole skew/salting/pairing machinery
@@ -72,7 +72,6 @@ class _ExplodeFrameBands:
             return pa.table({
                 "band": band.astype(np.int64),
                 "bucket": bucket,
-                "salt": np.zeros(len(ids), dtype=np.int64),
                 "image_id": pa.array(ids, pa.string()),
                 "ph": pa.array(ph, pa.int64()),
                 "sh": np.zeros(len(ids), dtype=np.int64),

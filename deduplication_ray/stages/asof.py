@@ -7,8 +7,8 @@ DuckDB LATERAL), plus the count of qualifying right rows.
 
 Plan (no all-to-all join, no per-key Python):
   1. both sides map to one unified schema (side tag, key, ts, tiebreak,
-     left/right payload columns null-padded) with part = hash(key) % P —
-     ONE shuffle co-locates every key;
+     left/right payload columns null-padded), and ONE keyed exchange
+     (``groupred.hash_grouped_reduce`` on the key) co-locates every key;
   2. per partition, ONE vectorized merge: lexsort the combined rows by
      (key, ts, tiebreak, side) with right-before-left at equal ts, then a
      forward-fill of the latest right position (np.maximum.accumulate with
@@ -27,9 +27,8 @@ import pyarrow as pa
 
 import ray.data
 
-from deduplication_ray.functions import hashing as H
+from deduplication_ray.stages.groupred import hash_grouped_reduce
 
-_PART = "__part"
 _SIDE = "__side"
 _TS = "__ts"
 _TIE = "__tie"
@@ -60,13 +59,8 @@ def asof_join(
     """
     lkey, rkey = key
     lts, rts = ts
-    n_parts = max(int(num_parts), 1)
 
     left_cols = left.schema().names
-
-    def _part_of(keys: np.ndarray) -> np.ndarray:
-        return (H.splitmix64(keys.astype(np.int64).view(np.uint64))
-                % np.uint64(n_parts)).astype(np.int64)
 
     def prep_left(t: pa.Table) -> pa.Table:
         k = t[lkey].to_numpy().astype(np.int64)
@@ -77,7 +71,6 @@ def asof_join(
         out[_SIDE] = pa.array(np.ones(t.num_rows, np.int8))
         for c in right_payload:
             out[f"{c}_asof"] = pa.nulls(t.num_rows, pa.int64())
-        out[_PART] = pa.array(_part_of(k))
         return pa.table(out)
 
     def prep_right(t: pa.Table) -> pa.Table:
@@ -92,7 +85,6 @@ def asof_join(
         out[_SIDE] = pa.array(np.zeros(n, np.int8))
         for c in right_payload:
             out[f"{c}_asof"] = t[c].cast(pa.int64())
-        out[_PART] = pa.array(_part_of(k))
         return pa.table(out)
 
     # the left schema's column types must survive the right side's null
@@ -113,10 +105,8 @@ def asof_join(
                             zip(lschema.names, lschema.types)])
     rt_prepped = right.map_batches(
         lambda t: align(prep_right(t), ref_schema), batch_format="pyarrow")
-    both = lt_prepped.union(rt_prepped)
 
     def merge(t: pa.Table) -> pa.Table:
-        t = t.drop_columns([_PART])
         n = t.num_rows
         out_cols = left_cols + [f"{c}_asof" for c in right_payload] + \
             ["n_right_asof"]
@@ -154,4 +144,5 @@ def asof_join(
         out["n_right_asof"] = pa.array(cnt[lpos].astype(np.int64))
         return pa.table(out).select(out_cols)
 
-    return both.groupby(_PART).map_groups(merge, batch_format="pyarrow")
+    return hash_grouped_reduce([lt_prepped, rt_prepped], [_KEY], merge,
+                               num_parts)

@@ -1,26 +1,30 @@
-"""High-cardinality grouped reduction without per-group overhead.
+"""The keyed exchange: high-cardinality grouped reduction without
+per-group overhead.
 
 Ray Data's ``groupby().aggregate()`` pays a per-distinct-group cost in its
 aggregation machinery: measured 26s for a Sum over 3.6M rows / 2.8M groups
 vs 1.2s for the same reduction expressed as hash-partition + one vectorized
 merge per partition (single node, 32 CPUs). When the group count is ~O(rows)
-— edge dedupe keys, union-find node labels, content keys — that per-group
-cost dominates the whole pipeline, so every such reduction here goes through
-this helper instead: add ``part = key_hash % num_parts``, shuffle on the
+— edge dedupe keys, union-find node labels, content keys, users, grams —
+that per-group cost dominates, so every keyed reduction goes through this
+helper instead: add ``part = key_hash % num_parts``, shuffle on the
 small-int part key, and run ONE vectorized ``reduce_fn`` per partition
 (sort + ``np.add.reduceat`` / pandas groupby), which handles all of its
 groups at once.
 
-Shuffle joins run here too (``join.shuffle_join``). Ray's aggregate stays
-the right tool for LOW-cardinality groupbys (the relational queries' 6-way
-aggregates) where partial combining shrinks the shuffle; this helper is for
-the group-per-row regime. Contract: every row of a key lands wholly in one
-partition (hashing the key guarantees it); ``reduce_fn`` keeps no state.
+Callers: the spine (LSH pairing and pair dedupe, union-find rounds,
+cluster finalize), ``join.shuffle_join``, ``asof.asof_join``,
+``rangejoin.range_join_count``, and the query library's window, session,
+funnel and gram-bucket reducers (``relational``, ``docops``). Ray's
+aggregate stays the right tool for LOW-cardinality groupbys (the
+relational queries' 6-way aggregates) where partial combining shrinks the
+shuffle. Contract: every row of a key lands wholly in one partition
+(hashing the key guarantees it); ``reduce_fn`` keeps no state.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import pyarrow as pa
@@ -30,32 +34,64 @@ import ray.data
 _PART_COL = "__part"
 
 
+def key_hashes(t: pa.Table, on: Sequence[str]) -> np.ndarray:
+    """One u64 hash per row over the key columns ``on`` (order-sensitive
+    mix): integers through splitmix64, anything else as its string bytes.
+    Equal keys hash equal, which is all partitioning needs; joins confirm
+    matches against the key values, so collisions never join wrong rows."""
+    from deduplication_ray.functions import hashing as H
+
+    h: np.ndarray | None = None
+    for k in on:
+        col = t[k]
+        if isinstance(col, pa.ChunkedArray):
+            col = col.combine_chunks()
+        typ = col.type
+        if pa.types.is_null(typ):
+            hk = np.zeros(len(col), np.uint64)
+        elif pa.types.is_integer(typ):
+            arr = col.fill_null(0).cast(pa.int64()).to_numpy(zero_copy_only=False)
+            hk = H.splitmix64(arr.astype(np.int64).view(np.uint64))
+        else:
+            hk = H.hash_bytes_array(col.fill_null("").cast(pa.string()))
+        h = hk if h is None else H.hash_u64_pair(h, hk)
+    return h if h is not None else np.zeros(t.num_rows, np.uint64)
+
+
 def hash_grouped_reduce(
     ds: ray.data.Dataset | list[ray.data.Dataset],
-    key_hash: Callable[[pa.Table], np.ndarray],
-    reduce_fn: Callable[[pa.Table], pa.Table],
+    key_hash: Sequence[str] | Callable[[pa.Table], np.ndarray],
+    reduce_fn: Callable,
     num_parts: int,
+    batch_format: str = "pyarrow",
 ) -> ray.data.Dataset:
-    """Partition rows by ``key_hash(batch) % num_parts`` and apply the
+    """Partition rows by their key hash ``% num_parts`` and apply the
     vectorized ``reduce_fn`` once per partition.
 
-    ``key_hash`` returns a uint64 array (one hash per row); ``reduce_fn``
-    receives the partition's rows (part column already dropped) and reduces
-    every group it contains in one vectorized pass. A list of datasets is
-    reduced as their union, each tagged first: the tag fuses into its
-    upstream map, where after the union it would be a stage of its own."""
+    ``key_hash`` is either the key's column names (hashed by
+    ``key_hashes``) or a function returning one uint64 per row of an
+    Arrow batch. ``reduce_fn`` receives the partition's rows (part column
+    already dropped) as a ``batch_format`` batch — ``"pyarrow"`` or
+    ``"pandas"`` — and reduces every group it contains in one pass. A list
+    of datasets is reduced as their union, each tagged first: the tag fuses
+    into its upstream map, where after the union it would be a stage of its
+    own."""
     n_parts = max(int(num_parts), 1)
+    if not callable(key_hash):
+        on = list(key_hash)
+        key_hash = lambda t: key_hashes(t, on)  # noqa: E731
 
     def add_part(t: pa.Table) -> pa.Table:
         h = key_hash(t).astype(np.uint64, copy=False)
         return t.append_column(
             _PART_COL, pa.array((h % np.uint64(n_parts)).astype(np.int64)))
 
-    def red(t: pa.Table) -> pa.Table:
-        return reduce_fn(t.drop_columns([_PART_COL]))
+    def red(t):
+        return reduce_fn(t.drop_columns([_PART_COL]) if isinstance(t, pa.Table)
+                         else t.drop(columns=[_PART_COL]))
 
     first, *rest = [d.map_batches(add_part, batch_format="pyarrow",
                                   batch_size=None)
                     for d in (ds if isinstance(ds, list) else [ds])]
     tagged = first.union(*rest) if rest else first
-    return tagged.groupby(_PART_COL).map_groups(red, batch_format="pyarrow")
+    return tagged.groupby(_PART_COL).map_groups(red, batch_format=batch_format)

@@ -23,7 +23,7 @@ import ray
 import ray.data
 
 from deduplication_ray.config import DedupConfig
-from deduplication_ray.stages.groupred import hash_grouped_reduce
+from deduplication_ray.stages.groupred import hash_grouped_reduce, key_hashes
 from deduplication_ray.stages.tuning import ensure_blocks
 
 
@@ -47,29 +47,6 @@ def broadcast_ok(ds: ray.data.Dataset, cfg: DedupConfig,
             and (ds.size_bytes() or 0) <= MAX_BROADCAST_BYTES)
 
 
-def _key_hashes(t: pa.Table, on: list[str]) -> np.ndarray:
-    """One u64 hash per row over the join key columns (order-sensitive mix).
-    Purely an index accelerator — matches are always confirmed against the
-    actual key values, so collisions cannot produce wrong joins."""
-    from deduplication_ray.functions import hashing as H
-
-    h: np.ndarray | None = None
-    for k in on:
-        col = t[k]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        typ = col.type
-        if pa.types.is_null(typ):
-            hk = np.zeros(len(col), np.uint64)
-        elif pa.types.is_integer(typ):
-            arr = col.fill_null(0).cast(pa.int64()).to_numpy(zero_copy_only=False)
-            hk = H.splitmix64(arr.astype(np.int64).view(np.uint64))
-        else:
-            hk = H.hash_bytes_array(col.fill_null("").cast(pa.string()))
-        h = hk if h is None else H.hash_u64_pair(h, hk)
-    return h if h is not None else np.zeros(t.num_rows, np.uint64)
-
-
 def _as_arrow_block(tbl) -> pa.Table:
     """Ray Data blocks are pa.Table OR pandas.DataFrame (when the producing
     stage ran ``batch_format=\"pandas\"``); the by-refs broadcast index must
@@ -89,20 +66,23 @@ def _block_key_hashes(tbl, on: list[str]) -> np.ndarray:
     tbl = _as_arrow_block(tbl)
     if tbl.num_rows == 0:
         return np.zeros(0, np.uint64)
-    return _key_hashes(tbl, on)
+    return key_hashes(tbl, on)
 
 
 def _arrow_schema(ds: ray.data.Dataset) -> pa.Schema | None:
     """A MATERIALIZED ``ds``'s ``schema()`` as a pa.Schema; None when a
-    fully empty dataset has none. Arrow blocks only: Ray types a pandas
-    string column as ``object``, a TypeError here (``_rows_schema`` reads
-    the non-empty blocks' own Arrow schemas)."""
+    fully empty dataset has none. Ray types a pandas string column as
+    ``object``, which becomes ``null`` here, as Arrow types an empty object
+    column (``_rows_schema`` reads the non-empty blocks' own Arrow
+    schemas)."""
     s = ds.schema()
     if s is None:
         return None
     if isinstance(s.base_schema, pa.Schema):
         return s.base_schema
-    return pa.schema([pa.field(nm, tp) for nm, tp in zip(s.names, s.types)])
+    return pa.schema([pa.field(nm, tp if isinstance(tp, pa.DataType)
+                               else pa.null())
+                      for nm, tp in zip(s.names, s.types)])
 
 
 @ray.remote
@@ -188,7 +168,7 @@ class _GatherMerge:
                 t = t.set_column(
                     i, f.name, t[f.name].cast(small.schema.field(f.name).type))
 
-        ph = _key_hashes(t, self.on)
+        ph = key_hashes(t, self.on)
         if len(sorted_h):
             pos = np.minimum(np.searchsorted(sorted_h, ph),
                              len(sorted_h) - 1)
@@ -306,7 +286,7 @@ def lookup_join(
 
     if small_refs is None:
         small = small.combine_chunks()
-        kh = _key_hashes(small, on)
+        kh = key_hashes(small, on)
     payload = small_refs if small_refs is not None else small
 
     # Unique-key fast path: when every lookup key is distinct (signature
@@ -443,4 +423,4 @@ def shuffle_join(
     return hash_grouped_reduce(
         [left.map_batches(pad(0), batch_format="pyarrow"),
          right.map_batches(pad(1), batch_format="pyarrow")],
-        lambda t: _key_hashes(t, on), join_bucket, num_buckets)
+        list(on), join_bucket, num_buckets)

@@ -84,13 +84,13 @@ def _hash16_bands(values_u64: np.ndarray, base: int) -> tuple[np.ndarray, np.nda
 
 
 class ExplodeBands:
-    """signatures -> (band:int64, bucket:int64, salt:int64, image_id) rows.
+    """signatures -> (band:int64, bucket:int64, image_id, ph, sh) rows.
 
     Emits every candidate family in one pass over the signature table:
     MinHash LSH bands (caption near-dup), pHash multi-index bands and SimHash
     multi-index bands (pixel near-dup) when those columns are present.
-    salt starts at 0; hot buckets are salted after the bucket-key shuffle
-    (``_tag_buckets``), where each bucket's size is known.
+    Hot buckets are salted after the bucket-key shuffle (``_tag_buckets``),
+    where each bucket's size is known.
     """
 
     def __init__(self, cfg: DedupConfig,
@@ -138,7 +138,6 @@ class ExplodeBands:
             return pa.table({
                 "band": pa.array([], pa.int64()),
                 "bucket": pa.array([], pa.int64()),
-                "salt": pa.array([], pa.int64()),
                 "image_id": pa.array([], pa.string()),
                 "ph": pa.array([], pa.int64()),
                 "sh": pa.array([], pa.int64()),
@@ -148,7 +147,6 @@ class ExplodeBands:
         per_row = band.size // n
         ids = batch["image_id"].to_pandas().to_numpy()
         image_id = np.repeat(ids, per_row)
-        salt = np.zeros(n * per_row, dtype=np.int64)
 
         # carry the pixel hashes themselves so pixel-band pairs can be
         # Hamming-verified AT EMISSION: 16-bit bands saturate with n (65k
@@ -163,7 +161,6 @@ class ExplodeBands:
             {
                 "band": band.astype(np.int64),
                 "bucket": bucket,
-                "salt": salt,
                 "image_id": image_id,
                 "ph": ph,
                 "sh": sh,

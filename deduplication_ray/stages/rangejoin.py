@@ -6,9 +6,9 @@ uses: "events of this user in the following 5 minutes", "readings within
 ±1 s of each sample", self-correlation windows.
 
 Plan (no all-to-all join, no per-key Python):
-  1. ONE hash shuffle on the key co-locates every key's rows
-     (``groupby(part).map_groups``, the same partitioning contract as
-     stages/asof.py);
+  1. ONE keyed exchange (``groupred.hash_grouped_reduce`` on the key, the
+     same partitioning contract as stages/asof.py) co-locates every key's
+     rows;
   2. per partition, ONE vectorized sweep: lexsort by (key, ts), then map
      each key segment onto a disjoint numeric range by adding
      ``segment_rank * BIG`` (BIG > partition ts span + hi), which makes the
@@ -29,9 +29,7 @@ import pyarrow as pa
 
 import ray.data
 
-from deduplication_ray.functions import hashing as H
-
-_PART = "__part"
+from deduplication_ray.stages.groupred import hash_grouped_reduce
 
 
 def _ts_i8(col) -> np.ndarray:
@@ -60,16 +58,12 @@ def range_join_count(
     [lb, ub) position ranges expanded via np.repeat — counts are the
     SQL-checkable contract, so that is what ships.
     """
-    n_parts = max(int(num_parts), 1)
     cols = out_cols or ds.schema().names
 
     def prep(t: pa.Table) -> pa.Table:
-        k = t[key].to_numpy().astype(np.int64)
-        part = (H.splitmix64(k.view(np.uint64)) % np.uint64(n_parts)).astype(np.int64)
         keep = {c: t[c] for c in cols}
         keep[key] = t[key]
         keep["__ts_i8"] = pa.array(_ts_i8(t[ts]))
-        keep[_PART] = pa.array(part)
         return pa.table(keep)
 
     def sweep(t: pa.Table) -> pa.Table:
@@ -100,6 +94,5 @@ def range_join_count(
         return pa.table({**{c: t[c] for c in cols},
                          count_col: pa.array(out_cnt)})
 
-    prepped = ds.map_batches(prep, batch_format="pyarrow")
-    return prepped.groupby(_PART).map_groups(
-        lambda t: sweep(t.drop_columns([_PART])), batch_format="pyarrow")
+    return hash_grouped_reduce(ds.map_batches(prep, batch_format="pyarrow"),
+                               [key], sweep, num_parts)

@@ -246,7 +246,6 @@ class GramFingerprints:
             {
                 "band": pa.array(np.full(len(fp), lsh.BAND_SUBSTR_EXACT, np.int64)),
                 "bucket": pa.array(H.bitcast_u64_to_i64(fp), pa.int64()),
-                "salt": pa.array(np.zeros(len(fp), np.int64)),
                 "image_id": pa.array(ids[doc], pa.string()),
                 "ph": pa.array(np.zeros(len(fp), np.int64)),
                 "sh": pa.array(np.zeros(len(fp), np.int64)),

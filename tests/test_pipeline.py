@@ -323,7 +323,6 @@ def test_all_singleton_buckets_give_no_index_and_no_pairs(ray_session):
         return ray.data.from_arrow(pa.table({
             "band": pa.array([0] * n, pa.int64()),
             "bucket": pa.array(range(n), pa.int64()),
-            "salt": pa.array([-1] * n, pa.int64()),
             "image_id": pa.array([f"id{i}" for i in range(n)],
                                  pa.string())}))
 
@@ -398,7 +397,6 @@ def test_id_hash_collision_fails_loudly(ray_session, monkeypatch):
         return ray.data.from_arrow(pa.table({
             "band": pa.array([0] * n, pa.int64()),
             "bucket": pa.array([1] * n, pa.int64()),
-            "salt": pa.array([0] * n, pa.int64()),
             "image_id": pa.array(ids, pa.string()),
             "ph": pa.array([0] * n, pa.int64()),
             "sh": pa.array([0] * n, pa.int64())}))

@@ -132,19 +132,16 @@ def test_gram_sample_hot_buckets_dropped(ray_session):
     from deduplication_ray.stages import lsh, verify
 
     n = 50
-    rows = {"band": [], "bucket": [], "salt": [], "image_id": [],
-            "ph": [], "sh": []}
+    rows = {"band": [], "bucket": [], "image_id": [], "ph": [], "sh": []}
     for i in range(n):  # every doc shares the stopword gram (bucket 7)
         rows["band"].append(lsh.BAND_GRAM_SAMPLE)
         rows["bucket"].append(7)
-        rows["salt"].append(0)
         rows["image_id"].append(f"d{i:03d}")
         rows["ph"].append(0)
         rows["sh"].append(0)
     for i in (1, 2):  # two docs share a rare gram (bucket 99)
         rows["band"].append(lsh.BAND_GRAM_SAMPLE)
         rows["bucket"].append(99)
-        rows["salt"].append(0)
         rows["image_id"].append(f"d{i:03d}")
         rows["ph"].append(0)
         rows["sh"].append(0)
@@ -1329,4 +1326,48 @@ def test_package_tasks_request_whole_cpus():
                     whole = False
                 if not whole:
                     hits.append(f"{p.relative_to(pkg.parent)}:{node.lineno}")
+    assert not hits, hits
+
+
+# Ray per-group sites that are not a keyed exchange: each reduces one key
+# (a prefix-token rank, a source, a doc id, a cluster, a query, a cell) per
+# Ray group, so it needs a vectorized multi-group reducer before it can
+# move onto ``hash_grouped_reduce``.
+_PER_KEY_MAP_GROUPS = {
+    ("pipelines/ann.py", "_distributed_topk"),
+    ("pipelines/ann.py", "embedding_semdedup"),
+    ("pipelines/ann.py", "q_knn_label_check"),
+    ("pipelines/curate.py", "curate_documents"),
+    ("pipelines/docops.py", "_prefix_filter_join"),
+    ("pipelines/docops.py", "q_source_cap_sample"),
+    ("pipelines/docops.py", "q_doc_token_budget_mix"),
+    ("pipelines/docops.py", "q_doc_upsert"),
+    ("pipelines/docops.py", "q_doc_apply_changelog"),
+    ("pipelines/multihash.py", "multihash_pairs_from_buckets"),
+    ("pipelines/relational.py", "q_distinct_orders_per_flag_hll"),
+}
+
+
+def test_package_map_groups_only_in_the_keyed_exchange():
+    """The package has one keyed exchange: every ``map_groups`` call sits in
+    ``stages/groupred.py`` (``hash_grouped_reduce``) or in a top-level
+    function of the per-key allowlist. A hand-tagged bucket or part column
+    grouped with ``map_groups`` is a second copy of the exchange."""
+    import ast
+    import pathlib
+
+    pkg = pathlib.Path(__file__).resolve().parents[1] / "deduplication_ray"
+    hits = []
+    for p in sorted(pkg.rglob("*.py")):
+        rel = p.relative_to(pkg).as_posix()
+        if rel == "stages/groupred.py":
+            continue
+        for top in ast.parse(p.read_text()).body:
+            name = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "map_groups"
+                        and (rel, name) not in _PER_KEY_MAP_GROUPS):
+                    hits.append(f"{rel}:{node.lineno} in {name}")
     assert not hits, hits

@@ -1,9 +1,11 @@
 """Differential fuzz for the pre-aggregation spine and the broadcast join.
 
 `_keyed_reduce` (in-batch partial + hash-partitioned combine) is the
-pre-shuffle aggregation discipline under most TPC-H analogs; `lookup_join`
-is the broadcast edge under every dimension decoration. Both must match
-DuckDB on randomized inputs and be partition-count invariant."""
+pre-shuffle aggregation discipline under most TPC-H analogs, and
+`hash_grouped_reduce` with pandas batches runs the query library's window
+and session reducers; `lookup_join` is the broadcast edge under every
+dimension decoration. They must match DuckDB on randomized inputs and be
+partition-count invariant."""
 import duckdb
 import numpy as np
 import pyarrow as pa
@@ -13,6 +15,7 @@ import ray.data
 
 from deduplication_ray.config import DedupConfig
 from deduplication_ray.pipelines.relational import _keyed_reduce
+from deduplication_ray.stages.groupred import hash_grouped_reduce
 from deduplication_ray.stages.join import lookup_join
 
 from conftest import deadline, fuzz_blocks, fuzz_canon, fuzz_collect
@@ -57,7 +60,13 @@ def test_keyed_reduce_partition_count_invariance(ray_session):
                                              {"s": ("v", "sum")},
                                              num_parts=p)))
             for p in (1, 3, 32)]
-    assert outs[0] == outs[1] == outs[2]
+    # the same reduction on the pandas reducer path (the query library's
+    # window and session reducers): column-list key, pandas batches
+    outs.append(_rows(fuzz_collect(hash_grouped_reduce(
+        fuzz_blocks(rng, t), ["k"],
+        lambda df: df.groupby("k", as_index=False)["v"].sum()
+        .rename(columns={"v": "s"}), 7, batch_format="pandas"))))
+    assert outs[0] == outs[1] == outs[2] == outs[3]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -148,17 +157,26 @@ def test_lookup_join_semi_anti_vs_duckdb(ray_session, monkeypatch, how,
     assert _rows(out) == _rows(oracle), f"{ctx} pandas lookup"
 
 
-@pytest.mark.parametrize("how", ["semi", "anti"])
+@pytest.mark.parametrize("how", ["semi", "anti", "inner", "left"])
 def test_lookup_join_semi_anti_empty_lookup(ray_session, how):
-    """An empty lookup matches nothing: semi keeps no row, anti keeps all."""
+    """An empty lookup matches nothing: semi and inner keep no row, anti
+    keeps all, left keeps all with a null lookup column. The lookup may be
+    Arrow blocks, a pandas frame, or pandas blocks filtered to zero rows
+    with a string column (typed ``object`` by Ray's schema)."""
     rng = np.random.default_rng(5)
     big, _ = _semi_tables(rng, 40, 1, dup_lookup=True)
     empty = pa.table({"k": pa.array([], pa.int64()),
                       "y": pa.array([], pa.int64())})
-    for lookup in (fuzz_blocks(rng, empty), empty.to_pandas()):
+    pandas_blocks = ray.data.from_pandas(
+        pa.table({"k": [1], "y": ["s"]}).to_pandas()).map_batches(
+            lambda df: df[df["k"] < 0], batch_format="pandas")
+    expected = {"anti": _rows(big), "semi": [], "inner": [],
+                "left": _rows(big.append_column("y", pa.nulls(len(big))))}
+    for lookup in (fuzz_blocks(rng, empty), empty.to_pandas(),
+                   pandas_blocks):
         out = fuzz_collect(lookup_join(fuzz_blocks(rng, big), lookup,
                                        on=["k"], cfg=DedupConfig(), how=how))
-        assert _rows(out) == (_rows(big) if how == "anti" else [])
+        assert _rows(out) == expected[how], type(lookup)
 
 
 @pytest.mark.parametrize("how", ["inner", "left", "semi", "anti"])
