@@ -58,9 +58,9 @@ class DedupConfig:
 
     # --- optional extra pixel-identity channels (opt-in: each widens the
     # duplicate definition AND the signature row) ---
-    orientation_channel: bool = False  # dihedral (rot/mirror) pHash edges
+    orientation_channel: bool = False  # dihedral (rot/mirror) pHash bands
     orientation_hamming_t: int = 6
-    crop_channel: bool = False         # window-pyramid (crop/pad) edges
+    crop_channel: bool = False         # window-pyramid (crop/pad) bands
     crop_hamming_t: int = 3
 
     # --- skew defusal (T8) ---

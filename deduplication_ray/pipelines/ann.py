@@ -424,24 +424,6 @@ class EmbSig:
         })
 
 
-def explode_emb_bands(t: pa.Table) -> pa.Table:
-    """Embedding signature rows -> 4 x 16-bit SimHash multi-index bucket
-    rows (shared lsh schema; ``sh`` carries the hash for the at-emission
-    Hamming gate)."""
-    from deduplication_ray.stages import lsh
-
-    sh = H.bitcast_i64_to_u64(t["simhash"].to_numpy())
-    band, bucket = lsh._hash16_bands(sh, lsh.BAND_SIMHASH)
-    n = t.num_rows
-    return pa.table({
-        "band": band.astype(np.int64),
-        "bucket": bucket,
-        "image_id": pa.array(np.repeat(t["image_id"].to_pandas().to_numpy(), 4)),
-        "ph": np.zeros(n * 4, dtype=np.int64),
-        "sh": np.repeat(t["simhash"].to_numpy(), 4),
-    })
-
-
 def embedding_accept(cos_min: float):
     """The embedding ``accept`` (``verify.resolve_and_verify_pairs``): keep
     a candidate pair iff its EXACT cosine >= cos_min (normalized vectors

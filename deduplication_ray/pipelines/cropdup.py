@@ -20,9 +20,14 @@ Near-constant windows (the letterbox bars themselves, flat web tiles) are
 marked invalid by a variance gate and never banded — otherwise every padded
 image would pair with every other through its bars.
 
-Banding, in-bucket verify (min Hamming over valid window pairs) and pair
-dedupe are the shared ``multihash.banded_multihash_pairs`` machinery; see
-its docstring for the scale shape.
+The window hashes are a channel of the main image signature stage
+(``cfg.crop_channel``: ``stages/signatures`` emits wh0..wh5 + the wvalid
+bitmask from the SAME decode pass) and of the one bucket stream
+(``lsh.CHANNELS['window']``, band namespace ``BAND_WINDOW``): every valid
+window hash is split into 4 x 16-bit bands keyed by band position only,
+pairs are gated at emission and salted like every family's, and the
+resolve keeps a pair iff the min Hamming over valid window pairs
+(``verify.channel_hamming``) is within ``crop_hamming_t``.
 
 Reference parity: like ``orientation.py``, this generalizes the reference's
 exact-identity probe (``/root/reference/src/dictionary.c:49-59``) to an
@@ -31,15 +36,14 @@ identity invariant under a transform family — here crop/pad composition.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
-import pyarrow as pa
 
 import ray.data
 
 from deduplication_ray.config import DedupConfig
 from deduplication_ray.functions import codecs as C
-from deduplication_ray.functions import hashing as H
-from deduplication_ray.pipelines.multihash import banded_multihash_pairs
 
 WINDOW_NAMES = ("full", "tl", "tr", "bl", "br", "center")
 N_WINDOWS = 6
@@ -72,53 +76,12 @@ def window_phashes(wins: np.ndarray, size: int = 32,
     return hashes, valid
 
 
-class WindowSignatures:
-    """Actor-pool stage: decode pixels once, emit the 6 window pHashes.
-
-    Output: image_id, h0..h5 (int64 bitcast of u64), valid bitmask. The
-    bytes column dies here."""
-
-    def __init__(self, cfg: DedupConfig):
-        self.cfg = cfg
-        C.dct_matrix(cfg.phash_size)  # warm the per-actor cache
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        cfg = self.cfg
-        n = batch.num_rows
-        s = cfg.phash_size
-        fmts = batch["fmt"].to_pylist()
-        ws = batch["w"].to_numpy()
-        hs = batch["h"].to_numpy()
-        payloads = batch["bytes"]
-        if isinstance(payloads, pa.ChunkedArray):
-            payloads = payloads.combine_chunks()
-        pbuf, poffs = H._arrow_flat_buffer(payloads)
-        wins = np.zeros((n, N_WINDOWS, s, s), dtype=np.float32)
-        for i in range(n):  # decode (zlib inflate) is inherently per-row
-            img = C.decode_image(pbuf[poffs[i]:poffs[i + 1]],
-                                 fmts[i], int(ws[i]), int(hs[i]))
-            wins[i] = window_grays(C.to_grayscale(img), s)
-        hashes, valid = window_phashes(wins, cfg.phash_size,
-                                       cfg.phash_lowfreq)
-        cols = {"image_id": batch["image_id"]}
-        for k in range(N_WINDOWS):
-            cols[f"h{k}"] = pa.array(H.bitcast_u64_to_i64(hashes[:, k]),
-                                     pa.int64())
-        cols["valid"] = pa.array(valid)
-        return pa.table(cols)
-
-
-def compute_window_signatures(ds: ray.data.Dataset,
-                              cfg: DedupConfig) -> ray.data.Dataset:
-    return ds.map_batches(WindowSignatures(cfg), batch_format="pyarrow",
-                          batch_size=cfg.batch_size)
-
-
-def crop_dup_pairs(sigs: ray.data.Dataset, cfg: DedupConfig,
-                   max_hamming: int = 3) -> ray.data.Dataset:
-    """(image_id, h0..h5, valid) -> verified crop/pad near-dup pairs
-    (id_a, id_b, hamming), id_a < id_b; hamming = min over valid window
-    pairs.
+def run_crop_dup(input_ds: ray.data.Dataset, cfg: DedupConfig,
+                 max_hamming: int = 3) -> ray.data.Dataset:
+    """input table (image_id, bytes, w, h, fmt, caption, phash) -> crop/pad
+    near-dup pairs (id_a, id_b), id_a < id_b: the window channel alone
+    (``image_dedup.channel_dup_pairs``), kept iff the min Hamming over
+    valid window pairs is <= max_hamming.
 
     Default threshold 3, tighter than the whole-image passes: a window
     sees 1/4 of the pixels, and measured same-corpus noise pairs cluster
@@ -126,13 +89,7 @@ def crop_dup_pairs(sigs: ray.data.Dataset, cfg: DedupConfig,
     measurement: 687/696 true pairs at 0, all >2 false). 3 is also the
     4x16-bit band guarantee, so nothing the verify would pass can be
     missed by banding."""
-    return banded_multihash_pairs(sigs, cfg, n_hashes=N_WINDOWS,
-                                  max_hamming=max_hamming)
+    from deduplication_ray.pipelines.image_dedup import channel_dup_pairs
 
-
-def run_crop_dup(input_ds: ray.data.Dataset, cfg: DedupConfig,
-                 max_hamming: int = 3) -> ray.data.Dataset:
-    """input table (image_id, bytes, w, h, fmt, ...) -> verified crop/pad
-    near-dup pairs."""
-    return crop_dup_pairs(compute_window_signatures(input_ds, cfg),
-                          cfg, max_hamming=max_hamming)
+    return channel_dup_pairs(input_ds, dataclasses.replace(
+        cfg, crop_channel=True, crop_hamming_t=max_hamming), "window")

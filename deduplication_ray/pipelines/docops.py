@@ -199,18 +199,6 @@ def q_doc_simhash_pairs(sf_dir: str, hamming_t: int = 8):
 
     sigs = ds.map_batches(sig, batch_format="pyarrow").materialize()
 
-    def explode(t: pa.Table) -> pa.Table:
-        sh = H.bitcast_i64_to_u64(t["simhash"].to_numpy())
-        band, bucket = lsh._hash16_bands(sh, lsh.BAND_SIMHASH)
-        n = t.num_rows
-        return pa.table({
-            "band": band.astype(np.int64),
-            "bucket": bucket,
-            "image_id": pa.array(np.repeat(t["image_id"].to_pandas().to_numpy(), 4)),
-            "ph": np.zeros(n * 4, dtype=np.int64),
-            "sh": np.repeat(t["simhash"].to_numpy(), 4),
-        })
-
     def accept(t: pa.Table, col) -> np.ndarray:
         return H.hamming_distance_u64(
             H.bitcast_i64_to_u64(col("simhash", "src", None).to_numpy()),
@@ -218,7 +206,8 @@ def q_doc_simhash_pairs(sf_dir: str, hamming_t: int = 8):
         ) <= hamming_t
 
     edges = V.pair_and_verify(
-        sigs.map_batches(explode, batch_format="pyarrow"),
+        sigs.map_batches(lsh.ExplodeBands(cfg, families=("simhash",)),
+                         batch_format="pyarrow"),
         V.DeferredSignatureIndex(sigs, cfg), cfg, accept=accept)
 
     def ordered(t: pa.Table) -> pa.Table:

@@ -14,10 +14,11 @@ Stage DAG (each boundary is a checkpoint, see state/checkpoint.py):
     | map_batches(ComputeSignatures tasks)           [decode once; bytes die]
   signatures (image_id, ck1, ck2, cap_hash, phash, phash_ok, simhash, minhash)
     | verified_edges: one bucket stream (MinHash / pHash / SimHash bands,
-    |   exact content key, caption L-grams) -> tag + salt -> slim id-hash
-    |   pairs -> pair dedupe -> resolve signatures (broadcast gather, or
-    |   hash joins above the broadcast tier) + verify (Hamming/Jaccard)
-    |   [+ opt-in suffix-array / orientation / crop channel edges]
+    |   exact content key, caption L-grams [+ opt-in orientation / crop
+    |   variant bands]) -> tag + salt -> slim id-hash pairs -> pair dedupe
+    |   -> resolve signatures (broadcast gather, or hash joins above the
+    |   broadcast tier) + verify (Hamming/Jaccard [+ min variant Hamming])
+    |   [+ opt-in suffix-array edges]
   verified_edges (src, dst, kind)     [candidate pairs are never written]
     | checkpointed_clusters: connected_components (one local pass, or
     |   hash-min rounds checkpointed as labels_r{k}) -> finalize: left-join
@@ -56,7 +57,9 @@ def compute_signatures(input_ds: ray.data.Dataset, cfg: DedupConfig) -> ray.data
     )
 
 
-PIXEL_FAMILIES = ("minhash", "phash", "simhash", "exact")
+# the image run's bucket families; the channel ones emit only when their
+# config flag is on
+PIXEL_FAMILIES = ("minhash", "phash", "simhash", "exact", "orient", "window")
 
 
 def finalize_clusters(
@@ -165,6 +168,36 @@ def _channel_clusters(
         has_pixels=has_pixels)
     return finalize_clusters(sigs.select_columns(["image_id"]),
                              unionfind.connected_components(ve, cfg), cfg)
+
+
+def channel_dup_pairs(input_ds: ray.data.Dataset, cfg: DedupConfig,
+                      family: str) -> ray.data.Dataset:
+    """input table (image_id, bytes, w, h, fmt, caption, phash) -> the
+    near-dup pairs (id_a, id_b), id_a < id_b, of ONE opt-in image channel
+    (``lsh.CHANNELS``: 'orient' or 'window', whose config flag must be on):
+    its variant bands alone through the one bucket stream, kept iff the
+    min Hamming over valid variant pairs (``verify.channel_hamming``) is
+    within the channel's radius."""
+    import pyarrow.compute as pc
+
+    sigs = compute_signatures(input_ds, cfg).materialize()
+    radius = getattr(cfg, lsh.CHANNELS[family].radius)
+
+    def accept(t: pa.Table, col) -> np.ndarray:
+        return verify.channel_hamming(family, col, None) <= radius
+
+    def ordered(t: pa.Table) -> pa.Table:
+        # id_a < id_b as strings: the resolve emits id-hash order
+        lt = pc.less(t["src"], t["dst"])
+        return pa.table({"id_a": pc.if_else(lt, t["src"], t["dst"]),
+                         "id_b": pc.if_else(lt, t["dst"], t["src"])})
+
+    buckets = sigs.map_batches(lsh.ExplodeBands(cfg, families=(family,)),
+                               batch_format="pyarrow",
+                               batch_size=cfg.text_batch_size)
+    return verify.pair_and_verify(
+        buckets, verify.DeferredSignatureIndex(sigs, cfg), cfg,
+        accept=accept).map_batches(ordered, batch_format="pyarrow")
 
 
 def _self_representatives(clusters: ray.data.Dataset) -> ray.data.Dataset:
@@ -310,7 +343,6 @@ def keep_best_representatives(clusters: ray.data.Dataset,
     n_members)."""
     import pandas as pd
 
-    from deduplication_ray.functions import hashing as H
     from deduplication_ray.stages.groupred import hash_grouped_reduce
     from deduplication_ray.stages.join import lookup_join
 
@@ -344,15 +376,8 @@ def keep_best_representatives(clusters: ray.data.Dataset,
                                   [c_s[first]].astype(np.int64)),
         })
 
-    return hash_grouped_reduce(
-        j,
-        key_hash=lambda t: H.hash_bytes_array(
-            t["cluster_id"].combine_chunks()
-            if isinstance(t["cluster_id"], pa.ChunkedArray)
-            else t["cluster_id"]),
-        reduce_fn=elect,
-        num_parts=cfg.num_partitions,
-    )
+    return hash_grouped_reduce(j, ["cluster_id"], elect,
+                               cfg.num_partitions)
 
 
 def keep_sharpest_representatives(clusters: ray.data.Dataset,
@@ -443,12 +468,5 @@ def keep_sharpest_representatives(clusters: ray.data.Dataset,
             "n_members": pa.array(nm[win]),
         })
 
-    return hash_grouped_reduce(
-        scored,
-        key_hash=lambda t: H.hash_bytes_array(
-            t["cluster_id"].combine_chunks()
-            if isinstance(t["cluster_id"], pa.ChunkedArray)
-            else t["cluster_id"]),
-        reduce_fn=elect,
-        num_parts=cfg.num_partitions,
-    )
+    return hash_grouped_reduce(scored, ["cluster_id"], elect,
+                               cfg.num_partitions)

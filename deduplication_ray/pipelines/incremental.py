@@ -22,8 +22,9 @@ Work is delta-bounded at every expensive stage:
 - **Signatures** (decode, the dominant cost) run on delta rows only;
   base signatures are read from the base run's checkpoint.
 - **Candidate generation** re-keys base *signatures* into the full run's
-  bucket stream — every family, the exact content-key family included
-  (pure hash math over the narrow signature table — no pixels) — and keeps
+  bucket stream — every family, the exact content-key family and the
+  image channels' variant bands included (pure hash math over the narrow
+  signature table — no pixels) — and keeps
   only base rows landing in a bucket some delta row occupies: the distinct
   delta bucket-key set is collected (bounded by |delta| x bands) and
   broadcast via ``ray.put``, and the base bucket stream is filtered by a
@@ -72,13 +73,11 @@ from deduplication_ray.stages import lsh, verify
 from deduplication_ray.state.checkpoint import CheckpointedRun
 
 
-def _collect_keys(buckets: ray.data.Dataset, key_fn=lsh.bucket_key
-                  ) -> np.ndarray:
-    """Distinct u64 bucket keys (``key_fn`` over a batch; default the
-    (band, bucket) composite), pre-deduped per batch before the bounded
-    driver collect (|delta| x bands u64s at most)."""
+def _collect_keys(buckets: ray.data.Dataset) -> np.ndarray:
+    """Distinct u64 (band, bucket) composite keys, pre-deduped per batch
+    before the bounded driver collect (|delta| x bands u64s at most)."""
     def keys(t: pa.Table) -> pa.Table:
-        k = np.unique(key_fn(t))
+        k = np.unique(lsh.bucket_key(t))
         return pa.table({"k": pa.array(H.bitcast_u64_to_i64(k), pa.int64())})
 
     parts = list(buckets.map_batches(keys, batch_format="pyarrow")
@@ -90,13 +89,12 @@ def _collect_keys(buckets: ray.data.Dataset, key_fn=lsh.bucket_key
 
 
 class _MatchingKeys:
-    """Filter a stream to rows whose u64 key (``key_fn`` over the batch) is
+    """Filter a bucket stream to rows whose (band, bucket) composite key is
     in the broadcast sorted key set (plasma-local after first fetch per
-    node). ``key_fn`` defaults to the (band, bucket) composite."""
+    node)."""
 
-    def __init__(self, ref, key_fn=None):
+    def __init__(self, ref):
         self.ref = ref
-        self.key_fn = key_fn or lsh.bucket_key
         self._keys = None
 
     def __call__(self, t: pa.Table) -> pa.Table:
@@ -105,7 +103,7 @@ class _MatchingKeys:
         ks = self._keys
         if t.num_rows == 0 or len(ks) == 0:
             return t.slice(0, 0)
-        k = self.key_fn(t)
+        k = lsh.bucket_key(t)
         pos = np.minimum(np.searchsorted(ks, k), len(ks) - 1)
         return t.filter(pa.array(ks[pos] == k))
 
@@ -142,81 +140,6 @@ class _SideFilter:
         s = self._member(t, "ah", "src")
         d = self._member(t, "bh", "dst")
         return t.filter(pa.array(s ^ d if self.mode == "crosses" else s | d))
-
-
-def _channel_edges(sigs: ray.data.Dataset, cfg: DedupConfig,
-                   old_sigs: ray.data.Dataset | None = None
-                   ) -> ray.data.Dataset | None:
-    """The opt-in pixel-identity channel edges of image runs
-    (``cfg.orientation_channel`` / ``cfg.crop_channel``; None when neither
-    is on): the signature columns oh0..oh7 / wh0..wh5 + wvalid are banded
-    by the shared multihash machinery, whose in-bucket min Hamming over
-    relative orientations / valid windows IS the verification. The edges
-    (kind 'orient' / 'window') therefore join after the pHash/SimHash
-    verify, which would reject them — that blindness is the point.
-    Duplicate edges across channels are harmless to min-label propagation.
-
-    With ``old_sigs`` (ingest/merge) the plan is key-bounded like the main
-    bucket stream: the new side's channel band keys are collected once
-    (|new| x K x 4 u64s) and the old side's channel buckets are probed
-    against them, so old pixels are never decoded and old rows outside
-    new-occupied buckets never pair. ``old_sigs`` must be written under the
-    same config (hence carry the channel columns — ``_check_sig_config``)."""
-    from deduplication_ray.pipelines.multihash import (
-        multihash_buckets, multihash_pairs_from_buckets)
-
-    specs = []
-    if cfg.orientation_channel:
-        from deduplication_ray.pipelines.orientation import N_ORIENT
-
-        def prep_o(t: pa.Table) -> pa.Table:
-            cols = {"image_id": t["image_id"]}
-            for k in range(N_ORIENT):
-                cols[f"h{k}"] = t[f"oh{k}"]
-            cols["valid"] = pa.array(
-                np.full(t.num_rows, (1 << N_ORIENT) - 1, np.int64))
-            return pa.table(cols)
-
-        specs.append((prep_o, N_ORIENT, cfg.orientation_hamming_t, "orient"))
-    if cfg.crop_channel:
-        from deduplication_ray.pipelines.cropdup import N_WINDOWS
-
-        def prep_c(t: pa.Table) -> pa.Table:
-            cols = {"image_id": t["image_id"]}
-            for k in range(N_WINDOWS):
-                cols[f"h{k}"] = t[f"wh{k}"]
-            cols["valid"] = t["wvalid"]
-            return pa.table(cols)
-
-        specs.append((prep_c, N_WINDOWS, cfg.crop_hamming_t, "window"))
-
-    def bkeys_u64(t: pa.Table) -> np.ndarray:
-        return t["bkey"].to_numpy().view(np.uint64)
-
-    out = None
-    for prep, K, thr, kind in specs:
-        def channel_buckets(s: ray.data.Dataset, _prep=prep, _K=K):
-            return multihash_buckets(
-                s.map_batches(_prep, batch_format="pyarrow"), _K)
-
-        b = channel_buckets(sigs)
-        if old_sigs is not None:
-            b = b.materialize()
-            ref = ray.put(_collect_keys(b, bkeys_u64))
-            b = b.union(channel_buckets(old_sigs).map_batches(
-                _MatchingKeys(ref, key_fn=bkeys_u64), batch_format="pyarrow"))
-
-        def to_edges(t: pa.Table, _kind=kind) -> pa.Table:
-            return pa.table({
-                "src": t["id_a"],
-                "dst": t["id_b"],
-                "kind": pa.array([_kind] * t.num_rows, pa.string()),
-            })
-
-        e = multihash_pairs_from_buckets(b, cfg, K, thr).map_batches(
-            to_edges, batch_format="pyarrow")
-        out = e if out is None else out.union(e)
-    return out
 
 
 def _check_sig_config(run_dirs, cfg: DedupConfig, what: str) -> None:
@@ -358,7 +281,7 @@ def engine_kit(mode: str, cfg: DedupConfig, id_col: str | None = None,
         id_col = id_col or "vec_id"
         kit.update(
             id_col=id_col, columns=[id_col, "embedding"],
-            explode=ann.explode_emb_bands,
+            explode=lsh.ExplodeBands(cfg, families=("simhash",)),
             sig=lambda ds: ds.map_batches(
                 ann.EmbSig(cfg, id_col),
                 batch_format="pyarrow", batch_size=4096),
@@ -401,28 +324,27 @@ def engine_kit(mode: str, cfg: DedupConfig, id_col: str | None = None,
         [``side``-filtered] and verified against a
         ``verify.DeferredSignatureIndex`` (``verify.pair_and_verify``).
         ``cfg.use_suffix_array`` adds the suffix-array edges of ``caps``
-        (trusted 'substr' by construction) and image runs add the channel
-        edges (``_channel_edges``), both after the verify.
+        (trusted 'substr' by construction) after the verify. The image
+        kit's opt-in orientation / crop channels are families of the same
+        bucket stream (``lsh.CHANNELS``).
 
         ``old=(old_sigs, old_caps)`` makes it the delta-bounded plan of
         ingest and merge: the NEW side's occupied bucket keys are collected
         (bounded: |new| x bands) and broadcast, the OLD side's bucket
         stream keeps only rows in those buckets — so every shared bucket is
         seen in full and salts exactly as in a from-scratch run — and the
-        slim pairs (and channel edges) pass ``side`` (a ``_SideFilter``)
-        BEFORE the resolve, so pairs the input runs already adjudicated are
-        never verified."""
+        slim pairs pass ``side`` (a ``_SideFilter``) BEFORE the resolve, so
+        pairs the input runs already adjudicated are never verified."""
         b = buckets(sigs, caps, substr)
-        old_sigs = None
         if old is not None:
             old_sigs, old_caps = old
             b = b.materialize()
             keys_ref = ray.put(_collect_keys(b))
             b = b.union(buckets(old_sigs, old_caps).map_batches(
                 _MatchingKeys(keys_ref), batch_format="pyarrow"))
+            sigs = sigs.union(old_sigs)
         ve = verify.pair_and_verify(
-            b, verify.DeferredSignatureIndex(
-                sigs if old is None else sigs.union(old_sigs), cfg),
+            b, verify.DeferredSignatureIndex(sigs, cfg),
             kit["edge_cfg"], accept=kit["accept"],
             has_pixels=kit["has_pixels"], pair_filter=side)
         if cfg.use_suffix_array and caps is not None:
@@ -430,11 +352,6 @@ def engine_kit(mode: str, cfg: DedupConfig, id_col: str | None = None,
 
             ve = ve.union(suffix_array_edges(caps, cfg)
                           .select_columns(["src", "dst", "kind"]))
-        ch = (_channel_edges(sigs, kit["edge_cfg"], old_sigs)
-              if kit["has_pixels"] else None)
-        if ch is not None:
-            ve = ve.union(ch if side is None else
-                          ch.map_batches(side, batch_format="pyarrow"))
         return ve
 
     kit.update(captions=captions, edges=edges)
@@ -492,10 +409,8 @@ def _representatives(clusters: ray.data.Dataset, input_path: str,
         return pa.Table.from_pandas(out, preserve_index=False).cast(schema)
 
     sizes = hash_grouped_reduce(
-        clusters.select_columns(["cluster_id"]),
-        lambda t: H.hash_bytes_array(
-            t["cluster_id"].combine_chunks().cast(pa.string())),
-        red, cfg.num_partitions).rename_columns({"cluster_id": id_col})
+        clusters.select_columns(["cluster_id"]), ["cluster_id"], red,
+        cfg.num_partitions).rename_columns({"cluster_id": id_col})
     return lookup_join(storage.read_table(input_path), sizes, on=[id_col],
                        cfg=cfg)
 
@@ -814,11 +729,8 @@ def delete_ids(
             return pa.Table.from_pandas(out, preserve_index=False) \
                 .cast(schema)
 
-        newlab = hash_grouped_reduce(
-            surv,
-            lambda t: H.hash_bytes_array(
-                t["cluster_id"].combine_chunks().cast(pa.string())),
-            red, cfg.num_partitions)
+        newlab = hash_grouped_reduce(surv, ["cluster_id"], red,
+                                     cfg.num_partitions)
         j = lookup_join(surv, newlab, on=["cluster_id"], cfg=cfg)
         return j.map_batches(
             lambda t: pa.table({member_col: t[member_col].cast(pa.string()),

@@ -51,9 +51,10 @@ def video_signatures(ds: ray.data.Dataset, cfg: DedupConfig,
 class _ExplodeFrameBands:
     """signature rows -> (band, bucket, image_id, ph, sh) bucket stream.
 
-    One bucket row per (sampled frame x 4 pHash 16-bit bands); schema matches
-    ``lsh.ExplodeBands`` so the whole skew/salting/pairing machinery
-    (``lsh.slim_pairs_from_buckets``) is reused unchanged. ``ph`` carries the frame hash for the at-emission
+    One bucket row per (sampled frame x 4 pHash 16-bit bands,
+    ``lsh.hash16_band_rows``); schema matches ``lsh.ExplodeBands`` so the
+    whole skew/salting/pairing machinery (``lsh.slim_pairs_from_buckets``)
+    is reused unchanged. ``ph`` carries the frame hash for the at-emission
     Hamming check (lsh._pixel_pair_keep)."""
 
     def __init__(self, cfg: DedupConfig):
@@ -63,19 +64,10 @@ class _ExplodeFrameBands:
         def rows_for(col: str) -> pa.Table:
             lists = t[col].combine_chunks() if isinstance(
                 t[col], pa.ChunkedArray) else t[col]
-            flat = lists.flatten().to_numpy()
             counts = np.diff(lists.offsets.to_numpy())
-            band, bucket = lsh._hash16_bands(H.bitcast_i64_to_u64(flat),
-                                             lsh.BAND_PHASH)
-            ids = np.repeat(t["image_id"].to_pandas().to_numpy(), counts * 4)
-            ph = np.repeat(flat, 4)
-            return pa.table({
-                "band": band.astype(np.int64),
-                "bucket": bucket,
-                "image_id": pa.array(ids, pa.string()),
-                "ph": pa.array(ph, pa.int64()),
-                "sh": np.zeros(len(ids), dtype=np.int64),
-            })
+            ids = np.repeat(t["image_id"].to_pandas().to_numpy(), counts)
+            return lsh.hash16_band_rows(ids, lists.flatten().to_numpy(),
+                                        lsh.BAND_PHASH)
 
         out = rows_for("frame_phashes")
         if "frame_phashes_flip" in t.column_names:

@@ -23,12 +23,18 @@ turns bucket rows into pairs. In the same partition,
 hot ones, emitting pairs as 64-bit id hashes. The star anchor is the min
 id hash (deterministic; parallel-safe analog of first-occurrence ids,
 ``compressor.c:109-113``). Exact identity rides the same stream
-(``BAND_EXACT``: bucket = content key). Pairs are deduped once
-(``dedupe_slim_pairs``) and resolved back to ids against the signature
-table once (``verify.resolve_and_verify_pairs``).
+(``BAND_EXACT``: bucket = content key), and so do the image engine's
+opt-in orientation and crop channels (``CHANNELS``: K variant pHashes per
+image, each in 4 x 16-bit bands of its own namespace, so variant i of one
+image meets variant j of another). Every 16-bit band row is built by
+``hash16_band_rows``. Pairs are deduped once (``dedupe_slim_pairs``) and
+resolved back to ids against the signature table once
+(``verify.resolve_and_verify_pairs``).
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -64,6 +70,45 @@ BAND_EXACT = 5000     # exact-duplicate family: bucket key = hash(content
                       # stars + ambassadors above — same components either
                       # way, and hash-min union-find elects the same min-id
                       # representative)
+BAND_ORIENT = 6000    # 6000..6003 / 7000..7003: the opt-in image channels'
+BAND_WINDOW = 7000    # variant pHashes (``CHANNELS``), 4 x 16-bit bands each,
+                      # apart from BAND_PHASH so the default families'
+                      # buckets never see them
+
+
+class Channel(NamedTuple):
+    """An opt-in image channel: K variant pHashes per image, banded like
+    a pHash in namespace ``band``. The band key folds the band position but
+    not the variant index, so variant i of one image meets variant j of
+    another; ``ph`` carries the variant hash for the emission gate (radius
+    ``cfg.<radius>``). Emitted when ``cfg.<flag>`` is on."""
+    band: int
+    cols: tuple[str, ...]
+    valid: str | None     # validity bitmask column (None: all valid)
+    flag: str
+    radius: str
+
+
+CHANNELS = {
+    # the 8 dihedral orientations (pipelines/orientation.py)
+    "orient": Channel(BAND_ORIENT, tuple(f"oh{k}" for k in range(8)), None,
+                      "orientation_channel", "orientation_hamming_t"),
+    # the 6 crop windows; flat windows are invalid (pipelines/cropdup.py)
+    "window": Channel(BAND_WINDOW, tuple(f"wh{k}" for k in range(6)),
+                      "wvalid", "crop_channel", "crop_hamming_t"),
+}
+
+
+def channel_variants(family: str, get) -> tuple[np.ndarray, np.ndarray]:
+    """``get(column)`` -> the channel's (n, K) u64 variant hashes and the
+    (n, K) bool mask of its valid ones."""
+    ch = CHANNELS[family]
+    h = np.stack([H.bitcast_i64_to_u64(np.asarray(get(c), np.int64))
+                  for c in ch.cols], axis=1)
+    if ch.valid is None:
+        return h, np.ones(h.shape, dtype=bool)
+    v = np.asarray(get(ch.valid), np.int64)
+    return h, ((v[:, None] >> np.arange(len(ch.cols))) & 1).astype(bool)
 
 
 def _hash16_bands(values_u64: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
@@ -83,14 +128,31 @@ def _hash16_bands(values_u64: np.ndarray, base: int) -> tuple[np.ndarray, np.nda
     return band, H.bitcast_u64_to_i64(bucket).ravel()
 
 
+def hash16_band_rows(ids, hashes, base: int) -> pa.Table:
+    """One id per int64 pHash-like hash -> bucket rows in the shared
+    (band, bucket, image_id, ph, sh) schema: the hash's 4 x 16-bit bands in
+    namespace ``base`` (``_hash16_bands``); ``ph`` carries the hash itself
+    for the emission-time Hamming gate, ``sh`` is 0."""
+    hashes = np.asarray(hashes, np.int64)
+    band, bucket = _hash16_bands(H.bitcast_i64_to_u64(hashes), base)
+    return pa.table({
+        "band": band.astype(np.int64),
+        "bucket": bucket,
+        "image_id": pa.array(np.repeat(ids, 4), pa.string()),
+        "ph": np.repeat(hashes, 4),
+        "sh": np.zeros(4 * len(hashes), dtype=np.int64),
+    })
+
+
 class ExplodeBands:
     """signatures -> (band:int64, bucket:int64, image_id, ph, sh) rows.
 
     Emits every candidate family in one pass over the signature table:
     MinHash LSH bands (caption near-dup), pHash multi-index bands and SimHash
-    multi-index bands (pixel near-dup) when those columns are present.
-    Hot buckets are salted after the bucket-key shuffle (``_tag_buckets``),
-    where each bucket's size is known.
+    multi-index bands (pixel near-dup) when those columns are present, and
+    the opt-in image channels' variant bands (``CHANNELS``) when their
+    config flag is on. Hot buckets are salted after the bucket-key shuffle
+    (``_tag_buckets``), where each bucket's size is known.
     """
 
     def __init__(self, cfg: DedupConfig,
@@ -103,6 +165,20 @@ class ExplodeBands:
         self.families = families
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        out = self._signature_rows(batch)
+        chans = [f for f in CHANNELS if f in self.families
+                 and getattr(self.cfg, CHANNELS[f].flag)]
+        if not chans:
+            return out
+        ids = batch["image_id"].to_pandas().to_numpy()
+        for f in chans:
+            h, valid = channel_variants(f, lambda c: batch[c].to_numpy())
+            r, k = np.nonzero(valid)
+            out = pa.concat_tables([out, hash16_band_rows(
+                ids[r], H.bitcast_u64_to_i64(h[r, k]), CHANNELS[f].band)])
+        return out
+
+    def _signature_rows(self, batch: pa.Table) -> pa.Table:
         cfg = self.cfg
         n = batch.num_rows
 
@@ -171,14 +247,21 @@ class ExplodeBands:
 def _pixel_pair_keep(band: np.ndarray, ph_a, ph_b, sh_a, sh_b, cfg: DedupConfig) -> np.ndarray:
     """Early Hamming verification for pixel-band pairs (16-bit bands saturate
     with n; junk collisions must die at emission, not in a 2.5M-edge dedupe).
-    Non-pixel bands pass through untouched."""
-    is_ph = (band >= BAND_PHASH) & (band < BAND_SIMHASH)
+    Channel bands gate the variant hashes that collided (``ph``) at the
+    channel's radius. Non-pixel bands pass through untouched."""
+    is_ch = band >= BAND_ORIENT
+    is_ph = ((band >= BAND_PHASH) & (band < BAND_SIMHASH)) | is_ch
     is_sh = (band >= BAND_SIMHASH) & (band < BAND_SUBSTR)
     keep = ~(is_ph | is_sh)
     if is_ph.any():
         hd = H.popcount64(np.asarray(ph_a, np.int64).view(np.uint64)
                           ^ np.asarray(ph_b, np.int64).view(np.uint64))
-        keep |= is_ph & (hd <= cfg.phash_hamming_t)
+        radius = cfg.phash_hamming_t
+        if is_ch.any():
+            radius = np.select(
+                [band >= BAND_WINDOW, is_ch],
+                [cfg.crop_hamming_t, cfg.orientation_hamming_t], radius)
+        keep |= is_ph & (hd <= radius)
     if is_sh.any():
         hd = H.popcount64(np.asarray(sh_a, np.int64).view(np.uint64)
                           ^ np.asarray(sh_b, np.int64).view(np.uint64))
@@ -389,9 +472,11 @@ def _pair_tagged_table_slim(tbl: pa.Table, cfg: DedupConfig) -> pa.Table:
     a, b, bands = a[nz], b[nz], bands[nz]
     is_sc = ((bands >= BAND_SUBSTR) & (bands < BAND_SUBSTR_EXACT)).astype(np.int8)
     prio_of_band = np.select(
-        [bands >= BAND_EXACT, bands >= BAND_SUBSTR_EXACT, bands >= BAND_SUBSTR,
+        [bands >= BAND_WINDOW, bands >= BAND_ORIENT, bands >= BAND_EXACT,
+         bands >= BAND_SUBSTR_EXACT, bands >= BAND_SUBSTR,
          bands >= BAND_SIMHASH, bands >= BAND_PHASH],
-        [KIND_PRIORITY.index("exact"), KIND_PRIORITY.index("substr"),
+        [KIND_PRIORITY.index("window"), KIND_PRIORITY.index("orient"),
+         KIND_PRIORITY.index("exact"), KIND_PRIORITY.index("substr"),
          KIND_PRIORITY.index("substr_cand"),
          KIND_PRIORITY.index("simhash"), KIND_PRIORITY.index("phash")],
         default=KIND_PRIORITY.index("minhash"),
@@ -483,10 +568,13 @@ def dedupe_slim_pairs(pairs: ray.data.Dataset, cfg: DedupConfig) -> ray.data.Dat
 
 # trust order for duplicate (src,dst) edges found by several detectors:
 # trusted-by-construction kinds first, so verification never downgrades a
-# pair that an exact detector already proved. 'substr_cand' (the
-# candidate-only namespace, e.g. gram sampling) ranks LAST so any other
-# detection of the same pair wins.
-KIND_PRIORITY = ["exact", "substr", "phash", "simhash", "minhash", "substr_cand"]
+# pair that an exact detector already proved. The opt-in channels rank
+# after the default families (a plain pHash pair also meets in orientation
+# band 0, and stays 'phash'). 'substr_cand' (the candidate-only namespace,
+# e.g. gram sampling) ranks LAST so any other detection of the same pair
+# wins.
+KIND_PRIORITY = ["exact", "substr", "phash", "simhash", "minhash", "orient",
+                 "window", "substr_cand"]
 
 
 def plan_lsh_params(threshold: float, num_perm: int = 128,

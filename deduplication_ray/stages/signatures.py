@@ -11,7 +11,10 @@ each task (the analog of ``dict_init``, ``dictionary.c:8-19``).
 Input batch:  image_id, bytes, w, h, fmt, caption, phash (zero-copy Arrow).
 Output batch: image_id, ck (16-byte exact content key), cap_hash (normalized-
 caption exact key), phash (recomputed, int64), phash_ok (vs input column),
-simhash (int64), minhash (fixed_size_list<int64>[P]).
+simhash (int64), minhash (fixed_size_list<int64>[P]); with the opt-in image
+channels on, also oh0..oh7 (orientation pHashes) and wh0..wh5 + wvalid
+(crop-window pHashes and their validity bitmask), banded by
+``lsh.ExplodeBands`` (``lsh.CHANNELS``).
 
 The ``bytes`` column dies here — signatures are ~1KB/row vs multi-KB images,
 and nothing downstream shuffles pixels (SURVEY §7.5 'wide rows').

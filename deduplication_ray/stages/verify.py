@@ -11,6 +11,9 @@ iff any signal passes:
   the simhash distance must also be <= cfg.pixel_corr_t)
 * popcount(simhash_src ^ simhash_dst) <= cfg.simhash_hamming_t (corroborated:
   the phash distance must also be <= cfg.pixel_corr_t)
+* with an opt-in image channel on (``cfg.orientation_channel`` /
+  ``cfg.crop_channel``): the min Hamming distance over the endpoints' valid
+  variant-hash pairs (``channel_hamming``) <= the channel's radius
 * pairs of a kind trusted by construction pass unchecked: 'exact' (same
   content-key bucket) and 'substr' (a shared L-gram)
 
@@ -31,6 +34,7 @@ import ray.data
 
 from deduplication_ray.config import DedupConfig
 from deduplication_ray.functions import hashing as H
+from deduplication_ray.stages import lsh
 
 
 def _accept_mask(cfg: DedupConfig, trusted: np.ndarray, has_pixels: bool,
@@ -40,7 +44,9 @@ def _accept_mask(cfg: DedupConfig, trusted: np.ndarray, has_pixels: bool,
     ``rows`` (None = every row). Checks run CHEAPEST first: the 8-byte
     Hamming checks decide most pairs, so the num_perm*8-byte MinHash gather
     + unpack (~2 KB/pair at P=128) runs only over the rows still undecided
-    — measured 3.4s -> sub-second on a 600k-row / 825k-pair resolve."""
+    — measured 3.4s -> sub-second on a 600k-row / 825k-pair resolve. With
+    an opt-in image channel on, an undecided pair also passes when its
+    ``channel_hamming`` is within the channel's radius."""
     keep = np.array(trusted, dtype=bool)
     if has_pixels:
         d = {c: H.hamming_distance_u64(
@@ -52,12 +58,30 @@ def _accept_mask(cfg: DedupConfig, trusted: np.ndarray, has_pixels: bool,
         # kills single-channel chance collisions without any recall cost
         keep |= (d["phash"] <= cfg.phash_hamming_t) & (d["simhash"] <= cfg.pixel_corr_t)
         keep |= (d["simhash"] <= cfg.simhash_hamming_t) & (d["phash"] <= cfg.pixel_corr_t)
+        for fam, ch in lsh.CHANNELS.items():
+            und = np.flatnonzero(~keep)
+            if getattr(cfg, ch.flag) and len(und):
+                keep[und] |= (channel_hamming(fam, col, und)
+                              <= getattr(cfg, ch.radius))
     und = np.flatnonzero(~keep)
     if len(und):
         ms = H.unpack_u64_rows(col("minhash", "src", und), cfg.num_perm)
         md = H.unpack_u64_rows(col("minhash", "dst", und), cfg.num_perm)
         keep[und] |= (ms == md).mean(axis=1) >= cfg.jaccard_tau
     return keep
+
+
+def channel_hamming(family: str, col, rows) -> np.ndarray:
+    """The min Hamming distance over every valid (i, j) pair of the two
+    endpoints' variant hashes of channel ``family`` (``lsh.CHANNELS``), 65
+    when none is valid; ``col`` and ``rows`` as in ``_accept_mask``. One
+    (pairs, K, K) popcount — for the dihedral orientations this equals the
+    min over RELATIVE orientations (B's hashes permute A's)."""
+    ha, va = lsh.channel_variants(family, lambda c: _np(col(c, "src", rows)))
+    hb, vb = lsh.channel_variants(family, lambda c: _np(col(c, "dst", rows)))
+    d = np.where(va[:, :, None] & vb[:, None, :],
+                 H.popcount64(ha[:, :, None] ^ hb[:, None, :]), 65)
+    return d.reshape(len(d), -1).min(axis=1, initial=65)
 
 
 def _np(a) -> np.ndarray:

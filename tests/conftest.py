@@ -128,3 +128,18 @@ def load_parquet_dir(d: str):
 
     files = sorted(glob.glob(os.path.join(d, "**", "*.parquet"), recursive=True))
     return pads.dataset(files).to_table().to_pandas()
+
+
+def unconnected_pairs(pairs, want) -> list:
+    """The pairs of ``want`` whose endpoints no path of ``pairs`` joins."""
+    parent: dict = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return [(a, b) for a, b in want if find(a) != find(b)]

@@ -1343,7 +1343,6 @@ _PER_KEY_MAP_GROUPS = {
     ("pipelines/docops.py", "q_doc_token_budget_mix"),
     ("pipelines/docops.py", "q_doc_upsert"),
     ("pipelines/docops.py", "q_doc_apply_changelog"),
-    ("pipelines/multihash.py", "multihash_pairs_from_buckets"),
     ("pipelines/relational.py", "q_distinct_orders_per_flag_hll"),
 }
 
