@@ -289,7 +289,9 @@ def _img_rot_query(sf_dir: str):
     fixture augmented with planted rotated/mirrored/transposed copies —
     duplicates the standard pHash channel is blind to (a rot90 copy sits at
     ~random Hamming distance). Rows-only; recall 1.0 on the planted pairs
-    and plain-pHash blindness are asserted in tests/test_orientation.py."""
+    and plain-pHash blindness are asserted in tests/test_orientation.py.
+    Every pair is listed only while no band bucket exceeds ``bucket_cap``
+    (``image_dedup.channel_dup_pairs``)."""
     import os
 
     from deduplication_ray.config import DedupConfig
@@ -312,7 +314,9 @@ def _img_crop_query(sf_dir: str):
     planted quadrant/center crops and pad-to-double copies — duplicates the
     whole-image pHash channel cannot pair (resize normalizes scale, not
     composition). Rows-only; recall 1.0 on planted pairs and plain-pHash
-    blindness are asserted in tests/test_cropdup.py."""
+    blindness are asserted in tests/test_cropdup.py. Every pair is listed
+    only while no band bucket exceeds ``bucket_cap``
+    (``image_dedup.channel_dup_pairs``)."""
     import os
 
     from deduplication_ray.config import DedupConfig
@@ -391,7 +395,7 @@ def _text_incremental_query(sf_dir: str):
     from deduplication_ray.pipelines.text_dedup import run_text_pipeline
     from deduplication_ray.sources import storage
 
-    cfg = DedupConfig(num_partitions=8, sa_batch_size=1024)
+    cfg = DedupConfig(num_partitions=8)
     root = f"/tmp/dedup_ray_txtinc_{cfg.config_hash()}"
     if not os.path.exists(f"{root}/full_written"):
         src = pq.read_table("/root/testdata/sf0.001/documents.parquet") \

@@ -228,6 +228,15 @@ def _ranges(counts: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) - starts[ids]
 
 
+def run_ranks(keys: np.ndarray) -> np.ndarray:
+    """Position of each element within its run of equal ``keys`` (sorted
+    so that equal keys are contiguous): the 0-based rank within a group."""
+    if len(keys) == 0:
+        return np.empty(0, dtype=np.int64)
+    new = np.concatenate([[True], keys[1:] != keys[:-1]])
+    return _ranges(np.diff(np.append(np.flatnonzero(new), len(keys))))
+
+
 def minhash_signatures(
     hashes: np.ndarray, row_offsets: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:

@@ -29,6 +29,7 @@ import ray.data
 from deduplication_ray.config import DedupConfig
 from deduplication_ray.functions import hashing as H
 from deduplication_ray.sources import storage
+from deduplication_ray.stages.groupred import hash_grouped_reduce
 
 
 def _emb_matrix(t: pa.Table, col: str = "embedding") -> np.ndarray:
@@ -81,7 +82,7 @@ def brute_force_topk(
 
     Broadcast-small-side pattern: queries via ray.put once; per batch ONE
     (B x d) @ (d x Q) matmul; per-batch top-k partials reduced by a
-    distributed groupby(q_id) — no driver-side materialization.
+    keyed exchange on q_id — no driver-side materialization.
     """
     if ds is None:
         ds = storage.read_table(f"{sf_dir}/{table}.parquet",
@@ -122,18 +123,40 @@ def brute_force_topk(
     return _distributed_topk(partials, k)
 
 
+def _cell_id(t: pa.Table) -> np.ndarray:
+    """Key of the per-cell exchanges: the dense cell id itself, so with one
+    partition per cell each cell gets its own partition."""
+    return t["cell"].to_numpy()
+
+
+def _per_cell(fn):
+    """A partition reducer running the per-cell kernel ``fn`` on each cell
+    of a pandas partition (keyed by ``_cell_id``, a partition holds one
+    cell)."""
+    def red(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.concat([fn(g) for _, g in df.groupby("cell", sort=False)],
+                         ignore_index=True)
+    return red
+
+
 def _distributed_topk(partials: ray.data.Dataset, k: int) -> ray.data.Dataset:
-    """Final top-k reduce IN the cluster: shuffle partials by q_id (bounded
-    at Q*k*num_blocks rows — tiny vs the corpus) and rank per group. No
-    driver-side pandas materialization."""
+    """Final top-k reduce IN the cluster: a keyed exchange on q_id (bounded
+    at Q*k*num_blocks rows — tiny vs the corpus) and one lexsort per
+    partition on (q_id, -sim, n_id); the rank is the position within the
+    query's rows. No driver-side pandas materialization."""
 
-    def final_topk(g: "pd.DataFrame") -> "pd.DataFrame":
-        g = g[g["q_id"] != g["n_id"]]
-        g = g.sort_values(["sim", "n_id"], ascending=[False, True]).head(k).copy()
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["q_id", "n_id", "rank"]]
+    def final_topk(t: pa.Table) -> pa.Table:
+        q, n, s = (t[c].to_numpy() for c in ("q_id", "n_id", "sim"))
+        o = np.flatnonzero(q != n)
+        o = o[np.lexsort((n[o], -s[o], q[o]))]
+        q, n = q[o], n[o]
+        rank = H.run_ranks(q) + 1
+        m = rank <= k
+        return pa.table({"q_id": pa.array(q[m], pa.int64()),
+                         "n_id": pa.array(n[m], pa.int64()),
+                         "rank": pa.array(rank[m], pa.int64())})
 
-    return partials.groupby("q_id").map_groups(final_topk, batch_format="pandas")
+    return hash_grouped_reduce(partials, ["q_id"], final_topk, 8)
 
 
 def ann_topk_sql(n_queries: int = 5, k: int = 5) -> str:
@@ -872,8 +895,8 @@ def embedding_semdedup(
     limitation: a dup pair straddling a cell boundary is missed).
 
     Scale plan: centroids = bounded-sample fit + ``refine_iters``
-    distributed Lloyd rounds; ONE shuffle co-locates each cell's vectors
-    (groupby(cell) — d floats per row; at 100 TB you'd ship PQ codes
+    distributed Lloyd rounds; ONE keyed exchange on cell co-locates each
+    cell's vectors (d floats per row; at 100 TB you'd ship PQ codes
     instead, ``pq_topk``'s encode pass); per cell one (n_c x n_c) matmul +
     vectorized min-label propagation (converges in O(log n_c) rounds).
     Representative = min id per duplicate component (deterministic at any
@@ -931,8 +954,9 @@ def embedding_semdedup(
             "keep": ids == group_min_id,
         })
 
-    return (ds.map_batches(assign, batch_format="pyarrow", batch_size=4096)
-            .groupby("cell").map_groups(cell_dedup, batch_format="pandas"))
+    return hash_grouped_reduce(
+        ds.map_batches(assign, batch_format="pyarrow", batch_size=4096),
+        _cell_id, _per_cell(cell_dedup), n_centroids, batch_format="pandas")
 
 
 # --------------------------------------------------------- outlier detection
@@ -1409,8 +1433,8 @@ def q_knn_label_check(sf_dir: str, table: str = "embeddings",
     base neighbor is computed exactly, and a per-vector hash-grouped
     reduce keeps the globally best probed candidate (exact integer sims,
     ties to the smaller neighbor id — the same order as the exact tier).
-    One cell groupby + one bounded per-vector reduce; candidate volume is
-    nprobe x cell size per vector, linear in corpus size.
+    One keyed exchange on cell + one bounded per-vector reduce; candidate
+    volume is nprobe x cell size per vector, linear in corpus size.
 
     ORACLE-PARITY SCOPE: the registered ``knn_label_check_sql()`` is the
     exact all-pairs join, so value-hash parity is guaranteed only on the
@@ -1484,7 +1508,6 @@ def q_knn_label_check(sf_dir: str, table: str = "embeddings",
     # ---- IVF scale path -------------------------------------------------
     import pyarrow.compute as pc
 
-    from deduplication_ray.stages.groupred import hash_grouped_reduce
     from deduplication_ray.stages.join import lookup_join
 
     cfg = DedupConfig(num_partitions=8)
@@ -1546,15 +1569,11 @@ def q_knn_label_check(sf_dir: str, table: str = "embeddings",
             if len(v_s) else np.zeros(0, bool)
         return t.take(pa.array(order[first]))
 
-    cand = (ds.map_batches(assign, batch_format="pyarrow")
-            .groupby("cell").map_groups(cell_nn, batch_format="pandas"))
-    best = hash_grouped_reduce(
-        cand,
-        key_hash=lambda t: H.splitmix64(
-            t["vec_id"].to_numpy().view(np.uint64)),
-        reduce_fn=best_per_vec,
-        num_parts=cfg.num_partitions,
-    )
+    cand = hash_grouped_reduce(ds.map_batches(assign, batch_format="pyarrow"),
+                               _cell_id, _per_cell(cell_nn), n_cells,
+                               batch_format="pandas")
+    best = hash_grouped_reduce(cand, ["vec_id"], best_per_vec,
+                               cfg.num_partitions)
 
     def match_partial(t: pa.Table) -> pa.Table:
         labs = t["label"].to_numpy()

@@ -81,7 +81,9 @@ def run_crop_dup(input_ds: ray.data.Dataset, cfg: DedupConfig,
     """input table (image_id, bytes, w, h, fmt, caption, phash) -> crop/pad
     near-dup pairs (id_a, id_b), id_a < id_b: the window channel alone
     (``image_dedup.channel_dup_pairs``), kept iff the min Hamming over
-    valid window pairs is <= max_hamming.
+    valid window pairs is <= max_hamming. Every pair only while each band
+    bucket stays within ``cfg.bucket_cap`` rows; above it the pairs span
+    the duplicates without listing them all (see ``channel_dup_pairs``).
 
     Default threshold 3, tighter than the whole-image passes: a window
     sees 1/4 of the pixels, and measured same-corpus noise pairs cluster

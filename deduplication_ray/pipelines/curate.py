@@ -14,7 +14,7 @@ would compose them):
      merge (docops.q_doc_boilerplate_scrub)
   4. NEAR-DUP DEDUP             — full MinHash-LSH + substring + union-find
      engine over the scrubbed text; keep each cluster's highest-quality
-     member (docops.q_doc_dedup_keep_best's policy)
+     member (docops.q_doc_dedup_keep_best)
   5. SPLIT                      — deterministic 80/10/10 train/val/test by
      id hash (docops.q_doc_split)
   6. CHUNK                      — fixed 64-word chunks of the SCRUBBED text
@@ -51,6 +51,11 @@ def _keep(ds: ray.data.Dataset, ids: ray.data.Dataset,
 def curate_documents(sf_dir: str, out_dir: str,
                      cfg: DedupConfig | None = None,
                      remove_dup_spans: bool = False) -> dict:
+    """Run the chain above over ``sf_dir``'s documents, write the chunks
+    under ``out_dir`` and return the funnel counts. ``cfg`` configures the
+    survivor-set lookup joins only: step 4 clusters and joins with
+    ``q_doc_dedup_keep_best``'s own fixed config, so ``cfg`` does not reach
+    the near-dup tier."""
     cfg = cfg or DedupConfig(num_partitions=8)
 
     total = docops._docs(sf_dir, ["doc_id"]).count()
@@ -91,45 +96,9 @@ def curate_documents(sf_dir: str, out_dir: str,
 
     # 4. near-dup dedup over the scrubbed survivors: cluster, keep each
     # cluster's best-quality member
-    from deduplication_ray.pipelines.text_dedup import text_dedup_clusters
-
-    clusters = text_dedup_clusters(docs, cfg)
-    clusters = clusters.map_batches(
-        lambda t: pa.table({"doc_id": t["doc_id"].cast(pa.int64()),
-                            "cluster_id": t["cluster_id"].cast(pa.int64())}),
-        batch_format="pyarrow")
-
-    import numpy as np
-    import pandas as pd
-    import pyarrow.compute as pc
-
-    from deduplication_ray.functions import text as T
-
-    def qscore(t: pa.Table) -> pa.Table:
-        s = T.quality_score(t["text"])
-        return pa.table({"doc_id": t["doc_id"],
-                         "q": pa.array(np.floor(s * 1000.0).astype(np.int64))})
-
-    quality = docs.map_batches(qscore, batch_format="pyarrow")
-    jq = lookup_join(clusters, quality, on=["doc_id"], cfg=cfg)
-
-    def partial_best(t: pa.Table) -> pa.Table:
-        df = t.to_pandas().sort_values(
-            ["cluster_id", "q", "doc_id"],
-            ascending=[True, False, True], kind="mergesort")
-        return pa.Table.from_pandas(
-            df.drop_duplicates("cluster_id", keep="first"),
-            preserve_index=False)
-
-    def final_best(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["q", "doc_id"], ascending=[False, True],
-                          kind="mergesort")
-        return g.head(1)[["doc_id"]]
-
-    rep_ids = (jq.map_batches(partial_best, batch_format="pyarrow")
-               .groupby("cluster_id").map_groups(final_best,
-                                                 batch_format="pandas")
-               ).materialize()
+    rep_ids = (docops.q_doc_dedup_keep_best(sf_dir, ds=docs)
+               .select_columns(["kept_doc_id"])
+               .rename_columns({"kept_doc_id": "doc_id"}).materialize())
     n_dedup = rep_ids.count()
 
     # 5. split assignment for the survivors only

@@ -601,6 +601,39 @@ SELECT query_id, doc_id, jaccard_milli FROM ranked WHERE rn <= {k}
 
 # ------------------------------------ exact set-similarity join (PPJoin-style)
 
+def _group_pairs(keys: np.ndarray, cap: int, too_big) -> tuple:
+    """Index pairs ``(i, j)``, ``i < j``, of every two rows sharing a key,
+    over ``keys`` sorted so that equal keys are contiguous: one vectorized
+    pass for all the groups of a partition. A group of more than ``cap``
+    rows raises ``ValueError(too_big(size))``: the exact-candidate queries
+    that call this must fail loudly rather than emit a quadratic pair
+    product or drop pairs by salting."""
+    k = len(keys)
+    if k < 2:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    # row j pairs with its `within[j]` predecessors in its group
+    within = H.run_ranks(keys)
+    size = int(within.max()) + 1
+    if size > cap:
+        raise ValueError(too_big(size))
+    j_idx = np.repeat(np.arange(k, dtype=np.int64), within)
+    i_idx = j_idx - within[j_idx] + H._ranges(within)
+    return i_idx, j_idx
+
+
+def _unique_pairs(t: pa.Table) -> pa.Table:
+    """The distinct ``(src, dst)`` rows of a pair table (one lexsort): the
+    per-partition reducer of every candidate-pair dedupe, exact once the
+    exchange keyed on (src, dst) has put equal pairs in one partition."""
+    a, b = t["src"].to_numpy(), t["dst"].to_numpy()
+    o = np.lexsort((b, a))
+    a, b = a[o], b[o]
+    keep = np.concatenate([[True], (a[1:] != a[:-1]) | (b[1:] != b[:-1])]) \
+        if len(a) else np.zeros(0, bool)
+    return pa.table({"src": pa.array(a[keep], pa.int64()),
+                     "dst": pa.array(b[keep], pa.int64())})
+
+
 def _prefix_filter_join(sf_dir: str, tau_permille: int, bucket_cap: int,
                         weighted: bool, sim_col: str):
     """The one prefix-filter self-join kernel behind both PPJoin queries:
@@ -731,46 +764,29 @@ def _prefix_filter_join(sf_dir: str, tau_permille: int, bucket_cap: int,
                 "w": pa.array(w[d_s[m]]),
                 "cb": pa.array(cb[m])})
 
-    def emit_pairs(g: pa.Table) -> pa.Table:
-        d = g["doc_id"].to_numpy()
-        w = g["w"].to_numpy()
-        cb = g["cb"].to_numpy()
-        k = len(d)
-        if k > bucket_cap:
-            raise ValueError(
-                f"ppjoin prefix bucket of {k} docs exceeds bucket_cap="
-                f"{bucket_cap}; raise tau or the cap (exactness forbids "
-                f"lossy salting here)")
-        if k < 2:
-            return pa.table({"src": pa.array([], pa.int64()),
-                             "dst": pa.array([], pa.int64())})
-        i, j = np.triu_indices(k, 1)
-        a, b = d[i], d[j]
+    def emit_pairs(t: pa.Table) -> pa.Table:
+        b, d = t["bucket"].to_numpy(), t["doc_id"].to_numpy()
+        o = np.lexsort((d, b))
+        d, w, cb = d[o], t["w"].to_numpy()[o], t["cb"].to_numpy()[o]
+        i, j = _group_pairs(b[o], bucket_cap, lambda k: (
+            f"ppjoin prefix bucket of {k} docs exceeds bucket_cap="
+            f"{bucket_cap}; raise tau or the cap (exactness forbids "
+            f"lossy salting here)"))
         keep = (np.minimum(w[i], w[j]) * 1000
                 >= tau_permille * np.maximum(w[i], w[j]))
-        keep &= a != b
-        wsum = w[i] + w[j]
-        alpha = -(-(tau_permille * wsum) // (1000 + tau_permille))
+        keep &= d[i] != d[j]
+        alpha = -(-(tau_permille * (w[i] + w[j])) // (1000 + tau_permille))
         ubound = (np.minimum(cb[i], cb[j])
                   + np.minimum(w[i] - cb[i], w[j] - cb[j]))
         keep &= ubound >= alpha
-        return pa.table({"src": pa.array(np.minimum(a, b)[keep]),
-                         "dst": pa.array(np.maximum(a, b)[keep])})
+        return _unique_pairs(pa.table({"src": d[i][keep], "dst": d[j][keep]}))
 
-    def unique_pairs(t: pa.Table) -> pa.Table:
-        a, b = t["src"].to_numpy(), t["dst"].to_numpy()
-        o = np.lexsort((b, a))
-        a, b = a[o], b[o]
-        keep = np.concatenate([[True], (a[1:] != a[:-1]) | (b[1:] != b[:-1])])
-        return pa.table({"src": pa.array(a[keep], pa.int64()),
-                         "dst": pa.array(b[keep], pa.int64())})
-
-    # one Ray group per prefix-token rank (a per-key site), then the pairs
-    # of every rank deduped in one keyed exchange
+    # the pairs of every prefix-token rank in a partition, deduped there
+    # and once more across partitions in a keyed exchange on (src, dst)
     cands = hash_grouped_reduce(
-        sigs.map_batches(Prefix(), batch_format="pyarrow")
-        .groupby("bucket").map_groups(emit_pairs, batch_format="pyarrow"),
-        ["src", "dst"], unique_pairs, cfg.num_partitions)
+        hash_grouped_reduce(sigs.map_batches(Prefix(), batch_format="pyarrow"),
+                            ["bucket"], emit_pairs, cfg.num_partitions),
+        ["src", "dst"], _unique_pairs, cfg.num_partitions)
 
     lean = sigs.select_columns(["doc_id", "toks", "tfs"])
     e = lookup_join(cands,
@@ -898,11 +914,7 @@ def q_doc_lsh_dedup(sf_dir: str, signature_mode: str = "perm"):
     from deduplication_ray.pipelines.text_dedup import text_dedup_clusters
 
     ds = _docs(sf_dir, ["doc_id", "text"])
-    # documents are ~500 chars: 1024-doc SA batches keep the O(n log^2 n)
-    # build parallel (~0.5MB text/batch); short-caption tables use the
-    # 4096 default
     return text_dedup_clusters(ds, DedupConfig(num_partitions=8,
-                                               sa_batch_size=1024,
                                                signature_mode=signature_mode))
 
 
@@ -1118,21 +1130,25 @@ WHERE doc_id % {_EVAL_MOD} <> 0
 
 # --------------------------------------------------- per-source quota sampling
 
+# partitions of the per-source exchanges: a corpus has few sources
+_SOURCE_PARTS = 8
+
+
 def q_source_cap_sample(sf_dir: str, k: int = 10):
     """Per-source (per-domain) quota sampling: keep at most ``k`` documents
     per source, chosen deterministically by multiplicative hash of doc_id —
     the "cap every domain" step that stops a few giant crawl hosts from
     dominating a training mix.
 
-    Scale plan: one map_batches pass emits at most k rows per source per
-    BATCH (vectorized sort + group head), so the following per-source
-    combine shuffles k x num_blocks rows per source instead of the full
-    table; the final map_groups touches only those bounded partials. The
-    hash order makes the selection independent of partitioning and
-    re-runnable."""
+    Scale plan: ``head`` keeps at most k rows per source of a table
+    (vectorized sort + group head). It runs once per BATCH, so the
+    per-source exchange ships k x num_blocks rows per source instead of the
+    full table, and once per partition of that exchange, where it is exact
+    because every row of a source is there. The hash order makes the
+    selection independent of partitioning and re-runnable."""
     ds = _docs(sf_dir, ["doc_id", "source"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def head(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy()
         h = ((ids.astype(np.uint64) % np.uint64(2**31))
              * np.uint64(_SPLIT_MULT)) % np.uint64(_SPLIT_MOD)
@@ -1142,22 +1158,12 @@ def q_source_cap_sample(sf_dir: str, k: int = 10):
         scode = src.dictionary_encode().indices.to_numpy()
         order = np.lexsort((ids, h, scode))
         # rank within source (sources are contiguous after the lexsort)
-        sc = scode[order]
-        brk = np.concatenate([[0], np.flatnonzero(sc[1:] != sc[:-1]) + 1]) \
-            if len(sc) else np.zeros(0, np.int64)
-        rank = np.arange(len(sc)) - np.repeat(
-            brk, np.diff(np.concatenate([brk, [len(sc)]])).astype(np.int64))
-        keep = order[rank < k]
+        keep = order[H.run_ranks(scode[order]) < k]
         return pa.table({"doc_id": pa.array(ids[keep]),
-                         "source": src.take(pa.array(keep)),
-                         "h": pa.array(h[keep])})
+                         "source": src.take(pa.array(keep))})
 
-    def final(t: pa.Table) -> pa.Table:
-        return (t.sort_by([("h", "ascending"), ("doc_id", "ascending")])
-                .slice(0, k).select(["doc_id", "source"]))
-
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("source").map_groups(final, batch_format="pyarrow"))
+    return hash_grouped_reduce(ds.map_batches(head, batch_format="pyarrow"),
+                               ["source"], head, _SOURCE_PARTS)
 
 
 def source_cap_sample_sql(k: int = 10) -> str:
@@ -1201,10 +1207,11 @@ def q_doc_token_budget_mix(sf_dir: str,
     ``ray.put``; (2) per-batch prune: a doc's GLOBAL prefix sum within its
     source is >= its in-batch prefix sum, so any doc past the budget inside
     its own batch is past it globally — each block ships at most one
-    budget's worth of (doc_id, source, h, n_tokens) rows per source
-    (k x num_blocks-shaped wire cost, the cap sampler's bound); (3) exact
-    greedy fill per source via ``groupby(source).map_groups`` over those
-    bounded partials. Hash order makes the selection partition-invariant.
+    budget's worth of (doc_id, source, n_tokens) rows per source
+    (k x num_blocks-shaped wire cost, the cap sampler's bound); (3) the
+    same greedy fill once per partition of a per-source exchange over
+    those bounded partials, exact there because every row of a source is
+    in it. Hash order makes the selection partition-invariant.
     """
     from ray.data.aggregate import Sum
 
@@ -1228,38 +1235,31 @@ def q_doc_token_budget_mix(sf_dir: str,
             budget[s] = (int(tot) * ov.get(s, permille)) // 1000
     ref = ray.put(budget)
 
-    def _greedy_keep(df: pd.DataFrame, bud: dict[str, int]) -> np.ndarray:
-        prev = (df.groupby("source", sort=False)["n_tokens"].cumsum()
-                - df["n_tokens"]).to_numpy()
-        lim = df["source"].map(bud).fillna(0).astype(np.int64).to_numpy()
-        return prev < lim
-
-    def prune(t: pa.Table) -> pa.Table:
-        bud = ray.get(ref)
+    def fill(t: pa.Table) -> pa.Table:
+        # greedy fill of (doc_id, source, n_tokens) rows in hash order
         ids = t["doc_id"].to_numpy()
         h = ((ids.astype(np.uint64) % np.uint64(2**31))
              * np.uint64(_SPLIT_MULT)) % np.uint64(_SPLIT_MOD)
         df = pd.DataFrame({
             "doc_id": ids,
             "source": t["source"].to_pandas().to_numpy(),
-            "n_tokens": token_count(t["text"]).to_numpy().astype(np.int64),
+            "n_tokens": t["n_tokens"].to_numpy(),
             "h": h.astype(np.int64),
         }).sort_values(["source", "h", "doc_id"])
-        return pa.Table.from_pandas(df[_greedy_keep(df, bud)],
-                                    preserve_index=False)
+        prev = (df.groupby("source", sort=False)["n_tokens"].cumsum()
+                - df["n_tokens"]).to_numpy()
+        lim = df["source"].map(ray.get(ref)).fillna(0).astype(np.int64)
+        return pa.Table.from_pandas(
+            df[prev < lim.to_numpy()][["doc_id", "source", "n_tokens"]],
+            preserve_index=False)
 
-    def final(t: pa.Table) -> pa.Table:
-        # one source per group: the greedy prefix test is a plain cumsum
-        t = t.sort_by([("h", "ascending"), ("doc_id", "ascending")])
-        n_tok = t["n_tokens"].to_numpy()
-        lim = ray.get(ref).get(t["source"][0].as_py(), 0) \
-            if t.num_rows else 0
-        keep = (np.cumsum(n_tok) - n_tok) < lim
-        return t.filter(pa.array(keep)).select(
-            ["doc_id", "source", "n_tokens"])
+    def prune(t: pa.Table) -> pa.Table:
+        return fill(pa.table({
+            "doc_id": t["doc_id"], "source": t["source"],
+            "n_tokens": token_count(t["text"]).cast(pa.int64())}))
 
-    return (ds.map_batches(prune, batch_format="pyarrow")
-            .groupby("source").map_groups(final, batch_format="pyarrow"))
+    return hash_grouped_reduce(ds.map_batches(prune, batch_format="pyarrow"),
+                               ["source"], fill, _SOURCE_PARTS)
 
 
 def doc_token_budget_mix_sql(permille: int = _MIX_DEFAULT_PERMILLE,
@@ -2299,7 +2299,7 @@ FROM lex l FULL OUTER JOIN sem s ON l.src = s.src AND l.dst = s.dst
 
 # ---------------------------------------------- representative selection policy
 
-def q_doc_dedup_keep_best(sf_dir: str):
+def q_doc_dedup_keep_best(sf_dir: str, ds=None):
     """Near-dup dedup with a QUALITY-AWARE representative policy: cluster
     documents with the full text near-dup engine, then keep the
     highest-quality member of each cluster (ties -> smallest doc_id) instead
@@ -2309,10 +2309,13 @@ def q_doc_dedup_keep_best(sf_dir: str):
     Selection is one bounded groupby-argmax over (cluster_id,
     quality_milli): the per-doc quality scores ride along the cluster
     stream, so no second scan of the text. Rows-only (clusters come from
-    iterative union-find)."""
+    iterative union-find). ``ds`` overrides the documents read with any
+    (doc_id, text) dataset (``curate.curate_documents`` passes its scrubbed
+    survivors)."""
     from deduplication_ray.pipelines.text_dedup import text_dedup_clusters
 
-    ds = _docs(sf_dir, ["doc_id", "text"])
+    if ds is None:
+        ds = _docs(sf_dir, ["doc_id", "text"])
 
     def qscore(t: pa.Table) -> pa.Table:
         score = T.quality_score(t["text"])
@@ -2322,9 +2325,9 @@ def q_doc_dedup_keep_best(sf_dir: str):
                 np.floor(score * 1000.0).astype(np.int64)),
         })
 
+    cfg = DedupConfig(num_partitions=8)
     quality = ds.map_batches(qscore, batch_format="pyarrow")
-    clusters = text_dedup_clusters(ds, DedupConfig(num_partitions=8,
-                                                   sa_batch_size=1024))
+    clusters = text_dedup_clusters(ds, cfg)
     # the cluster engine keys by STRING ids internally; align with the
     # int64 doc_id the quality stream carries before the join
     clusters = clusters.map_batches(
@@ -2334,11 +2337,10 @@ def q_doc_dedup_keep_best(sf_dir: str):
 
     from deduplication_ray.stages.join import lookup_join
 
-    cfg = DedupConfig(num_partitions=8)
     joined = lookup_join(clusters, quality, on=["doc_id"], cfg=cfg)
 
     # per-partition argmax then one hash-partitioned vectorized final argmax
-    # (cluster count is O(rows), so a per-group map_groups would pay Ray's
+    # (cluster count is O(rows), so one call per cluster would pay Ray's
     # per-group overhead; hash_grouped_reduce reduces every cluster in a
     # partition in ONE pass) — no bit packing (a packed (quality, id) key
     # would corrupt for ids >= 2^31); each batch emits <= one row per cluster
@@ -2980,7 +2982,7 @@ def q_doc_tier_dedup(sf_dir: str, words_per_line: int = 8, df_cap: int = 2,
     from deduplication_ray.pipelines.text_dedup import text_dedup_clusters
     from deduplication_ray.stages.join import lookup_join
 
-    cfg = DedupConfig(num_partitions=8, sa_batch_size=1024)
+    cfg = DedupConfig(num_partitions=8)
     docs = ds if ds is not None else _docs(sf_dir, ["doc_id", "text"])
     n_in = docs.count()
 
@@ -4453,7 +4455,23 @@ def q_doc_bpe_tokenize(sf_dir: str, num_merges: int = 200,
 
 # ------------------------------------------------------- keyed upsert (merge)
 
-def q_doc_upsert(sf_dir: str, num_partitions: int = 16):
+# partitions of the doc_id exchanges of the keyed merges
+_MERGE_PARTS = 16
+
+
+def _keep_latest(t: pa.Table) -> pa.Table:
+    """Each doc_id's highest-version row of ``t`` (one lexsort, keep last):
+    the per-batch combiner of the keyed merges below and, after their
+    exchange on doc_id, their exact per-partition final."""
+    ids, ver = t["doc_id"].to_numpy(), t["version"].to_numpy()
+    order = np.lexsort((ver, ids))
+    ids_s = ids[order]
+    last = np.concatenate([ids_s[1:] != ids_s[:-1], [True]]) \
+        if len(ids_s) else np.zeros(0, bool)
+    return t.take(pa.array(order[last]))
+
+
+def q_doc_upsert(sf_dir: str):
     """Keyed UPSERT / latest-writer-wins merge — the table-maintenance verb
     behind incremental crawl refreshes (Delta/Iceberg MERGE INTO shape):
     base = every document at version 1; delta = re-crawled rows (doc_id
@@ -4464,9 +4482,8 @@ def q_doc_upsert(sf_dir: str, num_partitions: int = 16):
 
     Scale shape: per-batch local argmax-by-version reduce first (np.lexsort
     keep-last, so in-batch duplicates collapse before the wire), then ONE
-    hash-partitioned groupby(doc_id).map_groups picking the max-version
-    row — the classic combiner + single-shuffle merge; no driver
-    materialization."""
+    keyed exchange on doc_id whose partitions run the same keep-last — the
+    classic combiner + single-shuffle merge; no driver materialization."""
     ds = _docs(sf_dir, ["doc_id", "n_chars"])
 
     def base(t: pa.Table) -> pa.Table:
@@ -4489,24 +4506,11 @@ def q_doc_upsert(sf_dir: str, num_partitions: int = 16):
             "n_chars": pa.array(out_ch),
         })
 
-    def local_latest(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy()
-        ver = t["version"].to_numpy()
-        order = np.lexsort((ver, ids))
-        ids_s = ids[order]
-        last = np.concatenate([ids_s[1:] != ids_s[:-1], [True]]) \
-            if len(ids_s) else np.zeros(0, bool)
-        return t.take(pa.array(order[last]))
-
-    def pick_latest(g: pa.Table) -> pa.Table:
-        i = int(pc.index(g["version"], pc.max(g["version"])).as_py())
-        return g.slice(i, 1)
-
     unioned = ds.map_batches(base, batch_format="pyarrow") \
         .union(ds.map_batches(delta, batch_format="pyarrow")) \
-        .map_batches(local_latest, batch_format="pyarrow")
-    return unioned.groupby("doc_id").map_groups(
-        pick_latest, batch_format="pyarrow")
+        .map_batches(_keep_latest, batch_format="pyarrow")
+    return hash_grouped_reduce(unioned, ["doc_id"], _keep_latest,
+                               _MERGE_PARTS)
 
 
 Q_DOC_APPLY_CHANGELOG_SQL = """
@@ -4545,10 +4549,11 @@ def q_doc_apply_changelog(sf_dir: str):
 
     Scale shape: all four log streams are emitted by ONE stateless pass
     over the base (no 4-way dataset union); per-batch keep-last combiner
-    collapses in-batch versions before the wire; ONE hash-partitioned
-    groupby picks each key's terminal row and drops tombstones. Tombstone
-    semantics match the engine's deletion propagation
-    (``incremental.delete_ids``) at the table-maintenance level."""
+    collapses in-batch versions before the wire; ONE keyed exchange on
+    doc_id runs it again per partition to pick each key's terminal row and
+    drops tombstones. Tombstone semantics match the engine's deletion
+    propagation (``incremental.delete_ids``) at the table-maintenance
+    level."""
     ds = _docs(sf_dir, ["doc_id", "n_chars"])
 
     def log_rows(t: pa.Table) -> pa.Table:
@@ -4573,25 +4578,13 @@ def q_doc_apply_changelog(sf_dir: str):
                          "n_chars": pa.array(out_ch, pa.int64()),
                          "op": pa.array(out_op, pa.string())})
 
-    def local_latest(t: pa.Table) -> pa.Table:
-        ids, ver = t["doc_id"].to_numpy(), t["version"].to_numpy()
-        order = np.lexsort((ver, ids))
-        ids_s = ids[order]
-        last = np.concatenate([ids_s[1:] != ids_s[:-1], [True]]) \
-            if len(ids_s) else np.zeros(0, bool)
-        return t.take(pa.array(order[last]))
-
-    def pick_terminal(g: pa.Table) -> pa.Table:
-        i = int(pc.index(g["version"], pc.max(g["version"])).as_py())
-        row = g.slice(i, 1)
-        if row["op"][0].as_py() == "d":
-            return row.select(["doc_id", "n_chars"]).slice(0, 0)
-        return row.select(["doc_id", "n_chars"])
+    def terminal(t: pa.Table) -> pa.Table:
+        t = _keep_latest(t)
+        return t.filter(pc.equal(t["op"], "u")).select(["doc_id", "n_chars"])
 
     log = ds.map_batches(log_rows, batch_format="pyarrow") \
-        .map_batches(local_latest, batch_format="pyarrow")
-    return log.groupby("doc_id").map_groups(
-        pick_terminal, batch_format="pyarrow")
+        .map_batches(_keep_latest, batch_format="pyarrow")
+    return hash_grouped_reduce(log, ["doc_id"], terminal, _MERGE_PARTS)
 
 
 Q_DOC_UPSERT_SQL = """
@@ -5065,24 +5058,23 @@ def q_edit_distance_pairs(sf_dir: str, n: int = 5, num_buckets: int = 64,
 
     Scale shape: gram strings die at the scan (u64 hashes shuffle); ONE
     bucket shuffle keyed on gram hash generates pairs via a vectorized
-    self-merge per bucket; pairs dedupe through a (src, dst) groupby; texts
-    attach through the size-dispatched lookup join; the verify stage is the
-    pair-vectorized DP kernel (``functions.text.levenshtein_pairs``) — max_len
-    matrix iterations per batch, no per-pair Python. Texts are normalized
-    lower(trim) ASCII so byte distance == DuckDB's character distance."""
+    self-merge per bucket; pairs dedupe in a keyed exchange on (src, dst);
+    texts attach through the size-dispatched lookup join; the verify stage
+    is the pair-vectorized DP kernel (``functions.text.levenshtein_pairs``)
+    — max_len matrix iterations per batch, no per-pair Python. Texts are
+    normalized lower(trim) ASCII so byte distance == DuckDB's character
+    distance."""
     from deduplication_ray.stages.join import lookup_join
 
     ds = _docs(sf_dir, ["doc_id", "text"])
 
     def bucket_pairs(g: pa.Table) -> pa.Table:
-        # Vectorized within-gram all-pairs over the bucket, with the same
-        # LOUD cap as PPJoin (docops.py bucket_cap): an exact-candidate
+        # Vectorized within-gram all-pairs over the partition, with the
+        # same LOUD cap as PPJoin (``_group_pairs``): an exact-candidate
         # contract (the oracle joins on ANY shared gram) forbids lossy
         # DF-dropping, so a boilerplate gram shared by > gram_df_cap docs
         # must fail fast instead of silently emitting a quadratic pair
         # product (50k-doc gram -> 2.5G rows in one group).
-        empty = pa.table({"src": pa.array([], pa.int64()),
-                          "dst": pa.array([], pa.int64())})
         gh = g["gh"].to_numpy()
         d = g["doc_id"].to_numpy()
         order = np.lexsort((d, gh))
@@ -5091,46 +5083,18 @@ def q_edit_distance_pairs(sf_dir: str, n: int = 5, num_buckets: int = 64,
                                | (d[1:] != d[:-1])]) \
             if len(gh) else np.zeros(0, bool)
         gh, d = gh[uniq], d[uniq]
-        k = len(gh)
-        if k < 2:
-            return empty
-        new = np.concatenate([[True], gh[1:] != gh[:-1]])
-        grp = np.cumsum(new) - 1
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.append(starts, k))
-        if sizes.max() > gram_df_cap:
-            raise ValueError(
-                f"edit-distance gram bucket of {int(sizes.max())} docs "
-                f"exceeds gram_df_cap={gram_df_cap}; raise n or the cap "
-                f"(exactness forbids lossy DF-dropping here)")
-        within = np.arange(k, dtype=np.int64) - starts[grp]
-        total = int(within.sum())
-        if total == 0:
-            return empty
-        # element j pairs with its `within[j]` predecessors in the same
-        # gram group; doc ids are strictly increasing within a group, so
-        # src < dst by construction
-        j_idx = np.repeat(np.arange(k, dtype=np.int64), within)
-        csum = np.concatenate([[0], np.cumsum(within)])
-        i_idx = starts[grp[j_idx]] + (np.arange(total, dtype=np.int64)
-                                      - csum[j_idx])
-        src, dst = d[i_idx], d[j_idx]
-        porder = np.lexsort((dst, src))
-        src, dst = src[porder], dst[porder]
-        pk = np.concatenate([[True], (src[1:] != src[:-1])
-                             | (dst[1:] != dst[:-1])])
-        return pa.table({"src": pa.array(src[pk], pa.int64()),
-                         "dst": pa.array(dst[pk], pa.int64())})
+        # doc ids strictly increase within a gram, so src < dst
+        i, j = _group_pairs(gh, gram_df_cap, lambda k: (
+            f"edit-distance gram bucket of {k} docs exceeds gram_df_cap="
+            f"{gram_df_cap}; raise n or the cap (exactness forbids lossy "
+            f"DF-dropping here)"))
+        return _unique_pairs(pa.table({"src": d[i], "dst": d[j]}))
 
     grams = ds.map_batches(_gram_doc_pairs, fn_args=(n,),
                            batch_format="pyarrow")
-    pairs = (hash_grouped_reduce(grams, ["gh"], bucket_pairs, num_buckets)
-             .groupby(["src", "dst"]).count())
-
-    def drop_count(t: pa.Table) -> pa.Table:
-        return t.select(["src", "dst"])
-
-    pairs = pairs.map_batches(drop_count, batch_format="pyarrow")
+    pairs = hash_grouped_reduce(
+        hash_grouped_reduce(grams, ["gh"], bucket_pairs, num_buckets),
+        ["src", "dst"], _unique_pairs, num_buckets)
 
     def norm(t: pa.Table) -> pa.Table:
         return pa.table({"doc_id": t["doc_id"],

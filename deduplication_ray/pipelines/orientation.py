@@ -48,7 +48,10 @@ def run_rot_dup(input_ds: ray.data.Dataset, cfg: DedupConfig,
     """input table (image_id, bytes, w, h, fmt, caption, phash) ->
     orientation-invariant near-dup pairs (id_a, id_b), id_a < id_b: the
     orientation channel alone (``image_dedup.channel_dup_pairs``), kept iff
-    the min Hamming over all (i, j) orientation pairs is <= max_hamming."""
+    the min Hamming over all (i, j) orientation pairs is <= max_hamming.
+    Every pair only while each band bucket stays within ``cfg.bucket_cap``
+    rows; above it the pairs span the duplicates without listing them all
+    (see ``channel_dup_pairs``)."""
     from deduplication_ray.pipelines.image_dedup import channel_dup_pairs
 
     return channel_dup_pairs(input_ds, dataclasses.replace(

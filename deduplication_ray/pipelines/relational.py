@@ -1443,7 +1443,8 @@ def q_distinct_orders_per_flag_hll(sf_dir: str, p: int = 14):
     sketch path (``q_distinct_orderkeys_hll``). At 10^12 rows an EXACT
     grouped distinct needs a (group, key) all-to-all; the sketch shuffle
     carries |groups| x 16KB register blobs per block regardless of key
-    cardinality, and the final merge is one elementwise max per group.
+    cardinality, and the final merge is one elementwise max per group in
+    a keyed exchange on the flag.
 
     Per-batch work stays vectorized: keys are hashed in one splitmix64
     pass and grouped with np.unique; the Python loop is over the (tiny,
@@ -1469,19 +1470,21 @@ def q_distinct_orders_per_flag_hll(sf_dir: str, p: int = 14):
         return pa.table({"l_returnflag": pa.array(out_f, pa.string()),
                          "regs": pa.array(out_r, pa.binary())})
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        from deduplication_ray.functions import sketch as SK2
+    def merge(t: pa.Table) -> pa.Table:
+        # one elementwise max over each flag's register rows
+        flags = t["l_returnflag"].to_numpy(zero_copy_only=False)
+        regs = np.frombuffer(b"".join(t["regs"].to_pylist()), np.uint8) \
+            .reshape(t.num_rows, -1)
+        uu, inv = np.unique(flags, return_inverse=True)
+        return pa.table({
+            "l_returnflag": pa.array([str(f) for f in uu], pa.string()),
+            "distinct_est": pa.array(
+                [int(round(SK.hll_estimate(regs[inv == gi].max(axis=0))))
+                 for gi in range(len(uu))], pa.int64())})
 
-        regs = SK2.hll_init(p)
-        for b in g["regs"]:
-            regs = SK2.hll_merge(regs, np.frombuffer(b, np.uint8))
-        return pd.DataFrame({
-            "l_returnflag": [g["l_returnflag"].iloc[0]],
-            "distinct_est": [int(round(SK2.hll_estimate(regs)))],
-        })
-
-    return ds.map_batches(partial, batch_format="pyarrow", batch_size=None) \
-        .groupby("l_returnflag").map_groups(merge, batch_format="pandas")
+    return hash_grouped_reduce(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=None),
+        ["l_returnflag"], merge, 4)
 
 
 # -------------------------------------------- grouped quantile SKETCH (bottom-k)
@@ -1517,11 +1520,7 @@ def q_grouped_quantiles_sketch(sf_dir: str, k: int = 4096):
         v = t["l_extendedprice"].to_numpy()
         order = np.lexsort((h, flags))
         f_s, h_s, v_s = flags[order], h[order], v[order]
-        # rank within group, vectorized: reset the running index at group starts
-        starts = np.concatenate([[0], np.flatnonzero(f_s[1:] != f_s[:-1]) + 1])
-        rank = np.arange(len(f_s)) - np.repeat(starts, np.diff(
-            np.concatenate([starts, [len(f_s)]])))
-        keep = rank < k
+        keep = H.run_ranks(f_s) < k
         return pa.table({"l_returnflag": pa.array(f_s[keep]),
                          "h": pa.array(h_s[keep]),
                          "v": pa.array(v_s[keep])})

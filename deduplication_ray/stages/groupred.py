@@ -14,12 +14,17 @@ groups at once.
 
 Callers: the spine (LSH pairing and pair dedupe, union-find rounds,
 cluster finalize), ``join.shuffle_join``, ``asof.asof_join``,
-``rangejoin.range_join_count``, and the query library's window, session,
-funnel and gram-bucket reducers (``relational``, ``docops``). Ray's
-aggregate stays the right tool for LOW-cardinality groupbys (the
-relational queries' 6-way aggregates) where partial combining shrinks the
-shuffle. Contract: every row of a key lands wholly in one partition
-(hashing the key guarantees it); ``reduce_fn`` keeps no state.
+``rangejoin.range_join_count``, and every per-key reducer of the query
+library (``relational``, ``docops``, ``ann``): window, session, funnel
+and gram-bucket reducers, prefix and gram pair generation, pair dedupe,
+per-source samples, keep-latest merges, sketch merges, top-k and per-cell
+kernels. Most of these run the same function twice, as a per-batch
+combiner before the exchange and as the exact per-partition final after
+it. This is the only ``map_groups`` call in the package. Ray's aggregate
+stays the right tool for LOW-cardinality groupbys (the relational
+queries' 6-way aggregates) where partial combining shrinks the shuffle.
+Contract: every row of a key lands wholly in one partition (hashing the
+key guarantees it); ``reduce_fn`` keeps no state.
 """
 
 from __future__ import annotations

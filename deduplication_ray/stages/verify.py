@@ -340,7 +340,13 @@ def pair_and_verify(buckets: ray.data.Dataset, sig_ref, cfg: DedupConfig,
     pair dedupe -> [``pair_filter`` over the slim pairs] -> resolve +
     ``accept``. Emits (src, dst, kind), lazy. ``sig_ref`` as in
     ``resolve_and_verify_pairs``; build a ``DeferredSignatureIndex`` before
-    calling so its index build overlaps the pairing chain."""
+    calling so its index build overlaps the pairing chain.
+
+    The edges are complete for union-find, not as a pair set: a bucket
+    above ``cfg.bucket_cap`` rows emits only its salted stars (each
+    sub-bucket linked to its min-id anchor) and ambassadors, a spanning
+    set of its pairs. A caller that reads the output as pairs misses the
+    direct pairs of such a bucket's non-anchor rows."""
     from deduplication_ray.stages import lsh
 
     pairs = lsh.dedupe_slim_pairs(lsh.slim_pairs_from_buckets(buckets, cfg),
