@@ -350,8 +350,7 @@ def engine_kit(mode: str, cfg: DedupConfig, id_col: str | None = None,
         if cfg.use_suffix_array and caps is not None:
             from deduplication_ray.stages.substring import suffix_array_edges
 
-            ve = ve.union(suffix_array_edges(caps, cfg)
-                          .select_columns(["src", "dst", "kind"]))
+            ve = ve.union(suffix_array_edges(caps, cfg))
         return ve
 
     kit.update(captions=captions, edges=edges)

@@ -1661,8 +1661,10 @@ def q_distinct_orders_per_flag_hll_check(sf_dir: str, p: int = 14,
                                          tol: float = 0.03):
     """Grouped-HLL verdict: per l_returnflag
     (exact_distinct, hll_within_3pct). Exact side = per-batch unique
-    (flag, key) pairs -> two-key groupby dedupe -> per-flag count; both
-    shuffles are bounded by the true distinct cardinality."""
+    (flag, key) pairs -> one keyed exchange on l_orderkey, where every row
+    of a key sits in one partition, so the same unique is exact there and
+    each partition counts its keys per flag -> the per-flag partials are
+    summed. The shuffle is bounded by the true distinct cardinality."""
     est = q_distinct_orders_per_flag_hll(sf_dir, p=p).to_pandas() \
         .set_index("l_returnflag")["distinct_est"]
 
@@ -1677,12 +1679,17 @@ def q_distinct_orders_per_flag_hll_check(sf_dir: str, p: int = 14,
         return pa.table({"l_returnflag": pa.array(f_s[keep]),
                          "l_orderkey": pa.array(k_s[keep])})
 
-    exact = (_read(sf_dir, "lineitem", ["l_returnflag", "l_orderkey"])
-             .map_batches(uniq, batch_format="pyarrow")
-             .groupby(["l_returnflag", "l_orderkey"]).count()
-             .groupby("l_returnflag")
-             .aggregate(Count(alias_name="exact_distinct"))
-             .to_pandas().set_index("l_returnflag")["exact_distinct"])
+    def per_flag(t: pa.Table) -> pa.Table:
+        flags, n = np.unique(uniq(t)["l_returnflag"].to_numpy(
+            zero_copy_only=False), return_counts=True)
+        return pa.table({"l_returnflag": pa.array(flags, pa.string()),
+                         "n": pa.array(n, pa.int64())})
+
+    exact = hash_grouped_reduce(
+        _read(sf_dir, "lineitem", ["l_returnflag", "l_orderkey"])
+        .map_batches(uniq, batch_format="pyarrow"),
+        ["l_orderkey"], per_flag, 8,
+    ).to_pandas().groupby("l_returnflag")["n"].sum()
     rows = []
     for f in sorted(exact.index):
         e = int(exact[f])

@@ -376,20 +376,19 @@ def _pair_tagged_table_slim(tbl: pa.Table, cfg: DedupConfig) -> pa.Table:
     never materializes as a join product.
 
     Pairs leave the kernel as 64-bit image-id HASHES
-    ``(ah, bh, prio:int8, sc:int8)`` — 18 bytes/row instead of ~75 with the
-    id strings — so the global pair-dedupe exchange moves 4x fewer bytes
-    and the kernel never gathers object-dtype string arrays. A true pair
-    collides in many bands, so pairs are deduped here first: the best
-    (min) prio per pair, with ``sc`` OR-ed over the candidate-only
-    namespace. Strings come back after the global dedupe, when
+    ``(ah, bh, prio:int8)`` — 17 bytes/row instead of ~75 with the id
+    strings — so the global pair-dedupe exchange moves 4x fewer bytes and
+    the kernel never gathers object-dtype string arrays. A true pair
+    collides in many bands, so pairs are deduped here first, by the same
+    ``_min_prio_pairs`` the global dedupe runs. Strings come back after the
+    global dedupe, when
     ``verify.resolve_and_verify_pairs`` resolves both hashes against the
     signature table. Hash-collision budget: E[collisions] ~
     n^2/2^65 (< 1e-7 at 1M ids); every resolve raises on one rather than
     merging two ids (``raise_on_id_collision``)."""
     empty = pa.table({"ah": pa.array([], pa.int64()),
                       "bh": pa.array([], pa.int64()),
-                      "prio": pa.array([], pa.int8()),
-                      "sc": pa.array([], pa.int8())})
+                      "prio": pa.array([], pa.int8())})
     if tbl.num_rows == 0:
         return empty
     band = tbl["band"].to_numpy()
@@ -467,10 +466,7 @@ def _pair_tagged_table_slim(tbl: pa.Table, cfg: DedupConfig) -> pa.Table:
     # a == b: one id on several rows of a bucket (video frames) — never an
     # edge. Two DISTINCT ids on one hash are caught by the resolves.
     nz = a != b
-    if not nz.any():  # reduceat below rejects an empty group list
-        return empty
     a, b, bands = a[nz], b[nz], bands[nz]
-    is_sc = ((bands >= BAND_SUBSTR) & (bands < BAND_SUBSTR_EXACT)).astype(np.int8)
     prio_of_band = np.select(
         [bands >= BAND_WINDOW, bands >= BAND_ORIENT, bands >= BAND_EXACT,
          bands >= BAND_SUBSTR_EXACT, bands >= BAND_SUBSTR,
@@ -481,16 +477,21 @@ def _pair_tagged_table_slim(tbl: pa.Table, cfg: DedupConfig) -> pa.Table:
          KIND_PRIORITY.index("simhash"), KIND_PRIORITY.index("phash")],
         default=KIND_PRIORITY.index("minhash"),
     ).astype(np.int8)
-    order = np.lexsort((prio_of_band, b, a))
+    return _min_prio_pairs(a, b, prio_of_band)
+
+
+def _min_prio_pairs(a: np.ndarray, b: np.ndarray, prio: np.ndarray) -> pa.Table:
+    """One slim row per distinct (a, b) id-hash pair, with its best (min)
+    prio: a lexsort-unique. ``a`` / ``b`` are 64-bit hashes (uint64 or
+    int64); they leave as int64 ``ah`` / ``bh``."""
+    order = np.lexsort((prio, b, a))
     a_s, b_s = a[order], b[order]
-    first = np.concatenate([[True], (a_s[1:] != a_s[:-1]) | (b_s[1:] != b_s[:-1])])
-    starts = np.flatnonzero(first)
-    sc = np.maximum.reduceat(is_sc[order], starts)
+    first = np.ones(len(a_s), dtype=bool)
+    first[1:] = (a_s[1:] != a_s[:-1]) | (b_s[1:] != b_s[:-1])
     return pa.table({
-        "ah": pa.array(H.bitcast_u64_to_i64(a_s[first]), pa.int64()),
-        "bh": pa.array(H.bitcast_u64_to_i64(b_s[first]), pa.int64()),
-        "prio": pa.array(prio_of_band[order][first], pa.int8()),
-        "sc": pa.array(sc, pa.int8()),
+        "ah": pa.array(a_s[first].view(np.int64), pa.int64()),
+        "bh": pa.array(b_s[first].view(np.int64), pa.int64()),
+        "prio": pa.array(prio[order][first], pa.int8()),
     })
 
 
@@ -505,7 +506,7 @@ def slim_pairs_from_buckets(
 ) -> ray.data.Dataset:
     """The one pairing stage: ONE shuffle on the bucket key, then per
     partition ``_tag_buckets`` -> SLIM pairing kernel, pairs exchanged as
-    materialized (ah, bh, prio, sc) id-hash rows. Callers follow with
+    materialized (ah, bh, prio) id-hash rows. Callers follow with
     ``dedupe_slim_pairs`` + ``verify.resolve_and_verify_pairs``. An id may
     repeat across bucket rows (video frames do); it never pairs with
     itself. Every bucket (and so its salted sub-buckets + ambassadors)
@@ -532,36 +533,20 @@ def slim_pairs_from_buckets(
 
 
 def dedupe_slim_pairs(pairs: ray.data.Dataset, cfg: DedupConfig) -> ray.data.Dataset:
-    """Collapse duplicate (ah, bh) id-hash pairs across bands/partitions —
-    keep the best (min) prio, OR the sc flag. One hash-partitioned
-    vectorized lexsort-unique per partition over the 18-byte slim rows
-    (Ray's aggregate pays per-distinct-group costs that dominate at
-    group-per-row keys); returns a LAZY dataset so the caller can fuse
-    the resolve/verify gather into the same execution."""
+    """Collapse duplicate (ah, bh) id-hash pairs across bands/partitions,
+    keeping the best (min) prio: one hash-partitioned ``_min_prio_pairs``
+    per partition over the 17-byte slim rows (Ray's aggregate pays
+    per-distinct-group costs that dominate at group-per-row keys); returns
+    a LAZY dataset so the caller can fuse the resolve/verify gather into
+    the same execution."""
     from deduplication_ray.stages.groupred import hash_grouped_reduce
-
-    def red(t: pa.Table) -> pa.Table:
-        a = t["ah"].to_numpy()
-        b = t["bh"].to_numpy()
-        prio = t["prio"].to_numpy()
-        sc = t["sc"].to_numpy()
-        order = np.lexsort((prio, b, a))
-        a_s, b_s = a[order], b[order]
-        first = np.concatenate([[True], (a_s[1:] != a_s[:-1])
-                                | (b_s[1:] != b_s[:-1])])
-        starts = np.flatnonzero(first)
-        return pa.table({
-            "ah": pa.array(a_s[first]),
-            "bh": pa.array(b_s[first]),
-            "prio": pa.array(prio[order][first], pa.int8()),
-            "sc": pa.array(np.maximum.reduceat(sc[order], starts), pa.int8()),
-        })
 
     return hash_grouped_reduce(
         pairs,
         lambda t: H.hash_u64_pair(t["ah"].to_numpy().view(np.uint64),
                                   t["bh"].to_numpy().view(np.uint64)),
-        red,
+        lambda t: _min_prio_pairs(t["ah"].to_numpy(), t["bh"].to_numpy(),
+                                  t["prio"].to_numpy()),
         2 * cfg.num_partitions,
     )
 

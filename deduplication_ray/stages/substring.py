@@ -176,7 +176,6 @@ class SuffixArrayEdges:
                 "src": pa.array(ids[upk // stride], pa.string()),
                 "dst": pa.array(ids[upk % stride], pa.string()),
                 "kind": pa.array(["substr"] * len(upk), pa.string()),
-                "sc": pa.array(np.zeros(len(upk), np.int8)),
             }
         )
 
@@ -184,7 +183,7 @@ class SuffixArrayEdges:
 def _empty_edges() -> pa.Table:
     return pa.table(
         {"src": pa.array([], pa.string()), "dst": pa.array([], pa.string()),
-         "kind": pa.array([], pa.string()), "sc": pa.array([], pa.int8())}
+         "kind": pa.array([], pa.string())}
     )
 
 

@@ -214,11 +214,11 @@ def _default_accept(cfg: DedupConfig, has_pixels: bool):
 
 
 _EMPTY_VERIFIED = pa.schema([("src", pa.string()), ("dst", pa.string()),
-                             ("kind", pa.string()), ("sc", pa.int8())])
+                             ("kind", pa.string())])
 
 
 def _verified_slim(t: pa.Table, accept, col) -> pa.Table:
-    """Slim pairs (ah, bh, prio, sc) -> accepted (src, dst, kind, sc).
+    """Slim pairs (ah, bh, prio) -> accepted (src, dst, kind).
     ``col`` is the ``accept`` column accessor; it also serves the endpoint
     ``image_id`` strings, fetched for accepted rows only."""
     from deduplication_ray.stages.lsh import KIND_PRIORITY
@@ -231,15 +231,14 @@ def _verified_slim(t: pa.Table, accept, col) -> pa.Table:
         "dst": col("image_id", "dst", kept),
         "kind": pc.take(pa.array(KIND_PRIORITY),
                         pa.array(t["prio"].to_numpy()[kept].astype(np.int32))),
-        "sc": t["sc"].take(pa.array(kept)).cast(pa.int8()),
     })
 
 
 class _ResolveVerify:
-    """One fused map over deduped SLIM pairs (ah, bh, prio, sc): gather the
+    """One fused map over deduped SLIM pairs (ah, bh, prio): gather the
     id strings and signature columns for both endpoints from the broadcast
     signature index, apply ``accept`` (None: ``_accept_mask``), and emit
-    accepted (src, dst, kind, sc)."""
+    accepted (src, dst, kind)."""
 
     def __init__(self, ref, cfg: DedupConfig, has_pixels: bool, accept=None):
         self.ref = ref
@@ -314,7 +313,7 @@ def resolve_and_verify_pairs(
     slim_pairs: ray.data.Dataset, sig_ref, cfg: DedupConfig,
     has_pixels: bool = True, accept=None,
 ) -> ray.data.Dataset:
-    """Deduped slim pairs -> accepted (src, dst, kind, sc) edges (lazy).
+    """Deduped slim pairs -> accepted (src, dst, kind) edges (lazy).
 
     ``sig_ref`` is a ``signature_index`` handle (broadcast gather) or a
     ``DeferredSignatureIndex``, which picks the broadcast gather inside the
@@ -353,10 +352,8 @@ def pair_and_verify(buckets: ray.data.Dataset, sig_ref, cfg: DedupConfig,
                                   cfg)
     if pair_filter is not None:
         pairs = pairs.map_batches(pair_filter, batch_format="pyarrow")
-    return resolve_and_verify_pairs(
-        pairs, sig_ref, cfg, has_pixels=has_pixels, accept=accept
-    ).map_batches(lambda t: t.select(["src", "dst", "kind"]),
-                  batch_format="pyarrow")
+    return resolve_and_verify_pairs(pairs, sig_ref, cfg,
+                                    has_pixels=has_pixels, accept=accept)
 
 
 def plan_hamming_radius(pos_dists, neg_dists, target_recall: float = 0.99,

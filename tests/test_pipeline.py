@@ -418,8 +418,7 @@ def test_id_hash_collision_fails_loudly(ray_session, monkeypatch):
     pairs = ray.data.from_arrow(pa.table({
         "ah": pa.array([min(hab, hzz)], pa.int64()),
         "bh": pa.array([max(hab, hzz)], pa.int64()),
-        "prio": pa.array([lsh.KIND_PRIORITY.index("minhash")], pa.int8()),
-        "sc": pa.array([0], pa.int8())}))
+        "prio": pa.array([lsh.KIND_PRIORITY.index("minhash")], pa.int8())}))
     sigs = ray.data.from_arrow(pa.table({"image_id": pa.array(ids)}))
     with pytest.raises(RuntimeError, match="collision"):
         verify.signature_index(sigs, cfg)

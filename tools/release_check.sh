@@ -13,8 +13,9 @@ python -m pytest tests/ -q || rc=1
 echo "== oracle sweep ($SF) =="
 python tools/correctness_sweep.py "$SF" | tail -1 || rc=1
 
-echo "== bench smoke (sf0.01, 4k imgs) =="
+echo "== bench smoke (sf0.01, 4k imgs; image join-tier parity) =="
 GRAFT_SF_DIR=/root/testdata/sf0.01 BENCH_IMG_ROWS=4000 python bench.py \
   | tail -1 || rc=1
+BENCH_IMG_ROWS=4000 python bench.py image --join-tier | tail -1 || rc=1
 
 exit $rc

@@ -6,7 +6,7 @@
 # Rationale: this sandbox VM's memory bandwidth randomly degrades 10-40x
 # (see BENCH/BASELINE.md "host health" notes); scaling-efficiency samples
 # are only meaningful in clean windows.
-cd /root/repo || exit 1
+cd "$(dirname "$0")/.." || exit 1
 OUT=${1:-/tmp/scaling_watch_result.json}
 probe() {
   python - <<'EOF'
@@ -28,7 +28,7 @@ while true; do
     if python -c "import sys; sys.exit(0 if float('${BW2}') >= 2.2 else 1)"; then
       echo "$(date +%H:%M:%S) clean window; firing scaling run"
       touch /tmp/graft_busy
-      BENCH_IMG_ROWS=150000 python bench.py --scaling > "$OUT" 2>/tmp/scaling_watch_err.log
+      BENCH_IMG_ROWS=150000 python bench.py scaling > "$OUT" 2>/tmp/scaling_watch_err.log
       RC=$?
       rm -f /tmp/graft_busy
       echo "$(date +%H:%M:%S) scaling run rc=$RC -> $OUT"
